@@ -47,6 +47,7 @@ from .laplace import (
     multiplicativity_defect,
     recover_point_mass,
     resolve_point,
+    transform_block,
 )
 from .measures import (
     AtomicMeasure,

@@ -28,10 +28,11 @@ from .laplace import (
     NOT_POINT_MASS,
     POINT_MASS,
     decide_covariance,
-    laplace_transform,
+    laplace_transform,  # noqa: F401  (a lapcov.cli binding that perfbench/layers.py traces)
     multiplicativity_defect,
     recover_point_mass,
     resolve_point,
+    transform_block,
 )
 from .measures import total_mass
 from .randomvectors import CONSTANT, decide_constant_vector
@@ -42,6 +43,7 @@ from .scenario import (
     parse_element,
     parse_kernel,
     parse_pair_function,
+    parse_positive_int,
     parse_random_vector,
     parse_shift_operators,
     point_to_json,
@@ -93,6 +95,16 @@ def _require(scenario, field: str):
     return value
 
 
+def _positive_setting(flag_value, flag: str, scenario, section: str, key: str, default: int) -> int:
+    """A positive integer from the command-line flag, else the scenario section, else the default."""
+    if flag_value is not None:
+        return parse_positive_int(flag_value, flag)
+    data = scenario.raw.get(section, {})
+    if not isinstance(data, dict):
+        raise _CommandError("scenario_invalid", f"{section}: expected an object")
+    return parse_positive_int(data.get(key, default), f"{section}.{key}")
+
+
 def _grid_fields(grid) -> dict:
     return {
         "grid_order": grid.order if grid.order is not None else None,
@@ -110,20 +122,14 @@ def _character_table_json(semigroup, grid, table) -> list:
 def _cmd_transform(scenario, args):
     mu = _require(scenario, "measure")
     grid = scenario.grid
+    labels = [element_to_json(mu.semigroup, el) for el in grid.elements]
+    block = transform_block(mu, scenario.symbol, grid.elements, grid.elements)
     values = [
-        {
-            "s": element_to_json(mu.semigroup, s),
-            "t": element_to_json(mu.semigroup, t),
-            "v": encode_complex(laplace_transform(mu, scenario.symbol, s, t)),
-        }
-        for s in grid.elements
-        for t in grid.elements
+        {"s": s, "t": t, "v": encode_complex(v)}
+        for s, row in zip(labels, block.tolist())
+        for t, v in zip(labels, row)
     ]
-    report = {
-        "command": "transform",
-        "grid": [element_to_json(mu.semigroup, el) for el in grid.elements],
-        "values": values,
-    }
+    report = {"command": "transform", "grid": labels, "values": values}
     return report, 0, f"tabulated {len(values)} transform values"
 
 
@@ -183,8 +189,8 @@ def _cmd_recover(scenario, args):
 
 def _cmd_toeplitz(scenario, args):
     mu = _require(scenario, "measure")
-    order = args.matrix_order or scenario.raw.get("toeplitz", {}).get(
-        "matrix_order", DEFAULT_MATRIX_ORDER
+    order = _positive_setting(
+        args.matrix_order, "--matrix-order", scenario, "toeplitz", "matrix_order", DEFAULT_MATRIX_ORDER
     )
     rank_tol = scenario.tolerances.rank
     per_element = []
@@ -204,7 +210,7 @@ def _cmd_toeplitz(scenario, args):
         )
     report = {
         "command": "toeplitz",
-        "matrix_order": int(order),
+        "matrix_order": order,
         "rank_tol": float(rank_tol),
         "per_element": per_element,
     }
@@ -229,7 +235,7 @@ def _cmd_toeplitz(scenario, args):
 
 def _cmd_prony(scenario, args):
     mu = _require(scenario, "measure")
-    k_max = args.k_max or scenario.raw.get("prony", {}).get("k_max", 6)
+    k_max = _positive_setting(args.k_max, "--k-max", scenario, "prony", "k_max", 6)
     rank_tol = scenario.tolerances.rank
     direct_table = None
     try:
@@ -260,7 +266,7 @@ def _cmd_prony(scenario, args):
             abs(from_atom - direct) if from_atom is not None and direct is not None else None
         )
         per_element.append(entry)
-    report = {"command": "prony", "k_max": int(k_max), "per_element": per_element}
+    report = {"command": "prony", "k_max": k_max, "per_element": per_element}
     diffs = [e["route_difference"] for e in per_element if e["route_difference"] is not None]
     summary = (
         f"prony: max route difference {format_float(max(diffs))}"
@@ -296,10 +302,7 @@ def _cmd_pd(scenario, args):
 
     definiteness = positive_definite_check(f, points)
     mass = f(e, e)
-    defect = None
-    if abs(mass) > 0:
-        scaled = {key: value / mass for key, value in f.values.items()}
-        defect = semicharacter_defect(type(f)(grid, scaled), points)
+    defect = semicharacter_defect(f.divided_by(mass), points) if abs(mass) > 0 else None
 
     report = {
         "command": "pd",

@@ -35,7 +35,7 @@ from .semigroups import (
     NAT_MULT,
     Semigroup,
     character_matrix,
-    combine,
+    closure_table,
     first_primes,
     identity,
     validate_element,
@@ -69,8 +69,8 @@ class Tolerances:
     rank: float = 1e-8
 
     def __post_init__(self):
-        if min(self.mass, self.residual, self.rank) <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.mass, self.residual, self.rank)):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -80,22 +80,26 @@ class EvaluationGrid:
     Elements are deduplicated and sorted, the identity is always included,
     and ``pairs_closure`` additionally contains every pairwise product, so
     recovered character tables can be checked for multiplicativity.
+    ``products[i, j]`` is the index in ``pairs_closure`` of
+    ``elements[i] * elements[j]``.  The identity sorts first, so
+    ``products[0]`` indexes the elements themselves.
     """
 
     semigroup: Semigroup
     elements: tuple
     order: int = None
     pairs_closure: tuple = field(default=(), compare=False)
+    products: np.ndarray = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         base = {validate_element(self.semigroup, el) for el in self.elements}
         base.add(identity(self.semigroup))
         elements = tuple(sorted(base))
-        closed = set(elements)
-        for s, t in itertools.product(elements, repeat=2):
-            closed.add(combine(self.semigroup, s, t))
+        closure, products = closure_table(self.semigroup, elements)
+        products.setflags(write=False)
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "pairs_closure", tuple(sorted(closed)))
+        object.__setattr__(self, "pairs_closure", closure)
+        object.__setattr__(self, "products", products)
 
 
 def default_grid(semigroup: Semigroup, order: int = None) -> EvaluationGrid:
@@ -153,11 +157,27 @@ class CovarianceVerdict:
     symbol_vanishes_on_atom: bool = False
 
 
-def laplace_transform(mu: AtomicMeasure, symbol, s, t, mode: str = MODE_F) -> complex:
-    """L[mu, F](s, t); ``symbol=None`` means F == 1, ``mode`` picks F, conj F or |F|^2."""
+def _complex_product(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) in real arithmetic, in the order Python's complex product uses.
+
+    numpy's complex multiply rounds differently depending on array layout;
+    spelled out in real arithmetic, a product does not depend on the shape
+    of the arrays it is computed in.
+    """
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def transform_block(mu: AtomicMeasure, symbol, rows, cols, mode: str = MODE_F) -> np.ndarray:
+    """L[mu, F](s, t) for s in ``rows`` and t in ``cols``, shape (len(rows), len(cols)).
+
+    Atom k contributes (w_k F(z_k) rho_{z_k}(s)) conj(rho_{z_k}(t)), and the
+    contributions are added in atom order, so an entry does not depend on the
+    block it is computed in.  ``symbol=None`` means F == 1; ``mode`` picks F,
+    conj F or |F|^2.
+    """
     sg = mu.semigroup
-    s = validate_element(sg, s)
-    t = validate_element(sg, t)
+    rows = [validate_element(sg, s) for s in rows]
+    cols = [validate_element(sg, t) for t in cols]
     fv = symbol_values(symbol, mu.points)
     if mode == MODE_CONJ_F:
         fv = np.conj(fv)
@@ -165,10 +185,21 @@ def laplace_transform(mu: AtomicMeasure, symbol, s, t, mode: str = MODE_F) -> co
         fv = np.abs(fv) ** 2
     elif mode != MODE_F:
         raise ValueError(f"unknown symbol mode {mode!r}")
-    w = np.array(mu.weights, dtype=complex)
-    ps = character_matrix(sg, mu.points, (s,))[:, 0]
-    pt = character_matrix(sg, mu.points, (t,))[:, 0]
-    return complex(np.sum(w * fv * ps * np.conj(pt)))
+    wf = np.array(mu.weights, dtype=complex) * fv
+    ps = character_matrix(sg, mu.points, rows)
+    pt = character_matrix(sg, mu.points, cols)
+    left_re, left_im = _complex_product(wf.real[:, None], wf.imag[:, None], ps.real, ps.imag)
+    out = np.zeros((len(rows), len(cols)), dtype=complex)
+    for k in range(len(wf)):
+        re, im = _complex_product(left_re[k][:, None], left_im[k][:, None], pt.real[k], -pt.imag[k])
+        out.real += re
+        out.imag += im
+    return out
+
+
+def laplace_transform(mu: AtomicMeasure, symbol, s, t, mode: str = MODE_F) -> complex:
+    """L[mu, F](s, t); ``symbol=None`` means F == 1, ``mode`` picks F, conj F or |F|^2."""
+    return complex(transform_block(mu, symbol, (s,), (t,), mode)[0, 0])
 
 
 def halfplane_transform(mu: AtomicMeasure, symbol, s: float, t: float) -> complex:
@@ -243,15 +274,21 @@ def recover_point_mass(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Tol
 
 
 def multiplicativity_defect(table: dict, grid: EvaluationGrid) -> float:
-    """max over grid pairs of |table[s*t] - table[s]*table[t]|."""
-    defect = 0.0
-    for s, t in itertools.product(grid.elements, repeat=2):
-        st = combine(grid.semigroup, s, t)
-        try:
-            defect = max(defect, abs(table[st] - table[s] * table[t]))
-        except KeyError as missing:
-            raise MissingGridValue(f"character table lacks element {missing}") from None
-    return defect
+    """max over grid pairs of |table[s*t] - table[s]*table[t]|.
+
+    Computed in real arithmetic in the order Python's complex operations use,
+    so the result matches a scalar loop bit for bit.
+    """
+    try:
+        values = np.array([complex(table[el]) for el in grid.pairs_closure])
+    except KeyError as missing:
+        raise MissingGridValue(f"character table lacks element {missing}") from None
+    re, im = values.real, values.imag
+    at = grid.products[0]
+    product_re, product_im = _complex_product(re[at][:, None], im[at][:, None], re[at], im[at])
+    gaps = np.hypot(re[grid.products] - product_re, im[grid.products] - product_im)
+    # fmax skips NaN gaps, as max() over a running value does
+    return float(np.fmax.reduce(gaps, axis=None, initial=0.0))
 
 
 def factorization_residual(f, s, t) -> complex:

@@ -143,9 +143,15 @@ def parse_symbol(data, path: str = "symbol") -> Symbol:
     _fail(f"{path}.kind", f"unknown symbol kind {kind!r}")
 
 
+def parse_positive_int(value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        _fail(path, "expected a positive integer")
+    return value
+
+
 def parse_grid(semigroup: Semigroup, data, order_override: int = None, path: str = "grid") -> EvaluationGrid:
     if order_override is not None:
-        return default_grid(semigroup, order=order_override)
+        return default_grid(semigroup, order=parse_positive_int(order_override, "--grid-order"))
     if data is None:
         return default_grid(semigroup)
     if not isinstance(data, dict):
@@ -159,10 +165,7 @@ def parse_grid(semigroup: Semigroup, data, order_override: int = None, path: str
         )
         return EvaluationGrid(semigroup, elements)
     if "order" in data:
-        order = data["order"]
-        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-            _fail(f"{path}.order", "expected a positive integer")
-        return default_grid(semigroup, order=order)
+        return default_grid(semigroup, order=parse_positive_int(data["order"], f"{path}.order"))
     _fail(path, "expected 'order' or 'elements'")
 
 

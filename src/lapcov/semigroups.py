@@ -15,6 +15,7 @@ takes the value 1 at the identity.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -101,6 +102,43 @@ def combine(semigroup: Semigroup, a, b):
             raise GridTooLarge(f"product {a}*{b} exceeds the supported range")
         return product
     return a + b
+
+
+def closure_table(semigroup: Semigroup, elements: tuple):
+    """Sorted pairwise products of ``elements`` and the (n, n) table of their indices.
+
+    Returns ``(closure, products)`` with ``closure[products[i, j]]`` equal to
+    ``combine(semigroup, elements[i], elements[j])``.
+
+    Every product gets a sort key from array arithmetic: a mixed-radix code
+    for nat_add (coordinate c has radix 2 * max_c + 1, so codes add without
+    carries), the integer product for nat_mult, the float sum for half_line.
+    Keys beyond 2**62 raise GridTooLarge instead of wrapping around in int64.
+    """
+    n = len(elements)
+    if semigroup.family == NAT_ADD:
+        radices = [2 * max(column) + 1 for column in zip(*elements)]
+        if math.prod(radices) > _INT_LIMIT:
+            raise GridTooLarge("nat_add grid coordinates exceed the supported range")
+        strides = [math.prod(radices[c + 1:]) for c in range(len(radices))]
+        coords = np.array(elements, dtype=np.int64)
+        codes = coords @ np.array(strides, dtype=np.int64)
+        keys = np.add.outer(codes, codes)
+    elif semigroup.family == NAT_MULT:
+        top = max(elements)
+        if top * top > _INT_LIMIT:
+            raise GridTooLarge(f"product {top}*{top} exceeds the supported range")
+        values = np.array(elements, dtype=np.int64)
+        keys = np.multiply.outer(values, values)
+    else:
+        values = np.array(elements, dtype=float)
+        keys = np.add.outer(values, values)
+    unique, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    if semigroup.family == NAT_ADD:
+        closure = tuple(map(tuple, (coords[first // n] + coords[first % n]).tolist()))
+    else:
+        closure = tuple(unique.tolist())
+    return closure, inverse.reshape(n, n)
 
 
 def kappa(n: int, retained_primes: int) -> tuple:

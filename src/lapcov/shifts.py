@@ -8,6 +8,7 @@ bounded-variation description of generalized Laplace transforms.
 """
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,45 @@ def admissible_generator(semigroup: Semigroup, pair, phase) -> ShiftCombination:
     ).normalized()
 
 
+class PairTable(Mapping):
+    """Read-only {(s, t): complex} view of a matrix indexed by ``elements`` on both axes."""
+
+    def __init__(self, elements: tuple, matrix: np.ndarray):
+        self._elements = elements
+        self._index = {el: i for i, el in enumerate(elements)}
+        self._matrix = matrix
+
+    def __getitem__(self, key) -> complex:
+        try:
+            s, t = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        return complex(self._matrix[self._index[s], self._index[t]])
+
+    def __len__(self) -> int:
+        return len(self._elements) ** 2
+
+    def __iter__(self):
+        return itertools.product(self._elements, repeat=2)
+
+
+class QuotientTable(Mapping):
+    """Read-only view of ``values`` divided by ``divisor`` at each lookup."""
+
+    def __init__(self, values: Mapping, divisor: complex):
+        self._values = values
+        self._divisor = divisor
+
+    def __getitem__(self, key) -> complex:
+        return self._values[key] / self._divisor
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __iter__(self):
+        return iter(self._values)
+
+
 @dataclass(frozen=True, eq=False)
 class PairFunction:
     """A table of complex values on pairs of grid-closure elements.
@@ -93,7 +133,7 @@ class PairFunction:
     """
 
     grid: EvaluationGrid
-    values: dict
+    values: Mapping
 
     @property
     def semigroup(self) -> Semigroup:
@@ -105,19 +145,17 @@ class PairFunction:
         except KeyError:
             raise MissingGridValue(f"pair function undefined at ({s}, {t})") from None
 
+    def divided_by(self, divisor: complex) -> "PairFunction":
+        """f / divisor on the same grid, divided at each lookup."""
+        return PairFunction(self.grid, QuotientTable(self.values, divisor))
+
 
 def pair_function_from_measure(mu: AtomicMeasure, grid: EvaluationGrid, symbol: Symbol = None) -> PairFunction:
     """Tabulate the (optionally F-weighted) transform of mu on closure x closure."""
     closure = grid.pairs_closure
     w = np.array(mu.weights, dtype=complex) * symbol_values(symbol, mu.points)
     P = character_matrix(mu.semigroup, mu.points, closure)
-    table = P.T @ (w[:, None] * P.conj())
-    values = {
-        (s, t): complex(table[i, j])
-        for i, s in enumerate(closure)
-        for j, t in enumerate(closure)
-    }
-    return PairFunction(grid, values)
+    return PairFunction(grid, PairTable(closure, P.T @ (w[:, None] * P.conj())))
 
 
 def semicharacter_from_point(semigroup: Semigroup, point, grid: EvaluationGrid) -> PairFunction:

@@ -219,3 +219,79 @@ def test_half_line_scenario_roundtrip(tmp_path):
     assert report["verdict"] == "point_mass"
     assert abs(report["zeta"][0][0] - 0.8) < 1e-9
     assert abs(report["zeta"][0][1] - 1.1) < 1e-9
+
+
+# ------------------------------------------------------- bad numeric inputs
+
+
+def assert_scenario_invalid(argv, path_text):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "scenario_invalid"
+    assert path_text in error["message"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_grid_order_below_one_is_rejected(order):
+    # a grid of the identity alone would certify two atoms as a point mass
+    for command in ("covariance", "recover", "transform"):
+        assert_scenario_invalid(build_argv("two_atoms_natadd1.json", [command, "--grid-order", order]), "--grid-order")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--tol-res", "--tol-mass", "--rank-tol"])
+def test_non_finite_tolerances_are_rejected(flag, value):
+    assert_scenario_invalid(build_argv("point_mass_natadd2.json", ["covariance", f"{flag}={value}"]), "tolerances")
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_non_finite_scenario_tolerances_are_rejected(tmp_path, value):
+    with open(os.path.join(SCENARIOS, "point_mass_natadd2.json")) as fh:
+        scn = json.load(fh)
+    scn["tolerances"] = {"residual": "VALUE"}
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps(scn).replace('"VALUE"', value))
+    assert_scenario_invalid(["covariance", str(path)], "tolerances")
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_k_max_below_one_is_rejected(value):
+    assert_scenario_invalid(build_argv("two_atoms_natadd1.json", ["prony", "--k-max", value]), "--k-max")
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_matrix_order_below_one_is_rejected(value):
+    assert_scenario_invalid(build_argv("two_atoms_natadd1.json", ["toeplitz", "--matrix-order", value]), "--matrix-order")
+
+
+@pytest.mark.parametrize(
+    "command,section,key", [("prony", "prony", "k_max"), ("toeplitz", "toeplitz", "matrix_order")]
+)
+@pytest.mark.parametrize("value", [0, -3, 2.5, True, "6", None])
+def test_scenario_k_max_and_matrix_order_are_validated(tmp_path, command, section, key, value):
+    with open(os.path.join(SCENARIOS, "two_atoms_natadd1.json")) as fh:
+        scn = json.load(fh)
+    scn[section] = {key: value}
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(scn))
+    assert_scenario_invalid([command, str(path)], f"{section}.{key}")
+    scn[section] = [value]
+    path.write_text(json.dumps(scn))
+    assert_scenario_invalid([command, str(path)], section)
+
+
+def test_flag_overrides_scenario_k_max_and_matrix_order(tmp_path):
+    with open(os.path.join(SCENARIOS, "two_atoms_natadd1.json")) as fh:
+        scn = json.load(fh)
+    scn["prony"] = {"k_max": 5}
+    scn["toeplitz"] = {"matrix_order": 5}
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(scn))
+    code, out, _ = run_cli(["prony", str(path)])
+    assert code == 0 and json.loads(out)["k_max"] == 5
+    code, out, _ = run_cli(["prony", str(path), "--k-max", "3"])
+    assert code == 0 and json.loads(out)["k_max"] == 3
+    code, out, _ = run_cli(["toeplitz", str(path), "--matrix-order", "4"])
+    assert code == 0 and json.loads(out)["matrix_order"] == 4

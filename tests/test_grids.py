@@ -1,0 +1,265 @@
+"""Closure-indexed grids and the array kernels built on them.
+
+Each array path is checked against a brute-force reference built from the
+scalar semigroup operation ``combine``.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from lapcov import (
+    AtomicMeasure,
+    EvaluationGrid,
+    MissingGridValue,
+    PairFunction,
+    Semigroup,
+    char_eval,
+    character_matrix,
+    combine,
+    default_grid,
+    identity,
+    laplace_transform,
+    multiplicativity_defect,
+    pair_function_from_measure,
+    symbol_values,
+    transform_block,
+)
+from lapcov.errors import GridTooLarge
+from lapcov.measures import MODE_ABS_F_SQ, MODE_CONJ_F, MODE_F
+
+from helpers import random_character_point, random_polynomial_symbol, slow_laplace
+
+NAT_ADD2 = Semigroup.nat_add(2)
+NAT_MULT2 = Semigroup.nat_mult(2)
+HALF_LINE = Semigroup.half_line()
+
+GRIDS = [
+    default_grid(NAT_ADD2),
+    default_grid(Semigroup.nat_add(3), order=2),
+    default_grid(NAT_MULT2, order=3),
+    default_grid(Semigroup.nat_mult(3)),
+    default_grid(HALF_LINE),
+    # user element lists: unsorted, with duplicates, without the identity
+    EvaluationGrid(NAT_ADD2, ((3, 1), (0, 2), (3, 1), (5, 0))),
+    EvaluationGrid(NAT_MULT2, (6, 2, 9, 6, 12)),
+    EvaluationGrid(HALF_LINE, (0.3, 0.1, 0.7, 0.3, 1.25)),
+]
+GRID_IDS = ["natadd2", "natadd3", "natmult2", "natmult3", "halfline", "natadd2-list", "natmult2-list", "halfline-list"]
+
+
+def reference_closure(grid):
+    """Sorted pairwise products by brute force over grid x grid."""
+    return tuple(sorted({combine(grid.semigroup, s, t) for s, t in itertools.product(grid.elements, repeat=2)}))
+
+
+def reference_defect(table, grid):
+    """The multiplicativity defect as a scalar loop over grid pairs."""
+    defect = 0.0
+    for s, t in itertools.product(grid.elements, repeat=2):
+        st = combine(grid.semigroup, s, t)
+        try:
+            defect = max(defect, abs(table[st] - table[s] * table[t]))
+        except KeyError as missing:
+            raise MissingGridValue(f"character table lacks element {missing}") from None
+    return defect
+
+
+def random_measure(rng, semigroup, count):
+    return AtomicMeasure(
+        semigroup,
+        tuple(
+            (random_character_point(rng, semigroup), complex(rng.normal(), rng.normal()))
+            for _ in range(count)
+        ),
+    )
+
+
+# ---------------------------------------------------------------- closure
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_closure_matches_brute_force(grid):
+    assert grid.pairs_closure == reference_closure(grid)
+    assert [type(el) for el in grid.pairs_closure] == [type(el) for el in reference_closure(grid)]
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_products_index_every_pair(grid):
+    n = len(grid.elements)
+    assert grid.products.shape == (n, n)
+    for (i, s), (j, t) in itertools.product(enumerate(grid.elements), repeat=2):
+        assert grid.pairs_closure[grid.products[i, j]] == combine(grid.semigroup, s, t)
+    assert grid.elements[0] == identity(grid.semigroup)
+    assert tuple(grid.pairs_closure[k] for k in grid.products[0]) == grid.elements
+
+
+def test_user_grid_adds_identity_and_drops_duplicates():
+    grid = EvaluationGrid(NAT_MULT2, (6, 2, 9, 6, 12))
+    assert grid.elements == (1, 2, 6, 9, 12)
+    assert grid.pairs_closure == (1, 2, 4, 6, 9, 12, 18, 24, 36, 54, 72, 81, 108, 144)
+
+
+def test_products_table_is_read_only():
+    grid = default_grid(NAT_ADD2, order=1)
+    with pytest.raises(ValueError):
+        grid.products[0, 0] = 0
+
+
+def test_grid_equality_ignores_derived_fields():
+    assert default_grid(NAT_ADD2, order=2) == EvaluationGrid(NAT_ADD2, default_grid(NAT_ADD2, order=2).elements, order=2)
+    assert len({default_grid(NAT_ADD2, order=2), default_grid(NAT_ADD2, order=2)}) == 1
+
+
+def test_nat_mult_products_up_to_two_to_the_62():
+    grid = EvaluationGrid(Semigroup.nat_mult(1), (2**31,))
+    assert grid.pairs_closure == (1, 2**31, 2**62)
+    # 2**12 * 3**12 is 1.4% above 2**31, so its square passes 2**62
+    with pytest.raises(GridTooLarge):
+        EvaluationGrid(NAT_MULT2, (2**12 * 3**12,))
+    with pytest.raises(GridTooLarge):
+        EvaluationGrid(Semigroup.nat_mult(1), (2**31, 2**32))
+
+
+def test_nat_add_codes_up_to_two_to_the_62():
+    top = 2**61 - 1
+    grid = EvaluationGrid(Semigroup.nat_add(1), ((top,),))
+    assert grid.pairs_closure == ((0,), (top,), (2 * top,))
+    # (2**62,) + (2**62,) is past the int64 range
+    for element in ((2**61,), (2**62,), (2**70,)):
+        with pytest.raises(GridTooLarge):
+            EvaluationGrid(Semigroup.nat_add(1), (element,))
+    with pytest.raises(GridTooLarge):
+        EvaluationGrid(NAT_ADD2, ((2**31, 2**31),))
+
+
+# ------------------------------------------------ multiplicativity defect
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_defect_bit_equal_to_scalar_loop(grid, rng):
+    closure = grid.pairs_closure
+    for scale in (1e-3, 1.0, 1e3):
+        values = scale * (rng.normal(size=len(closure)) + 1j * rng.normal(size=len(closure)))
+        table = {el: complex(v) for el, v in zip(closure, values)}
+        assert multiplicativity_defect(table, grid) == reference_defect(table, grid)
+    table[closure[-1]] = complex("nan+1j")
+    assert multiplicativity_defect(table, grid) == reference_defect(table, grid)
+    # a true character table: the defect is rounding only
+    z = random_character_point(rng, grid.semigroup)
+    mu = AtomicMeasure(grid.semigroup, ((z, 1.0),))
+    table = {el: laplace_transform(mu, None, el, identity(grid.semigroup)) for el in closure}
+    assert multiplicativity_defect(table, grid) == reference_defect(table, grid)
+
+
+def test_defect_ignores_extra_keys_and_reports_missing_ones():
+    grid = default_grid(Semigroup.nat_add(1), order=2)
+    table = {(k,): 0.5**k for k in range(6)}
+    assert multiplicativity_defect(table, grid) == 0.0
+    del table[(3,)]
+    with pytest.raises(MissingGridValue):
+        multiplicativity_defect(table, grid)
+
+
+# ------------------------------------------------------------ pair tables
+
+
+def dict_pair_function(mu, grid):
+    """The closure x closure table as the dict that the pair view replaces."""
+    closure = grid.pairs_closure
+    w = np.array(mu.weights, dtype=complex) * symbol_values(None, mu.points)
+    P = character_matrix(mu.semigroup, mu.points, closure)
+    table = P.T @ (w[:, None] * P.conj())
+    return {(s, t): complex(table[i, j]) for i, s in enumerate(closure) for j, t in enumerate(closure)}
+
+
+@pytest.mark.parametrize("semigroup", [NAT_ADD2, NAT_MULT2, HALF_LINE], ids=["natadd", "natmult", "halfline"])
+def test_pair_view_matches_dict(semigroup, rng):
+    grid = default_grid(semigroup, order=1)
+    mu = random_measure(rng, semigroup, 2)
+    f = pair_function_from_measure(mu, grid)
+    reference = dict_pair_function(mu, grid)
+    closure = grid.pairs_closure
+    assert len(f.values) == len(closure) ** 2 == len(reference)
+    assert list(f.values) == list(reference)
+    assert dict(f.values.items()) == reference
+    for key, value in reference.items():
+        assert f(*key) == value and type(f(*key)) is complex
+        expected = laplace_transform(mu, None, *key)
+        assert abs(value - expected) <= 1e-14 * max(1.0, abs(expected))
+
+
+def test_pair_view_outside_closure():
+    grid = default_grid(Semigroup.nat_add(1), order=1)
+    f = pair_function_from_measure(AtomicMeasure(grid.semigroup, (((0.5,), 1.0),)), grid)
+    with pytest.raises(MissingGridValue):
+        f((3,), (0,))
+    assert ((3,), (0,)) not in f.values
+    assert ((2,), (2,)) in f.values
+    assert "not a pair" not in f.values
+    with pytest.raises(KeyError):
+        f.values[(0,)]
+
+
+def test_divided_by_is_python_division():
+    grid = default_grid(Semigroup.nat_add(1), order=1)
+    mu = AtomicMeasure(grid.semigroup, (((0.5 + 0.1j,), 2.0 - 1j), ((0.2,), 0.3)))
+    f = pair_function_from_measure(mu, grid)
+    mass = f((0,), (0,))
+    scaled = f.divided_by(mass)
+    assert isinstance(scaled, PairFunction) and scaled.grid is grid
+    assert len(scaled.values) == len(f.values)
+    for key, value in f.values.items():
+        assert scaled.values[key] == value / mass
+    with pytest.raises(MissingGridValue):
+        scaled((5,), (0,))
+
+
+# -------------------------------------------------------- transform block
+
+
+@pytest.mark.parametrize("semigroup", [NAT_ADD2, NAT_MULT2, HALF_LINE], ids=["natadd", "natmult", "halfline"])
+@pytest.mark.parametrize("count", [1, 3, 9])
+def test_transform_block_entries(semigroup, count, rng):
+    grid = default_grid(semigroup, order=2)
+    mu = random_measure(rng, semigroup, count)
+    symbol = random_polynomial_symbol(rng, semigroup.point_dim)
+    rows, cols = grid.elements, grid.elements[::2]
+    fv = [symbol.at(p) for p in mu.points]
+    for mode, weights in (
+        (MODE_F, fv),
+        (MODE_CONJ_F, [f.conjugate() for f in fv]),
+        (MODE_ABS_F_SQ, [abs(f) ** 2 for f in fv]),
+    ):
+        block = transform_block(mu, symbol, rows, cols, mode)
+        assert block.shape == (len(rows), len(cols))
+        for (i, s), (j, t) in itertools.product(enumerate(rows), enumerate(cols)):
+            # an entry does not depend on the block it is computed in
+            assert block[i, j] == laplace_transform(mu, symbol, s, t, mode)
+            expected = slow_laplace(semigroup, mu.atoms, weights, s, t)
+            assert abs(block[i, j] - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_transform_block_is_scalar_complex_arithmetic(rng):
+    semigroup = NAT_ADD2
+    grid = default_grid(semigroup, order=3)
+    mu = random_measure(rng, semigroup, 5)
+    symbol = random_polynomial_symbol(rng, semigroup.point_dim)
+    wf = np.array(mu.weights, dtype=complex) * symbol_values(symbol, mu.points)
+    block = transform_block(mu, symbol, grid.elements, grid.elements)
+    for (i, s), (j, t) in itertools.product(enumerate(grid.elements), repeat=2):
+        total = 0j
+        for w, z in zip(wf, mu.points):
+            total += complex(w) * char_eval(semigroup, z, s) * char_eval(semigroup, z, t).conjugate()
+        assert block[i, j] == total
+
+
+def test_transform_block_validates_elements_and_mode():
+    mu = AtomicMeasure(NAT_ADD2, (((0.5, 0.5), 1.0),))
+    assert transform_block(mu, None, [[1, 0]], [(0, 1)])[0, 0] == 0.25
+    with pytest.raises(ValueError):
+        transform_block(mu, None, [(1, -1)], [(0, 0)])
+    with pytest.raises(ValueError):
+        transform_block(mu, None, [(1, 0)], [(0, 0)], mode="square")
+    assert transform_block(mu, None, [], [(0, 0)]).shape == (0, 1)

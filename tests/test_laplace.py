@@ -388,3 +388,10 @@ def test_grid_closure_and_identity_insertion():
 def test_tolerances_validation():
     with pytest.raises(ValueError):
         Tolerances(mass=-1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+def test_tolerances_must_be_positive_and_finite(value):
+    for field in ("mass", "residual", "rank"):
+        with pytest.raises(ValueError):
+            Tolerances(**{field: value})
