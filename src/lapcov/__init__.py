@@ -42,7 +42,6 @@ from .laplace import (
     default_grid,
     degenerate_check,
     factorization_residual,
-    halfplane_transform,
     laplace_transform,
     multiplicativity_defect,
     recover_point_mass,
@@ -63,7 +62,6 @@ from .randomvectors import (
     DiscreteRandomVector,
     VectorVerdict,
     decide_constant_vector,
-    estimate_moment_condition,
     moment_condition_residual,
 )
 from .semigroups import (

@@ -41,6 +41,7 @@ from .scenario import (
     element_to_json,
     load_scenario,
     parse_element,
+    parse_json,
     parse_kernel,
     parse_pair_function,
     parse_positive_int,
@@ -217,9 +218,7 @@ def _cmd_toeplitz(scenario, args):
     if args.moments_csv:
         element = identity(mu.semigroup)
         if args.csv_element is not None:
-            import json as _json
-
-            element = parse_element(mu.semigroup, _json.loads(args.csv_element), "--csv-element")
+            element = parse_element(mu.semigroup, parse_json(args.csv_element, "--csv-element"), "--csv-element")
         matrix = moment_matrix(disc_measure(mu, scenario.symbol, element), order)
         with open(args.moments_csv, "w", encoding="utf-8") as handle:
             for row in matrix:

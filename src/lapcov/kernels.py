@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .laplace import POINT_MASS, Tolerances, decide_covariance, default_grid
 from .measures import AtomicMeasure, total_mass
+from .semigroups import monomial
 
 EXTREMAL = "extremal"
 NOT_EXTREMAL = "not_extremal"
@@ -58,24 +59,17 @@ class KernelCoefficients:
         return cls.from_terms(1, 1, truncation, terms)
 
 
-def _power(vector, exponents) -> complex:
-    value = 1 + 0j
-    for v, e in zip(vector, exponents):
-        value *= complex(v) ** int(e)
-    return value
-
-
 def kernel_eval(kernel: KernelCoefficients, z, w) -> complex:
     """Truncated kernel value sum a_{m,n} z^m w^n."""
     z = tuple(complex(v) for v in z)
     w = tuple(complex(v) for v in w)
-    return sum((a * _power(z, m) * _power(w, n) for m, n, a in kernel.coefficients), 0j)
+    return sum((a * monomial(z, m) * monomial(w, n) for m, n, a in kernel.coefficients), 0j)
 
 
 def function_eval(coefficients: dict, z) -> complex:
     """Value of a truncated power series sum b_m z^m."""
     z = tuple(complex(v) for v in z)
-    return sum((complex(b) * _power(z, m) for m, b in coefficients.items()), 0j)
+    return sum((complex(b) * monomial(z, m) for m, b in coefficients.items()), 0j)
 
 
 def kernel_equation_residual(kernel: KernelCoefficients, f_coefficients: dict, mu: AtomicMeasure, z) -> float:
@@ -199,7 +193,7 @@ def kernel_recover(
 
     column = {}
     for m, n, a in kernel.coefficients:
-        column[m] = column.get(m, 0j) + a * _power(conj_zeta, n)
+        column[m] = column.get(m, 0j) + a * monomial(conj_zeta, n)
     indices = sorted(set(column) | set(f_coefficients))
     column_max = max((abs(column.get(m, 0j)) for m in indices), default=0.0)
     if column_max == 0.0:

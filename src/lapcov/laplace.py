@@ -30,7 +30,6 @@ from .measures import (
     symbol_values,
 )
 from .semigroups import (
-    HALF_LINE,
     NAT_ADD,
     NAT_MULT,
     Semigroup,
@@ -200,16 +199,6 @@ def transform_block(mu: AtomicMeasure, symbol, rows, cols, mode: str = MODE_F) -
 def laplace_transform(mu: AtomicMeasure, symbol, s, t, mode: str = MODE_F) -> complex:
     """L[mu, F](s, t); ``symbol=None`` means F == 1, ``mode`` picks F, conj F or |F|^2."""
     return complex(transform_block(mu, symbol, (s,), (t,), mode)[0, 0])
-
-
-def halfplane_transform(mu: AtomicMeasure, symbol, s: float, t: float) -> complex:
-    """Half-line specialization sum_k w_k F(z_k) exp(-s z_k - t conj(z_k)).
-
-    Same code path as ``laplace_transform``, so the two agree bit for bit.
-    """
-    if mu.semigroup.family != HALF_LINE:
-        raise ValueError("halfplane_transform expects a half_line measure")
-    return laplace_transform(mu, symbol, float(s), float(t))
 
 
 def covariance_residual(mu: AtomicMeasure, symbol, s, t) -> complex:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SymbolUndefinedAtAtom, ZeroWeightAtom
-from .semigroups import Semigroup, char_eval, validate_point
+from .semigroups import Semigroup, char_eval, monomial, validate_point
 
 # Points closer than this (Euclidean, all coordinates) are the same atom.
 MERGE_TOL = 1e-12
@@ -18,11 +18,31 @@ MODE_ABS_F_SQ = "abs_f_sq"
 
 
 def _point_distance(p, q) -> float:
-    return math.sqrt(sum(abs(a - b) ** 2 for a, b in zip(p, q)))
+    return math.sqrt(sum([abs(a - b) ** 2 for a, b in zip(p, q)]))
 
 
 def _point_sort_key(p):
     return tuple(coord for z in p for coord in (z.real, z.imag))
+
+
+def merge_atoms(atoms) -> tuple:
+    """Merge (point, weight) atoms whose points lie within ``MERGE_TOL``.
+
+    Points are tuples of complex.  In input order, each atom joins the first
+    kept point within ``MERGE_TOL`` (its weight is added there) or is kept
+    itself, so a chain of close atoms may merge into several.  Returns the
+    kept atoms sorted by point.
+    """
+    kept, weights = [], []
+    for point, weight in atoms:
+        for i, q in enumerate(kept):
+            if _point_distance(point, q) <= MERGE_TOL:
+                weights[i] += weight
+                break
+        else:
+            kept.append(point)
+            weights.append(weight)
+    return tuple(sorted(zip(kept, weights), key=lambda atom: _point_sort_key(atom[0])))
 
 
 @dataclass(frozen=True)
@@ -39,22 +59,14 @@ class AtomicMeasure:
     atoms: tuple
 
     def __post_init__(self):
-        merged = []
+        atoms = []
         for point, weight in self.atoms:
             if isinstance(point, (int, float, complex)):
                 point = (point,)
-            pt = validate_point(self.semigroup, point)
-            w = complex(weight)
-            for i, (q, v) in enumerate(merged):
-                if _point_distance(pt, q) <= MERGE_TOL:
-                    merged[i] = (q, v + w)
-                    break
-            else:
-                merged.append((pt, w))
-        if not merged:
+            atoms.append((validate_point(self.semigroup, point), complex(weight)))
+        if not atoms:
             raise ValueError("a measure needs at least one atom")
-        merged.sort(key=lambda atom: _point_sort_key(atom[0]))
-        object.__setattr__(self, "atoms", tuple(merged))
+        object.__setattr__(self, "atoms", merge_atoms(atoms))
 
     @property
     def points(self) -> tuple:
@@ -109,10 +121,7 @@ class Symbol:
             for exponents, coeff in self.coefficients:
                 if len(exponents) != len(point):
                     raise ValueError("polynomial multi-index length mismatch")
-                term = coeff
-                for z, e in zip(point, exponents):
-                    term *= complex(z) ** int(e)
-                total += term
+                total += monomial(point, exponents, coeff)
             return total
         for entry_point, value in self.entries:
             if len(entry_point) == len(point) and _point_distance(entry_point, point) <= MERGE_TOL:

@@ -10,10 +10,7 @@ symbol.  The moment-condition residual
 coincides with the covariance residual of the induced measure at (m, n).
 """
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ExpectationYZero
 from .laplace import (
@@ -25,7 +22,7 @@ from .laplace import (
     default_grid,
 )
 from .measures import AtomicMeasure
-from .semigroups import Semigroup
+from .semigroups import Semigroup, monomial
 
 CONSTANT = "constant"
 NOT_CONSTANT = "not_constant"
@@ -63,13 +60,6 @@ class DiscreteRandomVector:
         return len(self.outcomes[0][1])
 
 
-def _vector_power(x, exponents) -> complex:
-    value = 1 + 0j
-    for v, e in zip(x, exponents):
-        value *= v ** int(e)
-    return value
-
-
 def moment_condition_residual(rv: DiscreteRandomVector, m, n) -> complex:
     """E[Y] E[X^m conj(X)^n Y] - E[X^m Y] E[conj(X)^n Y]."""
     m = tuple(int(i) for i in m)
@@ -79,51 +69,13 @@ def moment_condition_residual(rv: DiscreteRandomVector, m, n) -> complex:
     e_analytic = 0j
     e_conjugate = 0j
     for p, x, y in rv.outcomes:
-        xm = _vector_power(x, m)
-        xn_bar = _vector_power(tuple(v.conjugate() for v in x), n)
+        xm = monomial(x, m)
+        xn_bar = monomial(tuple(v.conjugate() for v in x), n)
         e_y += p * y
         e_mixed += p * xm * xn_bar * y
         e_analytic += p * xm * y
         e_conjugate += p * xn_bar * y
     return e_y * e_mixed - e_analytic * e_conjugate
-
-
-def estimate_moment_condition(
-    rv: DiscreteRandomVector, m, n, samples: int = 20_000, batches: int = 10, seed=None
-):
-    """Monte Carlo demo of the moment-condition residual: (estimate, standard error).
-
-    Draws outcomes i.i.d., computes the plug-in residual per batch, and
-    reports the batch mean with its standard error.  Demo path only: the
-    decision procedure always runs on the exact finite distribution.
-    """
-    if samples < batches or batches < 2:
-        raise ValueError("need at least two batches and one sample per batch")
-    rng = np.random.default_rng(seed)
-    m = tuple(int(i) for i in m)
-    n = tuple(int(i) for i in n)
-    probabilities = [p for p, _, _ in rv.outcomes]
-    per_batch = samples // batches
-    estimates = []
-    for _ in range(batches):
-        draws = rng.choice(len(rv.outcomes), size=per_batch, p=probabilities)
-        e_y = e_mixed = e_analytic = e_conjugate = 0j
-        for index in draws:
-            _, x, y = rv.outcomes[index]
-            xm = _vector_power(x, m)
-            xn_bar = _vector_power(tuple(v.conjugate() for v in x), n)
-            e_y += y
-            e_mixed += xm * xn_bar * y
-            e_analytic += xm * y
-            e_conjugate += xn_bar * y
-        e_y /= per_batch
-        e_mixed /= per_batch
-        e_analytic /= per_batch
-        e_conjugate /= per_batch
-        estimates.append(e_y * e_mixed - e_analytic * e_conjugate)
-    mean = sum(estimates) / batches
-    spread = math.sqrt(sum(abs(v - mean) ** 2 for v in estimates) / (batches - 1))
-    return mean, spread / math.sqrt(batches)
 
 
 def as_measure(rv: DiscreteRandomVector) -> AtomicMeasure:

@@ -7,6 +7,8 @@ complex pairs.
 """
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ScenarioError
@@ -19,6 +21,58 @@ from .semigroups import HALF_LINE, NAT_ADD, NAT_MULT, Semigroup, validate_elemen
 
 def _fail(path: str, message: str):
     raise ScenarioError(f"{path}: {message}")
+
+
+class _NonFinite:
+    """A JSON number that is NaN, infinite or overflows a float, kept in place to name its path."""
+
+    def __init__(self, token: str):
+        self.token = token
+
+
+def _non_finite_path(value, path: str):
+    """(path, token) of the first _NonFinite in parsed JSON, or None."""
+    if isinstance(value, _NonFinite):
+        return path, value.token
+    if isinstance(value, dict):
+        children = [(f"{path}.{key}" if path else key, item) for key, item in value.items()]
+    elif isinstance(value, list):
+        children = [(f"{path}[{i}]", item) for i, item in enumerate(value)]
+    else:
+        return None
+    for child_path, item in children:
+        found = _non_finite_path(item, child_path)
+        if found:
+            return found
+    return None
+
+
+def parse_json(text: str, path: str = ""):
+    """Decode JSON whose numbers are all finite floats: NaN, Infinity and overflow such as 1e999 are rejected."""
+    rejected = []
+
+    def non_finite(token: str) -> _NonFinite:
+        rejected.append(token)
+        return _NonFinite(token)
+
+    def finite_float(token: str):
+        value = float(token)
+        return value if math.isfinite(value) else non_finite(token)
+
+    def finite_int(token: str):
+        if len(token) > 400:  # past any float, and past int()'s digit limit at 4300
+            return non_finite(token)
+        value = int(token)
+        return value if abs(value) <= sys.float_info.max else non_finite(token)
+
+    try:
+        data = json.loads(text, parse_constant=non_finite, parse_float=finite_float, parse_int=finite_int)
+    except json.JSONDecodeError as exc:
+        _fail(path or "scenario", f"not valid JSON: {exc}")
+    if rejected:
+        where, token = _non_finite_path(data, path)
+        _fail(where or "scenario", f"number {token} is not a finite float")
+    return data
 
 
 def parse_complex(value, path: str) -> complex:
@@ -105,7 +159,8 @@ def parse_measure(semigroup: Semigroup, data, path: str = "measure") -> AtomicMe
         _fail(path, str(exc))
 
 
-def parse_symbol(data, path: str = "symbol") -> Symbol:
+def parse_symbol(data, path: str = "symbol", semigroup: Semigroup = None) -> Symbol:
+    """A symbol section; with ``semigroup``, polynomial multi-indices must match its point dimension."""
     if data is None:
         return Symbol.constant(1)
     if not isinstance(data, dict) or "kind" not in data:
@@ -125,6 +180,8 @@ def parse_symbol(data, path: str = "symbol") -> Symbol:
             if not isinstance(term["m"], list):
                 _fail(f"{tpath}.m", "expected a multi-index array")
             index = tuple(int(x) for x in term["m"])
+            if semigroup is not None and len(index) != semigroup.point_dim:
+                _fail(f"{tpath}.m", f"expected a multi-index of length {semigroup.point_dim}")
             coefficients[index] = coefficients.get(index, 0j) + parse_complex(term["c"], f"{tpath}.c")
         return Symbol.polynomial(coefficients)
     if kind == "table":
@@ -337,7 +394,7 @@ def parse_scenario(data, grid_order: int = None, tol_overrides: dict = None) -> 
         if "measure" in data:
             measure = parse_measure(semigroup, data["measure"])
         grid = parse_grid(semigroup, data.get("grid"), order_override=grid_order)
-    symbol = parse_symbol(data.get("symbol")) if "symbol" in data else Symbol.constant(1)
+    symbol = parse_symbol(data.get("symbol"), semigroup=semigroup) if "symbol" in data else Symbol.constant(1)
     tolerances = parse_tolerances(data.get("tolerances"), overrides=tol_overrides)
     return Scenario(semigroup, measure, symbol, grid, tolerances, data)
 
@@ -345,9 +402,7 @@ def parse_scenario(data, grid_order: int = None, tol_overrides: dict = None) -> 
 def load_scenario(source_path: str, grid_order: int = None, tol_overrides: dict = None) -> Scenario:
     try:
         with open(source_path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            text = handle.read()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
-    return parse_scenario(data, grid_order=grid_order, tol_overrides=tol_overrides)
+    return parse_scenario(parse_json(text), grid_order=grid_order, tol_overrides=tol_overrides)

@@ -164,9 +164,13 @@ def kappa(n: int, retained_primes: int) -> tuple:
     return tuple(exponents)
 
 
-def _monomial(point, exponents) -> complex:
-    # 0**0 == 1 is guaranteed by Python's complex power.
-    value = 1 + 0j
+def monomial(point, exponents, value=1 + 0j) -> complex:
+    """``value * z_1**e_1 * ... * z_d**e_d``, multiplied left to right.
+
+    The one scalar monomial of the package (characters, polynomial symbols,
+    kernels, random-vector moments); 0**0 == 1 is guaranteed by Python's
+    complex power.
+    """
     for z, e in zip(point, exponents):
         value *= complex(z) ** int(e)
     return value
@@ -175,9 +179,9 @@ def _monomial(point, exponents) -> complex:
 def char_eval(semigroup: Semigroup, point, element) -> complex:
     """Value at ``element`` of the character labelled by ``point``."""
     if semigroup.family == NAT_ADD:
-        return _monomial(point, element)
+        return monomial(point, element)
     if semigroup.family == NAT_MULT:
-        return _monomial(point, kappa(element, semigroup.dim))
+        return monomial(point, kappa(element, semigroup.dim))
     return cmath.exp(-element * complex(point[0]))
 
 
@@ -208,8 +212,8 @@ def validate_element(semigroup: Semigroup, element):
         kappa(el, semigroup.dim)  # raises on bad factorization
         return el
     el = float(element)
-    if el < 0:
-        raise ValueError("half-line elements are nonnegative reals")
+    if not math.isfinite(el) or el < 0:
+        raise ValueError("half-line elements are finite nonnegative reals")
     return el
 
 

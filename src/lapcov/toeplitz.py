@@ -15,15 +15,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import RankDeficientPencil
-from .measures import AtomicMeasure, Symbol, sup_norm, symbol_values
+from .measures import AtomicMeasure, Symbol, merge_atoms, sup_norm, symbol_values
 from .semigroups import character_matrix
 
 DISC_RADIUS = 0.5
 _DISC_TOL = 1e-12
-_MERGE_TOL = 1e-12
 
 DEFAULT_MATRIX_ORDER = 12
 DEFAULT_RANK_TOL = 1e-8
@@ -33,27 +31,18 @@ DEFAULT_RANK_TOL = 1e-8
 class DiscMeasure:
     """Atomic measure supported in the closed disc of radius 1/2.
 
-    Coincident positions (within 1e-12) are merged with summed weights;
-    positions outside the disc are rejected.
+    Coincident positions (within ``MERGE_TOL``) are merged with summed
+    weights by ``merge_atoms``; positions outside the disc are rejected.
     """
 
     atoms: tuple
 
     def __post_init__(self):
-        merged = []
-        for a, m in self.atoms:
-            a = complex(a)
-            m = complex(m)
+        atoms = [((complex(a),), complex(m)) for a, m in self.atoms]
+        for (a,), _ in atoms:
             if abs(a) > DISC_RADIUS + _DISC_TOL:
                 raise ValueError(f"disc atom {a} lies outside radius {DISC_RADIUS}")
-            for i, (b, v) in enumerate(merged):
-                if abs(a - b) <= _MERGE_TOL:
-                    merged[i] = (b, v + m)
-                    break
-            else:
-                merged.append((a, m))
-        merged.sort(key=lambda atom: (atom[0].real, atom[0].imag))
-        object.__setattr__(self, "atoms", tuple(merged))
+        object.__setattr__(self, "atoms", tuple((a, m) for (a,), m in merge_atoms(atoms)))
 
     @property
     def positions(self) -> tuple:
@@ -169,10 +158,10 @@ def prony_recover(nu, k_max: int = None, rel_tol: float = DEFAULT_RANK_TOL) -> P
     Accepts a DiscMeasure (moments are then computed exactly) or a complex
     moment matrix with at least one more row than columns, laid out as
     M[j, k] = sum_i m_i a_i^j conj(a_i)^k.  The estimated rank r is the
-    numerical rank of the unshifted block; positions are the generalized
-    eigenvalues of the row-shifted pencil restricted to the dominant
-    r-dimensional singular subspace, and weights follow by least squares
-    against the full moment table.
+    numerical rank of the unshifted block; positions are the eigenvalues of
+    the row-shifted pencil restricted to the dominant r-dimensional singular
+    subspace (Hua & Sarkar's matrix pencil), and weights follow by least
+    squares against the full moment table.
 
     Raises RankDeficientPencil when the restricted pencil is singular beyond
     tolerance (possible for user-supplied moment tables of inconsistent rank).
@@ -195,14 +184,12 @@ def prony_recover(nu, k_max: int = None, rel_tol: float = DEFAULT_RANK_TOL) -> P
         return PronyResult((), 0.0, 0)
 
     U, sigma, Vh = np.linalg.svd(unshifted)
+    if sigma[rank - 1] <= 1e-13 * sigma[0]:
+        raise RankDeficientPencil("restricted moment pencil is numerically singular")
+    # Ur^H unshifted Vr = diag(sigma_1..sigma_r), so the pencil is a standard eigenproblem
     Ur = U[:, :rank]
     Vr = Vh[:rank, :].conj().T
-    pencil_a = Ur.conj().T @ shifted @ Vr
-    pencil_b = Ur.conj().T @ unshifted @ Vr
-    b_sigma = np.linalg.svd(pencil_b, compute_uv=False)
-    if b_sigma[-1] <= 1e-13 * b_sigma[0]:
-        raise RankDeficientPencil("restricted moment pencil is numerically singular")
-    positions = scipy.linalg.eig(pencil_a, pencil_b, right=False)
+    positions = np.linalg.eigvals((Ur.conj().T @ shifted @ Vr) / sigma[:rank, None])
     if not np.all(np.isfinite(positions)):
         raise RankDeficientPencil("pencil eigenvalues are not finite")
 

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -110,6 +112,23 @@ def test_symbol_undefined_is_an_error(tmp_path):
     code, out, _ = run_cli(["covariance", str(path)])
     assert code == 1
     assert json.loads(out)["error"]["code"] == "symbol_undefined"
+
+
+def test_rank_deficient_pencil_is_an_error():
+    # a rank tolerance this small keeps noise directions in the pencil
+    code, out, err = run_cli(build_argv("two_atoms_natadd1.json", ["prony", "--rank-tol", "1e-300"]))
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "rank_deficient_pencil"
+    assert "Traceback" not in err
+
+
+def test_cli_import_does_not_load_scipy():
+    # the package is numpy-only; importing scipy added about 0.2 s to every cold start
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, lapcov.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_usage_error_exit_code():
@@ -295,3 +314,73 @@ def test_flag_overrides_scenario_k_max_and_matrix_order(tmp_path):
     assert code == 0 and json.loads(out)["k_max"] == 3
     code, out, _ = run_cli(["toeplitz", str(path), "--matrix-order", "4"])
     assert code == 0 and json.loads(out)["matrix_order"] == 4
+
+
+# ------------------------------------------------- non-finite scenario numbers
+
+HALF_LINE_SCENARIO = {
+    "semigroup": {"kind": "half_line"},
+    "measure": {"atoms": [{"point": [[0.8, 1.1]], "weight": [2.0, 0.0]}]},
+    "grid": {"elements": [0.0, 0.5, 1.0]},
+}
+
+
+def write_scenario(tmp_path, scn, token):
+    """Write ``scn`` with the string "VALUE" replaced by the raw JSON ``token``."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scn).replace('"VALUE"', token))
+    return str(path)
+
+
+# case: (command, scenario file or None for HALF_LINE_SCENARIO, edit, path in the error)
+NON_FINITE_CASES = {
+    "weight": ("covariance", "two_atoms_natadd1.json",
+               lambda s: s["measure"]["atoms"][0].update(weight=["VALUE", 0.0]), "measure.atoms[0].weight"),
+    "point": ("covariance", "two_atoms_natadd1.json",
+              lambda s: s["measure"]["atoms"][1].update(point=[["VALUE", 0.0]]), "measure.atoms[1].point[0][0]"),
+    "half_line_element": ("covariance", None, lambda s: s["grid"]["elements"].append("VALUE"), "grid.elements[3]"),
+    "probability": ("random-vector", "random_vector_two_point.json",
+                    lambda s: s["random_vector"]["outcomes"][0].update(p="VALUE"), "random_vector.outcomes[0].p"),
+}
+
+
+NON_FINITE_TOKENS = [
+    "NaN",
+    "Infinity",
+    "-Infinity",
+    "1e999",
+    pytest.param("1" + "0" * 400, id="int_overflow"),
+    pytest.param("1" * 5000, id="int_digit_limit"),  # int() refuses more than 4300 digits
+]
+
+
+@pytest.mark.parametrize("token", NON_FINITE_TOKENS)
+@pytest.mark.parametrize("case", list(NON_FINITE_CASES))
+def test_non_finite_scenario_numbers_are_rejected(tmp_path, case, token):
+    command, source, edit, path_text = NON_FINITE_CASES[case]
+    if source is None:
+        scn = json.loads(json.dumps(HALF_LINE_SCENARIO))
+    else:
+        with open(os.path.join(SCENARIOS, source)) as fh:
+            scn = json.load(fh)
+    edit(scn)
+    assert_scenario_invalid([command, write_scenario(tmp_path, scn, token)], path_text)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "1e999"])
+def test_non_finite_csv_element_is_rejected(tmp_path, token):
+    path = write_scenario(tmp_path, HALF_LINE_SCENARIO, "")
+    argv = ["toeplitz", path, "--moments-csv", str(tmp_path / "m.csv"), "--csv-element", token]
+    assert_scenario_invalid(argv, "--csv-element")
+
+
+def test_invalid_csv_element_json_is_rejected(tmp_path):
+    argv = build_argv("two_atoms_natadd1.json", ["toeplitz", "--moments-csv", str(tmp_path / "m.csv"), "--csv-element", "[1"])
+    assert_scenario_invalid(argv, "--csv-element")
+
+
+def test_polynomial_symbol_index_must_match_point_dimension(tmp_path):
+    with open(os.path.join(SCENARIOS, "point_mass_natadd2.json")) as fh:
+        scn = json.load(fh)
+    scn["symbol"] = {"kind": "poly", "terms": [{"m": [0, 0], "c": 1.0}, {"m": [1], "c": [1.0, 0.0]}]}
+    assert_scenario_invalid(["covariance", write_scenario(tmp_path, scn, "")], "symbol.terms[1].m")

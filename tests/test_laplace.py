@@ -16,7 +16,6 @@ from lapcov import (
     default_grid,
     degenerate_check,
     factorization_residual,
-    halfplane_transform,
     laplace_transform,
     multiplicativity_defect,
     pair_function_from_measure,
@@ -67,30 +66,17 @@ def test_laplace_transform_examples():
     assert laplace_transform(mu, None, (1,), (0,)) == 0
 
 
-def test_halfplane_transform_agrees_bit_for_bit():
-    sg = Semigroup.half_line()
-    mu = AtomicMeasure(sg, (((0.7 + 1.3j,), 2 - 1j), ((0.1 + 0j,), 0.5j)))
-    f = Symbol.polynomial({(1,): 1, (0,): 0.5})
-    for s, t in [(0.0, 0.0), (0.5, 0.25), (1.75, 0.0), (2.0, 2.0)]:
-        assert halfplane_transform(mu, f, s, t) == laplace_transform(mu, f, s, t)
-
-
 def test_halfplane_transform_examples():
     import math
 
     sg = Semigroup.half_line()
     mu = AtomicMeasure(sg, (((1 + 0j,), 1.0),))
-    assert abs(halfplane_transform(mu, None, math.log(2), 0.0) - 0.5) < 1e-15
+    assert abs(laplace_transform(mu, None, math.log(2), 0.0) - 0.5) < 1e-15
     mu_i = AtomicMeasure(sg, (((1j,), 1.0),))
-    value = halfplane_transform(mu_i, None, math.pi, math.pi)
+    value = laplace_transform(mu_i, None, math.pi, math.pi)
     # exp(-i pi) * exp(i pi) = 1
     assert abs(value - 1.0) < 1e-12
-    assert halfplane_transform(mu, None, 0.0, 0.0) == total_mass(mu)
-
-
-def test_halfplane_transform_rejects_other_semigroups():
-    with pytest.raises(ValueError):
-        halfplane_transform(measure((0.5, 1)), None, 0.0, 0.0)
+    assert laplace_transform(mu, None, 0.0, 0.0) == total_mass(mu)
 
 
 # --------------------------------------------------------------- residual

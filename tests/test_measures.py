@@ -124,6 +124,14 @@ def test_merge_sums_weights():
     assert dict(mu.atoms) == {(0.25 + 0j,): 4}
 
 
+def test_merge_chain_is_greedy_in_input_order():
+    # each atom joins the first kept point within MERGE_TOL, so a chain of
+    # atoms 0.8e-12 apart merges into two atoms, not one
+    a, b, c = 0.3, 0.3 + 0.8e-12, 0.3 + 1.6e-12
+    assert measure((a, 1), (b, 2), (c, 4)).atoms == (((a + 0j,), 3), ((c + 0j,), 4))
+    assert measure((c, 4), (b, 2), (a, 1)).atoms == (((a + 0j,), 1), ((c + 0j,), 6))
+
+
 def test_half_line_accepts_boundary_points():
     sg = Semigroup.half_line()
     mu = AtomicMeasure(sg, (((1j,), 1.0),))

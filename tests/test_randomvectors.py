@@ -93,13 +93,3 @@ def test_decide_agrees_with_support_inspection(rng):
 def test_probabilities_must_sum_to_one():
     with pytest.raises(ValueError):
         DiscreteRandomVector(((0.5, (1.0,), 1.0),))
-
-
-def test_monte_carlo_demo_matches_exact_value():
-    from lapcov import estimate_moment_condition
-
-    rv = two_point_vector()
-    exact = moment_condition_residual(rv, (1,), (1,))
-    estimate, stderr = estimate_moment_condition(rv, (1,), (1,), samples=20000, seed=7)
-    assert stderr > 0
-    assert abs(estimate - exact) <= 5 * stderr

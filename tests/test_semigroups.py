@@ -1,11 +1,12 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapcov import GridTooLarge, PrimeOutOfRange, Semigroup, char_eval, character_matrix, combine, identity, kappa
-from lapcov.semigroups import validate_element, validate_point
+from lapcov.semigroups import monomial, validate_element, validate_point
 
 from helpers import random_character_point, slow_char
 
@@ -124,6 +125,27 @@ def test_validate_element_rejects_bad_inputs():
         validate_element(Semigroup.half_line(), -0.5)
     with pytest.raises(PrimeOutOfRange):
         validate_element(Semigroup.nat_mult(2), 35)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            validate_element(Semigroup.half_line(), value)
+
+
+def symbol_term_loop(point, exponents, coeff):
+    # the per-term loop Symbol.at ran before it called monomial
+    term = coeff
+    for z, e in zip(point, exponents):
+        term *= complex(z) ** int(e)
+    return term
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_monomial_is_bit_equal_to_the_symbol_term_loop(rng, dim):
+    for _ in range(2000):
+        point = tuple(complex(*rng.normal(size=2)) for _ in range(dim))
+        exponents = tuple(int(e) for e in rng.integers(0, 6, size=dim))
+        coeff = complex(*rng.normal(size=2))
+        assert monomial(point, exponents, coeff) == symbol_term_loop(point, exponents, coeff)
+    assert monomial((0j,) * dim, (0,) * dim) == 1
 
 
 def test_validate_point_checks_half_plane():

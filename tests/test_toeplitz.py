@@ -73,6 +73,12 @@ def test_disc_measure_merges_coincident_atoms():
     assert nu.atoms == ((0.1 + 0j, 2),)
 
 
+def test_disc_measure_merge_chain_is_greedy_in_input_order():
+    a, b, c = 0.3, 0.3 + 0.8e-12, 0.3 + 1.6e-12
+    assert DiscMeasure(((a, 1), (b, 2), (c, 4))).atoms == ((a, 3), (c, 4))
+    assert DiscMeasure(((c, 4), (b, 2), (a, 1))).atoms == ((a, 1), (c, 6))
+
+
 # ---------------------------------------------------------- moment matrix
 
 
