@@ -7,6 +7,7 @@ object with a machine-readable code).
 """
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -339,9 +340,9 @@ def _cmd_random_vector(scenario, args):
     if section is None:
         raise _CommandError("scenario_invalid", "this command needs a 'random_vector' section")
     rv = parse_random_vector(section)
-    max_order = section.get("max_order", 3)
+    max_order = parse_positive_int(section.get("max_order", 3), "random_vector.max_order")
     verdict = decide_constant_vector(rv, max_order=max_order, tol=scenario.tolerances)
-    report = {"command": "random_vector", "verdict": verdict.kind, "max_order": int(max_order)}
+    report = {"command": "random_vector", "verdict": verdict.kind, "max_order": max_order}
     if verdict.kind == CONSTANT:
         report["zeta"] = point_to_json(verdict.point)
         summary = "random_vector: constant"
@@ -435,7 +436,9 @@ def _render_scalar(value) -> str:
     return str(value)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="lapcov",
         description="Covariance-equation testing and point-mass recovery for atomic measures",

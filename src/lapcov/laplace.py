@@ -35,6 +35,7 @@ from .semigroups import (
     Semigroup,
     character_matrix,
     closure_table,
+    complex_product,
     first_primes,
     identity,
     validate_element,
@@ -156,16 +157,6 @@ class CovarianceVerdict:
     symbol_vanishes_on_atom: bool = False
 
 
-def _complex_product(ar, ai, br, bi):
-    """(ar + i ai)(br + i bi) in real arithmetic, in the order Python's complex product uses.
-
-    numpy's complex multiply rounds differently depending on array layout;
-    spelled out in real arithmetic, a product does not depend on the shape
-    of the arrays it is computed in.
-    """
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
 def transform_block(mu: AtomicMeasure, symbol, rows, cols, mode: str = MODE_F) -> np.ndarray:
     """L[mu, F](s, t) for s in ``rows`` and t in ``cols``, shape (len(rows), len(cols)).
 
@@ -187,10 +178,10 @@ def transform_block(mu: AtomicMeasure, symbol, rows, cols, mode: str = MODE_F) -
     wf = np.array(mu.weights, dtype=complex) * fv
     ps = character_matrix(sg, mu.points, rows)
     pt = character_matrix(sg, mu.points, cols)
-    left_re, left_im = _complex_product(wf.real[:, None], wf.imag[:, None], ps.real, ps.imag)
+    left_re, left_im = complex_product(wf.real[:, None], wf.imag[:, None], ps.real, ps.imag)
     out = np.zeros((len(rows), len(cols)), dtype=complex)
     for k in range(len(wf)):
-        re, im = _complex_product(left_re[k][:, None], left_im[k][:, None], pt.real[k], -pt.imag[k])
+        re, im = complex_product(left_re[k][:, None], left_im[k][:, None], pt.real[k], -pt.imag[k])
         out.real += re
         out.imag += im
     return out
@@ -274,7 +265,7 @@ def multiplicativity_defect(table: dict, grid: EvaluationGrid) -> float:
         raise MissingGridValue(f"character table lacks element {missing}") from None
     re, im = values.real, values.imag
     at = grid.products[0]
-    product_re, product_im = _complex_product(re[at][:, None], im[at][:, None], re[at], im[at])
+    product_re, product_im = complex_product(re[at][:, None], im[at][:, None], re[at], im[at])
     gaps = np.hypot(re[grid.products] - product_re, im[grid.products] - product_im)
     # fmax skips NaN gaps, as max() over a running value does
     return float(np.fmax.reduce(gaps, axis=None, initial=0.0))

@@ -1,5 +1,6 @@
 """Atomic complex measures on character space, and the symbols weighting them."""
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +26,12 @@ def _point_sort_key(p):
     return tuple(coord for z in p for coord in (z.real, z.imag))
 
 
+# Half-width of the search window on the first real coordinate.  Any kept
+# point within MERGE_TOL differs there by at most MERGE_TOL; the wider window
+# keeps rounding from dropping one, and the distance test still decides.
+_MERGE_WINDOW = 2 * MERGE_TOL
+
+
 def merge_atoms(atoms) -> tuple:
     """Merge (point, weight) atoms whose points lie within ``MERGE_TOL``.
 
@@ -32,16 +39,31 @@ def merge_atoms(atoms) -> tuple:
     kept point within ``MERGE_TOL`` (its weight is added there) or is kept
     itself, so a chain of close atoms may merge into several.  Returns the
     kept atoms sorted by point.
+
+    The search looks only at kept points whose first coordinate's real part
+    (the key, kept sorted) lies within ``_MERGE_WINDOW`` of the atom's.  A
+    point whose key is not finite is within ``MERGE_TOL`` of nothing: it is
+    kept without a search and is never a candidate.
     """
     kept, weights = [], []
+    keys, order = [], []  # sorted finite keys of kept points, and their indices in ``kept``
     for point, weight in atoms:
-        for i, q in enumerate(kept):
-            if _point_distance(point, q) <= MERGE_TOL:
-                weights[i] += weight
-                break
-        else:
+        key = point[0].real
+        if not math.isfinite(key):
             kept.append(point)
             weights.append(weight)
+            continue
+        lo = bisect.bisect_left(keys, key - _MERGE_WINDOW)
+        hi = bisect.bisect_right(keys, key + _MERGE_WINDOW)
+        near = [i for i in order[lo:hi] if _point_distance(point, kept[i]) <= MERGE_TOL]
+        if near:
+            weights[min(near)] += weight
+            continue
+        at = bisect.bisect_right(keys, key, lo, hi)
+        keys.insert(at, key)
+        order.insert(at, len(kept))
+        kept.append(point)
+        weights.append(weight)
     return tuple(sorted(zip(kept, weights), key=lambda atom: _point_sort_key(atom[0])))
 
 

@@ -95,6 +95,16 @@ def parse_point(value, path: str) -> tuple:
     return tuple(parse_complex(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
+def parse_multi_index(value, path: str) -> tuple:
+    """A multi-index: an array of nonnegative ints."""
+    if not isinstance(value, list):
+        _fail(path, "expected a multi-index array")
+    for i, x in enumerate(value):
+        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+            _fail(f"{path}[{i}]", "expected a nonnegative integer")
+    return tuple(value)
+
+
 def parse_element(semigroup: Semigroup, value, path: str):
     try:
         if semigroup.family == NAT_ADD:
@@ -177,9 +187,7 @@ def parse_symbol(data, path: str = "symbol", semigroup: Semigroup = None) -> Sym
             tpath = f"{path}.terms[{i}]"
             if not isinstance(term, dict) or "m" not in term or "c" not in term:
                 _fail(tpath, "expected an object with 'm' and 'c'")
-            if not isinstance(term["m"], list):
-                _fail(f"{tpath}.m", "expected a multi-index array")
-            index = tuple(int(x) for x in term["m"])
+            index = parse_multi_index(term["m"], f"{tpath}.m")
             if semigroup is not None and len(index) != semigroup.point_dim:
                 _fail(f"{tpath}.m", f"expected a multi-index of length {semigroup.point_dim}")
             coefficients[index] = coefficients.get(index, 0j) + parse_complex(term["c"], f"{tpath}.c")
@@ -286,10 +294,8 @@ def parse_kernel(data, path: str = "kernel"):
             tpath = f"{path}.coefficients[{i}]"
             if not isinstance(term, dict) or not {"m", "n", "a"} <= set(term):
                 _fail(tpath, "expected an object with 'm', 'n' and 'a'")
-            if not isinstance(term["m"], list) or not isinstance(term["n"], list):
-                _fail(tpath, "'m' and 'n' must be multi-index arrays")
-            m = tuple(int(x) for x in term["m"])
-            n = tuple(int(x) for x in term["n"])
+            m = parse_multi_index(term["m"], f"{tpath}.m")
+            n = parse_multi_index(term["n"], f"{tpath}.n")
             z_dim = len(m) if z_dim is None else z_dim
             w_dim = len(n) if w_dim is None else w_dim
             terms[(m, n)] = parse_complex(term["a"], f"{tpath}.a")
@@ -308,9 +314,7 @@ def parse_kernel(data, path: str = "kernel"):
         tpath = f"{path}.f[{i}]"
         if not isinstance(term, dict) or "m" not in term or "b" not in term:
             _fail(tpath, "expected an object with 'm' and 'b'")
-        if not isinstance(term["m"], list):
-            _fail(f"{tpath}.m", "expected a multi-index array")
-        f_coefficients[tuple(int(x) for x in term["m"])] = parse_complex(term["b"], f"{tpath}.b")
+        f_coefficients[parse_multi_index(term["m"], f"{tpath}.m")] = parse_complex(term["b"], f"{tpath}.b")
 
     z_grid = None
     if "z_points" in data:
@@ -403,6 +407,6 @@ def load_scenario(source_path: str, grid_order: int = None, tol_overrides: dict 
     try:
         with open(source_path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
     return parse_scenario(parse_json(text), grid_order=grid_order, tol_overrides=tol_overrides)

@@ -384,3 +384,77 @@ def test_polynomial_symbol_index_must_match_point_dimension(tmp_path):
         scn = json.load(fh)
     scn["symbol"] = {"kind": "poly", "terms": [{"m": [0, 0], "c": 1.0}, {"m": [1], "c": [1.0, 0.0]}]}
     assert_scenario_invalid(["covariance", write_scenario(tmp_path, scn, "")], "symbol.terms[1].m")
+
+
+def load_scenario_file(name):
+    with open(os.path.join(SCENARIOS, name)) as fh:
+        return json.load(fh)
+
+
+def poly_symbol(m):
+    return {"kind": "poly", "terms": [{"m": [0], "c": 1.0}, {"m": m, "c": 0.5}]}
+
+
+def at_origin(scn):
+    scn["measure"]["atoms"][0]["point"] = [[0.0, 0.0]]
+
+
+# case: (command, scenario file, edit, path in the error)
+MULTI_INDEX_CASES = {
+    "symbol_string": ("covariance", "two_atoms_natadd1.json", lambda s: s.update(symbol=poly_symbol(["a"])),
+                      "symbol.terms[1].m[0]"),
+    # with an atom at 0 a negative power divided by zero in covariance
+    "symbol_negative": ("covariance", "two_atoms_natadd1.json",
+                        lambda s: (at_origin(s), s.update(symbol=poly_symbol([-1]))), "symbol.terms[1].m[0]"),
+    "symbol_fraction": ("covariance", "two_atoms_natadd1.json", lambda s: s.update(symbol=poly_symbol([1.5])),
+                        "symbol.terms[1].m[0]"),
+    "kernel_f": ("kernel", "kernel_extremal.json", lambda s: s["kernel"]["f"][1].update(m=[-1]), "kernel.f[1].m[0]"),
+    "kernel_coefficient": ("kernel", "kernel_extremal.json",
+                           lambda s: s["kernel"].update(kind="list", coefficients=[{"m": [0], "n": ["a"], "a": 1.0}]),
+                           "kernel.coefficients[0].n[0]"),
+}
+
+
+@pytest.mark.parametrize("case", list(MULTI_INDEX_CASES))
+def test_bad_multi_index_entries_are_rejected(tmp_path, case):
+    command, source, edit, path_text = MULTI_INDEX_CASES[case]
+    scn = load_scenario_file(source)
+    edit(scn)
+    assert_scenario_invalid([command, write_scenario(tmp_path, scn, "")], path_text)
+
+
+@pytest.mark.parametrize("value", ['"x"', "0", "2.5"])
+def test_random_vector_max_order_must_be_a_positive_int(tmp_path, value):
+    scn = load_scenario_file("random_vector_two_point.json")
+    scn["random_vector"]["max_order"] = "VALUE"
+    assert_scenario_invalid(["random-vector", write_scenario(tmp_path, scn, value)], "random_vector.max_order")
+
+
+def test_scenario_file_that_is_not_utf8_is_rejected(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(HALF_LINE_SCENARIO).encode("utf-16-le"))
+    assert_scenario_invalid(["covariance", str(path)], "cannot read scenario")
+
+
+def test_main_can_run_again_with_another_subcommand():
+    # the parser is built once per process; each call must still parse its own argv
+    runs = [("two_atoms_natadd1__covariance", ["covariance"]), ("two_atoms_natadd1__pd", ["pd"])] * 2
+    for name, tail in runs:
+        _, out, _ = run_cli(build_argv("two_atoms_natadd1.json", tail))
+        with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
+            assert out == fh.read()
+
+
+@pytest.mark.parametrize(
+    "argv,expected_code,stream,start",
+    [(["--help"], 0, "out", "usage: lapcov"), (["--version"], 0, "out", "lapcov "),
+     (["covariance"], 1, "err", "usage: lapcov covariance"), (["nope"], 1, "err", "usage: lapcov")],
+)
+def test_help_version_and_usage_errors_repeat(capsys, argv, expected_code, stream, start):
+    printed = []
+    for _ in range(2):
+        assert main(argv, stdout=io.StringIO(), stderr=io.StringIO()) == expected_code
+        captured = capsys.readouterr()
+        printed.append(captured.out if stream == "out" else captured.err)
+    assert printed[0] == printed[1]
+    assert printed[0].startswith(start)

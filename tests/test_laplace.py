@@ -6,6 +6,7 @@ import pytest
 
 from lapcov import (
     AtomicMeasure,
+    char_eval,
     EvaluationGrid,
     MissingGridValue,
     Semigroup,
@@ -34,8 +35,10 @@ from lapcov.laplace import (
 )
 
 from helpers import (
+    random_character_point,
     random_multi_atom,
     random_nonnegative_measure,
+    random_phase,
     random_point_mass,
     random_polynomial_symbol,
     slow_covariance_residual,
@@ -267,6 +270,45 @@ def test_decide_two_atoms_example():
     assert verdict.witness_residual == 1
     # normalized: |R| / (sum |w|^2 * max|rho|^2) = 1 / 0.5
     assert verdict.max_residual == 2.0
+
+
+def pairwise_residual(sg, atoms, symbol, elements):
+    """R(s, t) = sum_{j<k} w_j w_k D_jk(s) conj(D_jk(t)), D_jk(s) = F(z_j) rho_j(s) - F(z_k) rho_k(s).
+
+    Also returns the residual scale sum |w|^2 * max |F(z_k) rho_k(s)|^2.
+    """
+    values = np.array([[symbol.at(z) * char_eval(sg, z, s) for s in elements] for z, _ in atoms])
+    residual = np.zeros((len(elements), len(elements)), dtype=complex)
+    for (j, (_, wj)), (k, (_, wk)) in itertools.combinations(enumerate(atoms), 2):
+        gap = values[j] - values[k]
+        residual += wj * wk * np.outer(gap, gap.conj())
+    scale = sum(abs(w) ** 2 for _, w in atoms) * float(np.abs(values).max()) ** 2
+    return residual, scale
+
+
+@pytest.mark.parametrize(
+    "sg,order", [(Semigroup.nat_add(2), 8), (Semigroup.nat_mult(3), 3), (Semigroup.half_line(), 32)]
+)
+def test_residual_matches_the_pairwise_form(rng, sg, order):
+    # the paper's mechanism: R vanishes exactly when every charged pair of atoms
+    # has equal F-weighted characters; checks the math, where bit-equality checks the bits
+    grid = default_grid(sg, order=order)
+    for _ in range(8):
+        count = int(rng.integers(2, 7))
+        points = [random_character_point(rng, sg) for _ in range(count)]
+        while True:
+            weights = [rng.uniform(0.1, 2.0) * random_phase(rng) for _ in range(count)]
+            if abs(sum(weights)) >= 0.05 * sum(abs(w) for w in weights):
+                break
+        mu = AtomicMeasure(sg, tuple(zip(points, weights)))
+        symbol = random_polynomial_symbol(rng, sg.point_dim)
+        residual, scale = pairwise_residual(sg, mu.atoms, symbol, grid.elements)
+        verdict = decide_covariance(mu, symbol, grid)
+        assert verdict.kind == NOT_POINT_MASS
+        peak = float(np.abs(residual).max())
+        assert verdict.max_residual == pytest.approx(peak / scale, rel=1e-12)
+        i, j = (grid.elements.index(el) for el in verdict.witness)
+        assert abs(verdict.witness_residual - residual[i, j]) <= 1e-12 * peak
 
 
 def test_decide_mass_on_symbol_zero_set():

@@ -14,6 +14,7 @@ from lapcov import (
     total_mass,
     total_variation,
 )
+from lapcov.measures import MERGE_TOL, _point_distance, _point_sort_key, merge_atoms
 
 SG1 = Semigroup.nat_add(1)
 
@@ -130,6 +131,55 @@ def test_merge_chain_is_greedy_in_input_order():
     a, b, c = 0.3, 0.3 + 0.8e-12, 0.3 + 1.6e-12
     assert measure((a, 1), (b, 2), (c, 4)).atoms == (((a + 0j,), 3), ((c + 0j,), 4))
     assert measure((c, 4), (b, 2), (a, 1)).atoms == (((a + 0j,), 1), ((c + 0j,), 6))
+
+
+def merge_loop(atoms):
+    # the O(k^2) scan merge_atoms ran before its sorted window
+    kept, weights = [], []
+    for point, weight in atoms:
+        for i, q in enumerate(kept):
+            if _point_distance(point, q) <= MERGE_TOL:
+                weights[i] += weight
+                break
+        else:
+            kept.append(point)
+            weights.append(weight)
+    return tuple(sorted(zip(kept, weights), key=lambda atom: _point_sort_key(atom[0])))
+
+
+def random_point(rng, dim, scale=1.0):
+    return tuple(complex(*rng.normal(size=2)) * scale for _ in range(dim))
+
+
+def jittered_atoms(rng, dim, scale):
+    """Copies of a few centers, each moved by up to 1.5 * MERGE_TOL; some first coordinates not finite."""
+    centers = [random_point(rng, dim, scale) for _ in range(int(rng.integers(1, 6)))]
+    atoms = []
+    for _ in range(int(rng.integers(1, 40))):
+        center = centers[int(rng.integers(len(centers)))]
+        jitter = rng.uniform(0.0, 1.5 * MERGE_TOL) / 2
+        point = tuple(z + complex(*rng.normal(size=2)) * jitter for z in center)
+        if rng.random() < 0.05:
+            point = (complex(math.nan, 0.0),) + point[1:]
+        if rng.random() < 0.05:
+            point = (complex(-math.inf, 1.0),) + point[1:]
+        if dim > 1 and rng.random() < 0.05:
+            point = point[:1] + (complex(0.0, math.inf),) + point[2:]
+        atoms.append((point, complex(*rng.normal(size=2))))
+    return atoms
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_merge_matches_the_pairwise_scan(rng, dim):
+    for trial in range(300):
+        scale = (1.0, 1e-11, 1e3, 1e8)[trial % 4]
+        atoms = jittered_atoms(rng, dim, scale)
+        # repr, so that NaN coordinates compare equal
+        assert repr(merge_atoms(atoms)) == repr(merge_loop(atoms))
+    chain = [((0.3 + i * 0.8e-12 + 0j,) + (0.5j,) * (dim - 1), complex(i + 1)) for i in range(7)]
+    distinct = [(random_point(rng, dim), complex(*rng.normal(size=2))) for _ in range(100)]
+    for atoms in (chain, chain[::-1], distinct, distinct + distinct[::-1]):
+        assert repr(merge_atoms(atoms)) == repr(merge_loop(atoms))
 
 
 def test_half_line_accepts_boundary_points():

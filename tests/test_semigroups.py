@@ -1,11 +1,22 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lapcov import GridTooLarge, PrimeOutOfRange, Semigroup, char_eval, character_matrix, combine, identity, kappa
+from lapcov import (
+    GridTooLarge,
+    PrimeOutOfRange,
+    Semigroup,
+    char_eval,
+    character_matrix,
+    combine,
+    default_grid,
+    identity,
+    kappa,
+)
 from lapcov.semigroups import monomial, validate_element, validate_point
 
 from helpers import random_character_point, slow_char
@@ -114,6 +125,73 @@ def test_character_matrix_matches_scalar_eval(sg, rng):
             assert matrix[k, j] == char_eval(sg, z, s)
             oracle = slow_char(sg, z, s)
             assert abs(matrix[k, j] - oracle) <= 1e-12 * max(1.0, abs(oracle))
+
+
+def character_loop(sg, points, elements):
+    # the scalar loop character_matrix ran before it had an array kernel
+    out = np.empty((len(points), len(elements)), dtype=complex)
+    for k, z in enumerate(points):
+        for j, s in enumerate(elements):
+            out[k, j] = char_eval(sg, z, s)
+    return out
+
+
+def assert_bit_equal(sg, points, elements):
+    got, want = character_matrix(sg, points, elements), character_loop(sg, points, elements)
+    assert got.shape == want.shape
+    # bytes, not ==, so that the sign of a zero counts
+    assert got.tobytes() == want.tobytes()
+
+
+def random_points(rng, sg, count):
+    """``count`` random points, plus the origin and signed-zero and unit points (0**0 = 1)."""
+    points = [validate_point(sg, random_character_point(rng, sg)) for _ in range(count)]
+    d = sg.point_dim
+    extra = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-1.0, -0.0), 1j]  # 1j ** 3 == -0.0 - 1j
+    if sg.family != "half_line":
+        extra.append(complex(-0.0, 2.0))
+    return points + [(z,) * d for z in extra]
+
+
+@pytest.mark.parametrize(
+    "sg,order",
+    [
+        (Semigroup.nat_add(2), 8),
+        (Semigroup.nat_add(3), 3),
+        (Semigroup.nat_mult(3), 3),
+        (Semigroup.half_line(), 32),
+    ],
+)
+@pytest.mark.parametrize("count", [0, 3, 64])  # with the 4-5 fixed points: both sides of the size rule
+def test_character_matrix_is_bit_equal_to_the_scalar_loop(rng, sg, order, count):
+    grid = default_grid(sg, order=order)
+    points = random_points(rng, sg, count)
+    for elements in (grid.elements, grid.pairs_closure, grid.elements[:1], grid.elements[:20]):
+        assert_bit_equal(sg, points, elements)
+        assert_bit_equal(sg, points[:1], elements)
+
+
+def test_character_matrix_is_bit_equal_across_the_exponent_100_boundary(rng):
+    # Python's complex ** int squares up to exponent 100 and goes through exp/log past it
+    sg = Semigroup.nat_add(2)
+    points = [(complex(*rng.normal(size=2)) / 1.3, complex(*rng.normal(size=2)) / 1.3) for _ in range(20)]
+    points += [(z / abs(z), 1j) for z in (complex(*rng.normal(size=2)) for _ in range(5))] + [(0j, 0j)]
+    for top in (99, 100, 101):
+        assert_bit_equal(sg, points, [(e, f) for e in range(top - 8, top + 1) for f in range(3)])
+        assert_bit_equal(sg, points, [(f, e) for e in range(top - 8, top + 1) for f in range(3)])
+
+
+@pytest.mark.parametrize(
+    "sg,point,elements",
+    [
+        (Semigroup.nat_add(1), 1e200 + 0j, [(e,) for e in range(16)]),  # complex ** int overflows
+        (Semigroup.half_line(), complex(-1e-12, 1.0), [1e15 * (i + 1) for i in range(16)]),  # cmath.exp overflows
+    ],
+)
+def test_character_matrix_raises_where_python_overflows(sg, point, elements):
+    for build in (character_matrix, character_loop):
+        with pytest.raises(OverflowError):
+            build(sg, [(point,)] * 16, elements)
 
 
 def test_validate_element_rejects_bad_inputs():
