@@ -42,6 +42,8 @@ from .scenario import (
     element_to_json,
     load_scenario,
     parse_element,
+    parse_element_pairs,
+    parse_generator,
     parse_json,
     parse_kernel,
     parse_pair_function,
@@ -127,9 +129,9 @@ def _cmd_transform(scenario, args):
     labels = [element_to_json(mu.semigroup, el) for el in grid.elements]
     block = transform_block(mu, scenario.symbol, grid.elements, grid.elements)
     values = [
-        {"s": s, "t": t, "v": encode_complex(v)}
-        for s, row in zip(labels, block.tolist())
-        for t, v in zip(labels, row)
+        {"s": s, "t": t, "v": [re, im]}
+        for s, re_row, im_row in zip(labels, block.real.tolist(), block.imag.tolist())
+        for t, re, im in zip(labels, re_row, im_row)
     ]
     report = {"command": "transform", "grid": labels, "values": values}
     return report, 0, f"tabulated {len(values)} transform values"
@@ -278,6 +280,8 @@ def _cmd_prony(scenario, args):
 
 def _cmd_pd(scenario, args):
     section = scenario.raw.get("pd", {})
+    if not isinstance(section, dict):
+        raise _CommandError("scenario_invalid", "pd: expected an object")
     sg = scenario.semigroup
     if sg is None:
         raise _CommandError("scenario_invalid", "this command needs a 'semigroup' section")
@@ -290,13 +294,7 @@ def _cmd_pd(scenario, args):
         f = pair_function_from_measure(mu, grid, scenario.symbol)
     e = identity(sg)
     if "points" in section:
-        points = [
-            (
-                parse_element(sg, entry["s"], f"pd.points[{i}].s"),
-                parse_element(sg, entry["t"], f"pd.points[{i}].t"),
-            )
-            for i, entry in enumerate(section["points"])
-        ]
+        points = parse_element_pairs(sg, section["points"])
     else:
         points = [(s, e) for s in grid.elements[:6]]
 
@@ -319,10 +317,7 @@ def _cmd_pd(scenario, args):
         report["bv_operator_count"] = len(operators)
     else:
         if "generator" in section:
-            pair = (
-                parse_element(sg, section["generator"]["a"], "pd.generator.a"),
-                parse_element(sg, section["generator"]["b"], "pd.generator.b"),
-            )
+            pair = parse_generator(sg, section["generator"])
         else:
             non_identity = [s for s in grid.elements if s != e]
             pair = (non_identity[0] if non_identity else e, e)
@@ -493,18 +488,20 @@ def main(argv=None, stdout=None, stderr=None) -> int:
             },
         )
         report, exit_code, summary = _COMMANDS[args.command](scenario, args)
-    except LapcovError as exc:
-        code = getattr(exc, "code", None) or _ERROR_CODES.get(type(exc), "internal_error")
-        error_report = {"error": {"code": code, "message": str(exc)}}
-        stdout.write(dumps(error_report))
-        print(f"error: {exc}", file=stderr)
+        text = dumps(report) if args.format == "json" else "\n".join(_render_text(report)) + "\n"
+    except Exception as exc:  # the process boundary: every failure ends in a JSON error, never a traceback
+        if isinstance(exc, LapcovError):
+            code = getattr(exc, "code", None) or _ERROR_CODES.get(type(exc), "internal_error")
+            message = str(exc)
+        else:
+            code, message = "internal_error", f"{type(exc).__name__}: {exc}"
+        stdout.write(dumps({"error": {"code": code, "message": message}}))
+        print(f"error: {message}", file=stderr)
         return 1
 
+    stdout.write(text)
     if args.format == "json":
-        stdout.write(dumps(report))
         print(summary, file=stderr)
-    else:
-        stdout.write("\n".join(_render_text(report)) + "\n")
     return exit_code
 
 

@@ -350,6 +350,32 @@ def parse_pair_function(semigroup: Semigroup, data, path: str = "pd.pair_functio
     return PairFunction(grid, values)
 
 
+def parse_element_pairs(semigroup: Semigroup, data, path: str = "pd.points") -> list:
+    """Probe points as [{"s", "t"}, ...], a nonempty array."""
+    if not isinstance(data, list) or not data:
+        _fail(path, "expected a nonempty array of {s, t} objects")
+    pairs = []
+    for i, entry in enumerate(data):
+        epath = f"{path}[{i}]"
+        if not isinstance(entry, dict):
+            _fail(epath, "expected an object with 's' and 't'")
+        pairs.append(tuple(_element_field(semigroup, entry, key, epath) for key in ("s", "t")))
+    return pairs
+
+
+def parse_generator(semigroup: Semigroup, data, path: str = "pd.generator") -> tuple:
+    """The (a, b) pair of an admissible generator: {"a", "b"}."""
+    if not isinstance(data, dict):
+        _fail(path, "expected an object with 'a' and 'b'")
+    return tuple(_element_field(semigroup, data, key, path) for key in ("a", "b"))
+
+
+def _element_field(semigroup: Semigroup, data: dict, key: str, path: str):
+    if key not in data:
+        _fail(f"{path}.{key}", "missing")
+    return parse_element(semigroup, data[key], f"{path}.{key}")
+
+
 def parse_shift_operators(semigroup: Semigroup, data, path: str = "pd.operators"):
     """Operators as term lists: [[{"a","b","coeff"}, ...], ...]."""
     from .shifts import ShiftCombination

@@ -84,6 +84,80 @@ def slow_moment_table(disc_atoms, rows: int, cols: int) -> np.ndarray:
     return np.array([[slow_moment(disc_atoms, j, k) for k in range(cols)] for j in range(rows)])
 
 
+# ------------------------------------------------------ report emitter
+
+
+def _reference_escape(text: str) -> str:
+    out = ['"']
+    for ch in text:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ord(ch) < 0x20:
+            out.append("\\u%04x" % ord(ch))
+        else:
+            out.append(ch)
+    out.append('"')
+    return "".join(out)
+
+
+def _reference_is_scalar(value) -> bool:
+    return value is None or isinstance(value, (bool, int, float, str))
+
+
+def _reference_scalar(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("reports must contain finite numbers only")
+        if value == 0.0:
+            value = 0.0  # canonicalize -0.0
+        return "%.17g" % value
+    if isinstance(value, str):
+        return _reference_escape(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _reference_emit(value, indent: int, lines: list, prefix: str, suffix: str):
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            lines.append(f"{pad}{prefix}{{}}{suffix}")
+            return
+        lines.append(f"{pad}{prefix}{{")
+        items = list(value.items())
+        for i, (key, item) in enumerate(items):
+            comma = "," if i < len(items) - 1 else ""
+            _reference_emit(item, indent + 1, lines, f"{_reference_escape(str(key))}: ", comma)
+        lines.append(f"{pad}}}{suffix}")
+    elif isinstance(value, (list, tuple)):
+        value = list(value)
+        if all(_reference_is_scalar(v) for v in value):
+            body = ", ".join(_reference_scalar(v) for v in value)
+            lines.append(f"{pad}{prefix}[{body}]{suffix}")
+            return
+        lines.append(f"{pad}{prefix}[")
+        for i, item in enumerate(value):
+            comma = "," if i < len(value) - 1 else ""
+            _reference_emit(item, indent + 1, lines, "", comma)
+        lines.append(f"{pad}]{suffix}")
+    else:
+        lines.append(f"{pad}{prefix}{_reference_scalar(value)}{suffix}")
+
+
+def reference_dumps(report) -> str:
+    """The recursive report emitter that ``report.dumps`` must match byte for byte."""
+    lines = []
+    _reference_emit(report, 0, lines, "", "")
+    return "\n".join(lines) + "\n"
+
+
 # ------------------------------------------------- random instance makers
 
 

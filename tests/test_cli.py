@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import lapcov.cli as cli
 from lapcov.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -458,3 +459,52 @@ def test_help_version_and_usage_errors_repeat(capsys, argv, expected_code, strea
         printed.append(captured.out if stream == "out" else captured.err)
     assert printed[0] == printed[1]
     assert printed[0].startswith(start)
+
+
+# pd section: the value of "pd", and the path the error must name
+PD_SECTION_CASES = {
+    "point_without_s": ({"points": [{"t": [0]}]}, "pd.points[0].s"),
+    "points_not_a_list": ({"points": 5}, "pd.points"),
+    "points_empty": ({"points": []}, "pd.points"),
+    "point_not_an_object": ({"points": [3]}, "pd.points[0]"),
+    "generator_without_a": ({"generator": {"b": [0]}}, "pd.generator.a"),
+    "generator_not_an_object": ({"generator": 3}, "pd.generator"),
+    "section_not_an_object": ([1, 2], "pd: expected an object"),
+}
+
+
+@pytest.mark.parametrize("case", list(PD_SECTION_CASES))
+def test_bad_pd_sections_are_rejected(tmp_path, case):
+    section, path_text = PD_SECTION_CASES[case]
+    scn = load_scenario_file("two_atoms_natadd1.json")
+    scn["pd"] = section
+    assert_scenario_invalid(["pd", write_scenario(tmp_path, scn, "")], path_text)
+
+
+def test_unexpected_exceptions_become_internal_errors(monkeypatch):
+    def broken(scenario, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "covariance", broken)
+    code, out, err = run_cli(build_argv("two_atoms_natadd1.json", ["covariance"]))
+    assert code == 1
+    assert json.loads(out) == {"error": {"code": "internal_error", "message": "RuntimeError: boom"}}
+    assert "Traceback" not in err
+
+
+def test_non_finite_report_values_become_internal_errors(monkeypatch):
+    # a non-finite float reaching the emitter is reported, not raised
+    monkeypatch.setitem(cli._COMMANDS, "covariance", lambda scenario, args: ({"value": float("nan")}, 0, ""))
+    code, out, _ = run_cli(build_argv("two_atoms_natadd1.json", ["covariance"]))
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "internal_error"
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+def test_interrupt_and_exit_are_not_caught(monkeypatch, exc):
+    def interrupted(scenario, args):
+        raise exc()
+
+    monkeypatch.setitem(cli._COMMANDS, "covariance", interrupted)
+    with pytest.raises(exc):
+        run_cli(build_argv("two_atoms_natadd1.json", ["covariance"]))

@@ -1,0 +1,189 @@
+"""report.dumps against the recursive reference emitter, byte for byte."""
+
+import io
+import math
+import os
+from collections import OrderedDict
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lapcov.cli as cli
+from lapcov.report import dumps, format_float
+
+from helpers import reference_dumps
+from test_cli import GOLDEN, GOLDEN_CASES, SCENARIOS, build_argv
+
+
+class ReversedItems(dict):
+    """A dict subclass whose items() run against its key order."""
+
+    def items(self):
+        return list(reversed(list(super().items())))
+
+
+class Shout(str):
+    """A str subclass that equals its value but prints in upper case."""
+
+    def __str__(self):
+        return self.upper()
+
+
+def captured_report(argv, monkeypatch):
+    """The report object a CLI run hands to ``dumps``."""
+    reports = []
+
+    def capture(report):
+        reports.append(report)
+        return dumps(report)
+
+    monkeypatch.setattr(cli, "dumps", capture)
+    cli.main(argv, stdout=io.StringIO(), stderr=io.StringIO())
+    assert len(reports) == 1
+    return reports[0]
+
+
+@pytest.mark.parametrize("name,scenario,tail,expected_code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_goldens_match_the_reference_emitter(name, scenario, tail, expected_code, monkeypatch):
+    report = captured_report(build_argv(scenario, tail), monkeypatch)
+    with open(os.path.join(GOLDEN, name + ".json"), "rb") as fh:
+        golden = fh.read().decode("utf-8")
+    assert reference_dumps(report) == golden
+    assert dumps(report) == golden
+
+
+# the transform golden is a 4x4 table; these reach the flat record path at size
+LARGE_REPORTS = [
+    ("point_mass_natadd2.json", cmd, "8") for cmd in ("transform", "recover", "covariance", "toeplitz", "prony")
+] + [("two_atoms_natadd1.json", cmd, "8") for cmd in ("covariance", "toeplitz", "prony")]
+
+
+@pytest.mark.parametrize("scenario,cmd,order", LARGE_REPORTS, ids=[f"{s[:-5]}-{c}" for s, c, _ in LARGE_REPORTS])
+def test_large_reports_match_the_reference_emitter(scenario, cmd, order, monkeypatch):
+    report = captured_report([cmd, os.path.join(SCENARIOS, scenario), "--grid-order", order], monkeypatch)
+    assert dumps(report) == reference_dumps(report)
+
+
+def test_scalar_kinds_and_containers_match():
+    label = [0, 1]
+    report = {
+        "kinds": [True, 1, 1.0, None, "1", -0.0, 0.0, np.float64(-0.0), np.float64(2.5)],
+        "tuple": (1, (2.0, "x"), []),
+        "empty": [[], {}, ()],
+        'key "quoted" \\ \n\t%s': {"\x01": "a\"b\\c\x1f\x7f\u00e9"},
+        "ordered": OrderedDict([("b", 1), ("a", [label])]),
+        "subclasses": [ReversedItems([("a", 1), ("b", 2)]), {Shout("a"): 1, "b": 2}],
+        3: {"non-str key": True},
+        "records": [
+            {"s": label, "t": label, "v": [0.5, -0.0]},
+            {"s": label, "t": [1, 0], "v": (1.5, 2)},
+            {"t": label, "s": label, "v": [0.5, 1.0]},
+            {"s": label, "t": label},
+            {"s": label, "t": label, "v": [0.5], "w": None},
+            {"s": label, "t": label, "v": [[1.0]]},
+            OrderedDict([("s", label), ("t", label), ("v", 1.0)]),
+            ReversedItems([("s", label), ("t", label), ("v", 1.0)]),
+            {Shout("s"): label, "t": label, "v": 1.0},
+            {"s": label, "t": np.float64(1.0), "v": [np.float64(1.0)]},
+            {"s": {}, "t": [], "v": {"deep": [{"x": 1}]}},
+            [label, label],
+            label,
+        ],
+    }
+    assert dumps(report) == reference_dumps(report)
+
+
+def test_format_float_canonicalizes_and_rejects_non_finite():
+    assert format_float(-0.0) == "0"
+    assert format_float(0.1) == "0.10000000000000001"
+    assert format_float(np.float64(-1e300)) == "-1.0000000000000001e+300"
+    for value in (math.inf, -math.inf, math.nan, np.float64("nan")):
+        with pytest.raises(ValueError):
+            format_float(value)
+
+
+# ------------------------------------------------------------ property
+
+KEYS = st.text(alphabet=st.sampled_from('ab"\\%\n\x00\x1f\u00e9'), max_size=3)
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    st.sampled_from([0, 1, 1.0, True, -0.0, 0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.text(alphabet=st.sampled_from('xy"\\\n\x07\u00e9'), max_size=4),
+)
+
+BAD = st.sampled_from([math.nan, math.inf, -math.inf, np.float64("inf"), np.int64(1), 1j, object(), b"x", {1, 2}])
+
+
+def scalar_lists(leaves):
+    return st.one_of(st.lists(leaves, max_size=4), st.lists(leaves, max_size=4).map(tuple))
+
+
+@st.composite
+def record_lists(draw, leaves, children):
+    """Lists of same-shape records, with some later records changed in key order, key set or nesting."""
+    keys = draw(st.lists(st.one_of(KEYS, st.integers(0, 3)), min_size=1, max_size=4, unique_by=str))
+    shared = draw(st.lists(scalar_lists(leaves), min_size=1, max_size=3))
+    value = st.one_of(
+        leaves,
+        scalar_lists(leaves),
+        st.integers(0, len(shared) - 1).map(lambda i: shared[i]),  # one list object, many records
+        children,
+    )
+    changes = st.sampled_from(["same"] * 4 + ["reorder", "drop", "add", "nest", "subclass", "key subclass"])
+    records = []
+    for i in range(draw(st.integers(1, 5))):
+        record = {key: draw(value) for key in keys}
+        change = draw(changes) if i else "same"
+        if change == "reorder":
+            record = dict(reversed(list(record.items())))
+        elif change == "drop":
+            record.pop(keys[-1])
+        elif change == "add":
+            record["extra"] = draw(leaves)
+        elif change == "nest":
+            record[keys[0]] = [draw(scalar_lists(leaves))]
+        elif change == "subclass":
+            record = draw(st.sampled_from([OrderedDict, ReversedItems]))(record)
+        elif change == "key subclass":
+            record = {Shout(key) if isinstance(key, str) else key: item for key, item in record.items()}
+        records.append(record)
+    return records
+
+
+def reports(leaves):
+    def extend(children):
+        return st.one_of(
+            scalar_lists(children),
+            st.dictionaries(st.one_of(KEYS, st.integers(0, 3)), children, max_size=4),
+            st.dictionaries(KEYS, children, max_size=3).map(OrderedDict),
+            st.dictionaries(KEYS, children, max_size=3).map(ReversedItems),
+            record_lists(leaves, children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=30)
+
+
+def outcome(emit, report):
+    try:
+        return emit(report)
+    except (ValueError, TypeError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports(SCALARS))
+def test_dumps_matches_reference_on_nested_reports(report):
+    assert dumps(report) == reference_dumps(report)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports(st.one_of(SCALARS, SCALARS, BAD)))
+def test_dumps_fails_like_the_reference(report):
+    assert outcome(dumps, report) == outcome(reference_dumps, report)
