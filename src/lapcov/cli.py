@@ -24,7 +24,7 @@ from .errors import (
     ZeroWeightAtom,
 )
 from .kernels import DEGENERATE as KERNEL_DEGENERATE
-from .kernels import kernel_recover, truncation_tail_bound
+from .kernels import default_z_grid, kernel_recover, truncation_tail_bound
 from .laplace import (
     NOT_POINT_MASS,
     POINT_MASS,
@@ -39,6 +39,7 @@ from .measures import total_mass
 from .randomvectors import CONSTANT, decide_constant_vector
 from .report import dumps, encode_complex, format_float
 from .scenario import (
+    check_keys,
     element_to_json,
     load_scenario,
     parse_element,
@@ -101,11 +102,9 @@ def _require(scenario, field: str):
 
 def _positive_setting(flag_value, flag: str, scenario, section: str, key: str, default: int) -> int:
     """A positive integer from the command-line flag, else the scenario section, else the default."""
+    data = check_keys(scenario.raw.get(section, {}), (key,), section)
     if flag_value is not None:
         return parse_positive_int(flag_value, flag)
-    data = scenario.raw.get(section, {})
-    if not isinstance(data, dict):
-        raise _CommandError("scenario_invalid", f"{section}: expected an object")
     return parse_positive_int(data.get(key, default), f"{section}.{key}")
 
 
@@ -209,7 +208,7 @@ def _cmd_toeplitz(scenario, args):
                 "moment_rank": check.rank,
                 "atom_count": check.atom_count,
                 "luecking_agree": check.agree,
-                "rank_one_ratio": rank_one_check(mu, scenario.symbol, s, order),
+                "rank_one_ratio": rank_one_check(sigma),
             }
         )
     report = {
@@ -225,11 +224,7 @@ def _cmd_toeplitz(scenario, args):
         matrix = moment_matrix(disc_measure(mu, scenario.symbol, element), order)
         with open(args.moments_csv, "w", encoding="utf-8") as handle:
             for row in matrix:
-                cells = []
-                for value in row:
-                    cells.append(format_float(value.real))
-                    cells.append(format_float(value.imag))
-                handle.write(",".join(cells) + "\n")
+                handle.write(",".join(format_float(x) for value in row for x in (value.real, value.imag)) + "\n")
         report["moments_csv"] = args.moments_csv
     agree_count = sum(1 for entry in per_element if entry["luecking_agree"])
     return report, 0, f"toeplitz: rank/support agreement on {agree_count}/{len(per_element)} elements"
@@ -279,12 +274,8 @@ def _cmd_prony(scenario, args):
 
 
 def _cmd_pd(scenario, args):
-    section = scenario.raw.get("pd", {})
-    if not isinstance(section, dict):
-        raise _CommandError("scenario_invalid", "pd: expected an object")
-    sg = scenario.semigroup
-    if sg is None:
-        raise _CommandError("scenario_invalid", "this command needs a 'semigroup' section")
+    section = check_keys(scenario.raw.get("pd", {}), ("pair_function", "points", "operators", "generator"), "pd")
+    sg = _require(scenario, "semigroup")
     if "pair_function" in section:
         f = parse_pair_function(sg, section["pair_function"])
         grid = f.grid
@@ -362,8 +353,6 @@ def _cmd_kernel(scenario, args):
         kernel, f_coefficients, mu, z_grid=z_grid, residual_tol=residual_tol, tol=scenario.tolerances
     )
     if z_grid is None:
-        from .kernels import default_z_grid
-
         z_grid = default_z_grid(kernel.z_dim)
     z_norm = max((sum(abs(v) ** 2 for v in z) ** 0.5 for z in z_grid), default=0.0)
     w_norm = max((sum(abs(v) ** 2 for v in p) ** 0.5 for p in mu.points), default=0.0)
@@ -456,9 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--tol-res", type=float, default=None)
         sub.add_argument("--tol-mass", type=float, default=None)
         sub.add_argument("--rank-tol", type=float, default=None)
-        sub.add_argument("--matrix-order", type=int, default=None)
         sub.add_argument("--format", choices=("json", "text"), default="json")
         if name == "toeplitz":
+            sub.add_argument("--matrix-order", type=int, default=None)
             sub.add_argument("--moments-csv", default=None, help="export a moment matrix as CSV")
             sub.add_argument(
                 "--csv-element", default=None, help="JSON element for the CSV export (default identity)"

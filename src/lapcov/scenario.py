@@ -23,6 +23,16 @@ def _fail(path: str, message: str):
     raise ScenarioError(f"{path}: {message}")
 
 
+def check_keys(data, keys, path: str) -> dict:
+    """``data`` itself, once it is an object whose keys are all among ``keys``: a misspelt key is an error."""
+    if not isinstance(data, dict):
+        _fail(path, "expected an object")
+    for key in data:
+        if key not in keys:
+            _fail(f"{path}.{key}", f"unknown key; expected one of {', '.join(keys)}")
+    return data
+
+
 class _NonFinite:
     """A JSON number that is NaN, infinite or overflows a float, kept in place to name its path."""
 
@@ -219,8 +229,8 @@ def parse_grid(semigroup: Semigroup, data, order_override: int = None, path: str
         return default_grid(semigroup, order=parse_positive_int(order_override, "--grid-order"))
     if data is None:
         return default_grid(semigroup)
-    if not isinstance(data, dict):
-        _fail(path, "expected an object with 'order' or 'elements'")
+    if len(check_keys(data, ("order", "elements"), path)) != 1:
+        _fail(path, "expected exactly one of 'order' and 'elements'")
     if "elements" in data:
         if not isinstance(data["elements"], list) or not data["elements"]:
             _fail(f"{path}.elements", "expected a nonempty array of elements")
@@ -229,9 +239,7 @@ def parse_grid(semigroup: Semigroup, data, order_override: int = None, path: str
             for i, el in enumerate(data["elements"])
         )
         return EvaluationGrid(semigroup, elements)
-    if "order" in data:
-        return default_grid(semigroup, order=parse_positive_int(data["order"], f"{path}.order"))
-    _fail(path, "expected 'order' or 'elements'")
+    return default_grid(semigroup, order=parse_positive_int(data["order"], f"{path}.order"))
 
 
 def parse_tolerances(data, overrides: dict = None, path: str = "tolerances") -> Tolerances:
@@ -257,6 +265,7 @@ def parse_tolerances(data, overrides: dict = None, path: str = "tolerances") -> 
 def parse_random_vector(data, path: str = "random_vector") -> DiscreteRandomVector:
     if not isinstance(data, dict) or not isinstance(data.get("outcomes"), list) or not data["outcomes"]:
         _fail(path, "expected an object with a nonempty 'outcomes' array")
+    check_keys(data, ("outcomes", "max_order"), path)
     outcomes = []
     for i, outcome in enumerate(data["outcomes"]):
         opath = f"{path}.outcomes[{i}]"
@@ -276,8 +285,7 @@ def parse_random_vector(data, path: str = "random_vector") -> DiscreteRandomVect
 
 def parse_kernel(data, path: str = "kernel"):
     """Returns (KernelCoefficients, f coefficient dict, z grid or None, residual tolerance)."""
-    if not isinstance(data, dict):
-        _fail(path, "expected an object")
+    check_keys(data, ("kind", "truncation", "coefficients", "f", "z_points", "residual_tol"), path)
     truncation = data.get("truncation", DEFAULT_TRUNCATION)
     if isinstance(truncation, bool) or not isinstance(truncation, int) or truncation < 0:
         _fail(f"{path}.truncation", "expected a nonnegative integer")

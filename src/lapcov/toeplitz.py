@@ -4,10 +4,10 @@ Every probe element s of a measure mu induces a measure on the closed disc of
 radius 1/2: the atom z_k moves to rho_{z_k}(s) / (2 (1 + sup-norm)) with weight
 |F(z_k)|^2 w_k.  When mu satisfies the covariance equation these disc measures
 are single Dirac masses, which is checked two ways: a second-singular-value
-test on the induced Toeplitz matrix, and explicit atom recovery from the
-moment-matrix pencil.  Recovered atoms convert back to character values via
-``character_value_from_atom``, the independent cross-check of the transform
-route.
+test on the induced Toeplitz matrix, and atom recovery from the moment-matrix
+pencil, each reading ranks from one SVD of its matrix.  Recovered atoms map
+back to character values via ``character_value_from_atom``, the independent
+cross-check of the transform route.
 """
 
 import math
@@ -59,8 +59,9 @@ class DiscMeasure:
 
 def disc_measure(mu: AtomicMeasure, symbol: Symbol, s) -> DiscMeasure:
     """The disc measure induced by probing mu at element s."""
-    scale = 2.0 * (1.0 + sup_norm(mu, s))
     values = character_matrix(mu.semigroup, mu.points, (s,))[:, 0]
+    # the column is char_eval's bit for bit, so Python's abs gives sup_norm exactly
+    scale = 2.0 * (1.0 + max(map(abs, values.tolist())))
     fv = symbol_values(symbol, mu.points)
     atoms = tuple(
         (values[k] / scale, (abs(fv[k]) ** 2) * mu.weights[k]) for k in range(len(values))
@@ -103,12 +104,16 @@ def toeplitz_matrix(nu: DiscMeasure, order: int) -> np.ndarray:
     return np.sqrt(np.outer(j, j)) / math.pi * M.T
 
 
-def numerical_rank(matrix: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above rel_tol times the largest (0 for the zero matrix)."""
-    sigma = np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)
+def _rank_from_sigma(sigma: np.ndarray, rel_tol: float) -> int:
+    """Number of values of a descending singular-value profile above rel_tol times the largest."""
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     return int(np.count_nonzero(sigma > rel_tol * sigma[0]))
+
+
+def numerical_rank(matrix: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
+    """Number of singular values above rel_tol times the largest (0 for the zero matrix)."""
+    return _rank_from_sigma(np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False), rel_tol)
 
 
 class LueckingResult(NamedTuple):
@@ -132,16 +137,12 @@ def luecking_check(
     return LueckingResult(rank, atom_count, rank == atom_count)
 
 
-def rank_one_check(mu: AtomicMeasure, symbol: Symbol, s, order: int = DEFAULT_MATRIX_ORDER) -> float:
-    """sigma_2 / sigma_1 of the induced Toeplitz matrix at probe element s.
+def rank_one_check(sigma) -> float:
+    """sigma_2 / sigma_1 of a descending singular-value profile (0 if sigma_1 = 0 or it has one value).
 
-    Measures satisfying the covariance equation give (numerically) rank-one
-    operators, so the ratio is ~0; it is defined as 0 when sigma_1 = 0.
+    On induced Toeplitz matrices it is ~0 when mu satisfies the covariance equation (rank one).
     """
-    sigma = np.linalg.svd(toeplitz_matrix(disc_measure(mu, symbol, s), order), compute_uv=False)
-    if sigma[0] == 0.0:
-        return 0.0
-    if sigma.size < 2:
+    if sigma[0] == 0.0 or len(sigma) < 2:
         return 0.0
     return float(sigma[1] / sigma[0])
 
@@ -179,11 +180,11 @@ def prony_recover(nu, k_max: int = None, rel_tol: float = DEFAULT_RANK_TOL) -> P
 
     unshifted = table[:-1, :]
     shifted = table[1:, :]
-    rank = numerical_rank(unshifted, rel_tol)
+    U, sigma, Vh = np.linalg.svd(unshifted)
+    rank = _rank_from_sigma(sigma, rel_tol)
     if rank == 0:
         return PronyResult((), 0.0, 0)
 
-    U, sigma, Vh = np.linalg.svd(unshifted)
     if sigma[rank - 1] <= 1e-13 * sigma[0]:
         raise RankDeficientPencil("restricted moment pencil is numerically singular")
     # Ur^H unshifted Vr = diag(sigma_1..sigma_r), so the pencil is a standard eigenproblem

@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from lapcov import AtomicMeasure, Semigroup, Symbol
+from lapcov import AtomicMeasure, Semigroup, Symbol, disc_measure, toeplitz_matrix
+from lapcov.toeplitz import DEFAULT_MATRIX_ORDER
 
 
 # ---------------------------------------------------------------- oracles
@@ -156,6 +157,14 @@ def reference_dumps(report) -> str:
     lines = []
     _reference_emit(report, 0, lines, "", "")
     return "\n".join(lines) + "\n"
+
+
+# ------------------------------------------------------ package shortcuts
+
+
+def toeplitz_profile(mu, symbol, s, order: int = DEFAULT_MATRIX_ORDER) -> np.ndarray:
+    """Descending singular values of the induced Toeplitz matrix at probe element s."""
+    return np.linalg.svd(toeplitz_matrix(disc_measure(mu, symbol, s), order), compute_uv=False)
 
 
 # ------------------------------------------------- random instance makers

@@ -55,6 +55,7 @@ from helpers import (
     random_polynomial_symbol,
     random_unit_disc,
     separated_points,
+    toeplitz_profile,
 )
 from test_cli import GOLDEN, GOLDEN_CASES, build_argv
 
@@ -214,11 +215,11 @@ def test_criterion_06_rank_one_lemma():
     for mu, symbol, _, _ in suite_a():
         grid = default_grid(mu.semigroup)
         for s in grid.elements:
-            worst_a = max(worst_a, rank_one_check(mu, symbol, s))
+            worst_a = max(worst_a, rank_one_check(toeplitz_profile(mu, symbol, s)))
     weakest_b = math.inf
     for mu in suite_b():
         grid = default_grid(mu.semigroup)
-        best = max(rank_one_check(mu, None, s) for s in grid.elements)
+        best = max(rank_one_check(toeplitz_profile(mu, None, s)) for s in grid.elements)
         weakest_b = min(weakest_b, best)
     ok = worst_a <= 1e-10 and weakest_b >= 1e-4
     _report(

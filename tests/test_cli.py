@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import lapcov.cli as cli
+import lapcov.toeplitz as toeplitz
 from lapcov.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -479,6 +481,61 @@ def test_bad_pd_sections_are_rejected(tmp_path, case):
     scn = load_scenario_file("two_atoms_natadd1.json")
     scn["pd"] = section
     assert_scenario_invalid(["pd", write_scenario(tmp_path, scn, "")], path_text)
+
+
+# command sections with a misspelt key: (command, scenario file, section, key, value)
+UNKNOWN_KEY_CASES = {
+    "pd": ("pd", "two_atoms_natadd1.json", "pd", "pionts", [{"s": [2], "t": [1]}]),
+    "toeplitz": ("toeplitz", "two_atoms_natadd1.json", "toeplitz", "matrix_ordr", 4),
+    "prony": ("prony", "two_atoms_natadd1.json", "prony", "kmax", 3),
+    "random_vector": ("random-vector", "random_vector_two_point.json", "random_vector", "max_ordr", 2),
+    "kernel": ("kernel", "kernel_extremal.json", "kernel", "residual_tl", 1e-6),
+}
+
+
+@pytest.mark.parametrize("case", list(UNKNOWN_KEY_CASES))
+def test_unknown_section_keys_are_rejected(tmp_path, case):
+    command, source, section, key, value = UNKNOWN_KEY_CASES[case]
+    scn = load_scenario_file(source)
+    scn.setdefault(section, {})[key] = value
+    assert_scenario_invalid([command, write_scenario(tmp_path, scn, "")], f"{section}.{key}")
+
+
+@pytest.mark.parametrize(
+    "grid,path_text",
+    [({"order": 3, "elements": [[1]]}, "grid: expected exactly one of"), ({"ordr": 3}, "grid.ordr"), ({}, "grid")],
+)
+def test_conflicting_or_unknown_grid_keys_are_rejected(tmp_path, grid, path_text):
+    scn = load_scenario_file("two_atoms_natadd1.json")
+    scn["grid"] = grid
+    assert_scenario_invalid(["covariance", write_scenario(tmp_path, scn, "")], path_text)
+
+
+@pytest.mark.parametrize("command", [c for c in cli._COMMANDS if c != "toeplitz"])
+def test_matrix_order_is_a_toeplitz_flag_only(capsys, command):
+    code, out, _ = run_cli(build_argv("two_atoms_natadd1.json", [command, "--matrix-order", "5"]))
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --matrix-order" in capsys.readouterr().err
+
+
+def test_toeplitz_builds_one_disc_measure_and_one_matrix_per_element(monkeypatch):
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    # both binding sites: a rebuild inside lapcov.toeplitz counts too
+    for module in (cli, toeplitz):
+        for name in ("disc_measure", "toeplitz_matrix"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    code, out, _ = run_cli(build_argv("two_atoms_natadd1.json", ["toeplitz", "--matrix-order", "6"]))
+    assert code == 0
+    elements = len(json.loads(out)["per_element"])
+    assert calls == {"disc_measure": elements, "toeplitz_matrix": elements}
 
 
 def test_unexpected_exceptions_become_internal_errors(monkeypatch):

@@ -20,14 +20,19 @@ from lapcov import (
     toeplitz_matrix,
 )
 from lapcov.laplace import default_grid
+from lapcov.measures import symbol_values
+from lapcov.semigroups import character_matrix
 
 from helpers import (
+    random_character_point,
     random_multi_atom,
     random_phase,
     random_point_mass,
     random_polynomial_symbol,
+    random_unit_disc,
     slow_moment,
     slow_moment_table,
+    toeplitz_profile,
 )
 
 SG1 = Semigroup.nat_add(1)
@@ -61,6 +66,30 @@ def test_disc_measure_stays_in_half_disc(rng):
         for s in default_grid(SG1).elements:
             nu = disc_measure(mu, f, s)
             assert all(abs(a) <= 0.5 + 1e-12 for a in nu.positions)
+
+
+def _sup_norm_scaled_disc_measure(mu, symbol, s):
+    """The disc measure with its scale taken from ``sup_norm``, one char_eval per atom."""
+    scale = 2.0 * (1.0 + sup_norm(mu, s))
+    values = character_matrix(mu.semigroup, mu.points, (s,))[:, 0]
+    fv = symbol_values(symbol, mu.points)
+    return DiscMeasure(tuple((values[k] / scale, abs(fv[k]) ** 2 * mu.weights[k]) for k in range(len(values))))
+
+
+@pytest.mark.parametrize(
+    "semigroup", [Semigroup.nat_add(2), Semigroup.nat_mult(3), Semigroup.half_line()], ids=lambda sg: sg.family
+)
+@pytest.mark.parametrize("count", [1, 4, 150])  # 150 atoms take character_matrix's array path
+def test_disc_measure_is_byte_equal_to_the_sup_norm_scaling(rng, semigroup, count):
+    points = [random_character_point(rng, semigroup) for _ in range(count)]
+    # every third atom has weight zero: it still counts towards the sup-norm
+    weights = [0.0 if k % 3 == 1 else rng.uniform(0.1, 2.0) * random_phase(rng) for k in range(count)]
+    mu = AtomicMeasure(semigroup, tuple(zip(points, weights)))
+    for symbol in (None, random_polynomial_symbol(rng, semigroup.point_dim)):
+        for s in default_grid(semigroup).elements:
+            got, want = disc_measure(mu, symbol, s), _sup_norm_scaled_disc_measure(mu, symbol, s)
+            assert np.array(got.positions).tobytes() == np.array(want.positions).tobytes()
+            assert np.array(got.weights).tobytes() == np.array(want.weights).tobytes()
 
 
 def test_disc_measure_rejects_outside_atoms():
@@ -185,14 +214,20 @@ def test_luecking_random_support_counts(rng):
 def test_rank_one_examples(rng):
     mu, _, _ = random_point_mass(rng, 1)
     for s in default_grid(SG1).elements:
-        assert rank_one_check(mu, None, s) <= 1e-12
+        assert rank_one_check(toeplitz_profile(mu, None, s)) <= 1e-12
 
     two = measure((1, 0.5), (-1, 0.5))
-    assert rank_one_check(two, None, (1,)) >= 0.01
+    assert rank_one_check(toeplitz_profile(two, None, (1,))) >= 0.01
 
     # single atom with the symbol vanishing there: zero operator
     vanishing = Symbol.polynomial({(1,): 1})
-    assert rank_one_check(measure((0, 3)), vanishing, (1,)) == 0.0
+    assert rank_one_check(toeplitz_profile(measure((0, 3)), vanishing, (1,))) == 0.0
+
+
+def test_rank_one_check_reads_the_profile():
+    assert rank_one_check(np.array([2.0, 0.5, 0.1])) == 0.25
+    assert rank_one_check(np.array([3.0])) == 0.0
+    assert rank_one_check(np.zeros(4)) == 0.0
 
 
 # ------------------------------------------------------------------- prony
@@ -230,6 +265,17 @@ def test_prony_accepts_raw_moment_table():
 def test_prony_rejects_bad_table_shape():
     with pytest.raises(ValueError):
         prony_recover(np.ones((3, 3)))
+
+
+def test_prony_rank_is_the_numerical_rank_of_the_unshifted_block(rng):
+    tables = [np.zeros((5, 4), dtype=complex)]
+    for _ in range(20):
+        count, k = int(rng.integers(1, 6)), int(rng.integers(2, 8))
+        atoms = tuple((0.45 * random_unit_disc(rng), rng.uniform(0.1, 2.0) * random_phase(rng)) for _ in range(count))
+        tables.append(moment_matrix(DiscMeasure(atoms), k, rows=k + 1))
+        tables.append(rng.normal(size=(k + 1, k)) + 1j * rng.normal(size=(k + 1, k)))
+    for table in tables:
+        assert prony_recover(table).rank == numerical_rank(table[:-1, :])
 
 
 def test_prony_zero_measure():
