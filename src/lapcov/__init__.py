@@ -94,7 +94,9 @@ from .toeplitz import (
     PronyResult,
     character_value_from_atom,
     disc_measure,
+    disc_measures,
     luecking_check,
+    moment_matrices,
     moment_matrix,
     numerical_rank,
     prony_recover,

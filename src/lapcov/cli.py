@@ -65,7 +65,9 @@ from .toeplitz import (
     DEFAULT_MATRIX_ORDER,
     character_value_from_atom,
     disc_measure,
+    disc_measures,
     luecking_check,
+    moment_matrices,
     moment_matrix,
     prony_recover,
     rank_one_check,
@@ -196,15 +198,18 @@ def _cmd_toeplitz(scenario, args):
         args.matrix_order, "--matrix-order", scenario, "toeplitz", "matrix_order", DEFAULT_MATRIX_ORDER
     )
     rank_tol = scenario.tolerances.rank
+    elements = scenario.grid.elements
+    nus = disc_measures(mu, scenario.symbol, elements)
+    moments = moment_matrices(nus, order)
+    t_sigmas = np.linalg.svd(toeplitz_matrix(moments), compute_uv=False)
+    m_sigmas = np.linalg.svd(moments, compute_uv=False)
     per_element = []
-    for s in scenario.grid.elements:
-        nu = disc_measure(mu, scenario.symbol, s)
-        sigma = np.linalg.svd(toeplitz_matrix(nu, order), compute_uv=False)
-        check = luecking_check(nu, order, rank_tol)
+    for s, nu, sigma, m_sigma in zip(elements, nus, t_sigmas, m_sigmas):
+        check = luecking_check(nu, m_sigma, rank_tol)
         per_element.append(
             {
                 "s": element_to_json(mu.semigroup, s),
-                "singular_values": [float(v) for v in sigma],
+                "singular_values": sigma.tolist(),
                 "moment_rank": check.rank,
                 "atom_count": check.atom_count,
                 "luecking_agree": check.agree,
@@ -239,10 +244,11 @@ def _cmd_prony(scenario, args):
         _, direct_table = recover_point_mass(mu, scenario.symbol, scenario.grid, scenario.tolerances)
     except FMuIntegralZero:
         pass
+    elements = scenario.grid.elements
+    tables = moment_matrices(disc_measures(mu, scenario.symbol, elements), k_max, rows=k_max + 1)
     per_element = []
-    for s in scenario.grid.elements:
-        nu = disc_measure(mu, scenario.symbol, s)
-        result = prony_recover(nu, k_max=k_max, rel_tol=rank_tol)
+    for s, table in zip(elements, tables):
+        result = prony_recover(table, rel_tol=rank_tol)
         entry = {
             "s": element_to_json(mu.semigroup, s),
             "rank": result.rank,

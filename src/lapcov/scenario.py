@@ -146,30 +146,36 @@ def point_to_json(point) -> list:
     return [[complex(z).real, complex(z).imag] for z in point]
 
 
+_SEMIGROUP_KEYS = {NAT_ADD: ("kind", "d"), NAT_MULT: ("kind", "primes"), HALF_LINE: ("kind",)}
+
+
 def parse_semigroup(data, path: str = "semigroup") -> Semigroup:
     if not isinstance(data, dict) or "kind" not in data:
         _fail(path, "expected an object with a 'kind' field")
     kind = data["kind"]
+    if not isinstance(kind, str) or kind not in _SEMIGROUP_KEYS:
+        _fail(f"{path}.kind", f"unknown semigroup kind {kind!r}")
+    check_keys(data, _SEMIGROUP_KEYS[kind], path)
     try:
         if kind == NAT_ADD:
             return Semigroup.nat_add(int(data.get("d", 1)))
         if kind == NAT_MULT:
             return Semigroup.nat_mult(int(data.get("primes", 1)))
-        if kind == HALF_LINE:
-            return Semigroup.half_line()
+        return Semigroup.half_line()
     except Exception as exc:
         _fail(path, str(exc))
-    _fail(f"{path}.kind", f"unknown semigroup kind {kind!r}")
 
 
 def parse_measure(semigroup: Semigroup, data, path: str = "measure") -> AtomicMeasure:
     if not isinstance(data, dict) or not isinstance(data.get("atoms"), list) or not data["atoms"]:
         _fail(path, "expected an object with a nonempty 'atoms' array")
+    check_keys(data, ("atoms",), path)
     atoms = []
     for i, atom in enumerate(data["atoms"]):
         apath = f"{path}.atoms[{i}]"
         if not isinstance(atom, dict) or "point" not in atom or "weight" not in atom:
             _fail(apath, "expected an object with 'point' and 'weight'")
+        check_keys(atom, ("point", "weight"), apath)
         point = parse_point(atom["point"], f"{apath}.point")
         weight = parse_complex(atom["weight"], f"{apath}.weight")
         atoms.append((point, weight))
@@ -187,8 +193,10 @@ def parse_symbol(data, path: str = "symbol", semigroup: Semigroup = None) -> Sym
         _fail(path, "expected an object with a 'kind' field")
     kind = data["kind"]
     if kind == "const":
+        check_keys(data, ("kind", "value"), path)
         return Symbol.constant(parse_complex(data.get("value", 1), f"{path}.value"))
     if kind == "poly":
+        check_keys(data, ("kind", "terms"), path)
         terms = data.get("terms")
         if not isinstance(terms, list):
             _fail(f"{path}.terms", "expected an array of {m, c} terms")
@@ -197,12 +205,14 @@ def parse_symbol(data, path: str = "symbol", semigroup: Semigroup = None) -> Sym
             tpath = f"{path}.terms[{i}]"
             if not isinstance(term, dict) or "m" not in term or "c" not in term:
                 _fail(tpath, "expected an object with 'm' and 'c'")
+            check_keys(term, ("m", "c"), tpath)
             index = parse_multi_index(term["m"], f"{tpath}.m")
             if semigroup is not None and len(index) != semigroup.point_dim:
                 _fail(f"{tpath}.m", f"expected a multi-index of length {semigroup.point_dim}")
             coefficients[index] = coefficients.get(index, 0j) + parse_complex(term["c"], f"{tpath}.c")
         return Symbol.polynomial(coefficients)
     if kind == "table":
+        check_keys(data, ("kind", "entries"), path)
         entries = data.get("entries")
         if not isinstance(entries, list):
             _fail(f"{path}.entries", "expected an array of {point, value} entries")
@@ -211,6 +221,7 @@ def parse_symbol(data, path: str = "symbol", semigroup: Semigroup = None) -> Sym
             epath = f"{path}.entries[{i}]"
             if not isinstance(entry, dict) or "point" not in entry or "value" not in entry:
                 _fail(epath, "expected an object with 'point' and 'value'")
+            check_keys(entry, ("point", "value"), epath)
             table[parse_point(entry["point"], f"{epath}.point")] = parse_complex(
                 entry["value"], f"{epath}.value"
             )
@@ -245,8 +256,7 @@ def parse_grid(semigroup: Semigroup, data, order_override: int = None, path: str
 def parse_tolerances(data, overrides: dict = None, path: str = "tolerances") -> Tolerances:
     values = {"mass": 1e-10, "residual": 1e-8, "rank": 1e-8}
     if data is not None:
-        if not isinstance(data, dict):
-            _fail(path, "expected an object")
+        check_keys(data, tuple(values), path)
         for key in values:
             if key in data:
                 value = data[key]
@@ -271,6 +281,7 @@ def parse_random_vector(data, path: str = "random_vector") -> DiscreteRandomVect
         opath = f"{path}.outcomes[{i}]"
         if not isinstance(outcome, dict) or not {"p", "x", "y"} <= set(outcome):
             _fail(opath, "expected an object with 'p', 'x' and 'y'")
+        check_keys(outcome, ("p", "x", "y"), opath)
         p = outcome["p"]
         if isinstance(p, bool) or not isinstance(p, (int, float)):
             _fail(f"{opath}.p", "expected a probability")
@@ -302,6 +313,7 @@ def parse_kernel(data, path: str = "kernel"):
             tpath = f"{path}.coefficients[{i}]"
             if not isinstance(term, dict) or not {"m", "n", "a"} <= set(term):
                 _fail(tpath, "expected an object with 'm', 'n' and 'a'")
+            check_keys(term, ("m", "n", "a"), tpath)
             m = parse_multi_index(term["m"], f"{tpath}.m")
             n = parse_multi_index(term["n"], f"{tpath}.n")
             z_dim = len(m) if z_dim is None else z_dim
@@ -322,6 +334,7 @@ def parse_kernel(data, path: str = "kernel"):
         tpath = f"{path}.f[{i}]"
         if not isinstance(term, dict) or "m" not in term or "b" not in term:
             _fail(tpath, "expected an object with 'm' and 'b'")
+        check_keys(term, ("m", "b"), tpath)
         f_coefficients[parse_multi_index(term["m"], f"{tpath}.m")] = parse_complex(term["b"], f"{tpath}.b")
 
     z_grid = None
@@ -344,6 +357,7 @@ def parse_pair_function(semigroup: Semigroup, data, path: str = "pd.pair_functio
 
     if not isinstance(data, dict) or not isinstance(data.get("values"), list):
         _fail(path, "expected an object with a 'values' array")
+    check_keys(data, ("grid", "values"), path)
     if not isinstance(data.get("grid"), list) or not data["grid"]:
         _fail(f"{path}.grid", "expected a nonempty array of elements")
     grid = parse_grid(semigroup, {"elements": data["grid"]}, path=f"{path}.grid")
@@ -352,6 +366,7 @@ def parse_pair_function(semigroup: Semigroup, data, path: str = "pd.pair_functio
         epath = f"{path}.values[{i}]"
         if not isinstance(entry, dict) or not {"s", "t", "v"} <= set(entry):
             _fail(epath, "expected an object with 's', 't' and 'v'")
+        check_keys(entry, ("s", "t", "v"), epath)
         s = parse_element(semigroup, entry["s"], f"{epath}.s")
         t = parse_element(semigroup, entry["t"], f"{epath}.t")
         values[(s, t)] = parse_complex(entry["v"], f"{epath}.v")
@@ -367,6 +382,7 @@ def parse_element_pairs(semigroup: Semigroup, data, path: str = "pd.points") -> 
         epath = f"{path}[{i}]"
         if not isinstance(entry, dict):
             _fail(epath, "expected an object with 's' and 't'")
+        check_keys(entry, ("s", "t"), epath)
         pairs.append(tuple(_element_field(semigroup, entry, key, epath) for key in ("s", "t")))
     return pairs
 
@@ -375,6 +391,7 @@ def parse_generator(semigroup: Semigroup, data, path: str = "pd.generator") -> t
     """The (a, b) pair of an admissible generator: {"a", "b"}."""
     if not isinstance(data, dict):
         _fail(path, "expected an object with 'a' and 'b'")
+    check_keys(data, ("a", "b"), path)
     return tuple(_element_field(semigroup, data, key, path) for key in ("a", "b"))
 
 
@@ -400,6 +417,7 @@ def parse_shift_operators(semigroup: Semigroup, data, path: str = "pd.operators"
             tpath = f"{opath}[{j}]"
             if not isinstance(term, dict) or not {"a", "b", "coeff"} <= set(term):
                 _fail(tpath, "expected an object with 'a', 'b' and 'coeff'")
+            check_keys(term, ("a", "b", "coeff"), tpath)
             terms.append(
                 (
                     parse_element(semigroup, term["a"], f"{tpath}.a"),

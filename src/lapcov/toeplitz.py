@@ -8,6 +8,12 @@ test on the induced Toeplitz matrix, and atom recovery from the moment-matrix
 pencil, each reading ranks from one SVD of its matrix.  Recovered atoms map
 back to character values via ``character_value_from_atom``, the independent
 cross-check of the transform route.
+
+A grid is handled as stacks: ``disc_measures`` reads one character matrix and
+one vector of symbol values for all elements, ``moment_matrices`` builds one
+Vandermonde stack and one stacked matmul per atom count, and
+``toeplitz_matrix`` and ``np.linalg.svd`` take the whole stack.  Each element's
+matrices and singular values are byte-equal to building them one at a time.
 """
 
 import math
@@ -57,51 +63,68 @@ class DiscMeasure:
         return complex(sum(self.weights))
 
 
+def disc_measures(mu: AtomicMeasure, symbol: Symbol, elements) -> list:
+    """The disc measures induced by probing mu at each of ``elements``, in order."""
+    values = character_matrix(mu.semigroup, mu.points, elements)
+    # each column is char_eval's bit for bit, so Python's abs gives sup_norm exactly
+    scales = [2.0 * (1.0 + max(map(abs, column))) for column in values.T.tolist()]
+    fv = symbol_values(symbol, mu.points)
+    weights = [(abs(fv[k]) ** 2) * w for k, w in enumerate(mu.weights)]
+    positions = (values / np.array(scales)).T.tolist()
+    return [DiscMeasure(tuple(zip(column, weights))) for column in positions]
+
+
 def disc_measure(mu: AtomicMeasure, symbol: Symbol, s) -> DiscMeasure:
     """The disc measure induced by probing mu at element s."""
-    values = character_matrix(mu.semigroup, mu.points, (s,))[:, 0]
-    # the column is char_eval's bit for bit, so Python's abs gives sup_norm exactly
-    scale = 2.0 * (1.0 + max(map(abs, values.tolist())))
-    fv = symbol_values(symbol, mu.points)
-    atoms = tuple(
-        (values[k] / scale, (abs(fv[k]) ** 2) * mu.weights[k]) for k in range(len(values))
-    )
-    return DiscMeasure(atoms)
+    return disc_measures(mu, symbol, (s,))[0]
 
 
 def _power_columns(positions, rows: int) -> np.ndarray:
-    """Vandermonde-style matrix V[j, i] = positions[i] ** j, shape (rows, n)."""
-    n = len(positions)
-    V = np.ones((rows, n), dtype=complex)
+    """Vandermonde-style stack V[..., j, i] = positions[..., i] ** j, shape (..., rows, n)."""
+    positions = np.asarray(positions, dtype=complex)
+    V = np.ones(positions.shape[:-1] + (rows, positions.shape[-1]), dtype=complex)
     for j in range(1, rows):
-        V[j] = V[j - 1] * np.asarray(positions, dtype=complex)
+        V[..., j, :] = V[..., j - 1, :] * positions
     return V
 
 
-def moment_matrix(nu: DiscMeasure, order: int, rows: int = None) -> np.ndarray:
-    """Matrix of mixed moments M[j, k] = sum_i m_i a_i^j conj(a_i)^k.
+def moment_matrices(nus, order: int, rows: int = None) -> np.ndarray:
+    """Stacked mixed moments M[i, j, k] = sum_a m_a a^j conj(a)^k over the atoms of nus[i].
 
-    ``rows`` (default ``order``) allows the extra shifted row needed by the
-    pencil recovery; columns always number ``order``.
+    The shape is (len(nus), rows, order); ``rows`` (default ``order``) allows
+    the extra shifted row needed by the pencil recovery.  Measures with the
+    same atom count share one Vandermonde stack and one stacked matmul, so
+    every matrix is byte-equal to building it alone.
     """
     if order < 1:
         raise ValueError("matrix order must be >= 1")
     rows = order if rows is None else rows
-    V = _power_columns(nu.positions, rows)
-    W = _power_columns(nu.positions, order)
-    return (V * np.asarray(nu.weights, dtype=complex)) @ W.conj().T
+    groups = {}
+    for i, nu in enumerate(nus):
+        groups.setdefault(len(nu.atoms), []).append(i)
+    out = np.empty((len(nus), rows, order), dtype=complex)
+    for index in groups.values():
+        V = _power_columns([nus[i].positions for i in index], max(rows, order))
+        weights = np.array([nus[i].weights for i in index], dtype=complex)
+        out[index] = (V[:, :rows] * weights[:, None, :]) @ V[:, :order].conj().transpose(0, 2, 1)
+    return out
 
 
-def toeplitz_matrix(nu: DiscMeasure, order: int) -> np.ndarray:
-    """Matrix of the induced Bergman-space Toeplitz operator.
+def moment_matrix(nu: DiscMeasure, order: int, rows: int = None) -> np.ndarray:
+    """Matrix of mixed moments M[j, k] = sum_i m_i a_i^j conj(a_i)^k, shape (rows, order)."""
+    return moment_matrices((nu,), order, rows)[0]
 
-    In the orthonormal monomial basis e_j = sqrt((j+1)/pi) z^j the entries are
-    T[j, k] = sqrt((j+1)(k+1))/pi * sum_i m_i a_i^k conj(a_i)^j, so
-    T[0, 0] = nu(disc) / pi.
+
+def toeplitz_matrix(moments: np.ndarray) -> np.ndarray:
+    """Matrices of the induced Bergman-space Toeplitz operators, from square moment matrices.
+
+    ``moments`` is one (order, order) moment matrix or a stack of them.  In
+    the orthonormal monomial basis e_j = sqrt((j+1)/pi) z^j the entries are
+    T[j, k] = sqrt((j+1)(k+1))/pi * sum_i m_i a_i^k conj(a_i)^j = sqrt((j+1)(k+1))/pi * M[k, j],
+    so T[0, 0] = nu(disc) / pi.
     """
-    M = moment_matrix(nu, order)
-    j = np.arange(1, order + 1, dtype=float)
-    return np.sqrt(np.outer(j, j)) / math.pi * M.T
+    j = np.arange(1, moments.shape[-1] + 1, dtype=float)
+    return np.sqrt(np.outer(j, j)) / math.pi * np.swapaxes(moments, -1, -2)
 
 
 def _rank_from_sigma(sigma: np.ndarray, rel_tol: float) -> int:
@@ -122,17 +145,16 @@ class LueckingResult(NamedTuple):
     agree: bool
 
 
-def luecking_check(
-    nu: DiscMeasure, order: int = DEFAULT_MATRIX_ORDER, rel_tol: float = DEFAULT_RANK_TOL
-) -> LueckingResult:
+def luecking_check(nu: DiscMeasure, sigma, rel_tol: float = DEFAULT_RANK_TOL) -> LueckingResult:
     """Finite-rank check: moment-matrix rank vs. number of charged atoms.
 
-    Luecking's theorem says the two agree for any finitely supported disc
-    measure once the matrix order exceeds the support size.  Clustered atoms
-    degrade the rank estimate; the caller sees the disagreement rather than a
-    silently adjusted count.
+    The rank is read from ``sigma``, the descending singular values of nu's
+    moment matrix.  Luecking's theorem says the two agree for any finitely
+    supported disc measure once the matrix order exceeds the support size.
+    Clustered atoms degrade the rank estimate; the caller sees the
+    disagreement rather than a silently adjusted count.
     """
-    rank = numerical_rank(moment_matrix(nu, order), rel_tol)
+    rank = _rank_from_sigma(np.asarray(sigma), rel_tol)
     atom_count = sum(1 for m in nu.weights if m != 0)
     return LueckingResult(rank, atom_count, rank == atom_count)
 

@@ -10,8 +10,10 @@ import math
 
 import numpy as np
 
-from lapcov import AtomicMeasure, Semigroup, Symbol, disc_measure, toeplitz_matrix
-from lapcov.toeplitz import DEFAULT_MATRIX_ORDER
+from lapcov import AtomicMeasure, DiscMeasure, Semigroup, Symbol, disc_measure, moment_matrix, toeplitz_matrix
+from lapcov.measures import symbol_values
+from lapcov.semigroups import character_matrix
+from lapcov.toeplitz import DEFAULT_MATRIX_ORDER, numerical_rank
 
 
 # ---------------------------------------------------------------- oracles
@@ -159,12 +161,62 @@ def reference_dumps(report) -> str:
     return "\n".join(lines) + "\n"
 
 
+# ------------------------------------------- per-element Toeplitz route
+
+
+def reference_disc_measure(mu, symbol, s) -> DiscMeasure:
+    """The disc measure at one element from a one-column character block, as before grids were stacked."""
+    values = character_matrix(mu.semigroup, mu.points, (s,))[:, 0]
+    scale = 2.0 * (1.0 + max(map(abs, values.tolist())))
+    fv = symbol_values(symbol, mu.points)
+    atoms = tuple(
+        (values[k] / scale, (abs(fv[k]) ** 2) * mu.weights[k]) for k in range(len(values))
+    )
+    return DiscMeasure(atoms)
+
+
+def _reference_power_columns(positions, rows: int) -> np.ndarray:
+    n = len(positions)
+    V = np.ones((rows, n), dtype=complex)
+    for j in range(1, rows):
+        V[j] = V[j - 1] * np.asarray(positions, dtype=complex)
+    return V
+
+
+def reference_moment_matrix(nu: DiscMeasure, order: int, rows: int = None) -> np.ndarray:
+    """One element's moment matrix from its own Vandermonde matrices."""
+    rows = order if rows is None else rows
+    V = _reference_power_columns(nu.positions, rows)
+    W = _reference_power_columns(nu.positions, order)
+    return (V * np.asarray(nu.weights, dtype=complex)) @ W.conj().T
+
+
+def reference_toeplitz_sigma(nu: DiscMeasure, order: int) -> np.ndarray:
+    """Singular values of one element's induced Toeplitz matrix."""
+    j = np.arange(1, order + 1, dtype=float)
+    T = np.sqrt(np.outer(j, j)) / math.pi * reference_moment_matrix(nu, order).T
+    return np.linalg.svd(T, compute_uv=False)
+
+
+def reference_moment_sigma(nu: DiscMeasure, order: int) -> np.ndarray:
+    return np.linalg.svd(reference_moment_matrix(nu, order), compute_uv=False)
+
+
+def reference_luecking_rank(nu: DiscMeasure, order: int, rel_tol: float) -> int:
+    return numerical_rank(reference_moment_matrix(nu, order), rel_tol)
+
+
+def reference_prony_table(nu: DiscMeasure, k_max: int) -> np.ndarray:
+    """The (k_max + 1) x k_max moment table that the pencil recovery reads."""
+    return reference_moment_matrix(nu, k_max, rows=k_max + 1)
+
+
 # ------------------------------------------------------ package shortcuts
 
 
 def toeplitz_profile(mu, symbol, s, order: int = DEFAULT_MATRIX_ORDER) -> np.ndarray:
     """Descending singular values of the induced Toeplitz matrix at probe element s."""
-    return np.linalg.svd(toeplitz_matrix(disc_measure(mu, symbol, s), order), compute_uv=False)
+    return np.linalg.svd(toeplitz_matrix(moment_matrix(disc_measure(mu, symbol, s), order)), compute_uv=False)
 
 
 # ------------------------------------------------- random instance makers

@@ -1,22 +1,34 @@
-"""Every lapcov binding site that the benchmark's tracer wraps must exist.
+"""Every lapcov binding site that the benchmark's tracer wraps must exist and keep its contract.
 
 ``perfbench/layers.py`` wraps functions where the CLI and the engine look
-them up (``lapcov.cli.rank_one_check`` and so on).  Renaming or removing one
-of them would fail only the benchmark; this test fails it here first.
+them up (``lapcov.cli.rank_one_check`` and so on) and its counters read their
+arguments and results.  Renaming or removing one of them, or changing what a
+counted call returns, would fail only the benchmark; these tests fail it here
+first.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
+import pytest
+
 import lapcov.cli as cli
+
+from test_cli import GOLDEN_CASES, build_argv, run_cli
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
 
-def test_tracer_installs_and_uninstalls_every_binding_site():
+@pytest.fixture(scope="module")
+def layers():
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls_every_binding_site(layers):
     original = cli.rank_one_check
     tracer = layers.Tracer()
     tracer.install()  # raises LookupError naming a missing binding site
@@ -25,3 +37,34 @@ def test_tracer_installs_and_uninstalls_every_binding_site():
     finally:
         tracer.uninstall()
     assert cli.rank_one_check is original
+
+
+def traced_run(layers, argv):
+    tracer = layers.Tracer()
+    tracer.cmd = argv[0]
+    tracer.install()
+    try:
+        with tracer.span("cli"):
+            result = run_cli(argv)
+    finally:
+        tracer.uninstall()
+    return tracer, result
+
+
+@pytest.mark.parametrize("name,scenario,tail,expected_code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_traced_commands_match_untraced_runs(layers, name, scenario, tail, expected_code):
+    argv = build_argv(scenario, tail)
+    code, out, _ = run_cli(argv)
+    tracer, (traced_code, traced_out, _) = traced_run(layers, argv)
+    assert (traced_code, traced_out) == (code, out)
+    assert code == expected_code
+    calls = {layer: entry[0] for layer, entry in tracer.stats.items()}
+    if tail[0] == "toeplitz":
+        elements = len(json.loads(out)["per_element"])
+        assert calls["toeplitz.luecking"] == elements
+        assert tracer.counts["toeplitz_cmd_elements"] == elements
+    if tail[0] == "prony":
+        per_element = json.loads(out)["per_element"]
+        assert calls["toeplitz.prony"] == len(per_element)
+        # the counter reads PronyResult.rank
+        assert tracer.counts["prony_rank1"] == sum(entry["rank"] == 1 for entry in per_element)

@@ -10,6 +10,10 @@ import pytest
 import lapcov.cli as cli
 import lapcov.toeplitz as toeplitz
 from lapcov.cli import main
+from lapcov.errors import RankDeficientPencil
+from lapcov.scenario import load_scenario
+
+from helpers import reference_disc_measure, reference_prony_table
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SCENARIOS = os.path.join(DATA, "scenarios")
@@ -501,6 +505,65 @@ def test_unknown_section_keys_are_rejected(tmp_path, case):
     assert_scenario_invalid([command, write_scenario(tmp_path, scn, "")], f"{section}.{key}")
 
 
+PAIR_FUNCTION = {
+    "grid": [[0], [1]],
+    "values": [{"s": [s], "t": [t], "v": 0.5 ** (s + t)} for s in range(3) for t in range(3)],
+}
+TABLE_SYMBOL = {"kind": "table", "entries": [{"point": [1.0], "value": 1.0}, {"point": [-1.0], "value": 2.0}]}
+KERNEL_TERM = {"m": [0], "n": [0], "a": 1.0, "aa": 0}
+
+# a misspelt or extra key outside the command sections: (command, scenario file, edit, path in the error)
+NESTED_UNKNOWN_KEY_CASES = {
+    "semigroup": ("covariance", "two_atoms_natadd1.json", lambda s: s["semigroup"].update(dd=2), "semigroup.dd"),
+    "semigroup_other_kind": ("covariance", "two_atoms_natadd1.json", lambda s: s["semigroup"].update(primes=2),
+                             "semigroup.primes"),
+    "measure": ("covariance", "two_atoms_natadd1.json", lambda s: s["measure"].update(atomz=[]), "measure.atomz"),
+    "atom": ("covariance", "two_atoms_natadd1.json", lambda s: s["measure"]["atoms"][1].update(wieght=2.0),
+             "measure.atoms[1].wieght"),
+    "symbol_const": ("covariance", "two_atoms_natadd1.json", lambda s: s["symbol"].update(valeu=[2, 0]),
+                     "symbol.valeu"),
+    "symbol_poly": ("covariance", "two_atoms_natadd1.json", lambda s: s.update(symbol=dict(poly_symbol([1]), term=[])),
+                    "symbol.term"),
+    "symbol_poly_term": ("covariance", "two_atoms_natadd1.json",
+                         lambda s: (s.update(symbol=poly_symbol([1])), s["symbol"]["terms"][1].update(cc=1)),
+                         "symbol.terms[1].cc"),
+    "symbol_table_entry": ("covariance", "two_atoms_natadd1.json",
+                           lambda s: (s.update(symbol=TABLE_SYMBOL), s["symbol"]["entries"][0].update(vlaue=1)),
+                           "symbol.entries[0].vlaue"),
+    "tolerances": ("covariance", "two_atoms_natadd1.json", lambda s: s.update(tolerances={"residul": 1e-3}),
+                   "tolerances.residul"),
+    "kernel_f_term": ("kernel", "kernel_extremal.json", lambda s: s["kernel"]["f"][2].update(bb=1), "kernel.f[2].bb"),
+    "kernel_coefficient_term": ("kernel", "kernel_extremal.json",
+                                lambda s: s["kernel"].update(kind="list", coefficients=[KERNEL_TERM]),
+                                "kernel.coefficients[0].aa"),
+    "pd_generator": ("pd", "two_atoms_natadd1.json",
+                     lambda s: s.update(pd={"generator": {"a": [1], "b": [0], "c": [2]}}), "pd.generator.c"),
+    "pd_pair_function": ("pd", "two_atoms_natadd1.json",
+                         lambda s: s.update(pd={"pair_function": dict(PAIR_FUNCTION, grdi=[[0]])}),
+                         "pd.pair_function.grdi"),
+    "pd_pair_function_value": ("pd", "two_atoms_natadd1.json",
+                               lambda s: (s.update(pd={"pair_function": json.loads(json.dumps(PAIR_FUNCTION))}),
+                                          s["pd"]["pair_function"]["values"][4].update(w=0)),
+                               "pd.pair_function.values[4].w"),
+    "pd_point": ("pd", "two_atoms_natadd1.json", lambda s: s.update(pd={"points": [{"s": [1], "t": [0], "u": [0]}]}),
+                 "pd.points[0].u"),
+    "pd_operator_term": ("pd", "two_atoms_natadd1.json",
+                         lambda s: s.update(pd={"operators": [[{"a": [1], "b": [0], "coeff": 1.0, "coef": 1.0}]]}),
+                         "pd.operators[0][0].coef"),
+    "random_vector_outcome": ("random-vector", "random_vector_two_point.json",
+                              lambda s: s["random_vector"]["outcomes"][1].update(q=0.5),
+                              "random_vector.outcomes[1].q"),
+}
+
+
+@pytest.mark.parametrize("case", list(NESTED_UNKNOWN_KEY_CASES))
+def test_unknown_nested_keys_are_rejected(tmp_path, case):
+    command, source, edit, path_text = NESTED_UNKNOWN_KEY_CASES[case]
+    scn = load_scenario_file(source)
+    edit(scn)
+    assert_scenario_invalid([command, write_scenario(tmp_path, scn, "")], f"{path_text}: unknown key")
+
+
 @pytest.mark.parametrize(
     "grid,path_text",
     [({"order": 3, "elements": [[1]]}, "grid: expected exactly one of"), ({"ordr": 3}, "grid.ordr"), ({}, "grid")],
@@ -518,7 +581,7 @@ def test_matrix_order_is_a_toeplitz_flag_only(capsys, command):
     assert "unrecognized arguments: --matrix-order" in capsys.readouterr().err
 
 
-def test_toeplitz_builds_one_disc_measure_and_one_matrix_per_element(monkeypatch):
+def test_toeplitz_route_builds_one_character_matrix_per_command(monkeypatch):
     calls = Counter()
 
     def counted(name, function):
@@ -528,14 +591,49 @@ def test_toeplitz_builds_one_disc_measure_and_one_matrix_per_element(monkeypatch
 
         return wrapper
 
-    # both binding sites: a rebuild inside lapcov.toeplitz counts too
-    for module in (cli, toeplitz):
-        for name in ("disc_measure", "toeplitz_matrix"):
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    code, out, _ = run_cli(build_argv("two_atoms_natadd1.json", ["toeplitz", "--matrix-order", "6"]))
-    assert code == 0
-    elements = len(json.loads(out)["per_element"])
-    assert calls == {"disc_measure": elements, "toeplitz_matrix": elements}
+    # the lapcov.toeplitz binding sites: a per-element rebuild inside the module counts too
+    for name in ("character_matrix", "symbol_values", "disc_measure", "moment_matrices", "toeplitz_matrix"):
+        monkeypatch.setattr(toeplitz, name, counted(name, getattr(toeplitz, name)))
+    for name in ("disc_measure", "moment_matrices", "toeplitz_matrix"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    per_grid = {"character_matrix": 1, "symbol_values": 1, "moment_matrices": 1}
+    for tail, expected in (
+        (["toeplitz", "--matrix-order", "6"], dict(per_grid, toeplitz_matrix=1)),
+        (["prony", "--k-max", "4"], per_grid),
+    ):
+        calls.clear()
+        code, out, _ = run_cli(build_argv("two_atoms_natadd1.json", tail))
+        assert code == 0 and len(json.loads(out)["per_element"]) == 4
+        assert calls == expected, tail[0]
+
+
+def test_prony_pencil_error_comes_from_the_first_failing_element(monkeypatch):
+    # a rank tolerance this small keeps noise directions in the pencil of elements [1] and [3]
+    argv = build_argv("two_atoms_natadd1.json", ["prony", "--rank-tol", "1e-300"])
+    scenario = load_scenario(argv[1])
+    failing = []
+    for i, s in enumerate(scenario.grid.elements):
+        nu = reference_disc_measure(scenario.measure, scenario.symbol, s)
+        try:
+            toeplitz.prony_recover(reference_prony_table(nu, 6), rel_tol=1e-300)
+        except RankDeficientPencil:
+            failing.append(i)
+    assert len(failing) > 1
+
+    seen = []
+    original = cli.prony_recover
+
+    def recording(table, **kwargs):
+        seen.append(table)
+        return original(table, **kwargs)
+
+    monkeypatch.setattr(cli, "prony_recover", recording)
+    code, out, err = run_cli(argv)
+    assert code == 1
+    message = "restricted moment pencil is numerically singular"
+    assert json.loads(out) == {"error": {"code": "rank_deficient_pencil", "message": message}}
+    assert err == f"error: {message}\n"
+    assert len(seen) == failing[0] + 1
 
 
 def test_unexpected_exceptions_become_internal_errors(monkeypatch):

@@ -10,7 +10,9 @@ from lapcov import (
     Symbol,
     character_value_from_atom,
     disc_measure,
+    disc_measures,
     luecking_check,
+    moment_matrices,
     moment_matrix,
     numerical_rank,
     prony_recover,
@@ -20,6 +22,7 @@ from lapcov import (
     toeplitz_matrix,
 )
 from lapcov.laplace import default_grid
+from lapcov.toeplitz import DEFAULT_MATRIX_ORDER, DEFAULT_RANK_TOL
 from lapcov.measures import symbol_values
 from lapcov.semigroups import character_matrix
 
@@ -30,6 +33,12 @@ from helpers import (
     random_point_mass,
     random_polynomial_symbol,
     random_unit_disc,
+    reference_disc_measure,
+    reference_luecking_rank,
+    reference_moment_matrix,
+    reference_moment_sigma,
+    reference_prony_table,
+    reference_toeplitz_sigma,
     slow_moment,
     slow_moment_table,
     toeplitz_profile,
@@ -92,6 +101,43 @@ def test_disc_measure_is_byte_equal_to_the_sup_norm_scaling(rng, semigroup, coun
             assert np.array(got.weights).tobytes() == np.array(want.weights).tobytes()
 
 
+def test_a_zero_weight_atom_still_sets_the_scale():
+    # |rho| peaks at the uncharged atom: 0.9 sets the scale 2 (1 + 0.9)
+    nu = disc_measure(measure((0.5, 1), (0.9, 0)), None, (1,))
+    assert np.allclose(nu.positions, [0.5 / 3.8, 0.9 / 3.8], rtol=1e-15, atol=0)
+    assert nu.weights == (1, 0)
+
+
+FAMILIES = [Semigroup.nat_add(2), Semigroup.nat_mult(3), Semigroup.half_line()]
+
+
+def _grid_measure(rng, semigroup, count):
+    """Random atoms; every third has weight zero, which still counts towards the scale."""
+    points = [random_character_point(rng, semigroup) for _ in range(count)]
+    weights = [0.0 if k % 3 == 1 else rng.uniform(0.1, 2.0) * random_phase(rng) for k in range(count)]
+    return AtomicMeasure(semigroup, tuple(zip(points, weights)))
+
+
+def _same_bytes(got: DiscMeasure, want: DiscMeasure) -> bool:
+    return (
+        np.array(got.positions).tobytes() == np.array(want.positions).tobytes()
+        and np.array(got.weights).tobytes() == np.array(want.weights).tobytes()
+    )
+
+
+@pytest.mark.parametrize("semigroup", FAMILIES, ids=lambda sg: sg.family)
+@pytest.mark.parametrize("count", [1, 4, 150])  # 150 atoms take character_matrix's array path
+def test_disc_measures_are_byte_equal_to_one_element_at_a_time(rng, semigroup, count):
+    mu = _grid_measure(rng, semigroup, count)
+    elements = default_grid(semigroup).elements
+    for symbol in (None, random_polynomial_symbol(rng, semigroup.point_dim)):
+        nus = disc_measures(mu, symbol, elements)
+        assert len(nus) == len(elements)
+        for nu, s in zip(nus, elements):
+            assert _same_bytes(nu, reference_disc_measure(mu, symbol, s))
+            assert _same_bytes(disc_measure(mu, symbol, s), nu)
+
+
 def test_disc_measure_rejects_outside_atoms():
     with pytest.raises(ValueError):
         DiscMeasure(((0.7, 1.0),))
@@ -136,18 +182,54 @@ def test_moment_matrix_matches_oracle(rng):
         assert np.allclose(table, oracle, atol=1e-14)
 
 
+def test_moment_matrices_keep_empty_and_zero_atom_measures():
+    nus = [DiscMeasure(()), DiscMeasure(((0.1, 2.0),)), DiscMeasure(())]
+    stack = moment_matrices(nus, 3, rows=4)
+    assert stack.shape == (3, 4, 3)
+    assert np.all(stack[0] == 0) and np.all(stack[2] == 0)
+    assert stack[1].tobytes() == reference_moment_matrix(nus[1], 3, rows=4).tobytes()
+    assert moment_matrices([], 2).shape == (0, 2, 2)
+    with pytest.raises(ValueError):
+        moment_matrices(nus, 0)
+
+
+@pytest.mark.parametrize("semigroup", FAMILIES, ids=lambda sg: sg.family)
+@pytest.mark.parametrize("count", [1, 4, 150])
+@pytest.mark.parametrize("order", [1, 2, 6, 12])
+def test_grid_stacks_are_byte_equal_to_one_element_at_a_time(rng, semigroup, count, order):
+    mu = _grid_measure(rng, semigroup, count)
+    elements = default_grid(semigroup).elements
+    for symbol in (None, random_polynomial_symbol(rng, semigroup.point_dim)):
+        nus = disc_measures(mu, symbol, elements)
+        if count > 1:
+            # at the identity every atom merges into one, elsewhere they stay apart: several matmul groups
+            assert len(nus[0].atoms) == 1 and len({len(nu.atoms) for nu in nus}) > 1
+        moments = moment_matrices(nus, order)
+        t_sigmas = np.linalg.svd(toeplitz_matrix(moments), compute_uv=False)
+        m_sigmas = np.linalg.svd(moments, compute_uv=False)
+        tables = moment_matrices(nus, order, rows=order + 1)
+        for i, nu in enumerate(nus):
+            assert moments[i].tobytes() == reference_moment_matrix(nu, order).tobytes()
+            assert moment_matrix(nu, order).tobytes() == moments[i].tobytes()
+            assert t_sigmas[i].tobytes() == reference_toeplitz_sigma(nu, order).tobytes()
+            assert m_sigmas[i].tobytes() == reference_moment_sigma(nu, order).tobytes()
+            check = luecking_check(nu, m_sigmas[i], DEFAULT_RANK_TOL)
+            assert check.rank == reference_luecking_rank(nu, order, DEFAULT_RANK_TOL)
+            assert tables[i].tobytes() == reference_prony_table(nu, order).tobytes()
+
+
 # -------------------------------------------------------- toeplitz matrix
 
 
 def test_toeplitz_matrix_examples():
-    origin = toeplitz_matrix(DiscMeasure(((0.0, 1.0),)), 2)
+    origin = toeplitz_matrix(moment_matrix(DiscMeasure(((0.0, 1.0),)), 2))
     assert np.allclose(origin, [[1 / math.pi, 0], [0, 0]], atol=1e-15)
 
-    single = toeplitz_matrix(DiscMeasure(((0.3, 1.0),)), 1)
+    single = toeplitz_matrix(moment_matrix(DiscMeasure(((0.3, 1.0),)), 1))
     assert np.allclose(single, [[1 / math.pi]], atol=1e-15)
 
     pair = DiscMeasure(((0.25, 1.0), (-0.25, 1.0)))
-    T = toeplitz_matrix(pair, 2)
+    T = toeplitz_matrix(moment_matrix(pair, 2))
     # oracle: T[1][1] = sqrt(4)/pi * sum m |a|^2 = (2/pi) * (1/8)
     t11 = 2 / math.pi * slow_moment(pair.atoms, 1, 1)
     assert abs(t11 - 1 / (4 * math.pi)) < 1e-15
@@ -159,7 +241,7 @@ def test_toeplitz_corner_is_mass_over_pi(rng):
     for _ in range(5):
         atoms = tuple((0.4 * random_phase(rng), rng.normal()) for _ in range(3))
         nu = DiscMeasure(atoms)
-        T = toeplitz_matrix(nu, 6)
+        T = toeplitz_matrix(moment_matrix(nu, 6))
         assert abs(T[0, 0] - nu.mass / math.pi) < 1e-13
 
 
@@ -173,7 +255,7 @@ def test_toeplitz_and_moment_ranks_agree(rng):
                 atoms.append((a, rng.uniform(0.1, 2.0) * random_phase(rng)))
         nu = DiscMeasure(tuple(atoms))
         order = count + 3
-        assert numerical_rank(toeplitz_matrix(nu, order)) == numerical_rank(moment_matrix(nu, order))
+        assert numerical_rank(toeplitz_matrix(moment_matrix(nu, order))) == numerical_rank(moment_matrix(nu, order))
 
 
 # ---------------------------------------------------------- numerical rank
@@ -189,11 +271,17 @@ def test_numerical_rank_examples():
 # ----------------------------------------------------------- luecking check
 
 
+def _luecking(nu, order=DEFAULT_MATRIX_ORDER):
+    return luecking_check(nu, np.linalg.svd(moment_matrix(nu, order), compute_uv=False))
+
+
 def test_luecking_examples():
-    assert luecking_check(DiscMeasure(((0.3, 1.0),))) == (1, 1, True)
-    assert luecking_check(DiscMeasure(((0.25, 1.0), (-0.25, 1.0))), 6) == (2, 2, True)
+    assert _luecking(DiscMeasure(((0.3, 1.0),))) == (1, 1, True)
+    assert _luecking(DiscMeasure(((0.25, 1.0), (-0.25, 1.0))), 6) == (2, 2, True)
     merged = DiscMeasure(((0.1, 1.0), (0.1, 1.0)))
-    assert luecking_check(merged, 6) == (1, 1, True)
+    assert _luecking(merged, 6) == (1, 1, True)
+    # a zero-weight atom is not charged: rank 1 against one atom
+    assert _luecking(DiscMeasure(((0.1, 1.0), (-0.2, 0.0))), 6) == (1, 1, True)
 
 
 def test_luecking_random_support_counts(rng):
@@ -204,7 +292,7 @@ def test_luecking_random_support_counts(rng):
             a = 0.45 * random_phase(rng) * math.sqrt(rng.uniform())
             if all(abs(a - b) >= 0.1 for b, _ in atoms):
                 atoms.append((a, rng.uniform(0.1, 2.0) * random_phase(rng)))
-        result = luecking_check(DiscMeasure(tuple(atoms)), 12)
+        result = _luecking(DiscMeasure(tuple(atoms)), 12)
         assert result.agree, f"rank {result.rank} vs {result.atom_count} atoms"
 
 
