@@ -91,6 +91,7 @@ from .shifts import (
 from .toeplitz import (
     DiscMeasure,
     LueckingResult,
+    Pencil,
     PronyResult,
     character_value_from_atom,
     disc_measure,
@@ -99,6 +100,7 @@ from .toeplitz import (
     moment_matrices,
     moment_matrix,
     numerical_rank,
+    prony_pencils,
     prony_recover,
     rank_one_check,
     toeplitz_matrix,

@@ -69,6 +69,7 @@ from .toeplitz import (
     luecking_check,
     moment_matrices,
     moment_matrix,
+    prony_pencils,
     prony_recover,
     rank_one_check,
     toeplitz_matrix,
@@ -247,8 +248,8 @@ def _cmd_prony(scenario, args):
     elements = scenario.grid.elements
     tables = moment_matrices(disc_measures(mu, scenario.symbol, elements), k_max, rows=k_max + 1)
     per_element = []
-    for s, table in zip(elements, tables):
-        result = prony_recover(table, rel_tol=rank_tol)
+    for s, table, pencil in zip(elements, tables, prony_pencils(tables, rank_tol)):
+        result = prony_recover(table, pencil=pencil)
         entry = {
             "s": element_to_json(mu.semigroup, s),
             "rank": result.rank,

@@ -29,7 +29,7 @@ def check_keys(data, keys, path: str) -> dict:
         _fail(path, "expected an object")
     for key in data:
         if key not in keys:
-            _fail(f"{path}.{key}", f"unknown key; expected one of {', '.join(keys)}")
+            _fail(f"{path}.{key}" if path else key, f"unknown key; expected one of {', '.join(keys)}")
     return data
 
 
@@ -156,12 +156,12 @@ def parse_semigroup(data, path: str = "semigroup") -> Semigroup:
     if not isinstance(kind, str) or kind not in _SEMIGROUP_KEYS:
         _fail(f"{path}.kind", f"unknown semigroup kind {kind!r}")
     check_keys(data, _SEMIGROUP_KEYS[kind], path)
-    try:
-        if kind == NAT_ADD:
-            return Semigroup.nat_add(int(data.get("d", 1)))
-        if kind == NAT_MULT:
-            return Semigroup.nat_mult(int(data.get("primes", 1)))
+    if kind == HALF_LINE:
         return Semigroup.half_line()
+    key = _SEMIGROUP_KEYS[kind][1]
+    size = parse_positive_int(data.get(key, 1), f"{path}.{key}")
+    try:
+        return Semigroup.nat_add(size) if kind == NAT_ADD else Semigroup.nat_mult(size)
     except Exception as exc:
         _fail(path, str(exc))
 
@@ -302,6 +302,8 @@ def parse_kernel(data, path: str = "kernel"):
         _fail(f"{path}.truncation", "expected a nonnegative integer")
     kind = data.get("kind", "bergman" if "coefficients" not in data else "list")
     if kind == "bergman":
+        if "coefficients" in data:
+            _fail(f"{path}.coefficients", "the bergman kernel takes no coefficients")
         kernel = KernelCoefficients.bergman(truncation)
     elif kind == "list":
         raw = data.get("coefficients")
@@ -429,6 +431,11 @@ def parse_shift_operators(semigroup: Semigroup, data, path: str = "pd.operators"
     return operators
 
 
+SCENARIO_KEYS = (
+    "semigroup", "measure", "symbol", "grid", "tolerances", "toeplitz", "prony", "pd", "random_vector", "kernel"
+)
+
+
 @dataclass
 class Scenario:
     """Parsed scenario: the engine inputs plus the raw command sections."""
@@ -444,6 +451,7 @@ class Scenario:
 def parse_scenario(data, grid_order: int = None, tol_overrides: dict = None) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario root must be a JSON object")
+    check_keys(data, SCENARIO_KEYS, "")
     semigroup = measure = grid = None
     if "semigroup" in data:
         semigroup = parse_semigroup(data["semigroup"])

@@ -11,9 +11,11 @@ cross-check of the transform route.
 
 A grid is handled as stacks: ``disc_measures`` reads one character matrix and
 one vector of symbol values for all elements, ``moment_matrices`` builds one
-Vandermonde stack and one stacked matmul per atom count, and
-``toeplitz_matrix`` and ``np.linalg.svd`` take the whole stack.  Each element's
-matrices and singular values are byte-equal to building them one at a time.
+Vandermonde stack and one stacked matmul per atom count,
+``toeplitz_matrix`` and ``np.linalg.svd`` take the whole stack, and
+``prony_pencils`` takes one SVD for every pencil and one ``eigvals`` per rank.
+Each element's matrices, singular values and pencil eigenvalues are byte-equal
+to building them one at a time.
 """
 
 import math
@@ -175,7 +177,46 @@ class PronyResult(NamedTuple):
     rank: int
 
 
-def prony_recover(nu, k_max: int = None, rel_tol: float = DEFAULT_RANK_TOL) -> PronyResult:
+class Pencil(NamedTuple):
+    rank: int               # numerical rank of the unshifted block
+    positions: np.ndarray   # pencil eigenvalues, in LAPACK's order
+    error: str              # why the restricted pencil cannot be solved, or None
+
+
+def prony_pencils(tables: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> list:
+    """The Hua-Sarkar pencil of each moment table in a (n, rows, cols) stack, in order.
+
+    One SVD takes every unshifted block ``tables[:, :-1, :]``; the rank r of
+    each is read from its singular values.  Since Ur^H unshifted Vr =
+    diag(sigma_1..sigma_r), the restricted pencil is the standard eigenproblem
+    of (Ur^H shifted Vr) / sigma, and tables of equal rank share one matmul and
+    one ``eigvals``.  Each pencil is byte-equal to solving its table alone.
+    Nothing is raised: a pencil that is singular beyond tolerance or has
+    non-finite eigenvalues carries the message in ``error``.
+    """
+    tables = np.asarray(tables, dtype=complex)
+    U, sigmas, Vh = np.linalg.svd(tables[:, :-1, :])
+    pencils = [Pencil(0, np.empty(0, dtype=complex), None)] * len(tables)
+    groups = {}
+    for i, sigma in enumerate(sigmas):
+        rank = _rank_from_sigma(sigma, rel_tol)
+        if rank == 0:
+            continue
+        if sigma[rank - 1] <= 1e-13 * sigma[0]:
+            pencils[i] = Pencil(rank, None, "restricted moment pencil is numerically singular")
+        else:
+            groups.setdefault(rank, []).append(i)
+    for rank, index in groups.items():
+        Ur = U[index, :, :rank]
+        Vr = Vh[index, :rank, :].conj().transpose(0, 2, 1)
+        restricted = Ur.conj().transpose(0, 2, 1) @ tables[index, 1:, :] @ Vr
+        for i, positions in zip(index, np.linalg.eigvals(restricted / sigmas[index, :rank, None])):
+            finite = bool(np.all(np.isfinite(positions)))
+            pencils[i] = Pencil(rank, positions, None if finite else "pencil eigenvalues are not finite")
+    return pencils
+
+
+def prony_recover(nu, k_max: int = None, rel_tol: float = DEFAULT_RANK_TOL, pencil: Pencil = None) -> PronyResult:
     """Recover atoms of a disc measure from its moment matrix by a matrix pencil.
 
     Accepts a DiscMeasure (moments are then computed exactly) or a complex
@@ -184,7 +225,9 @@ def prony_recover(nu, k_max: int = None, rel_tol: float = DEFAULT_RANK_TOL) -> P
     numerical rank of the unshifted block; positions are the eigenvalues of
     the row-shifted pencil restricted to the dominant r-dimensional singular
     subspace (Hua & Sarkar's matrix pencil), and weights follow by least
-    squares against the full moment table.
+    squares against the full moment table.  ``pencil`` is the table's entry
+    from ``prony_pencils``; when it is omitted, ``prony_pencils`` is called on
+    the table alone with ``rel_tol``.
 
     Raises RankDeficientPencil when the restricted pencil is singular beyond
     tolerance (possible for user-supplied moment tables of inconsistent rank).
@@ -200,26 +243,18 @@ def prony_recover(nu, k_max: int = None, rel_tol: float = DEFAULT_RANK_TOL) -> P
         if k_max is not None and k_max + 1 <= table.shape[0] - 1 and k_max <= table.shape[1]:
             table = table[: k_max + 1, :k_max]
 
-    unshifted = table[:-1, :]
-    shifted = table[1:, :]
-    U, sigma, Vh = np.linalg.svd(unshifted)
-    rank = _rank_from_sigma(sigma, rel_tol)
+    if pencil is None:
+        pencil = prony_pencils(table[None], rel_tol)[0]
+    if pencil.error is not None:
+        raise RankDeficientPencil(pencil.error)
+    rank, positions = pencil.rank, pencil.positions
     if rank == 0:
         return PronyResult((), 0.0, 0)
 
-    if sigma[rank - 1] <= 1e-13 * sigma[0]:
-        raise RankDeficientPencil("restricted moment pencil is numerically singular")
-    # Ur^H unshifted Vr = diag(sigma_1..sigma_r), so the pencil is a standard eigenproblem
-    Ur = U[:, :rank]
-    Vr = Vh[:rank, :].conj().T
-    positions = np.linalg.eigvals((Ur.conj().T @ shifted @ Vr) / sigma[:rank, None])
-    if not np.all(np.isfinite(positions)):
-        raise RankDeficientPencil("pencil eigenvalues are not finite")
-
     rows, cols = table.shape
     V = _power_columns(positions, rows)
-    W = _power_columns(positions, cols)
-    design = np.stack([np.outer(V[:, i], W[:, i].conj()).ravel() for i in range(rank)], axis=1)
+    W = V[:cols]
+    design = (V[:, None, :] * W.conj()[None, :, :]).reshape(rows * cols, rank)
     weights, *_ = np.linalg.lstsq(design, table.ravel(), rcond=None)
     table_norm = float(np.linalg.norm(table))
     misfit = float(np.linalg.norm(design @ weights - table.ravel()))

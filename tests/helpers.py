@@ -13,7 +13,8 @@ import numpy as np
 from lapcov import AtomicMeasure, DiscMeasure, Semigroup, Symbol, disc_measure, moment_matrix, toeplitz_matrix
 from lapcov.measures import symbol_values
 from lapcov.semigroups import character_matrix
-from lapcov.toeplitz import DEFAULT_MATRIX_ORDER, numerical_rank
+from lapcov.errors import RankDeficientPencil
+from lapcov.toeplitz import DEFAULT_MATRIX_ORDER, DEFAULT_RANK_TOL, PronyResult, numerical_rank
 
 
 # ---------------------------------------------------------------- oracles
@@ -209,6 +210,47 @@ def reference_luecking_rank(nu: DiscMeasure, order: int, rel_tol: float) -> int:
 def reference_prony_table(nu: DiscMeasure, k_max: int) -> np.ndarray:
     """The (k_max + 1) x k_max moment table that the pencil recovery reads."""
     return reference_moment_matrix(nu, k_max, rows=k_max + 1)
+
+
+def _reference_power_columns(positions, rows: int) -> np.ndarray:
+    V = np.ones((rows, len(positions)), dtype=complex)
+    for j in range(1, rows):
+        V[j, :] = V[j - 1, :] * positions
+    return V
+
+
+def reference_prony_recover(table: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> PronyResult:
+    """The matrix-pencil recovery of one moment table, solved on its own.
+
+    Its own SVD, ``eigvals``, two Vandermonde builds and an outer-product
+    design per table: the per-element form that ``prony_pencils`` batches.
+    """
+    unshifted = table[:-1, :]
+    shifted = table[1:, :]
+    U, sigma, Vh = np.linalg.svd(unshifted)
+    rank = 0 if sigma[0] == 0.0 else int(np.count_nonzero(sigma > rel_tol * sigma[0]))
+    if rank == 0:
+        return PronyResult((), 0.0, 0)
+
+    if sigma[rank - 1] <= 1e-13 * sigma[0]:
+        raise RankDeficientPencil("restricted moment pencil is numerically singular")
+    Ur = U[:, :rank]
+    Vr = Vh[:rank, :].conj().T
+    positions = np.linalg.eigvals((Ur.conj().T @ shifted @ Vr) / sigma[:rank, None])
+    if not np.all(np.isfinite(positions)):
+        raise RankDeficientPencil("pencil eigenvalues are not finite")
+
+    rows, cols = table.shape
+    V = _reference_power_columns(positions, rows)
+    W = _reference_power_columns(positions, cols)
+    design = np.stack([np.outer(V[:, i], W[:, i].conj()).ravel() for i in range(rank)], axis=1)
+    weights, *_ = np.linalg.lstsq(design, table.ravel(), rcond=None)
+    table_norm = float(np.linalg.norm(table))
+    misfit = float(np.linalg.norm(design @ weights - table.ravel()))
+    residual = misfit / table_norm if table_norm > 0 else 0.0
+
+    atoms = sorted(zip(positions, weights), key=lambda am: (am[0].real, am[0].imag))
+    return PronyResult(tuple((complex(a), complex(m)) for a, m in atoms), residual, rank)
 
 
 # ------------------------------------------------------ package shortcuts

@@ -553,6 +553,9 @@ NESTED_UNKNOWN_KEY_CASES = {
     "random_vector_outcome": ("random-vector", "random_vector_two_point.json",
                               lambda s: s["random_vector"]["outcomes"][1].update(q=0.5),
                               "random_vector.outcomes[1].q"),
+    # a misspelt section would otherwise run with the default tolerances
+    "top_level": ("covariance", "two_atoms_natadd1.json", lambda s: s.update(tolerance={"residual": 1000.0}),
+                  "tolerance"),
 }
 
 
@@ -562,6 +565,22 @@ def test_unknown_nested_keys_are_rejected(tmp_path, case):
     scn = load_scenario_file(source)
     edit(scn)
     assert_scenario_invalid([command, write_scenario(tmp_path, scn, "")], f"{path_text}: unknown key")
+
+
+@pytest.mark.parametrize("kind,key", [("nat_add", "d"), ("nat_mult", "primes")])
+@pytest.mark.parametrize("value", ["1.9", '"1"'])
+def test_semigroup_size_must_be_a_positive_int(tmp_path, kind, key, value):
+    # int() would truncate 1.9 and parse "1", so both ran as a one-dimensional semigroup
+    scn = load_scenario_file("two_atoms_natadd1.json")
+    scn["semigroup"] = {"kind": kind, key: "VALUE"}
+    assert_scenario_invalid(["covariance", write_scenario(tmp_path, scn, value)], f"semigroup.{key}")
+
+
+def test_bergman_kernel_rejects_coefficients(tmp_path):
+    # the Bergman kernel's coefficients are fixed; listed ones would be ignored
+    scn = load_scenario_file("kernel_extremal.json")
+    scn["kernel"]["coefficients"] = [{"m": [0], "n": [0], "a": 5.0}]
+    assert_scenario_invalid(["kernel", write_scenario(tmp_path, scn, "")], "kernel.coefficients")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,13 +16,16 @@ from lapcov import (
     moment_matrices,
     moment_matrix,
     numerical_rank,
+    prony_pencils,
     prony_recover,
     rank_one_check,
     recover_point_mass,
     sup_norm,
     toeplitz_matrix,
 )
+from lapcov.errors import RankDeficientPencil
 from lapcov.laplace import default_grid
+from lapcov.scenario import load_scenario
 from lapcov.toeplitz import DEFAULT_MATRIX_ORDER, DEFAULT_RANK_TOL
 from lapcov.measures import symbol_values
 from lapcov.semigroups import character_matrix
@@ -37,6 +41,7 @@ from helpers import (
     reference_luecking_rank,
     reference_moment_matrix,
     reference_moment_sigma,
+    reference_prony_recover,
     reference_prony_table,
     reference_toeplitz_sigma,
     slow_moment,
@@ -45,6 +50,7 @@ from helpers import (
 )
 
 SG1 = Semigroup.nat_add(1)
+SCENARIOS = os.path.join(os.path.dirname(__file__), "data", "scenarios")
 
 
 def measure(*atoms):
@@ -401,6 +407,66 @@ def test_prony_route_matches_transform_route(rng):
             assert result.rank == 1
             gamma2 = character_value_from_atom(mu, s, result.atoms[0][0])
             assert abs(gamma2 - table[s]) < 1e-8
+
+
+def _recover_or_error(recover):
+    try:
+        return recover()
+    except RankDeficientPencil as exc:
+        return str(exc)
+
+
+def _same_recovery(got, want) -> bool:
+    """Byte-equal atoms, an equal residual and rank, or the same pencil error message."""
+    if isinstance(got, str) or isinstance(want, str):
+        return got == want
+    return (
+        got.rank == want.rank
+        and got.residual == want.residual
+        and np.array(got.atoms, dtype=complex).tobytes() == np.array(want.atoms, dtype=complex).tobytes()
+    )
+
+
+def _assert_batched_pencils_match_one_table_at_a_time(tables, rel_tol=DEFAULT_RANK_TOL):
+    pencils = prony_pencils(tables, rel_tol)
+    assert len(pencils) == len(tables)
+    for table, pencil in zip(tables, pencils):
+        want = _recover_or_error(lambda: reference_prony_recover(table, rel_tol))
+        assert _same_recovery(_recover_or_error(lambda: prony_recover(table, pencil=pencil)), want)
+        assert _same_recovery(_recover_or_error(lambda: prony_recover(table, rel_tol=rel_tol)), want)
+    return pencils
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 4, 6])
+def test_prony_pencils_of_mixed_ranks_match_one_table_at_a_time(rng, k_max):
+    # measures of 0-4 atoms, the zero table and full-rank noise share one stack: several rank groups
+    tables = [np.zeros((k_max + 1, k_max), dtype=complex)]
+    for count in (0, 1, 2, 3, 4, 1, 2, 3, 4):
+        atoms = tuple((0.45 * random_unit_disc(rng), rng.uniform(0.1, 2.0) * random_phase(rng)) for _ in range(count))
+        tables.append(moment_matrix(DiscMeasure(atoms or ((0.1, 0.0),)), k_max, rows=k_max + 1))
+    tables += [rng.normal(size=(k_max + 1, k_max)) + 1j * rng.normal(size=(k_max + 1, k_max)) for _ in range(3)]
+    pencils = _assert_batched_pencils_match_one_table_at_a_time(np.array(tables))
+    ranks = [pencil.rank for pencil in pencils]
+    assert ranks[:2] == [0, 0]
+    assert set(ranks) == set(range(min(k_max, 4) + 1)) | {k_max}
+
+
+@pytest.mark.parametrize("semigroup", FAMILIES, ids=lambda sg: sg.family)
+@pytest.mark.parametrize("k_max", [1, 2, 4, 6])
+def test_prony_pencils_on_grids_match_one_table_at_a_time(rng, semigroup, k_max):
+    mu = _grid_measure(rng, semigroup, 4)
+    for symbol in (None, random_polynomial_symbol(rng, semigroup.point_dim)):
+        nus = disc_measures(mu, symbol, default_grid(semigroup).elements)
+        _assert_batched_pencils_match_one_table_at_a_time(moment_matrices(nus, k_max, rows=k_max + 1))
+
+
+def test_prony_pencil_errors_match_one_table_at_a_time():
+    # a rank tolerance this small keeps noise directions in the pencil of some elements
+    scenario = load_scenario(os.path.join(SCENARIOS, "two_atoms_natadd1.json"))
+    nus = disc_measures(scenario.measure, scenario.symbol, scenario.grid.elements)
+    pencils = _assert_batched_pencils_match_one_table_at_a_time(moment_matrices(nus, 6, rows=7), 1e-300)
+    errors = [i for i, pencil in enumerate(pencils) if pencil.error is not None]
+    assert errors and errors != list(range(len(pencils)))
 
 
 def test_character_value_from_atom_inverts_scaling():

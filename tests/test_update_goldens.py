@@ -28,6 +28,16 @@ def test_check_passes_on_the_committed_goldens():
     assert golden_bytes(GOLDEN) == before
 
 
+def test_check_runs_without_pythonpath(tmp_path):
+    # the documented command works from a bare checkout: the script finds src/ itself
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, SCRIPT, "--check"], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert len(result.stdout.splitlines()) == len(GOLDEN_CASES)
+
+
 def test_check_reports_drift_and_fails(tmp_path, capsys):
     shutil.copytree(GOLDEN, tmp_path, dirs_exist_ok=True)
     pd_path = tmp_path / "two_atoms_natadd1__pd.json"

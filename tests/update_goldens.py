@@ -17,7 +17,8 @@ import json
 import os
 import sys
 
-sys.path.insert(0, os.path.dirname(__file__))
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
 
 from lapcov.cli import main  # noqa: E402
 from test_cli import GOLDEN, GOLDEN_CASES, build_argv  # noqa: E402
