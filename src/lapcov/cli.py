@@ -24,7 +24,7 @@ from .errors import (
     ZeroWeightAtom,
 )
 from .kernels import DEGENERATE as KERNEL_DEGENERATE
-from .kernels import default_z_grid, kernel_recover, truncation_tail_bound
+from .kernels import kernel_recover, truncation_tail_bound
 from .laplace import (
     NOT_POINT_MASS,
     POINT_MASS,
@@ -38,23 +38,10 @@ from .laplace import (
 from .measures import total_mass
 from .randomvectors import CONSTANT, decide_constant_vector
 from .report import dumps, encode_complex, format_float
-from .scenario import (
-    check_keys,
-    element_to_json,
-    load_scenario,
-    parse_element,
-    parse_element_pairs,
-    parse_generator,
-    parse_json,
-    parse_kernel,
-    parse_pair_function,
-    parse_positive_int,
-    parse_random_vector,
-    parse_shift_operators,
-    point_to_json,
-)
+from .scenario import element, element_to_json, load_scenario, parse, parse_json, point_to_json
 from .semigroups import NAT_ADD, identity
 from .shifts import (
+    ShiftCombination,
     admissible_generator,
     bv_norm,
     pair_function_from_measure,
@@ -62,8 +49,6 @@ from .shifts import (
     semicharacter_defect,
 )
 from .toeplitz import (
-    DEFAULT_MATRIX_ORDER,
-    character_value_from_atom,
     disc_measure,
     disc_measures,
     luecking_check,
@@ -101,14 +86,6 @@ def _require(scenario, field: str):
     if value is None:
         raise _CommandError("scenario_invalid", f"this command needs a '{field}' section")
     return value
-
-
-def _positive_setting(flag_value, flag: str, scenario, section: str, key: str, default: int) -> int:
-    """A positive integer from the command-line flag, else the scenario section, else the default."""
-    data = check_keys(scenario.raw.get(section, {}), (key,), section)
-    if flag_value is not None:
-        return parse_positive_int(flag_value, flag)
-    return parse_positive_int(data.get(key, default), f"{section}.{key}")
 
 
 def _grid_fields(grid) -> dict:
@@ -195,9 +172,7 @@ def _cmd_recover(scenario, args):
 
 def _cmd_toeplitz(scenario, args):
     mu = _require(scenario, "measure")
-    order = _positive_setting(
-        args.matrix_order, "--matrix-order", scenario, "toeplitz", "matrix_order", DEFAULT_MATRIX_ORDER
-    )
+    order = scenario.section("toeplitz", matrix_order=args.matrix_order)["matrix_order"]
     rank_tol = scenario.tolerances.rank
     elements = scenario.grid.elements
     nus = disc_measures(mu, scenario.symbol, elements)
@@ -224,10 +199,10 @@ def _cmd_toeplitz(scenario, args):
         "per_element": per_element,
     }
     if args.moments_csv:
-        element = identity(mu.semigroup)
+        s = identity(mu.semigroup)
         if args.csv_element is not None:
-            element = parse_element(mu.semigroup, parse_json(args.csv_element, "--csv-element"), "--csv-element")
-        matrix = moment_matrix(disc_measure(mu, scenario.symbol, element), order)
+            s = parse(element, parse_json(args.csv_element, "--csv-element"), "--csv-element", mu.semigroup)
+        matrix = moment_matrix(disc_measure(mu, scenario.symbol, s), order)
         with open(args.moments_csv, "w", encoding="utf-8") as handle:
             for row in matrix:
                 handle.write(",".join(format_float(x) for value in row for x in (value.real, value.imag)) + "\n")
@@ -238,17 +213,18 @@ def _cmd_toeplitz(scenario, args):
 
 def _cmd_prony(scenario, args):
     mu = _require(scenario, "measure")
-    k_max = _positive_setting(args.k_max, "--k-max", scenario, "prony", "k_max", 6)
+    k_max = scenario.section("prony", k_max=args.k_max)["k_max"]
     rank_tol = scenario.tolerances.rank
-    direct_table = None
+    direct_table = {}
     try:
         _, direct_table = recover_point_mass(mu, scenario.symbol, scenario.grid, scenario.tolerances)
     except FMuIntegralZero:
         pass
     elements = scenario.grid.elements
-    tables = moment_matrices(disc_measures(mu, scenario.symbol, elements), k_max, rows=k_max + 1)
+    nus = disc_measures(mu, scenario.symbol, elements)
+    tables = moment_matrices(nus, k_max, rows=k_max + 1)
     per_element = []
-    for s, table, pencil in zip(elements, tables, prony_pencils(tables, rank_tol)):
+    for s, nu, table, pencil in zip(elements, nus, tables, prony_pencils(tables, rank_tol)):
         result = prony_recover(table, pencil=pencil)
         entry = {
             "s": element_to_json(mu.semigroup, s),
@@ -259,11 +235,9 @@ def _cmd_prony(scenario, args):
             ],
             "reconstruction_residual": result.residual,
         }
-        from_atom = direct = None
-        if result.rank == 1:
-            from_atom = character_value_from_atom(mu, s, result.atoms[0][0])
-        if direct_table is not None:
-            direct = direct_table.get(s)
+        # a rank-one pencil's atom, scaled back from the disc, is a character value
+        from_atom = nu.scale * result.atoms[0][0] if result.rank == 1 else None
+        direct = direct_table.get(s)
         entry["character_from_atom"] = encode_complex(from_atom) if from_atom is not None else None
         entry["character_direct"] = encode_complex(direct) if direct is not None else None
         entry["route_difference"] = (
@@ -281,10 +255,10 @@ def _cmd_prony(scenario, args):
 
 
 def _cmd_pd(scenario, args):
-    section = check_keys(scenario.raw.get("pd", {}), ("pair_function", "points", "operators", "generator"), "pd")
     sg = _require(scenario, "semigroup")
+    section = scenario.section("pd")
     if "pair_function" in section:
-        f = parse_pair_function(sg, section["pair_function"])
+        f = section["pair_function"]
         grid = f.grid
     else:
         mu = _require(scenario, "measure")
@@ -292,7 +266,7 @@ def _cmd_pd(scenario, args):
         f = pair_function_from_measure(mu, grid, scenario.symbol)
     e = identity(sg)
     if "points" in section:
-        points = parse_element_pairs(sg, section["points"])
+        points = section["points"]
     else:
         points = [(s, e) for s in grid.elements[:6]]
 
@@ -311,11 +285,11 @@ def _cmd_pd(scenario, args):
         "semicharacter_defect": defect,
     }
     if "operators" in section:
-        operators = parse_shift_operators(sg, section["operators"])
+        operators = [ShiftCombination(terms) for terms in section["operators"]]
         report["bv_operator_count"] = len(operators)
     else:
         if "generator" in section:
-            pair = parse_generator(sg, section["generator"])
+            pair = section["generator"]
         else:
             non_identity = [s for s in grid.elements if s != e]
             pair = (non_identity[0] if non_identity else e, e)
@@ -329,12 +303,9 @@ def _cmd_pd(scenario, args):
 
 
 def _cmd_random_vector(scenario, args):
-    section = scenario.raw.get("random_vector")
-    if section is None:
-        raise _CommandError("scenario_invalid", "this command needs a 'random_vector' section")
-    rv = parse_random_vector(section)
-    max_order = parse_positive_int(section.get("max_order", 3), "random_vector.max_order")
-    verdict = decide_constant_vector(rv, max_order=max_order, tol=scenario.tolerances)
+    section = scenario.section("random_vector")
+    max_order = section["max_order"]
+    verdict = decide_constant_vector(section["outcomes"], max_order=max_order, tol=scenario.tolerances)
     report = {"command": "random_vector", "verdict": verdict.kind, "max_order": max_order}
     if verdict.kind == CONSTANT:
         report["zeta"] = point_to_json(verdict.point)
@@ -352,15 +323,11 @@ def _cmd_kernel(scenario, args):
     mu = _require(scenario, "measure")
     if mu.semigroup.family != NAT_ADD:
         raise _CommandError("scenario_invalid", "the kernel command needs a nat_add measure")
-    section = scenario.raw.get("kernel")
-    if section is None:
-        raise _CommandError("scenario_invalid", "this command needs a 'kernel' section")
-    kernel, f_coefficients, z_grid, residual_tol = parse_kernel(section)
+    section = scenario.section("kernel")
+    kernel, z_grid = section["coefficients"], section["z_points"]
     verdict = kernel_recover(
-        kernel, f_coefficients, mu, z_grid=z_grid, residual_tol=residual_tol, tol=scenario.tolerances
+        kernel, section["f"], mu, z_grid=z_grid, residual_tol=section["residual_tol"], tol=scenario.tolerances
     )
-    if z_grid is None:
-        z_grid = default_z_grid(kernel.z_dim)
     z_norm = max((sum(abs(v) ** 2 for v in z) ** 0.5 for z in z_grid), default=0.0)
     w_norm = max((sum(abs(v) ** 2 for v in p) ** 0.5 for p in mu.points), default=0.0)
     tail = truncation_tail_bound(kernel, z_norm, w_norm) if z_norm * w_norm <= 0.25 else None

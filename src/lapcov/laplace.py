@@ -177,7 +177,7 @@ def transform_block(mu: AtomicMeasure, symbol, rows, cols, mode: str = MODE_F) -
         raise ValueError(f"unknown symbol mode {mode!r}")
     wf = np.array(mu.weights, dtype=complex) * fv
     ps = character_matrix(sg, mu.points, rows)
-    pt = character_matrix(sg, mu.points, cols)
+    pt = ps if cols == rows else character_matrix(sg, mu.points, cols)
     left_re, left_im = complex_product(wf.real[:, None], wf.imag[:, None], ps.real, ps.imag)
     out = np.zeros((len(rows), len(cols)), dtype=complex)
     for k in range(len(wf)):

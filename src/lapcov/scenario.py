@@ -4,6 +4,11 @@ Complex numbers are [re, im] pairs (a bare number is accepted as a real).
 Elements are encoded per semigroup family: a list of ints for nat_add, an
 int for nat_mult, a number for half_line.  Character points are arrays of
 complex pairs.
+
+Each JSON object of a scenario has one table in ``SECTIONS``: its keys, the
+leaf parser of each, its required keys and its cross-field rules.  A leaf
+raises ``Invalid`` with the failing position below its value and each table
+prefixes its key, so a JSON path is formatted only when a value fails.
 """
 
 import json
@@ -12,25 +17,35 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ScenarioError
-from .kernels import DEFAULT_TRUNCATION, KernelCoefficients
+from .kernels import DEFAULT_TRUNCATION, KernelCoefficients, default_z_grid
 from .laplace import EvaluationGrid, Tolerances, default_grid
 from .measures import AtomicMeasure, Symbol
 from .randomvectors import DiscreteRandomVector
 from .semigroups import HALF_LINE, NAT_ADD, NAT_MULT, Semigroup, validate_element
+from .shifts import PairFunction
+from .toeplitz import DEFAULT_MATRIX_ORDER
 
 
-def _fail(path: str, message: str):
-    raise ScenarioError(f"{path}: {message}")
+class Invalid(Exception):
+    """A value that its parser rejects: the message, and the JSON path below the parsed value."""
+
+    def __init__(self, message: str, where: str = ""):
+        super().__init__(message)
+        self.message = message
+        self.where = where
+
+    def at(self, step: str) -> "Invalid":
+        self.where = step + self.where
+        return self
 
 
-def check_keys(data, keys, path: str) -> dict:
-    """``data`` itself, once it is an object whose keys are all among ``keys``: a misspelt key is an error."""
-    if not isinstance(data, dict):
-        _fail(path, "expected an object")
-    for key in data:
-        if key not in keys:
-            _fail(f"{path}.{key}" if path else key, f"unknown key; expected one of {', '.join(keys)}")
-    return data
+def parse(leaf, value, path: str, semigroup: Semigroup = None):
+    """``leaf(value, semigroup)``, a failure raised as a ScenarioError that names its path below ``path``."""
+    try:
+        return leaf(value, semigroup)
+    except Invalid as exc:
+        where = (path + exc.where).lstrip(".")
+        raise ScenarioError(f"{where}: {exc.message}" if where else exc.message) from None
 
 
 class _NonFinite:
@@ -78,60 +93,71 @@ def parse_json(text: str, path: str = ""):
     try:
         data = json.loads(text, parse_constant=non_finite, parse_float=finite_float, parse_int=finite_int)
     except json.JSONDecodeError as exc:
-        _fail(path or "scenario", f"not valid JSON: {exc}")
+        raise ScenarioError(f"{path or 'scenario'}: not valid JSON: {exc}") from None
     if rejected:
         where, token = _non_finite_path(data, path)
-        _fail(where or "scenario", f"number {token} is not a finite float")
+        raise ScenarioError(f"{where or 'scenario'}: number {token} is not a finite float")
     return data
 
 
-def parse_complex(value, path: str) -> complex:
-    if isinstance(value, bool):
-        _fail(path, "expected a complex number, got a boolean")
-    if isinstance(value, (int, float)):
+# ------------------------------------------------------------ leaf parsers
+
+_NUMBERS = (int, float)  # exact types: a JSON bool is not a number here
+
+
+def complex_number(value, semigroup=None) -> complex:
+    if type(value) in _NUMBERS:
         return complex(float(value), 0.0)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
+    if type(value) is list and len(value) == 2 and type(value[0]) in _NUMBERS and type(value[1]) in _NUMBERS:
         return complex(float(value[0]), float(value[1]))
-    _fail(path, "expected [re, im] (or a bare real number)")
+    if isinstance(value, bool):
+        raise Invalid("expected a complex number, got a boolean")
+    raise Invalid("expected [re, im] (or a bare real number)")
 
 
-def parse_point(value, path: str) -> tuple:
-    if not isinstance(value, list) or not value:
-        _fail(path, "expected a nonempty array of complex coordinates")
-    return tuple(parse_complex(v, f"{path}[{i}]") for i, v in enumerate(value))
+def positive_int(value, semigroup=None) -> int:
+    if type(value) is not int or value < 1:
+        raise Invalid("expected a positive integer")
+    return value
 
 
-def parse_multi_index(value, path: str) -> tuple:
-    """A multi-index: an array of nonnegative ints."""
-    if not isinstance(value, list):
-        _fail(path, "expected a multi-index array")
-    for i, x in enumerate(value):
-        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-            _fail(f"{path}[{i}]", "expected a nonnegative integer")
-    return tuple(value)
+def nonnegative_int(value, semigroup=None) -> int:
+    if type(value) is not int or value < 0:
+        raise Invalid("expected a nonnegative integer")
+    return value
 
 
-def parse_element(semigroup: Semigroup, value, path: str):
+def positive_number(value, semigroup=None) -> float:
+    if type(value) not in _NUMBERS or not 0 < value < math.inf:
+        raise Invalid("expected a positive number")
+    return float(value)
+
+
+def probability(value, semigroup=None) -> float:
+    if type(value) not in _NUMBERS:
+        raise Invalid("expected a probability")
+    return float(value)
+
+
+_ELEMENT_TYPES = {
+    NAT_ADD: ((list,), "nat_add elements are arrays of nonnegative ints"),
+    NAT_MULT: ((int,), "nat_mult elements are positive ints"),
+    HALF_LINE: ((int, float), "half_line elements are nonnegative numbers"),
+}
+
+
+def element(value, semigroup: Semigroup):
+    types, message = _ELEMENT_TYPES[semigroup.family]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise Invalid(message)
     try:
-        if semigroup.family == NAT_ADD:
-            if not isinstance(value, list):
-                _fail(path, "nat_add elements are arrays of nonnegative ints")
-            return validate_element(semigroup, value)
-        if semigroup.family == NAT_MULT:
-            if not isinstance(value, int) or isinstance(value, bool):
-                _fail(path, "nat_mult elements are positive ints")
-            return validate_element(semigroup, value)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            _fail(path, "half_line elements are nonnegative numbers")
         return validate_element(semigroup, value)
-    except ScenarioError:
-        raise
     except Exception as exc:
-        _fail(path, str(exc))
+        raise Invalid(str(exc)) from None
+
+
+def _no_coefficients(value, semigroup=None):
+    raise Invalid("the bergman kernel takes no coefficients")
 
 
 def element_to_json(semigroup: Semigroup, element):
@@ -146,294 +172,289 @@ def point_to_json(point) -> list:
     return [[complex(z).real, complex(z).imag] for z in point]
 
 
-_SEMIGROUP_KEYS = {NAT_ADD: ("kind", "d"), NAT_MULT: ("kind", "primes"), HALF_LINE: ("kind",)}
+# ------------------------------------------------------------ tables and the walker
+
+# field defaults that are not values
+REQUIRED = object()  # the object's shape needs the key
+MISSING = object()   # an absent key is an error of its own
+OPTIONAL = object()  # an absent key is left out
 
 
-def parse_semigroup(data, path: str = "semigroup") -> Semigroup:
-    if not isinstance(data, dict) or "kind" not in data:
-        _fail(path, "expected an object with a 'kind' field")
-    kind = data["kind"]
-    if not isinstance(kind, str) or kind not in _SEMIGROUP_KEYS:
-        _fail(f"{path}.kind", f"unknown semigroup kind {kind!r}")
-    check_keys(data, _SEMIGROUP_KEYS[kind], path)
-    if kind == HALF_LINE:
-        return Semigroup.half_line()
-    key = _SEMIGROUP_KEYS[kind][1]
-    size = parse_positive_int(data.get(key, 1), f"{path}.{key}")
-    try:
-        return Semigroup.nat_add(size) if kind == NAT_ADD else Semigroup.nat_mult(size)
-    except Exception as exc:
-        _fail(path, str(exc))
+def _listing(keys) -> str:
+    quoted = [f"'{key}'" for key in keys]
+    return ", ".join(quoted[:-1]) + " and " + quoted[-1]
 
 
-def parse_measure(semigroup: Semigroup, data, path: str = "measure") -> AtomicMeasure:
-    if not isinstance(data, dict) or not isinstance(data.get("atoms"), list) or not data["atoms"]:
-        _fail(path, "expected an object with a nonempty 'atoms' array")
-    check_keys(data, ("atoms",), path)
-    atoms = []
-    for i, atom in enumerate(data["atoms"]):
-        apath = f"{path}.atoms[{i}]"
-        if not isinstance(atom, dict) or "point" not in atom or "weight" not in atom:
-            _fail(apath, "expected an object with 'point' and 'weight'")
-        check_keys(atom, ("point", "weight"), apath)
-        point = parse_point(atom["point"], f"{apath}.point")
-        weight = parse_complex(atom["weight"], f"{apath}.weight")
-        atoms.append((point, weight))
-    try:
-        return AtomicMeasure(semigroup, tuple(atoms))
-    except Exception as exc:
-        _fail(path, str(exc))
+def check_keys(data: dict, keys: tuple):
+    """Reject the first key of ``data`` that is not among ``keys``: a misspelt key is an error."""
+    for key in data:
+        if key not in keys:
+            raise Invalid(f"unknown key; expected one of {', '.join(keys)}", f".{key}")
 
 
-def parse_symbol(data, path: str = "symbol", semigroup: Semigroup = None) -> Symbol:
-    """A symbol section; with ``semigroup``, polynomial multi-indices must match its point dimension."""
-    if data is None:
-        return Symbol.constant(1)
-    if not isinstance(data, dict) or "kind" not in data:
-        _fail(path, "expected an object with a 'kind' field")
-    kind = data["kind"]
-    if kind == "const":
-        check_keys(data, ("kind", "value"), path)
-        return Symbol.constant(parse_complex(data.get("value", 1), f"{path}.value"))
-    if kind == "poly":
-        check_keys(data, ("kind", "terms"), path)
-        terms = data.get("terms")
-        if not isinstance(terms, list):
-            _fail(f"{path}.terms", "expected an array of {m, c} terms")
-        coefficients = {}
-        for i, term in enumerate(terms):
-            tpath = f"{path}.terms[{i}]"
-            if not isinstance(term, dict) or "m" not in term or "c" not in term:
-                _fail(tpath, "expected an object with 'm' and 'c'")
-            check_keys(term, ("m", "c"), tpath)
-            index = parse_multi_index(term["m"], f"{tpath}.m")
-            if semigroup is not None and len(index) != semigroup.point_dim:
-                _fail(f"{tpath}.m", f"expected a multi-index of length {semigroup.point_dim}")
-            coefficients[index] = coefficients.get(index, 0j) + parse_complex(term["c"], f"{tpath}.c")
-        return Symbol.polynomial(coefficients)
-    if kind == "table":
-        check_keys(data, ("kind", "entries"), path)
-        entries = data.get("entries")
-        if not isinstance(entries, list):
-            _fail(f"{path}.entries", "expected an array of {point, value} entries")
-        table = {}
-        for i, entry in enumerate(entries):
-            epath = f"{path}.entries[{i}]"
-            if not isinstance(entry, dict) or "point" not in entry or "value" not in entry:
-                _fail(epath, "expected an object with 'point' and 'value'")
-            check_keys(entry, ("point", "value"), epath)
-            table[parse_point(entry["point"], f"{epath}.point")] = parse_complex(
-                entry["value"], f"{epath}.value"
-            )
-        return Symbol.table(table)
-    _fail(f"{path}.kind", f"unknown symbol kind {kind!r}")
+def _row(fields: dict, semigroup=None) -> tuple:
+    return tuple(fields.values())
 
 
-def parse_positive_int(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        _fail(path, "expected a positive integer")
-    return value
+class Section:
+    """The table of one JSON object; calling it walks a value against the table.
 
+    ``fields`` maps each allowed key, in the order messages list them, to
+    (leaf parser, default) or (leaf parser, default, the command-line flag
+    that overrides the key); a ``None`` leaf keeps the value as given.  A
+    default is ``REQUIRED``, ``MISSING``, ``OPTIONAL`` or a value that is
+    parsed as if it were given (so ``None`` fails with the leaf's message).
+    ``shape`` is the message for a value that is not an object, lacks a
+    required key, or holds a required array without a message of its own
+    that is not a list of the needed length.  Then come the unknown-key
+    check, the ``exactly_one`` rule and the leaves, in field order; ``build``
+    turns the parsed fields into the section's value, and a ValueError from
+    it names the section.
+    """
 
-def parse_grid(semigroup: Semigroup, data, order_override: int = None, path: str = "grid") -> EvaluationGrid:
-    if order_override is not None:
-        return default_grid(semigroup, order=parse_positive_int(order_override, "--grid-order"))
-    if data is None:
-        return default_grid(semigroup)
-    if len(check_keys(data, ("order", "elements"), path)) != 1:
-        _fail(path, "expected exactly one of 'order' and 'elements'")
-    if "elements" in data:
-        if not isinstance(data["elements"], list) or not data["elements"]:
-            _fail(f"{path}.elements", "expected a nonempty array of elements")
-        elements = tuple(
-            parse_element(semigroup, el, f"{path}.elements[{i}]")
-            for i, el in enumerate(data["elements"])
-        )
-        return EvaluationGrid(semigroup, elements)
-    return default_grid(semigroup, order=parse_positive_int(data["order"], f"{path}.order"))
+    def __init__(self, fields: dict, shape: str = None, exactly_one: tuple = (), build=None):
+        self.fields = {key: spec[:2] for key, spec in fields.items()}
+        self.flags = {key: spec[2] for key, spec in fields.items() if len(spec) == 3}
+        self.keys = tuple(fields)
+        # a required array without a message of its own is part of the shape
+        self.required = [
+            (key, leaf if isinstance(leaf, Array) and leaf.message is None else None)
+            for key, (leaf, default) in self.fields.items()
+            if default is REQUIRED
+        ]
+        if shape is None and self.required:
+            shape = f"expected an object with {_listing([key for key, _ in self.required])}"
+        self.shape = shape or "expected an object"
+        self.exactly_one = exactly_one
+        self.build = build
 
-
-def parse_tolerances(data, overrides: dict = None, path: str = "tolerances") -> Tolerances:
-    values = {"mass": 1e-10, "residual": 1e-8, "rank": 1e-8}
-    if data is not None:
-        check_keys(data, tuple(values), path)
-        for key in values:
+    def __call__(self, data, semigroup=None):
+        if type(data) is not dict or not all(
+            key in data and (array is None or array.fits(data[key])) for key, array in self.required
+        ):
+            raise Invalid(self.shape)
+        check_keys(data, self.keys)
+        if self.exactly_one and sum(key in data for key in self.exactly_one) != 1:
+            raise Invalid(f"expected exactly one of {_listing(self.exactly_one)}")
+        fields = {}
+        for key, (leaf, default) in self.fields.items():
             if key in data:
                 value = data[key]
-                if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-                    _fail(f"{path}.{key}", "expected a positive number")
-                values[key] = float(value)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            values[key] = float(value)
-    try:
-        return Tolerances(**values)
-    except Exception as exc:
-        _fail(path, str(exc))
-
-
-def parse_random_vector(data, path: str = "random_vector") -> DiscreteRandomVector:
-    if not isinstance(data, dict) or not isinstance(data.get("outcomes"), list) or not data["outcomes"]:
-        _fail(path, "expected an object with a nonempty 'outcomes' array")
-    check_keys(data, ("outcomes", "max_order"), path)
-    outcomes = []
-    for i, outcome in enumerate(data["outcomes"]):
-        opath = f"{path}.outcomes[{i}]"
-        if not isinstance(outcome, dict) or not {"p", "x", "y"} <= set(outcome):
-            _fail(opath, "expected an object with 'p', 'x' and 'y'")
-        check_keys(outcome, ("p", "x", "y"), opath)
-        p = outcome["p"]
-        if isinstance(p, bool) or not isinstance(p, (int, float)):
-            _fail(f"{opath}.p", "expected a probability")
-        outcomes.append(
-            (float(p), parse_point(outcome["x"], f"{opath}.x"), parse_complex(outcome["y"], f"{opath}.y"))
-        )
-    try:
-        return DiscreteRandomVector(tuple(outcomes))
-    except Exception as exc:
-        _fail(path, str(exc))
-
-
-def parse_kernel(data, path: str = "kernel"):
-    """Returns (KernelCoefficients, f coefficient dict, z grid or None, residual tolerance)."""
-    check_keys(data, ("kind", "truncation", "coefficients", "f", "z_points", "residual_tol"), path)
-    truncation = data.get("truncation", DEFAULT_TRUNCATION)
-    if isinstance(truncation, bool) or not isinstance(truncation, int) or truncation < 0:
-        _fail(f"{path}.truncation", "expected a nonnegative integer")
-    kind = data.get("kind", "bergman" if "coefficients" not in data else "list")
-    if kind == "bergman":
-        if "coefficients" in data:
-            _fail(f"{path}.coefficients", "the bergman kernel takes no coefficients")
-        kernel = KernelCoefficients.bergman(truncation)
-    elif kind == "list":
-        raw = data.get("coefficients")
-        if not isinstance(raw, list) or not raw:
-            _fail(f"{path}.coefficients", "expected a nonempty array of {m, n, a} terms")
-        terms = {}
-        z_dim = w_dim = None
-        for i, term in enumerate(raw):
-            tpath = f"{path}.coefficients[{i}]"
-            if not isinstance(term, dict) or not {"m", "n", "a"} <= set(term):
-                _fail(tpath, "expected an object with 'm', 'n' and 'a'")
-            check_keys(term, ("m", "n", "a"), tpath)
-            m = parse_multi_index(term["m"], f"{tpath}.m")
-            n = parse_multi_index(term["n"], f"{tpath}.n")
-            z_dim = len(m) if z_dim is None else z_dim
-            w_dim = len(n) if w_dim is None else w_dim
-            terms[(m, n)] = parse_complex(term["a"], f"{tpath}.a")
+            elif default is MISSING:
+                raise Invalid("missing", f".{key}")
+            elif default is OPTIONAL or default is REQUIRED:
+                continue
+            else:
+                value = default
+            try:
+                fields[key] = leaf(value, semigroup) if leaf else value
+            except Invalid as exc:
+                raise exc.at(f".{key}") from None
+        if self.build is None:
+            return fields
         try:
-            kernel = KernelCoefficients.from_terms(z_dim, w_dim, truncation, terms)
-        except Exception as exc:
-            _fail(path, str(exc))
+            return self.build(fields, semigroup)
+        except ValueError as exc:
+            raise Invalid(str(exc)) from None
+
+
+class Kinds:
+    """A section whose ``kind`` picks its table; ``default`` gives the kind of an object without one."""
+
+    def __init__(self, noun: str, tables: dict, default=None):
+        self.noun = noun
+        self.tables = tables
+        self.default = default
+        self.shape = "expected an object" if default else "expected an object with a 'kind' field"
+
+    def __call__(self, data, semigroup=None):
+        if type(data) is not dict or ("kind" not in data and self.default is None):
+            raise Invalid(self.shape)
+        kind = data["kind"] if "kind" in data else self.default(data)
+        table = self.tables.get(kind) if isinstance(kind, str) else None
+        if table is None:
+            raise Invalid(f"unknown {self.noun} kind {kind!r}", ".kind")
+        return table(data, semigroup)
+
+
+class Array:
+    """A JSON array, nonempty unless ``nonempty`` is false, parsed item by item to a tuple.
+
+    ``item`` is a leaf, or a dict (key -> leaf) of rows: objects with exactly
+    those keys, each read to the tuple of its values in one direct loop; the
+    first row that does not fit sends the array through the row's ``Section``,
+    which names the fault.  ``message`` is the error for anything else;
+    without one, a required array is part of its section's shape.
+    """
+
+    def __init__(self, item, message: str = None, nonempty: bool = True):
+        self.rows = tuple(item.items()) if isinstance(item, dict) else None
+        if self.rows:
+            item = Section({key: (leaf, REQUIRED) for key, leaf in self.rows}, build=_row)
+        self.item = item
+        self.message = message
+        self.nonempty = nonempty
+
+    def fits(self, value) -> bool:
+        return type(value) is list and (bool(value) or not self.nonempty)
+
+    def __call__(self, value, semigroup=None) -> tuple:
+        if not self.fits(value):
+            raise Invalid(self.message)
+        if self.rows:
+            try:
+                return tuple([self._row(item, semigroup) for item in value])
+            except (Invalid, KeyError):
+                pass  # the walk below names the fault
+        parsed = []
+        for i, item in enumerate(value):
+            try:
+                parsed.append(self.item(item, semigroup))
+            except Invalid as exc:
+                raise exc.at(f"[{i}]") from None
+        return tuple(parsed)
+
+    def _row(self, item, semigroup) -> tuple:
+        if type(item) is not dict or len(item) != len(self.rows):
+            raise Invalid(self.item.shape)
+        return tuple([leaf(item[key], semigroup) for key, leaf in self.rows])
+
+
+point = Array(complex_number, "expected a nonempty array of complex coordinates")
+multi_index = Array(nonnegative_int, "expected a multi-index array", nonempty=False)
+
+
+def point_index(value, semigroup=None) -> tuple:
+    """A multi-index over character-point coordinates: as long as the semigroup's points, when there is one."""
+    index = multi_index(value)
+    if semigroup is not None and len(index) != semigroup.point_dim:
+        raise Invalid(f"expected a multi-index of length {semigroup.point_dim}")
+    return index
+
+
+def _polynomial(fields: dict, semigroup=None) -> Symbol:
+    coefficients = {}
+    for index, c in fields["terms"]:
+        coefficients[index] = coefficients.get(index, 0j) + c
+    return Symbol.polynomial(coefficients)
+
+
+def _kernel(fields: dict, semigroup=None) -> dict:
+    """The kernel section with its coefficients built (listed only under "list"), ``f`` as a dict and z points."""
+    terms, truncation = fields.get("coefficients"), fields["truncation"]
+    if terms is None:
+        coefficients = KernelCoefficients.bergman(truncation)
     else:
-        _fail(f"{path}.kind", f"unknown kernel kind {kind!r}")
-
-    raw_f = data.get("f")
-    if not isinstance(raw_f, list) or not raw_f:
-        _fail(f"{path}.f", "expected a nonempty array of {m, b} terms")
-    f_coefficients = {}
-    for i, term in enumerate(raw_f):
-        tpath = f"{path}.f[{i}]"
-        if not isinstance(term, dict) or "m" not in term or "b" not in term:
-            _fail(tpath, "expected an object with 'm' and 'b'")
-        check_keys(term, ("m", "b"), tpath)
-        f_coefficients[parse_multi_index(term["m"], f"{tpath}.m")] = parse_complex(term["b"], f"{tpath}.b")
-
-    z_grid = None
-    if "z_points" in data:
-        if not isinstance(data["z_points"], list) or not data["z_points"]:
-            _fail(f"{path}.z_points", "expected a nonempty array of points")
-        z_grid = tuple(
-            parse_point(p, f"{path}.z_points[{i}]") for i, p in enumerate(data["z_points"])
-        )
-
-    residual_tol = data.get("residual_tol", 1e-8)
-    if isinstance(residual_tol, bool) or not isinstance(residual_tol, (int, float)) or residual_tol <= 0:
-        _fail(f"{path}.residual_tol", "expected a positive number")
-    return kernel, f_coefficients, z_grid, float(residual_tol)
+        terms_by_index = {(m, n): a for m, n, a in terms}
+        coefficients = KernelCoefficients.from_terms(len(terms[0][0]), len(terms[0][1]), truncation, terms_by_index)
+    z_points = fields.get("z_points") or default_z_grid(coefficients.z_dim)
+    return dict(fields, coefficients=coefficients, f=dict(fields["f"]), z_points=z_points)
 
 
-def parse_pair_function(semigroup: Semigroup, data, path: str = "pd.pair_function"):
-    """Explicit pair-function table: {"grid": [...], "values": [{"s","t","v"}, ...]}."""
-    from .shifts import PairFunction
+_KIND = (None, OPTIONAL)  # ``Kinds`` reads it before the walk
+_ELEMENTS = Array(element, "expected a nonempty array of elements")
+# the kernel keys of both kinds, in message order; each kind sets "coefficients"
+_KERNEL = {
+    "kind": _KIND,
+    "truncation": (nonnegative_int, DEFAULT_TRUNCATION),
+    "coefficients": None,
+    "f": (Array({"m": multi_index, "b": complex_number}, "expected a nonempty array of {m, b} terms"), None),
+    "z_points": (Array(point, "expected a nonempty array of points"), OPTIONAL),
+    "residual_tol": (positive_number, 1e-8),
+}
 
-    if not isinstance(data, dict) or not isinstance(data.get("values"), list):
-        _fail(path, "expected an object with a 'values' array")
-    check_keys(data, ("grid", "values"), path)
-    if not isinstance(data.get("grid"), list) or not data["grid"]:
-        _fail(f"{path}.grid", "expected a nonempty array of elements")
-    grid = parse_grid(semigroup, {"elements": data["grid"]}, path=f"{path}.grid")
-    values = {}
-    for i, entry in enumerate(data["values"]):
-        epath = f"{path}.values[{i}]"
-        if not isinstance(entry, dict) or not {"s", "t", "v"} <= set(entry):
-            _fail(epath, "expected an object with 's', 't' and 'v'")
-        check_keys(entry, ("s", "t", "v"), epath)
-        s = parse_element(semigroup, entry["s"], f"{epath}.s")
-        t = parse_element(semigroup, entry["t"], f"{epath}.t")
-        values[(s, t)] = parse_complex(entry["v"], f"{epath}.v")
-    return PairFunction(grid, values)
+SECTIONS = {
+    "semigroup": Kinds("semigroup", {
+        NAT_ADD: Section({"kind": _KIND, "d": (positive_int, 1)}, build=lambda f, sg: Semigroup(NAT_ADD, f["d"])),
+        NAT_MULT: Section(
+            {"kind": _KIND, "primes": (positive_int, 1)}, build=lambda f, sg: Semigroup(NAT_MULT, f["primes"])
+        ),
+        HALF_LINE: Section({"kind": _KIND}, build=lambda f, sg: Semigroup(HALF_LINE)),
+    }),
+    "measure": Section(
+        {"atoms": (Array({"point": point, "weight": complex_number}), REQUIRED)},
+        shape="expected an object with a nonempty 'atoms' array",
+        build=lambda f, sg: AtomicMeasure(sg, f["atoms"]),
+    ),
+    "symbol": Kinds("symbol", {
+        "const": Section(
+            {"kind": _KIND, "value": (complex_number, 1)}, build=lambda f, sg: Symbol.constant(f["value"])
+        ),
+        "poly": Section(
+            {"kind": _KIND, "terms": (Array({"m": point_index, "c": complex_number},
+                                            "expected an array of {m, c} terms", nonempty=False), None)},
+            build=_polynomial,
+        ),
+        "table": Section(
+            {"kind": _KIND, "entries": (Array({"point": point, "value": complex_number},
+                                              "expected an array of {point, value} entries", nonempty=False), None)},
+            build=lambda f, sg: Symbol.table(dict(f["entries"])),
+        ),
+    }),
+    "grid": Section(
+        {"order": (positive_int, OPTIONAL, "--grid-order"), "elements": (_ELEMENTS, OPTIONAL)},
+        exactly_one=("order", "elements"),
+    ),
+    "tolerances": Section({
+        "mass": (positive_number, OPTIONAL, "--tol-mass"),
+        "residual": (positive_number, OPTIONAL, "--tol-res"),
+        "rank": (positive_number, OPTIONAL, "--rank-tol"),
+    }),
+    # command sections: each is checked only when its command runs
+    "toeplitz": Section({"matrix_order": (positive_int, DEFAULT_MATRIX_ORDER, "--matrix-order")}),
+    "prony": Section({"k_max": (positive_int, 6, "--k-max")}),
+    "pd": Section(
+        {
+            "pair_function": (Section(
+                {"grid": (_ELEMENTS, None),
+                 "values": (Array({"s": element, "t": element, "v": complex_number}, nonempty=False), REQUIRED)},
+                shape="expected an object with a 'values' array",
+                build=lambda f, sg: PairFunction(
+                    EvaluationGrid(sg, f["grid"]), {(s, t): v for s, t, v in f["values"]}
+                ),
+            ), OPTIONAL),
+            "points": (Array(Section({"s": (element, MISSING), "t": (element, MISSING)},
+                                     "expected an object with 's' and 't'", build=_row),
+                             "expected a nonempty array of {s, t} objects"), OPTIONAL),
+            "operators": (Array(Array({"a": element, "b": element, "coeff": complex_number},
+                                      "expected a nonempty term list"),
+                                "expected a nonempty array of term lists"), OPTIONAL),
+            "generator": (Section({"a": (element, MISSING), "b": (element, MISSING)},
+                                  "expected an object with 'a' and 'b'", build=_row), OPTIONAL),
+        },
+    ),
+    "random_vector": Section(
+        {"outcomes": (Array({"p": probability, "x": point, "y": complex_number}), REQUIRED),
+         "max_order": (positive_int, 3)},
+        shape="expected an object with a nonempty 'outcomes' array",
+        build=lambda f, sg: dict(f, outcomes=DiscreteRandomVector(f["outcomes"])),
+    ),
+    "kernel": Kinds(
+        "kernel",
+        {
+            "bergman": Section(dict(_KERNEL, coefficients=(_no_coefficients, OPTIONAL)), build=_kernel),
+            "list": Section(dict(_KERNEL, coefficients=(Array({"m": multi_index, "n": multi_index, "a": complex_number},
+                                                              "expected a nonempty array of {m, n, a} terms"), None)),
+                            build=_kernel),
+        },
+        default=lambda data: "bergman" if "coefficients" not in data else "list",
+    ),
+}
+SCENARIO = Section({name: (None, OPTIONAL) for name in SECTIONS}, shape="scenario root must be a JSON object")
 
 
-def parse_element_pairs(semigroup: Semigroup, data, path: str = "pd.points") -> list:
-    """Probe points as [{"s", "t"}, ...], a nonempty array."""
-    if not isinstance(data, list) or not data:
-        _fail(path, "expected a nonempty array of {s, t} objects")
-    pairs = []
-    for i, entry in enumerate(data):
-        epath = f"{path}[{i}]"
-        if not isinstance(entry, dict):
-            _fail(epath, "expected an object with 's' and 't'")
-        check_keys(entry, ("s", "t"), epath)
-        pairs.append(tuple(_element_field(semigroup, entry, key, epath) for key in ("s", "t")))
-    return pairs
+def _given_section(raw: dict, name: str, semigroup: Semigroup = None):
+    """Section ``name`` walked against its table, or None when it is missing or null (its defaults then hold)."""
+    return None if raw.get(name) is None else parse(SECTIONS[name], raw[name], name, semigroup)
 
 
-def parse_generator(semigroup: Semigroup, data, path: str = "pd.generator") -> tuple:
-    """The (a, b) pair of an admissible generator: {"a", "b"}."""
-    if not isinstance(data, dict):
-        _fail(path, "expected an object with 'a' and 'b'")
-    check_keys(data, ("a", "b"), path)
-    return tuple(_element_field(semigroup, data, key, path) for key in ("a", "b"))
-
-
-def _element_field(semigroup: Semigroup, data: dict, key: str, path: str):
-    if key not in data:
-        _fail(f"{path}.{key}", "missing")
-    return parse_element(semigroup, data[key], f"{path}.{key}")
-
-
-def parse_shift_operators(semigroup: Semigroup, data, path: str = "pd.operators"):
-    """Operators as term lists: [[{"a","b","coeff"}, ...], ...]."""
-    from .shifts import ShiftCombination
-
-    if not isinstance(data, list) or not data:
-        _fail(path, "expected a nonempty array of term lists")
-    operators = []
-    for i, raw_terms in enumerate(data):
-        opath = f"{path}[{i}]"
-        if not isinstance(raw_terms, list) or not raw_terms:
-            _fail(opath, "expected a nonempty term list")
-        terms = []
-        for j, term in enumerate(raw_terms):
-            tpath = f"{opath}[{j}]"
-            if not isinstance(term, dict) or not {"a", "b", "coeff"} <= set(term):
-                _fail(tpath, "expected an object with 'a', 'b' and 'coeff'")
-            check_keys(term, ("a", "b", "coeff"), tpath)
-            terms.append(
-                (
-                    parse_element(semigroup, term["a"], f"{tpath}.a"),
-                    parse_element(semigroup, term["b"], f"{tpath}.b"),
-                    parse_complex(term["coeff"], f"{tpath}.coeff"),
-                )
-            )
-        operators.append(ShiftCombination(tuple(terms)))
-    return operators
-
-
-SCENARIO_KEYS = (
-    "semigroup", "measure", "symbol", "grid", "tolerances", "toeplitz", "prony", "pd", "random_vector", "kernel"
-)
+def _laid_over(fields: dict, name: str, flags: dict) -> dict:
+    """``fields`` of section ``name`` with each given flag value, parsed by its key's leaf, laid over that key."""
+    table = SECTIONS[name]
+    for key, value in flags.items():
+        if value is not None:
+            fields[key] = parse(table.fields[key][0], value, table.flags[key])
+    return fields
 
 
 @dataclass
@@ -447,20 +468,31 @@ class Scenario:
     tolerances: Tolerances
     raw: dict
 
+    def section(self, name: str, **flags) -> dict:
+        """Command section ``name``, checked against its table when the command runs, with flags laid over it."""
+        if name in ("random_vector", "kernel") and self.raw.get(name) is None:  # the others default to {}
+            raise ScenarioError(f"this command needs a '{name}' section")
+        return _laid_over(parse(SECTIONS[name], self.raw.get(name, {}), name, self.semigroup), name, flags)
+
 
 def parse_scenario(data, grid_order: int = None, tol_overrides: dict = None) -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario root must be a JSON object")
-    check_keys(data, SCENARIO_KEYS, "")
+    raw = parse(SCENARIO, data, "")
+    for name in ("measure", "grid"):
+        if name in raw and "semigroup" not in raw:
+            raise ScenarioError(f"{name}: needs a 'semigroup' section")
     semigroup = measure = grid = None
-    if "semigroup" in data:
-        semigroup = parse_semigroup(data["semigroup"])
-        if "measure" in data:
-            measure = parse_measure(semigroup, data["measure"])
-        grid = parse_grid(semigroup, data.get("grid"), order_override=grid_order)
-    symbol = parse_symbol(data.get("symbol"), semigroup=semigroup) if "symbol" in data else Symbol.constant(1)
-    tolerances = parse_tolerances(data.get("tolerances"), overrides=tol_overrides)
-    return Scenario(semigroup, measure, symbol, grid, tolerances, data)
+    if "semigroup" in raw:
+        semigroup = parse(SECTIONS["semigroup"], raw["semigroup"], "semigroup")
+        if "measure" in raw:
+            measure = parse(SECTIONS["measure"], raw["measure"], "measure", semigroup)
+        fields = _laid_over(_given_section(raw, "grid", semigroup) or {}, "grid", {"order": grid_order})
+        if "elements" in fields and grid_order is None:
+            grid = EvaluationGrid(semigroup, fields["elements"])
+        else:
+            grid = default_grid(semigroup, order=fields.get("order"))
+    symbol = _given_section(raw, "symbol", semigroup) or Symbol.constant(1)
+    tolerances = Tolerances(**_laid_over(_given_section(raw, "tolerances") or {}, "tolerances", tol_overrides or {}))
+    return Scenario(semigroup, measure, symbol, grid, tolerances, raw)
 
 
 def load_scenario(source_path: str, grid_order: int = None, tol_overrides: dict = None) -> Scenario:

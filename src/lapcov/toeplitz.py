@@ -19,7 +19,7 @@ to building them one at a time.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -41,9 +41,12 @@ class DiscMeasure:
 
     Coincident positions (within ``MERGE_TOL``) are merged with summed
     weights by ``merge_atoms``; positions outside the disc are rejected.
+    ``scale`` is the factor 2 (1 + sup-norm) that ``disc_measures`` divided
+    the character values by, so a position times it is a character value.
     """
 
     atoms: tuple
+    scale: float = field(default=None, compare=False)
 
     def __post_init__(self):
         atoms = [((complex(a),), complex(m)) for a, m in self.atoms]
@@ -73,7 +76,7 @@ def disc_measures(mu: AtomicMeasure, symbol: Symbol, elements) -> list:
     fv = symbol_values(symbol, mu.points)
     weights = [(abs(fv[k]) ** 2) * w for k, w in enumerate(mu.weights)]
     positions = (values / np.array(scales)).T.tolist()
-    return [DiscMeasure(tuple(zip(column, weights))) for column in positions]
+    return [DiscMeasure(tuple(zip(column, weights)), scale) for column, scale in zip(positions, scales)]
 
 
 def disc_measure(mu: AtomicMeasure, symbol: Symbol, s) -> DiscMeasure:

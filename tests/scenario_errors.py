@@ -108,11 +108,10 @@ def build() -> dict:
 
 def dump(corpus: dict) -> str:
     """The corpus as JSON with one entry per line, so a moved message is a one-line diff."""
-    cases = [
-        json.dumps(name) + ": {\n" + ",\n".join(f"  {json.dumps(label)}: {json.dumps(entry)}" for label, entry in entries.items())
-        + "\n }"
-        for name, entries in corpus.items()
-    ]
+    cases = []
+    for name, entries in corpus.items():
+        lines = [f"  {json.dumps(label)}: {json.dumps(entry)}" for label, entry in entries.items()]
+        cases.append(json.dumps(name) + ": {\n" + ",\n".join(lines) + "\n }")
     return "{\n " + ",\n ".join(cases) + "\n}\n"
 
 
@@ -127,11 +126,10 @@ if __name__ == "__main__":
     corpus = build()
     if parser.parse_args().check:
         old = load()
-        changed = [
-            (name, label) for name in corpus for label in corpus[name] if old.get(name, {}).get(label) != corpus[name][label]
-        ]
-        for name, label in changed:
-            print(f"{name}: {label}: {old.get(name, {}).get(label)} -> {corpus[name][label]}")
+        changed = [(name, label, entry) for name in corpus for label, entry in corpus[name].items()
+                   if old.get(name, {}).get(label) != entry]
+        for name, label, entry in changed:
+            print(f"{name}: {label}: {old.get(name, {}).get(label)} -> {entry}")
         sys.exit(1 if changed or corpus.keys() != old.keys() else 0)
     with open(CORPUS, "w", encoding="utf-8") as handle:
         handle.write(dump(corpus))

@@ -68,3 +68,18 @@ def test_traced_commands_match_untraced_runs(layers, name, scenario, tail, expec
         assert calls["toeplitz.prony"] == len(per_element)
         # the counter reads PronyResult.rank
         assert tracer.counts["prony_rank1"] == sum(entry["rank"] == 1 for entry in per_element)
+
+
+# layers that no golden invocation reaches: the CLI no longer calls these binding sites
+# (laplace_transform and the one-element disc_measure, which only --moments-csv uses)
+UNCALLED_LAYERS = {"laplace.transform", "toeplitz.disc_measure"}
+
+
+def test_golden_invocations_reach_every_traced_layer(layers):
+    # a refactor that stops calling a binding site would otherwise zero its layer in the benchmark
+    called = set()
+    for _, scenario, tail, expected_code in GOLDEN_CASES:
+        tracer, (code, _, _) = traced_run(layers, build_argv(scenario, tail))
+        assert code == expected_code
+        called |= set(tracer.stats)
+    assert {name for name, *_ in layers.PATCHES} - called == UNCALLED_LAYERS

@@ -8,6 +8,8 @@ from collections import Counter
 import pytest
 
 import lapcov.cli as cli
+import lapcov.laplace as laplace
+import lapcov.measures as measures
 import lapcov.toeplitz as toeplitz
 from lapcov.cli import main
 from lapcov.errors import RankDeficientPencil
@@ -266,10 +268,12 @@ def test_grid_order_below_one_is_rejected(order):
         assert_scenario_invalid(build_argv("two_atoms_natadd1.json", [command, "--grid-order", order]), "--grid-order")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
 @pytest.mark.parametrize("flag", ["--tol-res", "--tol-mass", "--rank-tol"])
 def test_non_finite_tolerances_are_rejected(flag, value):
-    assert_scenario_invalid(build_argv("point_mass_natadd2.json", ["covariance", f"{flag}={value}"]), "tolerances")
+    # the error names the flag, with the leaf message of its scenario key, not the tolerances section
+    argv = build_argv("point_mass_natadd2.json", ["covariance", f"{flag}={value}"])
+    assert_scenario_invalid(argv, f"{flag}: expected a positive number")
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])
@@ -292,6 +296,14 @@ def test_matrix_order_below_one_is_rejected(value):
     assert_scenario_invalid(build_argv("two_atoms_natadd1.json", ["toeplitz", "--matrix-order", value]), "--matrix-order")
 
 
+# a valid flag for the key each command's own section holds
+FLAG_OVERRIDES = {
+    "covariance": ["--grid-order", "2"],
+    "prony": ["--k-max", "3"],
+    "toeplitz": ["--matrix-order", "4"],
+}
+
+
 @pytest.mark.parametrize(
     "command,section,key", [("prony", "prony", "k_max"), ("toeplitz", "toeplitz", "matrix_order")]
 )
@@ -302,10 +314,13 @@ def test_scenario_k_max_and_matrix_order_are_validated(tmp_path, command, sectio
     scn[section] = {key: value}
     path = tmp_path / "settings.json"
     path.write_text(json.dumps(scn))
-    assert_scenario_invalid([command, str(path)], f"{section}.{key}")
+    # a flag overrides the key only once the section it overrides is valid
+    for flags in ([], FLAG_OVERRIDES[command]):
+        assert_scenario_invalid([command, str(path)] + flags, f"{section}.{key}")
     scn[section] = [value]
     path.write_text(json.dumps(scn))
-    assert_scenario_invalid([command, str(path)], section)
+    for flags in ([], FLAG_OVERRIDES[command]):
+        assert_scenario_invalid([command, str(path)] + flags, section)
 
 
 def test_flag_overrides_scenario_k_max_and_matrix_order(tmp_path):
@@ -585,12 +600,43 @@ def test_bergman_kernel_rejects_coefficients(tmp_path):
 
 @pytest.mark.parametrize(
     "grid,path_text",
-    [({"order": 3, "elements": [[1]]}, "grid: expected exactly one of"), ({"ordr": 3}, "grid.ordr"), ({}, "grid")],
+    [({"order": 3, "elements": [[1]]}, "grid: expected exactly one of"), ({"ordr": 3}, "grid.ordr"), ({}, "grid"),
+     ({"elements": ["bad"]}, "grid.elements[0]: nat_add elements")],
 )
 def test_conflicting_or_unknown_grid_keys_are_rejected(tmp_path, grid, path_text):
     scn = load_scenario_file("two_atoms_natadd1.json")
     scn["grid"] = grid
-    assert_scenario_invalid(["covariance", write_scenario(tmp_path, scn, "")], path_text)
+    path = write_scenario(tmp_path, scn, "")
+    # --grid-order overrides the grid only once the grid section is valid
+    for flags in ([], FLAG_OVERRIDES["covariance"]):
+        assert_scenario_invalid(["covariance", path] + flags, path_text)
+
+
+@pytest.mark.parametrize(
+    "command,source,edit,message",
+    [
+        ("covariance", "two_atoms_natadd1.json", lambda s: s.pop("semigroup"), "measure: needs a 'semigroup' section"),
+        ("random-vector", "random_vector_two_point.json", lambda s: s.update(measure={"atoms": "x"}),
+         "measure: needs a 'semigroup' section"),
+        ("random-vector", "random_vector_two_point.json", lambda s: s.update(grid={"order": 2}),
+         "grid: needs a 'semigroup' section"),
+    ],
+)
+def test_measure_or_grid_without_semigroup_is_rejected(tmp_path, command, source, edit, message):
+    # each was dropped without a word: the command then ran, or asked for a measure it had been given
+    scn = load_scenario_file(source)
+    edit(scn)
+    assert_scenario_invalid([command, write_scenario(tmp_path, scn, "")], message)
+
+
+def test_pd_validates_every_given_key(tmp_path):
+    # the generator is checked even where the operators take its place, and pair-function
+    # grid elements are named by their own path
+    scn = load_scenario_file("two_atoms_natadd1.json")
+    scn["pd"] = {"operators": [[{"a": [1], "b": [0], "coeff": 1.0}]], "generator": {"a": "x", "b": [0]}}
+    assert_scenario_invalid(["pd", write_scenario(tmp_path, scn, "")], "pd.generator.a: nat_add elements")
+    scn["pd"] = {"pair_function": dict(PAIR_FUNCTION, grid=[[0], [-1]])}
+    assert_scenario_invalid(["pd", write_scenario(tmp_path, scn, "")], "pd.pair_function.grid[1]: ")
 
 
 @pytest.mark.parametrize("command", [c for c in cli._COMMANDS if c != "toeplitz"])
@@ -624,6 +670,32 @@ def test_toeplitz_route_builds_one_character_matrix_per_command(monkeypatch):
         code, out, _ = run_cli(build_argv("two_atoms_natadd1.json", tail))
         assert code == 0 and len(json.loads(out)["per_element"]) == 4
         assert calls == expected, tail[0]
+
+
+def test_transform_builds_one_character_matrix(monkeypatch):
+    # rows and columns are the same grid, so the row matrix serves as the column matrix
+    calls = []
+    original = laplace.character_matrix
+    monkeypatch.setattr(laplace, "character_matrix", lambda *args: calls.append(args) or original(*args))
+    name, scenario, tail, _ = GOLDEN_CASES[2]
+    code, out, _ = run_cli(build_argv(scenario, tail))
+    with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
+        assert code == 0 and out == fh.read()
+    assert len(calls) == 1
+
+
+def test_prony_takes_character_scales_from_the_disc_measures(monkeypatch):
+    # disc_measures already divided by 2 (1 + sup-norm); no per-element sup_norm is needed
+    def forbidden(*args):
+        raise AssertionError("sup_norm called")
+
+    monkeypatch.setattr(toeplitz, "sup_norm", forbidden)
+    monkeypatch.setattr(measures, "sup_norm", forbidden)
+    name, scenario, tail, _ = GOLDEN_CASES[5]
+    code, out, _ = run_cli(build_argv(scenario, tail))
+    with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
+        assert code == 0 and out == fh.read()
+    assert any(entry["character_from_atom"] is not None for entry in json.loads(out)["per_element"])
 
 
 def test_prony_pencil_error_comes_from_the_first_failing_element(monkeypatch):
