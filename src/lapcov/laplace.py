@@ -175,7 +175,7 @@ def transform_block(mu: AtomicMeasure, symbol, rows, cols, mode: str = MODE_F) -
         fv = np.abs(fv) ** 2
     elif mode != MODE_F:
         raise ValueError(f"unknown symbol mode {mode!r}")
-    wf = np.array(mu.weights, dtype=complex) * fv
+    wf = mu.weight_array * fv
     ps = character_matrix(sg, mu.points, rows)
     pt = ps if cols == rows else character_matrix(sg, mu.points, cols)
     left_re, left_im = complex_product(wf.real[:, None], wf.imag[:, None], ps.real, ps.imag)
@@ -204,7 +204,7 @@ def covariance_residual(mu: AtomicMeasure, symbol, s, t) -> complex:
 
 def _weighted_columns(mu, symbol, elements):
     """(w*F, w*conj F, w*|F|^2, P) with P the character matrix on ``elements``."""
-    w = np.array(mu.weights, dtype=complex)
+    w = mu.weight_array
     fv = symbol_values(symbol, mu.points)
     P = character_matrix(mu.semigroup, mu.points, elements)
     return w * fv, w * np.conj(fv), w * np.abs(fv) ** 2, P
@@ -221,7 +221,7 @@ def degenerate_check(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Toler
     wf, wcf, _, P = _weighted_columns(mu, symbol, grid.elements)
     analytic = P.T @ wf
     conjugate = P.conj().T @ wcf
-    abs_w = np.abs(np.array(mu.weights))
+    abs_w = np.abs(mu.weight_array)
     fp_max = float(np.max(np.abs(symbol_values(symbol, mu.points))[:, None] * np.abs(P), initial=0.0))
     threshold = tol.residual * float(abs_w.sum()) * fp_max
     if np.all(np.abs(analytic) <= threshold):
@@ -340,7 +340,7 @@ def decide_covariance(
     if grid.semigroup != sg:
         raise ValueError("grid and measure use different semigroups")
 
-    abs_w = np.abs(np.array(mu.weights))
+    abs_w = np.abs(mu.weight_array)
     mass = complex(sum(mu.weights))
     fv = symbol_values(symbol, mu.points)
     abs_f = np.abs(fv)

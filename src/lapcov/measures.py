@@ -1,13 +1,13 @@
 """Atomic complex measures on character space, and the symbols weighting them."""
 
-import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SymbolUndefinedAtAtom, ZeroWeightAtom
-from .semigroups import Semigroup, char_eval, monomial, validate_point
+from .semigroups import Semigroup, char_eval, monomial, points_fit, validate_point
 
 # Points closer than this (Euclidean, all coordinates) are the same atom.
 MERGE_TOL = 1e-12
@@ -26,77 +26,168 @@ def _point_sort_key(p):
     return tuple(coord for z in p for coord in (z.real, z.imag))
 
 
-# Half-width of the search window on the first real coordinate.  Any kept
-# point within MERGE_TOL differs there by at most MERGE_TOL; the wider window
-# keeps rounding from dropping one, and the distance test still decides.
+# Width of the gap in the first real coordinate that separates clusters.  Two
+# points within MERGE_TOL differ there by at most MERGE_TOL; the wider gap
+# keeps rounding from splitting them, and the distance test still decides.
 _MERGE_WINDOW = 2 * MERGE_TOL
 
 
-def merge_atoms(atoms) -> tuple:
-    """Merge (point, weight) atoms whose points lie within ``MERGE_TOL``.
+def _within_tol(points: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Which rows of ``points`` lie within ``MERGE_TOL`` of ``point``, as ``_point_distance`` decides it.
 
-    Points are tuples of complex.  In input order, each atom joins the first
-    kept point within ``MERGE_TOL`` (its weight is added there) or is kept
-    itself, so a chain of close atoms may merge into several.  Returns the
-    kept atoms sorted by point.
-
-    The search looks only at kept points whose first coordinate's real part
-    (the key, kept sorted) lies within ``_MERGE_WINDOW`` of the atom's.  A
-    point whose key is not finite is within ``MERGE_TOL`` of nothing: it is
-    kept without a search and is never a candidate.
+    numpy's distance may differ from the scalar one in the last bits, so a
+    row whose distance is within a relative 1e-9 of the tolerance is decided
+    by ``_point_distance`` itself.
     """
-    kept, weights = [], []
-    keys, order = [], []  # sorted finite keys of kept points, and their indices in ``kept``
-    for point, weight in atoms:
-        key = point[0].real
-        if not math.isfinite(key):
-            kept.append(point)
-            weights.append(weight)
-            continue
-        lo = bisect.bisect_left(keys, key - _MERGE_WINDOW)
-        hi = bisect.bisect_right(keys, key + _MERGE_WINDOW)
-        near = [i for i in order[lo:hi] if _point_distance(point, kept[i]) <= MERGE_TOL]
-        if near:
-            weights[min(near)] += weight
-            continue
-        at = bisect.bisect_right(keys, key, lo, hi)
-        keys.insert(at, key)
-        order.insert(at, len(kept))
-        kept.append(point)
-        weights.append(weight)
-    return tuple(sorted(zip(kept, weights), key=lambda atom: _point_sort_key(atom[0])))
+    distance = np.sqrt((np.abs(points - point) ** 2).sum(axis=1))
+    near = distance <= MERGE_TOL
+    q = tuple(point.tolist())
+    for i in np.flatnonzero(np.abs(distance - MERGE_TOL) <= 1e-9 * MERGE_TOL).tolist():
+        near[i] = _point_distance(tuple(points[i].tolist()), q) <= MERGE_TOL
+    return near
+
+
+def merge_atoms(points: np.ndarray, weights: list, groups: np.ndarray = None) -> tuple:
+    """Merge atoms whose points lie within ``MERGE_TOL``: (kept indices, their summed weights).
+
+    ``points`` is a (k, d) complex array and ``weights`` a list of k complex.
+    In input order, each atom joins the first kept point within ``MERGE_TOL``
+    (its weight is added there, in input order) or is kept itself, so a chain
+    of close atoms may merge into several.  Atoms of different ``groups``
+    (nondecreasing ints; by default one group) never merge.  The kept indices
+    come sorted by group, then by point as ``_point_sort_key`` orders them.
+
+    A point with a coordinate that is not finite is within ``MERGE_TOL`` of
+    nothing.  Sorted by group and then by point, each group's finite points
+    come first, with their first real coordinates in order; they split into
+    clusters wherever that coordinate jumps by more than ``_MERGE_WINDOW``.
+    Points within ``MERGE_TOL`` share a cluster, so only clusters of two or
+    more need the input-order rule: a cluster's first atom is kept and claims
+    every later one within reach, then the first atom left over is kept, and
+    so on.
+    """
+    k = len(points)
+    weights = list(weights)
+    if k < 2:
+        return list(range(k)), weights
+    groups = np.zeros(k, dtype=np.int64) if groups is None else np.asarray(groups)
+    finite = np.isfinite(points).all(axis=1)
+    columns = [part for z in points.T[::-1] for part in (z.imag, z.real)]
+    order = np.lexsort(columns + [~finite, groups])
+    key, group, ok = points[order, 0].real, groups[order], finite[order]
+    kept = np.ones(k, dtype=bool)
+    # Python's float arithmetic overflows to inf and makes NaN without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        together = (np.diff(key) <= _MERGE_WINDOW) & (group[1:] == group[:-1]) & ok[1:]
+        bounds = [0, *(np.flatnonzero(~together) + 1).tolist(), k] if together.any() else []
+        for start, stop in zip(bounds, bounds[1:]):
+            members = np.sort(order[start:stop])
+            while members.size > 1:
+                near = _within_tol(points[members], points[members[0]])
+                q, joined = int(members[0]), members[near][1:]
+                for i in joined.tolist():
+                    weights[q] += weights[i]
+                kept[joined] = False
+                members = members[~near]
+    keep = order[kept[order]]
+    if not ok.all():
+        # NaN does not sort as a number: each group's kept points go through sorted() in input order
+        keep = np.sort(keep)
+        rows, owner = points[keep].tolist(), groups[keep].tolist()
+        runs = itertools.groupby(range(len(keep)), key=owner.__getitem__)
+        keep = keep[[n for _, run in runs for n in sorted(run, key=lambda n: _point_sort_key(rows[n]))]]
+    keep = keep.tolist()
+    return keep, [weights[i] for i in keep]
+
+
+_SCALARS = (int, float, complex)
+
+
+def python_column(column) -> list:
+    """A column's values as Python objects: a 2-d array's rows as tuples, a 1-d array's entries, a list as it is."""
+    if not isinstance(column, np.ndarray):
+        return column
+    return list(map(tuple, column.tolist())) if column.ndim == 2 else column.tolist()
+
+
+class Columns:
+    """Rows held column by column, as numpy arrays or lists of one length.
+
+    It reads as the sequence of its rows, each a tuple of ``python_column``
+    values.  ``AtomicMeasure`` takes (points, weights) columns and
+    ``DiscreteRandomVector`` (p, x, y) columns without converting each row
+    again.
+    """
+
+    def __init__(self, *columns):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return zip(*map(python_column, self.columns))
+
+
+def _atom_arrays(semigroup: Semigroup, atoms):
+    """Points as a (k, d) complex array and weights as complex, normalized as ``validate_point`` and ``complex`` do.
+
+    One numpy conversion reads every point (none for ``Columns``); when the
+    result does not fit, the atoms go through ``validate_point`` one by one,
+    which raises the first atom's error or normalizes what numpy could not
+    read.
+    """
+    try:
+        if isinstance(atoms, Columns):
+            points, weights = atoms.columns
+            points = np.asarray(points)
+        else:
+            points = np.array([(p,) if isinstance(p, _SCALARS) else p for p, _ in atoms])
+            weights = [w for _, w in atoms]
+        weights = list(map(complex, python_column(weights)))
+    except (TypeError, ValueError, OverflowError):
+        points = None
+    if points is None or not points_fit(semigroup, points):
+        normalized = [
+            (validate_point(semigroup, (p,) if isinstance(p, _SCALARS) else p), complex(w)) for p, w in atoms
+        ]
+        points = np.array([p for p, _ in normalized], dtype=complex).reshape(len(atoms), semigroup.point_dim)
+        weights = [w for _, w in normalized]
+    return points.astype(complex, copy=False), weights
 
 
 @dataclass(frozen=True)
 class AtomicMeasure:
     """Finitely many weighted atoms on the character space of ``semigroup``.
 
-    Construction normalizes points, merges atoms closer than ``MERGE_TOL``
-    (weights summed), and sorts atoms for deterministic iteration.  Atoms with
+    ``atoms`` is a sequence of (point, weight) pairs, or ``Columns`` of a
+    (k, d) point array and k weights.  Construction normalizes points, merges
+    atoms closer than ``MERGE_TOL`` (weights summed), and sorts atoms for
+    deterministic iteration.  Atoms with
     zero weight are kept: they still belong to the support set used for
-    sup-norms.
+    sup-norms.  ``points``, ``weights`` and the read-only ``weight_array``
+    are the merged atoms' points and weights, built once.
     """
 
     semigroup: Semigroup
     atoms: tuple
+    points: tuple = field(init=False, repr=False, compare=False)
+    weights: tuple = field(init=False, repr=False, compare=False)
+    weight_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        atoms = []
-        for point, weight in self.atoms:
-            if isinstance(point, (int, float, complex)):
-                point = (point,)
-            atoms.append((validate_point(self.semigroup, point), complex(weight)))
+        atoms = self.atoms if isinstance(self.atoms, Columns) else tuple(self.atoms)
         if not atoms:
             raise ValueError("a measure needs at least one atom")
-        object.__setattr__(self, "atoms", merge_atoms(atoms))
-
-    @property
-    def points(self) -> tuple:
-        return tuple(p for p, _ in self.atoms)
-
-    @property
-    def weights(self) -> tuple:
-        return tuple(w for _, w in self.atoms)
+        points, weights = _atom_arrays(self.semigroup, atoms)
+        keep, weights = merge_atoms(points, weights)
+        points = tuple(map(tuple, points[keep].tolist()))
+        weight_array = np.array(weights, dtype=complex)
+        weight_array.flags.writeable = False
+        object.__setattr__(self, "atoms", tuple(zip(points, weights)))
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "weights", tuple(weights))
+        object.__setattr__(self, "weight_array", weight_array)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ symbol.  The moment-condition residual
 coincides with the covariance residual of the induced measure at (m, n).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ExpectationYZero
 from .laplace import (
@@ -21,39 +23,68 @@ from .laplace import (
     decide_covariance,
     default_grid,
 )
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, Columns, python_column
 from .semigroups import Semigroup, monomial
 
 CONSTANT = "constant"
 NOT_CONSTANT = "not_constant"
 
 
+def _normalized(outcomes: tuple) -> tuple:
+    """(p, x, y) outcomes as float, tuple of complex and complex, checked one by one: the first fault raises."""
+    normalized = []
+    dim = None
+    for p, x, y in outcomes:
+        p = float(p)
+        if p < 0:
+            raise ValueError("probabilities must be nonnegative")
+        if isinstance(x, (int, float, complex)):
+            x = (x,)
+        x = tuple(complex(v) for v in x)
+        if dim is None:
+            dim = len(x)
+        elif len(x) != dim:
+            raise ValueError("all outcomes must share the vector dimension")
+        normalized.append((p, x, complex(y)))
+    if not normalized:
+        raise ValueError("a random vector needs at least one outcome")
+    return tuple(normalized)
+
+
 @dataclass(frozen=True)
 class DiscreteRandomVector:
-    """Finite list of outcomes (probability, x-vector, y-value)."""
+    """Finite list of outcomes (probability, x-vector, y-value).
+
+    ``outcomes`` is a sequence of (p, x, y) triples, checked one by one, or
+    ``Columns`` of probabilities, an (n, dim) x-array and y-values, which is
+    kept as ``x_array`` without converting each outcome again.  When the
+    columns do not fit, they are checked one by one too, which raises the
+    first fault.
+    """
 
     outcomes: tuple
+    x_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        normalized = []
-        dim = None
-        for p, x, y in self.outcomes:
-            p = float(p)
-            if p < 0:
-                raise ValueError("probabilities must be nonnegative")
-            if isinstance(x, (int, float, complex)):
-                x = (x,)
-            x = tuple(complex(v) for v in x)
-            if dim is None:
-                dim = len(x)
-            elif len(x) != dim:
-                raise ValueError("all outcomes must share the vector dimension")
-            normalized.append((p, x, complex(y)))
-        if not normalized:
-            raise ValueError("a random vector needs at least one outcome")
-        if abs(sum(p for p, _, _ in normalized) - 1.0) > 1e-12:
+        fits = False
+        if isinstance(self.outcomes, Columns):
+            ps, xs, ys = self.outcomes.columns
+            try:
+                ps, xs, ys = list(map(float, python_column(ps))), np.asarray(xs), list(map(complex, python_column(ys)))
+                fits = xs.dtype.kind in "biufc" and xs.ndim == 2 and not any(p < 0 for p in ps)
+            except (TypeError, ValueError):
+                pass  # the outcomes, read one by one below, name the fault
+        if fits:
+            xs = xs.astype(complex, copy=False)
+            outcomes = tuple(zip(ps, map(tuple, xs.tolist()), ys))
+        else:
+            outcomes = _normalized(tuple(self.outcomes))
+            xs = np.array([x for _, x, _ in outcomes], dtype=complex)
+        if abs(sum(p for p, _, _ in outcomes) - 1.0) > 1e-12:
             raise ValueError("outcome probabilities must sum to 1")
-        object.__setattr__(self, "outcomes", tuple(normalized))
+        xs.flags.writeable = False
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "x_array", xs)
 
     @property
     def dim(self) -> int:
@@ -81,7 +112,7 @@ def moment_condition_residual(rv: DiscreteRandomVector, m, n) -> complex:
 def as_measure(rv: DiscreteRandomVector) -> AtomicMeasure:
     """The induced atomic measure: atom p*y at each X-value (equal X merged)."""
     sg = Semigroup.nat_add(rv.dim)
-    return AtomicMeasure(sg, tuple((x, p * y) for p, x, y in rv.outcomes))
+    return AtomicMeasure(sg, Columns(rv.x_array, [p * y for p, _, y in rv.outcomes]))
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,18 @@ raises ``Invalid`` with the failing position below its value and each table
 prefixes its key, so a JSON path is formatted only when a value fails.
 """
 
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ScenarioError
 from .kernels import DEFAULT_TRUNCATION, KernelCoefficients, default_z_grid
 from .laplace import EvaluationGrid, Tolerances, default_grid
-from .measures import AtomicMeasure, Symbol
+from .measures import AtomicMeasure, Columns, Symbol
 from .randomvectors import DiscreteRandomVector
 from .semigroups import HALF_LINE, NAT_ADD, NAT_MULT, Semigroup, validate_element
 from .shifts import PairFunction
@@ -150,6 +153,10 @@ def element(value, semigroup: Semigroup):
     types, message = _ELEMENT_TYPES[semigroup.family]
     if isinstance(value, bool) or not isinstance(value, types):
         raise Invalid(message)
+    if semigroup.family == NAT_ADD:
+        for i, entry in enumerate(value):
+            if type(entry) is not int:  # a fraction or a boolean, which int() would truncate
+                raise Invalid("expected an integer", f"[{i}]")
     try:
         return validate_element(semigroup, value)
     except Exception as exc:
@@ -281,19 +288,24 @@ class Array:
     """A JSON array, nonempty unless ``nonempty`` is false, parsed item by item to a tuple.
 
     ``item`` is a leaf, or a dict (key -> leaf) of rows: objects with exactly
-    those keys, each read to the tuple of its values in one direct loop; the
-    first row that does not fit sends the array through the row's ``Section``,
-    which names the fault.  ``message`` is the error for anything else;
+    those keys, each read to the tuple of its values.  Rows are read column
+    by column, in one pass per key: a leaf with a column reader in
+    ``_COLUMNS`` reads the whole column to an array with type checks over the
+    list, any other leaf is called once per row, and ``build`` (default: the
+    tuple of rows) makes the value from the columns.  When a row does not
+    fit, the array goes through the row's ``Section``, which names the fault
+    and gives the tuple of rows.  ``message`` is the error for anything else;
     without one, a required array is part of its section's shape.
     """
 
-    def __init__(self, item, message: str = None, nonempty: bool = True):
+    def __init__(self, item, message: str = None, nonempty: bool = True, build=None):
         self.rows = tuple(item.items()) if isinstance(item, dict) else None
         if self.rows:
             item = Section({key: (leaf, REQUIRED) for key, leaf in self.rows}, build=_row)
         self.item = item
         self.message = message
         self.nonempty = nonempty
+        self.build = build or (lambda *columns: tuple(Columns(*columns)))
 
     def fits(self, value) -> bool:
         return type(value) is list and (bool(value) or not self.nonempty)
@@ -302,10 +314,9 @@ class Array:
         if not self.fits(value):
             raise Invalid(self.message)
         if self.rows:
-            try:
-                return tuple([self._row(item, semigroup) for item in value])
-            except (Invalid, KeyError):
-                pass  # the walk below names the fault
+            rows = self._columns(value, semigroup)
+            if rows is not None:
+                return rows
         parsed = []
         for i, item in enumerate(value):
             try:
@@ -314,14 +325,63 @@ class Array:
                 raise exc.at(f"[{i}]") from None
         return tuple(parsed)
 
-    def _row(self, item, semigroup) -> tuple:
-        if type(item) is not dict or len(item) != len(self.rows):
-            raise Invalid(self.item.shape)
-        return tuple([leaf(item[key], semigroup) for key, leaf in self.rows])
+    def _columns(self, value: list, semigroup):
+        """The rows read column by column, or None when one does not fit."""
+        if set(map(type, value)) != {dict} or set(map(len, value)) != {len(self.rows)}:
+            return None
+        columns = []
+        for key, leaf in self.rows:
+            try:
+                column = [row[key] for row in value]
+                read = _COLUMNS.get(leaf)
+                column = read(column) if read else [leaf(item, semigroup) for item in column]
+            except (Invalid, KeyError):
+                return None
+            if column is None:
+                return None
+            columns.append(column)
+        return self.build(*columns)
+
+
+# ------------------------------------------------------------ column readers
+
+def _complex_column(values: list):
+    """``complex_number`` of each value as a complex array, or None when one is not an [re, im] pair or a bare real."""
+    kinds = set(map(type, values))
+    if kinds != {list}:
+        if not kinds <= {list, int, float}:
+            return None
+        values = [value if type(value) is list else [value, 0.0] for value in values]
+    if set(map(len, values)) != {2}:
+        return None
+    numbers = list(itertools.chain.from_iterable(values))
+    kinds = set(map(type, numbers))
+    if not kinds <= {int, float}:
+        return None
+    if int in kinds:
+        numbers = list(map(float, numbers))
+    return np.array(numbers, dtype=float).view(complex)
+
+
+def _point_column(values: list):
+    """``point`` of each value as the rows of a complex array, or None when one does not fit or the lengths differ."""
+    if set(map(type, values)) != {list}:
+        return None
+    lengths = set(map(len, values))
+    if len(lengths) != 1 or 0 in lengths:
+        return None
+    coordinates = _complex_column(list(itertools.chain.from_iterable(values)))
+    return None if coordinates is None else coordinates.reshape(len(values), lengths.pop())
+
+
+def _probability_column(values: list):
+    """``probability`` of each value as a float array, or None when one is not a number."""
+    return np.array(list(map(float, values))) if set(map(type, values)) <= {int, float} else None
 
 
 point = Array(complex_number, "expected a nonempty array of complex coordinates")
 multi_index = Array(nonnegative_int, "expected a multi-index array", nonempty=False)
+_COLUMNS = {complex_number: _complex_column, point: _point_column, probability: _probability_column}
 
 
 def point_index(value, semigroup=None) -> tuple:
@@ -372,7 +432,7 @@ SECTIONS = {
         HALF_LINE: Section({"kind": _KIND}, build=lambda f, sg: Semigroup(HALF_LINE)),
     }),
     "measure": Section(
-        {"atoms": (Array({"point": point, "weight": complex_number}), REQUIRED)},
+        {"atoms": (Array({"point": point, "weight": complex_number}, build=Columns), REQUIRED)},
         shape="expected an object with a nonempty 'atoms' array",
         build=lambda f, sg: AtomicMeasure(sg, f["atoms"]),
     ),
@@ -424,7 +484,7 @@ SECTIONS = {
         },
     ),
     "random_vector": Section(
-        {"outcomes": (Array({"p": probability, "x": point, "y": complex_number}), REQUIRED),
+        {"outcomes": (Array({"p": probability, "x": point, "y": complex_number}, build=Columns), REQUIRED),
          "max_order": (positive_int, 3)},
         shape="expected an object with a nonempty 'outcomes' array",
         build=lambda f, sg: dict(f, outcomes=DiscreteRandomVector(f["outcomes"])),
@@ -444,8 +504,8 @@ SCENARIO = Section({name: (None, OPTIONAL) for name in SECTIONS}, shape="scenari
 
 
 def _given_section(raw: dict, name: str, semigroup: Semigroup = None):
-    """Section ``name`` walked against its table, or None when it is missing or null (its defaults then hold)."""
-    return None if raw.get(name) is None else parse(SECTIONS[name], raw[name], name, semigroup)
+    """Section ``name`` walked against its table, or None when it is missing (its defaults then hold)."""
+    return parse(SECTIONS[name], raw[name], name, semigroup) if name in raw else None
 
 
 def _laid_over(fields: dict, name: str, flags: dict) -> dict:
@@ -477,7 +537,7 @@ class Scenario:
 
 def parse_scenario(data, grid_order: int = None, tol_overrides: dict = None) -> Scenario:
     raw = parse(SCENARIO, data, "")
-    for name in ("measure", "grid"):
+    for name in ("measure", "grid", "symbol"):
         if name in raw and "semigroup" not in raw:
             raise ScenarioError(f"{name}: needs a 'semigroup' section")
     semigroup = measure = grid = None

@@ -330,6 +330,13 @@ def validate_element(semigroup: Semigroup, element):
     return el
 
 
+def points_fit(semigroup: Semigroup, points: np.ndarray) -> bool:
+    """Whether each row of a numeric (k, point_dim) array is a point ``validate_point`` accepts."""
+    if points.dtype.kind not in "biufc" or points.ndim != 2 or points.shape[1] != semigroup.point_dim:
+        return False
+    return semigroup.family != HALF_LINE or not (points[:, 0].real < -_HALF_PLANE_TOL).any()
+
+
 def validate_point(semigroup: Semigroup, point) -> tuple:
     """Normalize a character point to a tuple of complex of the right length."""
     pt = tuple(complex(z) for z in point)

@@ -153,7 +153,7 @@ class PairFunction:
 def pair_function_from_measure(mu: AtomicMeasure, grid: EvaluationGrid, symbol: Symbol = None) -> PairFunction:
     """Tabulate the (optionally F-weighted) transform of mu on closure x closure."""
     closure = grid.pairs_closure
-    w = np.array(mu.weights, dtype=complex) * symbol_values(symbol, mu.points)
+    w = mu.weight_array * symbol_values(symbol, mu.points)
     P = character_matrix(mu.semigroup, mu.points, closure)
     return PairFunction(grid, PairTable(closure, P.T @ (w[:, None] * P.conj())))
 

@@ -49,11 +49,21 @@ class DiscMeasure:
     scale: float = field(default=None, compare=False)
 
     def __post_init__(self):
-        atoms = [((complex(a),), complex(m)) for a, m in self.atoms]
-        for (a,), _ in atoms:
+        atoms = [(complex(a), complex(m)) for a, m in self.atoms]
+        for a, _ in atoms:
             if abs(a) > DISC_RADIUS + _DISC_TOL:
                 raise ValueError(f"disc atom {a} lies outside radius {DISC_RADIUS}")
-        object.__setattr__(self, "atoms", tuple((a, m) for (a,), m in merge_atoms(atoms)))
+        positions = np.array([a for a, _ in atoms], dtype=complex).reshape(-1, 1)
+        keep, weights = merge_atoms(positions, [m for _, m in atoms])
+        object.__setattr__(self, "atoms", tuple(zip([atoms[i][0] for i in keep], weights)))
+
+    @classmethod
+    def _merged(cls, atoms: tuple, scale: float) -> "DiscMeasure":
+        """A disc measure of atoms that ``merge_atoms`` has already merged and sorted."""
+        nu = object.__new__(cls)
+        object.__setattr__(nu, "atoms", atoms)
+        object.__setattr__(nu, "scale", scale)
+        return nu
 
     @property
     def positions(self) -> tuple:
@@ -69,14 +79,26 @@ class DiscMeasure:
 
 
 def disc_measures(mu: AtomicMeasure, symbol: Symbol, elements) -> list:
-    """The disc measures induced by probing mu at each of ``elements``, in order."""
+    """The disc measures induced by probing mu at each of ``elements``, in order.
+
+    One ``merge_atoms`` call merges every element's atoms, each element a
+    group of its own.  The positions lie inside the disc by construction:
+    |rho| / (2 (1 + max |rho|)) < 1/2.
+    """
     values = character_matrix(mu.semigroup, mu.points, elements)
     # each column is char_eval's bit for bit, so Python's abs gives sup_norm exactly
     scales = [2.0 * (1.0 + max(map(abs, column))) for column in values.T.tolist()]
     fv = symbol_values(symbol, mu.points)
     weights = [(abs(fv[k]) ** 2) * w for k, w in enumerate(mu.weights)]
-    positions = (values / np.array(scales)).T.tolist()
-    return [DiscMeasure(tuple(zip(column, weights)), scale) for column, scale in zip(positions, scales)]
+    positions = (values / np.array(scales)).T
+    n, k = positions.shape
+    keep, merged = merge_atoms(positions.reshape(n * k, 1), weights * n, np.repeat(np.arange(n), k))
+    flat = positions.ravel().tolist()
+    bounds = np.searchsorted(np.array(keep, dtype=np.int64) // k, np.arange(n + 1)).tolist()
+    return [
+        DiscMeasure._merged(tuple(zip([flat[i] for i in keep[a:b]], merged[a:b])), scale)
+        for a, b, scale in zip(bounds, bounds[1:], scales)
+    ]
 
 
 def disc_measure(mu: AtomicMeasure, symbol: Symbol, s) -> DiscMeasure:

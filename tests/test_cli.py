@@ -401,6 +401,70 @@ def test_invalid_csv_element_json_is_rejected(tmp_path):
     assert_scenario_invalid(argv, "--csv-element")
 
 
+def first_atom_point(value):
+    return lambda s: s["measure"]["atoms"][0].update(point=value)
+
+
+def second_outcome(**fields):
+    return lambda s: s["random_vector"]["outcomes"][1].update(fields)
+
+
+# case: (command, scenario file or None for HALF_LINE_SCENARIO, edit, the whole error message); atoms and
+# outcomes are read column by column, and a fault in them keeps the message of the row-by-row walk
+INGESTION_CASES = {
+    "bool_coordinate": ("covariance", "point_mass_natadd2.json", first_atom_point([[0.5, 0.0], [True, 0.0]]),
+                        "measure.atoms[0].point[1]: expected [re, im] (or a bare real number)"),
+    "bool_bare_coordinate": ("covariance", "two_atoms_natadd1.json", first_atom_point([False]),
+                             "measure.atoms[0].point[0]: expected a complex number, got a boolean"),
+    "bool_weight": ("covariance", "two_atoms_natadd1.json", lambda s: s["measure"]["atoms"][1].update(weight=[0.5, True]),
+                    "measure.atoms[1].weight: expected [re, im] (or a bare real number)"),
+    "ragged_points": ("covariance", "point_mass_natadd2.json", first_atom_point([[0.5, 0.0]]),
+                      "measure: expected character point of length 2, got 1"),
+    "wrong_length_point": ("covariance", "two_atoms_natadd1.json",
+                           lambda s: [atom.update(point=[[0.5, 0.0], [0.25, 0.0]]) for atom in s["measure"]["atoms"]],
+                           "measure: expected character point of length 1, got 2"),
+    "empty_point": ("covariance", "two_atoms_natadd1.json", first_atom_point([]),
+                    "measure.atoms[0].point: expected a nonempty array of complex coordinates"),
+    "half_line_point": ("covariance", None,
+                        lambda s: s["measure"]["atoms"].append({"point": [[-0.5, 0.0]], "weight": 1.0}),
+                        "measure: half-line character points need Re z >= 0"),
+    "empty_outcomes": ("random-vector", "random_vector_two_point.json", lambda s: s["random_vector"].update(outcomes=[]),
+                       "random_vector: expected an object with a nonempty 'outcomes' array"),
+    "bool_probability": ("random-vector", "random_vector_two_point.json", second_outcome(p=True),
+                         "random_vector.outcomes[1].p: expected a probability"),
+    "bool_x": ("random-vector", "random_vector_two_point.json", second_outcome(x=[[True, 0.0]]),
+               "random_vector.outcomes[1].x[0]: expected [re, im] (or a bare real number)"),
+    "ragged_outcomes": ("random-vector", "random_vector_two_point.json", second_outcome(x=[[1.0, 0.0], [0.0, 0.0]]),
+                        "random_vector: all outcomes must share the vector dimension"),
+    "negative_probability": ("random-vector", "random_vector_two_point.json", second_outcome(p=-0.5),
+                             "random_vector: probabilities must be nonnegative"),
+    "unknown_outcome_key": ("random-vector", "random_vector_two_point.json", second_outcome(q=1),
+                            "random_vector.outcomes[1].q: unknown key; expected one of p, x, y"),
+}
+
+
+@pytest.mark.parametrize("case", list(INGESTION_CASES))
+def test_atom_and_outcome_faults_keep_their_messages(tmp_path, case):
+    command, source, edit, message = INGESTION_CASES[case]
+    scn = json.loads(json.dumps(HALF_LINE_SCENARIO)) if source is None else load_scenario_file(source)
+    edit(scn)
+    code, out, _ = run_cli([command, write_scenario(tmp_path, scn, "")])
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "scenario_invalid", "message": message}
+
+
+def test_bare_real_atoms_and_outcomes_read_like_pairs(tmp_path):
+    pairs, bare = (load_scenario_file("two_atoms_natadd1.json") for _ in range(2))
+    for atom in bare["measure"]["atoms"]:
+        atom.update(point=[atom["point"][0][0]], weight=atom["weight"][0])
+    rv_pairs, rv_bare = (load_scenario_file("random_vector_two_point.json") for _ in range(2))
+    for outcome in rv_bare["random_vector"]["outcomes"]:
+        outcome.update(x=[int(outcome["x"][0][0])], y=1)
+    for command, a, b in (("covariance", pairs, bare), ("random-vector", rv_pairs, rv_bare)):
+        got = run_cli([command, write_scenario(tmp_path, b, "")])
+        assert got == run_cli([command, write_scenario(tmp_path, a, "")]) and got[0] == 0
+
+
 def test_polynomial_symbol_index_must_match_point_dimension(tmp_path):
     with open(os.path.join(SCENARIOS, "point_mass_natadd2.json")) as fh:
         scn = json.load(fh)
@@ -627,6 +691,37 @@ def test_measure_or_grid_without_semigroup_is_rejected(tmp_path, command, source
     scn = load_scenario_file(source)
     edit(scn)
     assert_scenario_invalid([command, write_scenario(tmp_path, scn, "")], message)
+
+
+@pytest.mark.parametrize("entry", ["1.5", "2.0", "true", '"1"'])
+def test_nat_add_element_entries_must_be_ints(tmp_path, entry):
+    # a fractional entry was truncated by int(): [1.5] ran as the element [1]
+    scn = load_scenario_file("two_atoms_natadd1.json")
+    scn["grid"] = {"elements": [[0], ["VALUE"], [2]]}
+    assert_scenario_invalid(["covariance", write_scenario(tmp_path, scn, entry)],
+                            "grid.elements[1][0]: expected an integer")
+    argv = build_argv("two_atoms_natadd1.json", ["toeplitz", "--moments-csv", str(tmp_path / "m.csv"),
+                                                 "--csv-element", f"[{entry}]"])
+    assert_scenario_invalid(argv, "--csv-element[0]: expected an integer")
+
+
+@pytest.mark.parametrize(
+    "section,message",
+    [("symbol", "symbol: expected an object with a 'kind' field"), ("grid", "grid: expected an object"),
+     ("tolerances", "tolerances: expected an object")],
+)
+def test_null_sections_are_rejected(tmp_path, section, message):
+    # each once fell back to its defaults (F == 1, the default grid, the default tolerances)
+    scn = load_scenario_file("two_atoms_natadd1.json")
+    scn[section] = None
+    assert_scenario_invalid(["covariance", write_scenario(tmp_path, scn, "")], message)
+
+
+def test_symbol_without_semigroup_is_rejected(tmp_path):
+    # multi-indices of two lengths went unchecked and the symbol was never used
+    scn = load_scenario_file("random_vector_two_point.json")
+    scn["symbol"] = {"kind": "poly", "terms": [{"m": [0], "c": 1}, {"m": [0, 1], "c": 1}]}
+    assert_scenario_invalid(["random-vector", write_scenario(tmp_path, scn, "")], "symbol: needs a 'semigroup' section")
 
 
 def test_pd_validates_every_given_key(tmp_path):

@@ -14,7 +14,8 @@ from lapcov import (
     total_mass,
     total_variation,
 )
-from lapcov.measures import MERGE_TOL, _point_distance, _point_sort_key, merge_atoms
+from lapcov.measures import MERGE_TOL, _point_distance, _point_sort_key
+from lapcov.toeplitz import DiscMeasure
 
 SG1 = Semigroup.nat_add(1)
 
@@ -134,7 +135,7 @@ def test_merge_chain_is_greedy_in_input_order():
 
 
 def merge_loop(atoms):
-    # the O(k^2) scan merge_atoms ran before its sorted window
+    # the merge rule as a plain O(k^2) scan: each atom joins the first kept point within MERGE_TOL
     kept, weights = [], []
     for point, weight in atoms:
         for i, q in enumerate(kept):
@@ -151,35 +152,122 @@ def random_point(rng, dim, scale=1.0):
     return tuple(complex(*rng.normal(size=2)) * scale for _ in range(dim))
 
 
+NON_FINITE = (complex(math.nan, 0.0), complex(-math.inf, 1.0), complex(0.0, math.inf), complex(math.nan, math.nan))
+
+
 def jittered_atoms(rng, dim, scale):
-    """Copies of a few centers, each moved by up to 1.5 * MERGE_TOL; some first coordinates not finite."""
+    """Copies of a few centers, each moved by up to 1.5 * MERGE_TOL; some exact copies, some coordinates not finite."""
     centers = [random_point(rng, dim, scale) for _ in range(int(rng.integers(1, 6)))]
     atoms = []
     for _ in range(int(rng.integers(1, 40))):
+        if atoms and rng.random() < 0.1:
+            atoms.append((atoms[int(rng.integers(len(atoms)))][0], complex(*rng.normal(size=2))))
+            continue
         center = centers[int(rng.integers(len(centers)))]
         jitter = rng.uniform(0.0, 1.5 * MERGE_TOL) / 2
         point = tuple(z + complex(*rng.normal(size=2)) * jitter for z in center)
-        if rng.random() < 0.05:
-            point = (complex(math.nan, 0.0),) + point[1:]
-        if rng.random() < 0.05:
-            point = (complex(-math.inf, 1.0),) + point[1:]
-        if dim > 1 and rng.random() < 0.05:
-            point = point[:1] + (complex(0.0, math.inf),) + point[2:]
+        if rng.random() < 0.1:
+            at = int(rng.integers(dim))
+            point = point[:at] + (NON_FINITE[int(rng.integers(len(NON_FINITE)))],) + point[at + 1:]
         atoms.append((point, complex(*rng.normal(size=2))))
     return atoms
 
 
+def disc_atoms(atoms):
+    """(position, weight) atoms of 1-point atoms that lie in the disc (NaN positions pass its check)."""
+    return [(p[0], w) for p, w in atoms if not abs(p[0]) > 0.5]
+
+
+def assert_both_merge_like_the_scan(semigroup, atoms):
+    # repr, so that NaN coordinates compare equal; -0.0 and 0.0 differ in it
+    assert repr(AtomicMeasure(semigroup, tuple(atoms)).atoms) == repr(merge_loop(atoms))
+    if semigroup.point_dim == 1:
+        disc = disc_atoms(atoms)
+        want = tuple((p[0], w) for p, w in merge_loop([((a,), w) for a, w in disc]))
+        assert repr(DiscMeasure(tuple(disc)).atoms) == repr(want)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_merge_matches_the_pairwise_scan(rng, dim):
+    sg = Semigroup.nat_add(dim)
     for trial in range(300):
-        scale = (1.0, 1e-11, 1e3, 1e8)[trial % 4]
-        atoms = jittered_atoms(rng, dim, scale)
-        # repr, so that NaN coordinates compare equal
-        assert repr(merge_atoms(atoms)) == repr(merge_loop(atoms))
+        scale = (1.0, 1e-11, 1e3, 1e8, 0.1, 1e150)[trial % 6]
+        assert_both_merge_like_the_scan(sg, jittered_atoms(rng, dim, scale))
     chain = [((0.3 + i * 0.8e-12 + 0j,) + (0.5j,) * (dim - 1), complex(i + 1)) for i in range(7)]
+    # spaced just under the tolerance, and at distances within rounding of it
+    tight = [((0.1 + i * 0.999999e-12 + 0j,) + (0.25 + 0j,) * (dim - 1), complex(1, i)) for i in range(6)]
+    edge = [((complex(x),) + (0j,) * (dim - 1), complex(i + 1)) for i, x in enumerate((0.0, 1e-12, 2e-12, 3e-12))]
+    edge += [((complex(0.2 + x),) + (0j,) * (dim - 1), complex(0.5)) for x in (0.0, 1e-12, -1e-12, 2e-12)]
     distinct = [(random_point(rng, dim), complex(*rng.normal(size=2))) for _ in range(100)]
-    for atoms in (chain, chain[::-1], distinct, distinct + distinct[::-1]):
-        assert repr(merge_atoms(atoms)) == repr(merge_loop(atoms))
+    for atoms in (chain, chain[::-1], tight, tight[::-1], edge, edge[::-1], distinct, distinct + distinct[::-1]):
+        assert_both_merge_like_the_scan(sg, atoms)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_exact_copies_with_a_non_finite_coordinate_stay_apart(dim):
+    # a distance to a point with a NaN or infinite coordinate is NaN or inf, never within MERGE_TOL
+    sg = Semigroup.nat_add(dim)
+    for bad in NON_FINITE:
+        for at in range(dim):
+            point = tuple(bad if c == at else complex(0.25, 0.1) for c in range(dim))
+            atoms = [(point, 1 + 0j), ((complex(0.25, 0.1),) * dim, 2 + 0j), (point, 3j)]
+            assert len(AtomicMeasure(sg, tuple(atoms)).atoms) == 3
+            assert_both_merge_like_the_scan(sg, atoms)
+
+
+def test_signed_zeros_merge_into_the_first_atom():
+    zeros = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    for order in (zeros, zeros[::-1]):
+        atoms = [((z,), complex(i + 1)) for i, z in enumerate(order)]
+        merged = AtomicMeasure(SG1, tuple(atoms)).atoms
+        assert len(merged) == 1 and repr(merged[0][0]) == repr((order[0],))
+        assert_both_merge_like_the_scan(SG1, atoms)
+
+
+def test_atoms_whose_distance_overflows_stay_apart():
+    # the same first real coordinate, so the scalar window search measured them: (2e200)**2 raised OverflowError
+    mu = AtomicMeasure(SG1, (((1e200j,), 1.0), ((-1e200j,), 2.0)))
+    assert mu.atoms == (((-1e200j,), 2), ((1e200j,), 1))
+
+
+def test_half_line_points_at_the_boundary():
+    sg = Semigroup.half_line()
+    inside = [((complex(-1e-12, 0.3),), 1.0), ((complex(-1e-12, 0.3 + 1e-13),), 2.0), ((1j,), 0.5)]
+    want = merge_loop([(p, complex(w)) for p, w in inside])
+    assert repr(AtomicMeasure(sg, tuple(inside)).atoms) == repr(want)
+    with pytest.raises(ValueError, match=r"^half-line character points need Re z >= 0$"):
+        AtomicMeasure(sg, inside + [((complex(-1.0000001e-12, 0.0),), 1.0)])
+
+
+def test_bare_real_and_integer_coordinates_read_as_complex():
+    atoms = [(0.5, 1), ((1,), 2.0), ((0.5 + 0j,), 1j), (True, 1), (-2, 0.25)]
+    want = merge_loop([((complex(p if not isinstance(p, tuple) else p[0]),), complex(w)) for p, w in atoms])
+    assert repr(AtomicMeasure(SG1, tuple(atoms)).atoms) == repr(want)
+    two = [((1, 0.5), 1), ((True, 0.5 + 0j), 2), ((2.0, False), 3)]
+    want = merge_loop([(tuple(complex(z) for z in p), complex(w)) for p, w in two])
+    assert repr(AtomicMeasure(Semigroup.nat_add(2), tuple(two)).atoms) == repr(want)
+
+
+@pytest.mark.parametrize(
+    "semigroup,atoms,error,message",
+    [
+        (SG1, (), ValueError, "a measure needs at least one atom"),
+        (SG1, (((0.5, 0.5), 1),), ValueError, "expected character point of length 1, got 2"),
+        (Semigroup.nat_add(2), (((0.5, 0.5), 1), ((0.5,), 1)), ValueError,
+         "expected character point of length 2, got 1"),
+        (Semigroup.half_line(), (((0.5,), 1), ((-0.5,), 1)), ValueError, "half-line character points need Re z >= 0"),
+        (SG1, (((0.5,), 1), ((None,), 1)), TypeError,
+         "complex() first argument must be a string or a number, not 'NoneType'"),
+        (SG1, (((0.5,), 1), (("x",), 1)), ValueError, "complex() arg is a malformed string"),
+        (SG1, (((0.5,), None),), TypeError,
+         "complex() first argument must be a string or a number, not 'NoneType'"),
+        (SG1, (((0.5,), 1), ((0.25,),)), ValueError, "not enough values to unpack (expected 2, got 1)"),
+    ],
+)
+def test_atomic_measure_errors_keep_their_text(semigroup, atoms, error, message):
+    with pytest.raises(error) as caught:
+        AtomicMeasure(semigroup, atoms)
+    assert str(caught.value) == message
 
 
 def test_half_line_accepts_boundary_points():

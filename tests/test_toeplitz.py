@@ -144,6 +144,16 @@ def test_disc_measures_are_byte_equal_to_one_element_at_a_time(rng, semigroup, c
             assert _same_bytes(disc_measure(mu, symbol, s), nu)
 
 
+def test_disc_measures_merge_each_element_apart():
+    # at z = 1 every character is 1, so equal positions meet at the boundary between elements 1 and 2
+    mu = measure((1, 2.0), (-1, 1.0))
+    elements = ((0,), (1,), (2,))
+    nus = disc_measures(mu, None, elements)
+    for nu, s in zip(nus, elements):
+        assert _same_bytes(nu, reference_disc_measure(mu, None, s))
+    assert [nu.weights for nu in nus] == [(3,), (1, 2), (3,)]
+
+
 def test_disc_measure_rejects_outside_atoms():
     with pytest.raises(ValueError):
         DiscMeasure(((0.7, 1.0),))
