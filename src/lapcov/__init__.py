@@ -17,7 +17,9 @@ from .errors import (
     FMuIntegralZero,
     GridTooLarge,
     LapcovError,
+    MassZero,
     MissingGridValue,
+    NumericOverflow,
     PrimeOutOfRange,
     RankDeficientPencil,
     ScenarioError,

@@ -11,18 +11,7 @@ import functools
 import sys
 
 from . import __version__
-from .errors import (
-    ExpectationYZero,
-    FMuIntegralZero,
-    GridTooLarge,
-    LapcovError,
-    MissingGridValue,
-    PrimeOutOfRange,
-    RankDeficientPencil,
-    ScenarioError,
-    SymbolUndefinedAtAtom,
-    ZeroWeightAtom,
-)
+from .errors import FMuIntegralZero, LapcovError, MassZero, ScenarioError
 from .kernels import DEGENERATE as KERNEL_DEGENERATE
 from .kernels import kernel_recover, truncation_tail_bound
 from .laplace import (
@@ -30,12 +19,12 @@ from .laplace import (
     POINT_MASS,
     decide_covariance,
     laplace_transform,  # noqa: F401  (a lapcov.cli binding that perfbench/layers.py traces)
+    mass_vanishes,
     multiplicativity_defect,
     recover_point_mass,
     resolve_point,
     transform_block,
 )
-from .measures import total_mass
 from .randomvectors import CONSTANT, decide_constant_vector
 from .report import dumps, encode_complex, format_float
 from .scenario import element, element_to_json, load_scenario, parse, parse_json, point_to_json
@@ -62,29 +51,10 @@ from .toeplitz import (
 
 import numpy as np
 
-_ERROR_CODES = {
-    ScenarioError: "scenario_invalid",
-    FMuIntegralZero: "f_mu_integral_zero",
-    ExpectationYZero: "expectation_y_zero",
-    PrimeOutOfRange: "prime_out_of_range",
-    GridTooLarge: "grid_too_large",
-    SymbolUndefinedAtAtom: "symbol_undefined",
-    MissingGridValue: "missing_grid_value",
-    ZeroWeightAtom: "zero_weight_atom",
-    RankDeficientPencil: "rank_deficient_pencil",
-}
-
-
-class _CommandError(LapcovError):
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 def _require(scenario, field: str):
     value = getattr(scenario, field, None)
     if value is None:
-        raise _CommandError("scenario_invalid", f"this command needs a '{field}' section")
+        raise ScenarioError(f"this command needs a '{field}' section")
     return value
 
 
@@ -151,10 +121,8 @@ def _cmd_covariance(scenario, args):
 def _cmd_recover(scenario, args):
     mu = _require(scenario, "measure")
     tol = scenario.tolerances
-    mass = total_mass(mu)
-    weight_scale = sum(abs(w) for w in mu.weights)
-    if abs(mass) < tol.mass * weight_scale:
-        raise _CommandError("mass_zero", "total mass is numerically zero; nothing to recover")
+    if mass_vanishes(mu, tol):
+        raise MassZero("total mass is numerically zero; nothing to recover")
     mass, table = recover_point_mass(mu, scenario.symbol, scenario.grid, tol)
     point, resolved = resolve_point(scenario.grid, table, mu.semigroup)
     defect = multiplicativity_defect(table, scenario.grid)
@@ -322,7 +290,7 @@ def _cmd_random_vector(scenario, args):
 def _cmd_kernel(scenario, args):
     mu = _require(scenario, "measure")
     if mu.semigroup.family != NAT_ADD:
-        raise _CommandError("scenario_invalid", "the kernel command needs a nat_add measure")
+        raise ScenarioError("the kernel command needs a nat_add measure")
     section = scenario.section("kernel")
     kernel, z_grid = section["coefficients"], section["z_points"]
     verdict = kernel_recover(
@@ -454,8 +422,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         text = dumps(report) if args.format == "json" else "\n".join(_render_text(report)) + "\n"
     except Exception as exc:  # the process boundary: every failure ends in a JSON error, never a traceback
         if isinstance(exc, LapcovError):
-            code = getattr(exc, "code", None) or _ERROR_CODES.get(type(exc), "internal_error")
-            message = str(exc)
+            code, message = exc.code, str(exc)
         else:
             code, message = "internal_error", f"{type(exc).__name__}: {exc}"
         stdout.write(dumps({"error": {"code": code, "message": message}}))

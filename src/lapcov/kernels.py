@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .laplace import POINT_MASS, Tolerances, decide_covariance, default_grid
+from .laplace import POINT_MASS, Tolerances, decide_covariance, default_grid, mass_vanishes
 from .measures import AtomicMeasure, total_mass
 from .semigroups import monomial
 
@@ -162,9 +162,7 @@ def kernel_recover(
     """
     tol = tol or Tolerances()
     f_coefficients = {tuple(int(i) for i in m): complex(b) for m, b in f_coefficients.items()}
-    mass = total_mass(mu)
-    weight_scale = sum(abs(w) for w in mu.weights)
-    if abs(mass) < tol.mass * weight_scale:
+    if mass_vanishes(mu, tol):
         return KernelVerdict(kind=DEGENERATE, reason="measure_mass_zero")
 
     if z_grid is None:
@@ -214,6 +212,7 @@ def kernel_recover(
         return KernelVerdict(
             kind=NOT_EXTREMAL, max_residual=max_residual, reason="f_coefficient_mismatch"
         )
+    mass = total_mass(mu)
     if abs(mass - abs(ratio) ** 2) > coeff_tol * (1.0 + abs(mass)):
         return KernelVerdict(
             kind=NOT_EXTREMAL, max_residual=max_residual, reason="mass_modulus_mismatch"

@@ -28,6 +28,8 @@ from .measures import (
     AtomicMeasure,
     Symbol,
     symbol_values,
+    total_mass,
+    weight_scale,
 )
 from .semigroups import (
     NAT_ADD,
@@ -71,6 +73,11 @@ class Tolerances:
     def __post_init__(self):
         if not all(math.isfinite(v) and v > 0 for v in (self.mass, self.residual, self.rank)):
             raise ValueError("tolerances must be positive and finite")
+
+
+def mass_vanishes(mu: AtomicMeasure, tol: Tolerances) -> bool:
+    """Whether the hypothesis mu(Gamma) != 0 fails numerically: |mu(Gamma)| < tol.mass * sum_k |w_k|."""
+    return abs(total_mass(mu)) < tol.mass * weight_scale(mu)
 
 
 @dataclass(frozen=True)
@@ -195,19 +202,11 @@ def laplace_transform(mu: AtomicMeasure, symbol, s, t, mode: str = MODE_F) -> co
 def covariance_residual(mu: AtomicMeasure, symbol, s, t) -> complex:
     """R(s, t) = mass * L[|F|^2](s,t) - L[F](s,e) * L[conj F](e,t)."""
     e = identity(mu.semigroup)
-    mass = complex(sum(mu.weights))
+    mass = total_mass(mu)
     quad = laplace_transform(mu, symbol, s, t, mode=MODE_ABS_F_SQ)
     left = laplace_transform(mu, symbol, s, e, mode=MODE_F)
     right = laplace_transform(mu, symbol, e, t, mode=MODE_CONJ_F)
     return mass * quad - left * right
-
-
-def _weighted_columns(mu, symbol, elements):
-    """(w*F, w*conj F, w*|F|^2, P) with P the character matrix on ``elements``."""
-    w = mu.weight_array
-    fv = symbol_values(symbol, mu.points)
-    P = character_matrix(mu.semigroup, mu.points, elements)
-    return w * fv, w * np.conj(fv), w * np.abs(fv) ** 2, P
 
 
 def degenerate_check(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Tolerances = None) -> str:
@@ -218,12 +217,12 @@ def degenerate_check(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Toler
     vanish the analytic case is reported.
     """
     tol = tol or Tolerances()
-    wf, wcf, _, P = _weighted_columns(mu, symbol, grid.elements)
-    analytic = P.T @ wf
-    conjugate = P.conj().T @ wcf
-    abs_w = np.abs(mu.weight_array)
-    fp_max = float(np.max(np.abs(symbol_values(symbol, mu.points))[:, None] * np.abs(P), initial=0.0))
-    threshold = tol.residual * float(abs_w.sum()) * fp_max
+    fv = symbol_values(symbol, mu.points)
+    P = character_matrix(mu.semigroup, mu.points, grid.elements)
+    analytic = P.T @ (mu.weight_array * fv)
+    conjugate = P.conj().T @ (mu.weight_array * np.conj(fv))
+    fp_max = float(np.max(np.abs(fv)[:, None] * np.abs(P), initial=0.0))
+    threshold = tol.residual * weight_scale(mu) * fp_max
     if np.all(np.abs(analytic) <= threshold):
         return MASS_ZERO_ANALYTIC
     if np.all(np.abs(conjugate) <= threshold):
@@ -239,10 +238,9 @@ def recover_point_mass(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Tol
     Raises FMuIntegralZero when the denominator is below tolerance.
     """
     tol = tol or Tolerances()
-    mass = complex(sum(mu.weights))
     closure = grid.pairs_closure
-    wf, _, _, P = _weighted_columns(mu, symbol, closure)
-    numerators = P.T @ wf
+    wf = mu.weight_array * symbol_values(symbol, mu.points)
+    numerators = character_matrix(mu.semigroup, mu.points, closure).T @ wf
     e_index = closure.index(identity(mu.semigroup))
     denominator = complex(numerators[e_index])
     fmu_scale = float(np.sum(np.abs(wf)))
@@ -250,7 +248,7 @@ def recover_point_mass(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Tol
         raise FMuIntegralZero("the integral of F against mu is numerically zero")
     table = {el: complex(numerators[i] / denominator) for i, el in enumerate(closure)}
     table[closure[e_index]] = 1 + 0j  # the ratio at the identity is 1 by definition
-    return mass, table
+    return total_mass(mu), table
 
 
 def multiplicativity_defect(table: dict, grid: EvaluationGrid) -> float:
@@ -340,27 +338,26 @@ def decide_covariance(
     if grid.semigroup != sg:
         raise ValueError("grid and measure use different semigroups")
 
-    abs_w = np.abs(mu.weight_array)
-    mass = complex(sum(mu.weights))
     fv = symbol_values(symbol, mu.points)
     abs_f = np.abs(fv)
     flag = bool(np.any(abs_f < tol.residual * max(1.0, float(abs_f.max())))) if len(abs_f) else False
 
-    if abs(mass) < tol.mass * float(abs_w.sum()):
+    if mass_vanishes(mu, tol):
         case = degenerate_check(mu, symbol, grid, tol)
         return CovarianceVerdict(
             kind=DEGENERATE, degenerate_case=case, symbol_vanishes_on_atom=flag
         )
 
-    wf, wcf, wf2, P = _weighted_columns(mu, symbol, grid.elements)
-    left = P.T @ wf
-    right = P.conj().T @ wcf
-    quad = P.T @ (wf2[:, None] * P.conj())
-    residual = mass * quad - np.outer(left, right)
+    w = mu.weight_array
+    P = character_matrix(sg, mu.points, grid.elements)
+    left = P.T @ (w * fv)
+    right = P.conj().T @ (w * np.conj(fv))
+    quad = P.T @ ((w * abs_f**2)[:, None] * P.conj())
+    residual = total_mass(mu) * quad - np.outer(left, right)
     abs_residual = np.abs(residual)
 
     fp_max = float(np.max(abs_f[:, None] * np.abs(P), initial=0.0))
-    scale = float(np.sum(abs_w**2)) * fp_max**2
+    scale = float(np.sum(np.abs(w) ** 2)) * fp_max**2
     max_raw = float(abs_residual.max())
     max_normalized = max_raw / scale if scale > 0 else 0.0
 

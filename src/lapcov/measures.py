@@ -256,6 +256,11 @@ def total_mass(mu: AtomicMeasure) -> complex:
     return complex(sum(mu.weights))
 
 
+def weight_scale(mu: AtomicMeasure) -> float:
+    """sum_k |w_k|, the scale a vanishing total mass is judged against."""
+    return float(np.abs(mu.weight_array).sum())
+
+
 def total_variation(mu: AtomicMeasure) -> AtomicMeasure:
     """The measure with weights |w|; atoms of weight zero are dropped."""
     kept = [(p, abs(w)) for p, w in mu.atoms if w != 0]

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridTooLarge, PrimeOutOfRange
+from .errors import GridTooLarge, NumericOverflow, PrimeOutOfRange
 
 NAT_ADD = "nat_add"
 NAT_MULT = "nat_mult"
@@ -169,10 +169,13 @@ def monomial(point, exponents, value=1 + 0j) -> complex:
 
     The one scalar monomial of the package (characters, polynomial symbols,
     kernels, random-vector moments); 0**0 == 1 is guaranteed by Python's
-    complex power.
+    complex power.  A power that overflows raises NumericOverflow.
     """
-    for z, e in zip(point, exponents):
-        value *= complex(z) ** int(e)
+    try:
+        for z, e in zip(point, exponents):
+            value *= complex(z) ** int(e)
+    except OverflowError:
+        raise NumericOverflow(f"{z!r} ** {e!r} overflows the float range") from None
     return value
 
 
@@ -236,8 +239,12 @@ _MAX_SQUARING_EXPONENT = 100
 # Python 3.11 and numpy 2.4 on a 2-core Xeon VM, the loop was faster up to
 # 64-96 entries for nat_add and nat_mult (a 1 x 96 row: 203 vs 223 us) and
 # slower from 128 on (1 x 128: 258 vs 245 us; 16 x 16: 430 vs 175 us), and
-# half_line crossed over at 32-64.  The Toeplitz route's one-column blocks
-# of 1-4 atoms stay on the loop.
+# half_line crossed over at 32-64.  The Toeplitz route builds one k x n
+# block per grid (``disc_measures``), and its blocks of 1-4 atoms fall below
+# the threshold although the array is faster on some of them: best of 5 x 200
+# calls on the same VM, loop vs array, nat_mult 2 x 27 216 vs 204 us and
+# 4 x 27 439 vs 202 us (the loop factors each element with ``kappa`` once per
+# atom), half_line 4 x 17 43 vs 35 us, but nat_add 1 x 25 60 vs 156 us.
 _MIN_ARRAY_ENTRIES = 128
 
 # cmath.exp and numpy's exp share exp(x) * (cos y, sin y) up to here; above
@@ -300,28 +307,44 @@ def character_matrix(semigroup: Semigroup, points, elements) -> np.ndarray:
     of at least ``_MIN_ARRAY_ENTRIES`` entries are computed as arrays, with
     Python's complex arithmetic spelled out in real arithmetic; the scalar
     loop keeps small blocks, exponents past ``_MAX_SQUARING_EXPONENT`` and
-    inputs on which Python's complex power or exp would raise.
+    inputs on which Python's complex power or exp would raise.  A value that
+    overflows or is not finite raises NumericOverflow.
     """
+    out = None
     if len(points) * len(elements) >= _MIN_ARRAY_ENTRIES:
         # Python's float arithmetic overflows to inf without a warning
         with np.errstate(over="ignore", invalid="ignore"):
             out = _character_array(semigroup, points, elements)
-        if out is not None:
-            return out
-    return _character_loop(semigroup, points, elements)
+    try:
+        out = _character_loop(semigroup, points, elements) if out is None else out
+    except NumericOverflow:
+        raise
+    except OverflowError as exc:  # cmath.exp on the half-line
+        raise NumericOverflow(f"a character value overflows: {exc}") from None
+    if not np.isfinite(out).all():
+        raise NumericOverflow("a character value overflows the float range or is not a number")
+    return out
+
+
+def _integer(value) -> int:
+    """``value`` as an int; a fraction or a boolean, which int() would truncate or accept, raises ValueError."""
+    n = int(value)
+    if n != value or isinstance(value, bool):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return n
 
 
 def validate_element(semigroup: Semigroup, element):
     """Normalize and check one element; returns the canonical representation."""
     if semigroup.family == NAT_ADD:
-        el = tuple(int(x) for x in element)
+        el = tuple(map(_integer, element))
         if len(el) != semigroup.dim:
             raise ValueError(f"expected multi-index of length {semigroup.dim}")
         if any(x < 0 for x in el):
             raise ValueError("multi-index components must be nonnegative")
         return el
     if semigroup.family == NAT_MULT:
-        el = int(element)
+        el = _integer(element)
         kappa(el, semigroup.dim)  # raises on bad factorization
         return el
     el = float(element)

@@ -12,7 +12,20 @@ import lapcov.laplace as laplace
 import lapcov.measures as measures
 import lapcov.toeplitz as toeplitz
 from lapcov.cli import main
-from lapcov.errors import RankDeficientPencil
+from lapcov.errors import (
+    ExpectationYZero,
+    FMuIntegralZero,
+    GridTooLarge,
+    LapcovError,
+    MassZero,
+    MissingGridValue,
+    NumericOverflow,
+    PrimeOutOfRange,
+    RankDeficientPencil,
+    ScenarioError,
+    SymbolUndefinedAtAtom,
+    ZeroWeightAtom,
+)
 from lapcov.scenario import load_scenario
 
 from helpers import reference_disc_measure, reference_prony_table
@@ -849,3 +862,99 @@ def test_interrupt_and_exit_are_not_caught(monkeypatch, exc):
     monkeypatch.setitem(cli._COMMANDS, "covariance", interrupted)
     with pytest.raises(exc):
         run_cli(build_argv("two_atoms_natadd1.json", ["covariance"]))
+
+
+# every toolkit error type and the code the command line reports for it
+ERROR_CODES = {
+    LapcovError: "internal_error",
+    GridTooLarge: "grid_too_large",
+    PrimeOutOfRange: "prime_out_of_range",
+    ZeroWeightAtom: "zero_weight_atom",
+    SymbolUndefinedAtAtom: "symbol_undefined",
+    MissingGridValue: "missing_grid_value",
+    MassZero: "mass_zero",
+    FMuIntegralZero: "f_mu_integral_zero",
+    RankDeficientPencil: "rank_deficient_pencil",
+    ExpectationYZero: "expectation_y_zero",
+    NumericOverflow: "numeric_overflow",
+    ScenarioError: "scenario_invalid",
+}
+
+
+def error_types(base=LapcovError):
+    return {base}.union(*(error_types(sub) for sub in base.__subclasses__()))
+
+
+def test_every_error_type_declares_a_distinct_code():
+    assert error_types() == set(ERROR_CODES)
+    assert {t: t.code for t in ERROR_CODES} == ERROR_CODES
+    assert len(set(ERROR_CODES.values())) == len(ERROR_CODES)
+
+
+@pytest.mark.parametrize("error_type", list(ERROR_CODES), ids=lambda t: t.__name__)
+def test_main_reports_the_code_its_error_type_declares(monkeypatch, error_type):
+    def failing(scenario, args):
+        raise error_type("went wrong")
+
+    monkeypatch.setitem(cli._COMMANDS, "covariance", failing)
+    code, out, err = run_cli(build_argv("two_atoms_natadd1.json", ["covariance"]))
+    assert code == 1
+    assert json.loads(out) == {"error": {"code": ERROR_CODES[error_type], "message": "went wrong"}}
+    assert err == "error: went wrong\n"
+
+
+def test_recover_on_zero_mass_is_a_mass_zero_error():
+    code, out, _ = run_cli(build_argv("zero_mass_natadd1.json", ["recover"]))
+    assert code == 1
+    message = "total mass is numerically zero; nothing to recover"
+    assert json.loads(out) == {"error": {"code": "mass_zero", "message": message}}
+
+
+@pytest.mark.parametrize("relative_mass,vanishes", [(1e-11, True), (1e-9, False)])
+def test_every_command_applies_the_same_mass_gate(tmp_path, relative_mass, vanishes):
+    # atoms of weight 1 and -(1 - 2m) leave mass 2m against sum |w| = 2 - 2m; tol.mass is 1e-10
+    scn = load_scenario_file("kernel_extremal.json")
+    scn["measure"]["atoms"] = [
+        {"point": [[0.1, 0.0]], "weight": [1.0, 0.0]},
+        {"point": [[0.2, 0.0]], "weight": [-(1.0 - 2 * relative_mass), 0.0]},
+    ]
+    path = write_scenario(tmp_path, scn, "")
+    outcomes = {command: run_cli([command, path]) for command in ("covariance", "recover", "kernel")}
+    assert (outcomes["covariance"][0] == 2) is vanishes
+    assert ("mass_zero" in outcomes["recover"][1]) is vanishes
+    assert (json.loads(outcomes["kernel"][1]).get("reason") == "measure_mass_zero") is vanishes
+
+
+def overflow_measure(d, big, **extra):
+    points = [[[big, 0.0]] * d, [[0.5, 0.0]] * d]
+    atoms = [{"point": point, "weight": [1.0, 0.0]} for point in points]
+    return {"semigroup": {"kind": "nat_add", "d": d}, "measure": {"atoms": atoms}, **extra}
+
+
+OVERFLOW_SCENARIOS = {
+    # a complex power overflows
+    "power": overflow_measure(1, 1e200),
+    # each power is finite, their product is not
+    "product": overflow_measure(2, 1e160, grid={"order": 1}),
+    "random_vector": {
+        "random_vector": {
+            "outcomes": [{"p": 0.5, "x": [[1e160, 0.0]], "y": [1.0, 0.0]}, {"p": 0.5, "x": [[0.5, 0.0]], "y": [1.0, 0.0]}],
+        },
+    },
+    "kernel": {
+        "semigroup": {"kind": "nat_add", "d": 1},
+        "measure": {"atoms": [{"point": [[1e160, 0.0]], "weight": [2.0, 0.0]}]},
+        "kernel": {"kind": "bergman", "truncation": 4, "f": [{"m": [0], "b": [1.0, 0.0]}]},
+    },
+}
+MEASURE_COMMANDS = ["covariance", "recover", "transform", "toeplitz", "prony", "pd"]
+OVERFLOW_CASES = [(name, command) for name in ("power", "product") for command in MEASURE_COMMANDS]
+OVERFLOW_CASES += [("random_vector", "random-vector"), ("kernel", "kernel")]
+
+
+@pytest.mark.parametrize("name,command", OVERFLOW_CASES)
+def test_overflow_is_a_numeric_overflow_error(tmp_path, name, command):
+    code, out, err = run_cli([command, write_scenario(tmp_path, OVERFLOW_SCENARIOS[name], "")])
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "numeric_overflow"
+    assert "Traceback" not in err

@@ -24,6 +24,7 @@ from lapcov import (
     total_mass,
     total_variation,
 )
+import lapcov.laplace as laplace
 from lapcov.errors import FMuIntegralZero
 from lapcov.laplace import (
     DEGENERATE,
@@ -423,3 +424,35 @@ def test_tolerances_must_be_positive_and_finite(value):
     for field in ("mass", "residual", "rank"):
         with pytest.raises(ValueError):
             Tolerances(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "atoms,kind,symbol_calls,matrix_calls",
+    [
+        # decide_covariance on the grid, then recover_point_mass on the closure
+        (((0.5, 2.0),), POINT_MASS, 2, 2),
+        (((0.5, 1.0), (0.3, 1.0)), NOT_POINT_MASS, 1, 1),
+        # decide_covariance reads F for the vanishing flag, degenerate_check builds its own matrix
+        (((0.5, 1.0), (0.3, -1.0)), DEGENERATE, 2, 1),
+    ],
+)
+def test_decide_covariance_evaluates_the_symbol_once_per_engine_function(
+    monkeypatch, atoms, kind, symbol_calls, matrix_calls
+):
+    counts = {"symbol_values": 0, "character_matrix": 0}
+
+    def counted(name):
+        original = getattr(laplace, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(laplace, name, counted(name))
+    symbol = Symbol.polynomial({(0,): 1.0, (1,): 0.5})
+    verdict = decide_covariance(measure(*atoms), symbol, default_grid(SG1))
+    assert verdict.kind == kind
+    assert counts == {"symbol_values": symbol_calls, "character_matrix": matrix_calls}

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapcov import (
+    EvaluationGrid,
     GridTooLarge,
+    NumericOverflow,
     PrimeOutOfRange,
     Semigroup,
     char_eval,
@@ -192,6 +194,8 @@ def test_character_matrix_raises_where_python_overflows(sg, point, elements):
     for build in (character_matrix, character_loop):
         with pytest.raises(OverflowError):
             build(sg, [(point,)] * 16, elements)
+    with pytest.raises(NumericOverflow):
+        character_matrix(sg, [(point,)] * 16, elements)
 
 
 def test_validate_element_rejects_bad_inputs():
@@ -206,6 +210,39 @@ def test_validate_element_rejects_bad_inputs():
     for value in (math.nan, math.inf):
         with pytest.raises(ValueError):
             validate_element(Semigroup.half_line(), value)
+
+
+@pytest.mark.parametrize(
+    "sg,elements",
+    [
+        (Semigroup.nat_add(1), [(0,), (1.5,)]),
+        (Semigroup.nat_add(1), [(True,), (2,)]),
+        (Semigroup.nat_add(2), [(1, 0), (0, "1")]),
+        (Semigroup.nat_mult(2), [2.5, 3]),
+        (Semigroup.nat_mult(2), [True, 3]),
+    ],
+)
+def test_fractional_and_boolean_entries_are_rejected_not_truncated(sg, elements):
+    # int() would read 1.5 as 1 and True as 1
+    with pytest.raises(ValueError, match="expected an integer"):
+        EvaluationGrid(sg, elements)
+
+
+def test_integral_entries_of_other_types_are_accepted():
+    assert validate_element(Semigroup.nat_add(2), [np.int64(2), 3.0]) == (2, 3)
+    assert validate_element(Semigroup.nat_mult(2), np.int64(6)) == 6
+
+
+def test_monomial_overflow_is_a_numeric_overflow():
+    with pytest.raises(NumericOverflow, match="overflows the float range"):
+        monomial((1e200 + 0j,), (2,))
+
+
+@pytest.mark.parametrize("count", [1, 64])  # the scalar loop and the array kernel
+def test_character_matrix_raises_where_the_product_of_finite_powers_overflows(count):
+    # each power is finite and Python's complex product returns inf without raising
+    with pytest.raises(NumericOverflow):
+        character_matrix(Semigroup.nat_add(2), [(1e160 + 0j, 1e160 + 0j)] * count, [(0, 0), (1, 1), (0, 1)])
 
 
 def symbol_term_loop(point, exponents, coeff):
