@@ -12,6 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .errors import NumericOverflow
 from .laplace import POINT_MASS, Tolerances, decide_covariance, default_grid, mass_vanishes
 from .measures import AtomicMeasure, total_mass
 from .semigroups import monomial
@@ -73,13 +74,24 @@ def function_eval(coefficients: dict, z) -> complex:
 
 
 def kernel_equation_residual(kernel: KernelCoefficients, f_coefficients: dict, mu: AtomicMeasure, z) -> float:
-    """| |f(z)|^2 - sum_k w_k |K(z, conj(atom_k))|^2 | at one probe point z."""
-    lhs = abs(function_eval(f_coefficients, z)) ** 2
-    rhs = 0j
-    for point, weight in mu.atoms:
-        conj_point = tuple(v.conjugate() for v in point)
-        rhs += weight * abs(kernel_eval(kernel, z, conj_point)) ** 2
-    return abs(lhs - rhs)
+    """| |f(z)|^2 - sum_k w_k |K(z, conj(atom_k))|^2 | at one probe point z.
+
+    A term that overflows the float range raises NumericOverflow.
+    """
+    try:
+        lhs = abs(function_eval(f_coefficients, z)) ** 2
+        rhs = 0j
+        for point, weight in mu.atoms:
+            conj_point = tuple(v.conjugate() for v in point)
+            rhs += weight * abs(kernel_eval(kernel, z, conj_point)) ** 2
+        residual = abs(lhs - rhs)
+    except NumericOverflow:
+        raise
+    except OverflowError as exc:
+        raise NumericOverflow(f"a kernel equation term overflows: {exc}") from None
+    if not math.isfinite(residual):
+        raise NumericOverflow("a kernel equation term overflows the float range")
+    return residual
 
 
 def truncation_tail_bound(kernel: KernelCoefficients, z_norm: float, w_norm: float) -> float:

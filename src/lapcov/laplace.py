@@ -27,6 +27,7 @@ from .measures import (
     MODE_F,
     AtomicMeasure,
     Symbol,
+    charges,
     symbol_values,
     total_mass,
     weight_scale,
@@ -175,14 +176,7 @@ def transform_block(mu: AtomicMeasure, symbol, rows, cols, mode: str = MODE_F) -
     sg = mu.semigroup
     rows = [validate_element(sg, s) for s in rows]
     cols = [validate_element(sg, t) for t in cols]
-    fv = symbol_values(symbol, mu.points)
-    if mode == MODE_CONJ_F:
-        fv = np.conj(fv)
-    elif mode == MODE_ABS_F_SQ:
-        fv = np.abs(fv) ** 2
-    elif mode != MODE_F:
-        raise ValueError(f"unknown symbol mode {mode!r}")
-    wf = mu.weight_array * fv
+    wf = charges(mu, symbol_values(symbol, mu.points), mode)
     ps = character_matrix(sg, mu.points, rows)
     pt = ps if cols == rows else character_matrix(sg, mu.points, cols)
     left_re, left_im = complex_product(wf.real[:, None], wf.imag[:, None], ps.real, ps.imag)
@@ -219,8 +213,8 @@ def degenerate_check(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Toler
     tol = tol or Tolerances()
     fv = symbol_values(symbol, mu.points)
     P = character_matrix(mu.semigroup, mu.points, grid.elements)
-    analytic = P.T @ (mu.weight_array * fv)
-    conjugate = P.conj().T @ (mu.weight_array * np.conj(fv))
+    analytic = P.T @ charges(mu, fv)
+    conjugate = P.conj().T @ charges(mu, fv, MODE_CONJ_F)
     fp_max = float(np.max(np.abs(fv)[:, None] * np.abs(P), initial=0.0))
     threshold = tol.residual * weight_scale(mu) * fp_max
     if np.all(np.abs(analytic) <= threshold):
@@ -239,7 +233,7 @@ def recover_point_mass(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Tol
     """
     tol = tol or Tolerances()
     closure = grid.pairs_closure
-    wf = mu.weight_array * symbol_values(symbol, mu.points)
+    wf = charges(mu, symbol_values(symbol, mu.points))
     numerators = character_matrix(mu.semigroup, mu.points, closure).T @ wf
     e_index = closure.index(identity(mu.semigroup))
     denominator = complex(numerators[e_index])
@@ -350,9 +344,9 @@ def decide_covariance(
 
     w = mu.weight_array
     P = character_matrix(sg, mu.points, grid.elements)
-    left = P.T @ (w * fv)
-    right = P.conj().T @ (w * np.conj(fv))
-    quad = P.T @ ((w * abs_f**2)[:, None] * P.conj())
+    left = P.T @ charges(mu, fv)
+    right = P.conj().T @ charges(mu, fv, MODE_CONJ_F)
+    quad = P.T @ (charges(mu, fv, MODE_ABS_F_SQ)[:, None] * P.conj())
     residual = total_mass(mu) * quad - np.outer(left, right)
     abs_residual = np.abs(residual)
 

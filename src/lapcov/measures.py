@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SymbolUndefinedAtAtom, ZeroWeightAtom
+from .errors import NumericOverflow, SymbolUndefinedAtAtom, ZeroWeightAtom
 from .semigroups import Semigroup, char_eval, monomial, points_fit, validate_point
 
 # Points closer than this (Euclidean, all coordinates) are the same atom.
@@ -246,10 +246,38 @@ ONE = Symbol.constant(1)
 
 
 def symbol_values(symbol, points) -> np.ndarray:
-    """Vector of symbol values at the given points (F == 1 when symbol is None)."""
+    """Vector of symbol values at the given points (F == 1 when symbol is None).
+
+    A value that overflows the float range raises NumericOverflow.
+    """
     if symbol is None:
         return np.ones(len(points), dtype=complex)
-    return np.array([symbol.at(p) for p in points], dtype=complex)
+    values = np.array([symbol.at(p) for p in points], dtype=complex)
+    if not np.isfinite(values).all():
+        raise NumericOverflow("a symbol value overflows the float range")
+    return values
+
+
+def charges(mu: AtomicMeasure, fv: np.ndarray, mode: str = MODE_F) -> np.ndarray:
+    """The atom weights reweighted by F, conj F or |F|^2 (``mode``), from F's values ``fv``.
+
+    A charge that overflows the float range raises NumericOverflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == MODE_CONJ_F:
+            fv = np.conj(fv)
+        elif mode == MODE_ABS_F_SQ:
+            fv = np.abs(fv) ** 2
+        elif mode != MODE_F:
+            raise ValueError(f"unknown symbol mode {mode!r}")
+        return finite_charges(mu.weight_array * fv)
+
+
+def finite_charges(values):
+    """``values``; NumericOverflow when one of these symbol-weighted weights is not finite."""
+    if not np.isfinite(values).all():
+        raise NumericOverflow("a symbol-weighted atom overflows the float range")
+    return values
 
 
 def total_mass(mu: AtomicMeasure) -> complex:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import MissingGridValue
 from .laplace import EvaluationGrid
-from .measures import AtomicMeasure, Symbol, symbol_values
+from .measures import AtomicMeasure, Symbol, charges, symbol_values
 from .semigroups import Semigroup, char_eval, character_matrix, combine, identity, validate_element
 
 ADMISSIBLE_PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
@@ -153,7 +153,7 @@ class PairFunction:
 def pair_function_from_measure(mu: AtomicMeasure, grid: EvaluationGrid, symbol: Symbol = None) -> PairFunction:
     """Tabulate the (optionally F-weighted) transform of mu on closure x closure."""
     closure = grid.pairs_closure
-    w = mu.weight_array * symbol_values(symbol, mu.points)
+    w = charges(mu, symbol_values(symbol, mu.points))
     P = character_matrix(mu.semigroup, mu.points, closure)
     return PairFunction(grid, PairTable(closure, P.T @ (w[:, None] * P.conj())))
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RankDeficientPencil
-from .measures import AtomicMeasure, Symbol, merge_atoms, sup_norm, symbol_values
+from .measures import AtomicMeasure, Symbol, finite_charges, merge_atoms, sup_norm, symbol_values
 from .semigroups import character_matrix
 
 DISC_RADIUS = 0.5
@@ -89,7 +89,9 @@ def disc_measures(mu: AtomicMeasure, symbol: Symbol, elements) -> list:
     # each column is char_eval's bit for bit, so Python's abs gives sup_norm exactly
     scales = [2.0 * (1.0 + max(map(abs, column))) for column in values.T.tolist()]
     fv = symbol_values(symbol, mu.points)
-    weights = [(abs(fv[k]) ** 2) * w for k, w in enumerate(mu.weights)]
+    # scalar |F|^2: numpy's array abs and square can differ from it in the last bit
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = finite_charges([(abs(fv[k]) ** 2) * w for k, w in enumerate(mu.weights)])
     positions = (values / np.array(scales)).T
     n, k = positions.shape
     keep, merged = merge_atoms(positions.reshape(n * k, 1), weights * n, np.repeat(np.arange(n), k))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 
 import pytest
@@ -946,15 +947,32 @@ OVERFLOW_SCENARIOS = {
         "measure": {"atoms": [{"point": [[1e160, 0.0]], "weight": [2.0, 0.0]}]},
         "kernel": {"kind": "bergman", "truncation": 4, "f": [{"m": [0], "b": [1.0, 0.0]}]},
     },
+    # F = 1e300 z^2 overflows at z = 1e10, and |F|^2 at z = 0.5
+    "symbol": overflow_measure(1, 1e10, grid={"order": 1}, symbol={"kind": "poly", "terms": [{"m": [2], "c": [1e300, 0]}]}),
+    # F = 1e200 is finite, |F|^2 is not
+    "symbol_squared": overflow_measure(1, 2.0, grid={"order": 1}, symbol={"kind": "poly", "terms": [{"m": [0], "c": [1e200, 0]}]}),
+    # a kernel coefficient whose square overflows
+    "kernel_coefficient": {
+        "semigroup": {"kind": "nat_add", "d": 1},
+        "measure": {"atoms": [{"point": [[0.1, 0.0]], "weight": [1.0, 0.0]}]},
+        "kernel": {
+            "kind": "list",
+            "coefficients": [{"m": [0], "n": [0], "a": 1e300}, {"m": [1], "n": [1], "a": 1.0}],
+            "f": [{"m": [0], "b": [1, 0]}],
+        },
+    },
 }
 MEASURE_COMMANDS = ["covariance", "recover", "transform", "toeplitz", "prony", "pd"]
-OVERFLOW_CASES = [(name, command) for name in ("power", "product") for command in MEASURE_COMMANDS]
-OVERFLOW_CASES += [("random_vector", "random-vector"), ("kernel", "kernel")]
+OVERFLOW_CASES = [(name, command) for name in ("power", "product", "symbol") for command in MEASURE_COMMANDS]
+OVERFLOW_CASES += [("symbol_squared", command) for command in ("covariance", "toeplitz", "prony")]
+OVERFLOW_CASES += [("random_vector", "random-vector"), ("kernel", "kernel"), ("kernel_coefficient", "kernel")]
 
 
 @pytest.mark.parametrize("name,command", OVERFLOW_CASES)
 def test_overflow_is_a_numeric_overflow_error(tmp_path, name, command):
-    code, out, err = run_cli([command, write_scenario(tmp_path, OVERFLOW_SCENARIOS[name], "")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # an overflow is reported, not warned about
+        code, out, err = run_cli([command, write_scenario(tmp_path, OVERFLOW_SCENARIOS[name], "")])
     assert code == 1
     assert json.loads(out)["error"]["code"] == "numeric_overflow"
     assert "Traceback" not in err

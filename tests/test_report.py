@@ -1,6 +1,7 @@
 """report.dumps against the recursive reference emitter, byte for byte."""
 
 import io
+import json
 import math
 import os
 from collections import OrderedDict
@@ -54,16 +55,48 @@ def test_goldens_match_the_reference_emitter(name, scenario, tail, expected_code
     assert dumps(report) == golden
 
 
-# the transform golden is a 4x4 table; these reach the flat record path at size
-LARGE_REPORTS = [
-    ("point_mass_natadd2.json", cmd, "8") for cmd in ("transform", "recover", "covariance", "toeplitz", "prony")
-] + [("two_atoms_natadd1.json", cmd, "8") for cmd in ("covariance", "toeplitz", "prony")]
+# the other semigroup families: float labels (half_line) and int labels (nat_mult)
+FAMILY_SCENARIOS = {
+    "half_line.json": {
+        "semigroup": {"kind": "half_line"},
+        "measure": {"atoms": [{"point": [[0.8, 1.1]], "weight": [2.0, 0.0]}, {"point": [[0.3, -0.4]], "weight": [0.5, 0.25]}]},
+    },
+    "nat_mult.json": {
+        "semigroup": {"kind": "nat_mult", "primes": 3},
+        "measure": {"atoms": [{"point": [[0.5, 0.1], [0.3, 0.0], [0.2, -0.2]], "weight": [1.0, 0.0]}]},
+    },
+}
+
+
+def scenario_path(scenario, tmp_path):
+    if scenario not in FAMILY_SCENARIOS:
+        return os.path.join(SCENARIOS, scenario)
+    path = tmp_path / scenario
+    path.write_text(json.dumps(FAMILY_SCENARIOS[scenario]))
+    return str(path)
+
+
+# the transform golden is a 4x4 table; these reach the column path at size
+LARGE_REPORTS = (
+    [("point_mass_natadd2.json", cmd, "8") for cmd in ("transform", "recover", "covariance", "toeplitz", "prony")]
+    + [("two_atoms_natadd1.json", cmd, "8") for cmd in ("covariance", "toeplitz", "prony")]
+    + [("half_line.json", "transform", "8"), ("nat_mult.json", "transform", "3")]
+)
 
 
 @pytest.mark.parametrize("scenario,cmd,order", LARGE_REPORTS, ids=[f"{s[:-5]}-{c}" for s, c, _ in LARGE_REPORTS])
-def test_large_reports_match_the_reference_emitter(scenario, cmd, order, monkeypatch):
-    report = captured_report([cmd, os.path.join(SCENARIOS, scenario), "--grid-order", order], monkeypatch)
+def test_large_reports_match_the_reference_emitter(scenario, cmd, order, monkeypatch, tmp_path):
+    report = captured_report([cmd, scenario_path(scenario, tmp_path), "--grid-order", order], monkeypatch)
     assert dumps(report) == reference_dumps(report)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, np.float64("nan")], ids=repr)
+def test_a_large_gamma_table_with_one_non_finite_value_fails_like_the_reference(bad, monkeypatch):
+    report = captured_report(["recover", os.path.join(SCENARIOS, "point_mass_natadd2.json"), "--grid-order", "12"], monkeypatch)
+    report["gamma"][len(report["gamma"]) // 2]["value"][1] = bad
+    for emit in (dumps, reference_dumps):
+        with pytest.raises(ValueError, match="finite numbers only"):
+            emit(report)
 
 
 def test_scalar_kinds_and_containers_match():
@@ -93,6 +126,57 @@ def test_scalar_kinds_and_containers_match():
         ],
     }
     assert dumps(report) == reference_dumps(report)
+
+
+def table_variant(change):
+    """Ten same-shape records (a shared label, fresh int lists, floats with -0.0, ints, mixed scalars); ``change`` edits them."""
+    label = [0, 1]
+    records = [
+        {"s": label, "t": [i, 2], "v": [0.5 * i, -0.0], "n": i, "x": None if i % 2 else "a%"} for i in range(10)
+    ]
+    change(records)
+    return {"table": records}
+
+
+def _set(index, key, value):
+    return lambda records: records[index].__setitem__(key, value)
+
+
+TABLE_VARIANTS = {
+    "plain": lambda records: None,
+    "key subclass": lambda records: records.__setitem__(7, {Shout(k): v for k, v in records[7].items()}),
+    "reordered keys": lambda records: records.__setitem__(7, dict(reversed(list(records[7].items())))),
+    "ordered dict": lambda records: records.__setitem__(7, OrderedDict(records[7])),
+    "dict subclass": lambda records: records.__setitem__(7, ReversedItems(records[7])),
+    "np.float64": _set(7, "v", [np.float64(1.5), 0.0]),
+    "bool among ints": _set(7, "n", True),
+    "float among int lists": _set(7, "t", [1.5, 2]),
+    "unequal lengths": _set(7, "v", [1.0]),
+    "tuple": _set(7, "v", (1.0, 2.0)),
+    "empty lists": lambda records: [record.__setitem__("v", []) for record in records],
+    "nested": _set(7, "t", [[1]]),
+    "dict column": lambda records: [record.__setitem__("t", {"a": 1.0}) for record in records],
+}
+
+
+@pytest.mark.parametrize("change", TABLE_VARIANTS.values(), ids=TABLE_VARIANTS)
+def test_tables_match_the_reference(change):
+    report = table_variant(change)
+    assert dumps(report) == reference_dumps(report)
+
+
+def _two_faults(records):
+    records[3]["v"] = [math.nan, 0.0]  # the first fault in record order
+    records[5]["s"] = object()  # an earlier column, a later record
+
+
+@pytest.mark.parametrize(
+    "change,error",
+    [(_two_faults, ValueError), (_set(6, "n", np.int64(1)), TypeError), (_set(6, "x", 1j), TypeError), (_set(6, "v", [math.inf, 0.0]), ValueError)],
+)
+def test_tables_fail_on_the_first_bad_value_in_record_order(change, error):
+    report = table_variant(change)
+    assert outcome(dumps, report) is outcome(reference_dumps, report) is error
 
 
 def test_format_float_canonicalizes_and_rejects_non_finite():
@@ -138,7 +222,7 @@ def record_lists(draw, leaves, children):
     )
     changes = st.sampled_from(["same"] * 4 + ["reorder", "drop", "add", "nest", "subclass", "key subclass"])
     records = []
-    for i in range(draw(st.integers(1, 5))):
+    for i in range(draw(st.one_of(st.integers(1, 5), st.integers(8, 40)))):
         record = {key: draw(value) for key in keys}
         change = draw(changes) if i else "same"
         if change == "reorder":
@@ -157,7 +241,56 @@ def record_lists(draw, leaves, children):
     return records
 
 
-def reports(leaves):
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(-0.0))
+
+# values that leave a column path: errors, subclasses of float, a bool among ints
+TABLE_BAD = st.sampled_from(
+    [math.nan, math.inf, -math.inf, np.int64(1), np.float64(2.5), np.float64(-0.0), True, 1j, object()]
+)
+
+
+@st.composite
+def column_values(draw, labels):
+    """One kind of value for a whole column."""
+    length = draw(st.integers(0, 3))
+    return draw(
+        st.sampled_from(
+            [
+                FINITE,
+                st.integers(-(10**20), 10**20),
+                SCALARS,
+                st.lists(FINITE, min_size=length, max_size=length),
+                st.lists(st.integers(0, 9), min_size=length, max_size=length).map(tuple),
+                st.sampled_from(labels),  # one list object shared by many records
+                st.lists(st.integers(0, 9), min_size=2, max_size=2),  # a fresh label per record
+                scalar_lists(st.one_of(FINITE, st.integers(0, 9))),  # unequal lengths, mixed types
+                st.dictionaries(KEYS, FINITE, max_size=2),  # nested values
+                st.lists(st.lists(st.integers(0, 9), max_size=2), max_size=2),
+            ]
+        )
+    )
+
+
+@st.composite
+def tables(draw, bad):
+    """8-40 records whose columns each hold one kind of value, with up to three ``bad`` values put in."""
+    keys = draw(st.lists(KEYS, min_size=1, max_size=4, unique=True))
+    labels = draw(st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=2), min_size=1, max_size=4))
+    n = draw(st.integers(8, 40))
+    columns = [draw(st.lists(draw(column_values(labels)), min_size=n, max_size=n)) for _ in keys]
+    records = [{key: column[i] for key, column in zip(keys, columns)} for i in range(n)]
+    for _ in range(draw(st.integers(0, 3)) if bad is not None else 0):
+        record = records[draw(st.integers(0, n - 1))]
+        key = draw(st.sampled_from(keys))
+        if isinstance(record[key], list) and record[key] and draw(st.booleans()):
+            record[key] = list(record[key])
+            record[key][draw(st.integers(0, len(record[key]) - 1))] = draw(bad)
+        else:
+            record[key] = draw(bad)
+    return records
+
+
+def reports(leaves, bad=None):
     def extend(children):
         return st.one_of(
             scalar_lists(children),
@@ -165,6 +298,7 @@ def reports(leaves):
             st.dictionaries(KEYS, children, max_size=3).map(OrderedDict),
             st.dictionaries(KEYS, children, max_size=3).map(ReversedItems),
             record_lists(leaves, children),
+            tables(bad),
         )
 
     return st.recursive(leaves, extend, max_leaves=30)
@@ -184,6 +318,6 @@ def test_dumps_matches_reference_on_nested_reports(report):
 
 
 @settings(max_examples=300, deadline=None)
-@given(reports(st.one_of(SCALARS, SCALARS, BAD)))
+@given(reports(st.one_of(SCALARS, SCALARS, BAD), bad=TABLE_BAD))
 def test_dumps_fails_like_the_reference(report):
     assert outcome(dumps, report) == outcome(reference_dumps, report)
