@@ -26,7 +26,7 @@ from .laplace import (
     transform_block,
 )
 from .randomvectors import CONSTANT, decide_constant_vector
-from .report import dumps, encode_complex, format_float
+from .report import Table, dumps, encode_complex, format_float
 from .scenario import element, element_to_json, load_scenario, parse, parse_json, point_to_json
 from .semigroups import NAT_ADD, identity
 from .shifts import (
@@ -65,11 +65,10 @@ def _grid_fields(grid) -> dict:
     }
 
 
-def _character_table_json(semigroup, grid, table) -> list:
-    return [
-        {"s": element_to_json(semigroup, el), "value": encode_complex(table[el])}
-        for el in grid.pairs_closure
-    ]
+def _character_table_json(semigroup, grid, table) -> Table:
+    closure = grid.pairs_closure
+    labels = [element_to_json(semigroup, el) for el in closure]
+    return Table(("s", "value"), (labels, np.array([table[el] for el in closure], dtype=complex)))
 
 
 def _cmd_transform(scenario, args):
@@ -77,11 +76,9 @@ def _cmd_transform(scenario, args):
     grid = scenario.grid
     labels = [element_to_json(mu.semigroup, el) for el in grid.elements]
     block = transform_block(mu, scenario.symbol, grid.elements, grid.elements)
-    values = [
-        {"s": s, "t": t, "v": [re, im]}
-        for s, re_row, im_row in zip(labels, block.real.tolist(), block.imag.tolist())
-        for t, re, im in zip(labels, re_row, im_row)
-    ]
+    # record (i, j) holds the pair (labels[i], labels[j])
+    rows = [s for s in labels for _ in labels]
+    values = Table(("s", "t", "v"), (rows, labels * len(labels), block.ravel()))
     report = {"command": "transform", "grid": labels, "values": values}
     return report, 0, f"tabulated {len(values)} transform values"
 
@@ -147,19 +144,19 @@ def _cmd_toeplitz(scenario, args):
     moments = moment_matrices(nus, order)
     t_sigmas = np.linalg.svd(toeplitz_matrix(moments), compute_uv=False)
     m_sigmas = np.linalg.svd(moments, compute_uv=False)
-    per_element = []
-    for s, nu, sigma, m_sigma in zip(elements, nus, t_sigmas, m_sigmas):
-        check = luecking_check(nu, m_sigma, rank_tol)
-        per_element.append(
-            {
-                "s": element_to_json(mu.semigroup, s),
-                "singular_values": sigma.tolist(),
-                "moment_rank": check.rank,
-                "atom_count": check.atom_count,
-                "luecking_agree": check.agree,
-                "rank_one_ratio": rank_one_check(sigma),
-            }
-        )
+    checks = [luecking_check(nu, m_sigma, rank_tol) for nu, m_sigma in zip(nus, m_sigmas)]
+    agree = [check.agree for check in checks]
+    per_element = Table(
+        ("s", "singular_values", "moment_rank", "atom_count", "luecking_agree", "rank_one_ratio"),
+        (
+            [element_to_json(mu.semigroup, s) for s in elements],
+            t_sigmas,
+            [check.rank for check in checks],
+            [check.atom_count for check in checks],
+            agree,
+            np.array([rank_one_check(sigma) for sigma in t_sigmas], dtype=float),
+        ),
+    )
     report = {
         "command": "toeplitz",
         "matrix_order": order,
@@ -175,8 +172,7 @@ def _cmd_toeplitz(scenario, args):
             for row in matrix:
                 handle.write(",".join(format_float(x) for value in row for x in (value.real, value.imag)) + "\n")
         report["moments_csv"] = args.moments_csv
-    agree_count = sum(1 for entry in per_element if entry["luecking_agree"])
-    return report, 0, f"toeplitz: rank/support agreement on {agree_count}/{len(per_element)} elements"
+    return report, 0, f"toeplitz: rank/support agreement on {sum(agree)}/{len(agree)} elements"
 
 
 def _cmd_prony(scenario, args):
@@ -191,29 +187,28 @@ def _cmd_prony(scenario, args):
     elements = scenario.grid.elements
     nus = disc_measures(mu, scenario.symbol, elements)
     tables = moment_matrices(nus, k_max, rows=k_max + 1)
-    per_element = []
-    for s, nu, table, pencil in zip(elements, nus, tables, prony_pencils(tables, rank_tol)):
-        result = prony_recover(table, pencil=pencil)
-        entry = {
-            "s": element_to_json(mu.semigroup, s),
-            "rank": result.rank,
-            "atoms": [
-                {"position": encode_complex(a), "weight": encode_complex(m)}
-                for a, m in result.atoms
+    results = [prony_recover(table, pencil=pencil) for table, pencil in zip(tables, prony_pencils(tables, rank_tol))]
+    # a rank-one pencil's atom, scaled back from the disc, is a character value
+    from_atom = [nu.scale * result.atoms[0][0] if result.rank == 1 else None for nu, result in zip(nus, results)]
+    direct = [direct_table.get(s) for s in elements]
+    diffs = [abs(a - b) if a is not None and b is not None else None for a, b in zip(from_atom, direct)]
+    per_element = Table(
+        ("s", "rank", "atoms", "reconstruction_residual", "character_from_atom", "character_direct", "route_difference"),
+        (
+            [element_to_json(mu.semigroup, s) for s in elements],
+            [result.rank for result in results],
+            [
+                [{"position": encode_complex(a), "weight": encode_complex(m)} for a, m in result.atoms]
+                for result in results
             ],
-            "reconstruction_residual": result.residual,
-        }
-        # a rank-one pencil's atom, scaled back from the disc, is a character value
-        from_atom = nu.scale * result.atoms[0][0] if result.rank == 1 else None
-        direct = direct_table.get(s)
-        entry["character_from_atom"] = encode_complex(from_atom) if from_atom is not None else None
-        entry["character_direct"] = encode_complex(direct) if direct is not None else None
-        entry["route_difference"] = (
-            abs(from_atom - direct) if from_atom is not None and direct is not None else None
-        )
-        per_element.append(entry)
+            np.array([result.residual for result in results], dtype=float),
+            [encode_complex(z) if z is not None else None for z in from_atom],
+            [encode_complex(z) if z is not None else None for z in direct],
+            diffs,
+        ),
+    )
     report = {"command": "prony", "k_max": k_max, "per_element": per_element}
-    diffs = [e["route_difference"] for e in per_element if e["route_difference"] is not None]
+    diffs = [d for d in diffs if d is not None]
     summary = (
         f"prony: max route difference {format_float(max(diffs))}"
         if diffs
@@ -329,9 +324,11 @@ _COMMANDS = {
 def _render_text(value, indent: int = 0) -> list:
     pad = "  " * indent
     lines = []
+    if isinstance(value, Table):
+        value = value.records()
     if isinstance(value, dict):
         for key, item in value.items():
-            if isinstance(item, (dict, list)) and item:
+            if isinstance(item, (dict, list, Table)) and len(item):
                 lines.append(f"{pad}{key}:")
                 lines.extend(_render_text(item, indent + 1))
             else:

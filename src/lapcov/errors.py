@@ -56,7 +56,7 @@ class ExpectationYZero(LapcovError):
 
 
 class NumericOverflow(LapcovError, OverflowError):
-    """A character, monomial or kernel value overflowed the float range."""
+    """A character, monomial or kernel value, or a product of them, overflowed the float range."""
     code = "numeric_overflow"
 
 

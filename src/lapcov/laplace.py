@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FMuIntegralZero, MissingGridValue
+from .errors import FMuIntegralZero, MissingGridValue, NumericOverflow
 from .measures import (
     MODE_ABS_F_SQ,
     MODE_CONJ_F,
@@ -344,15 +344,22 @@ def decide_covariance(
 
     w = mu.weight_array
     P = character_matrix(sg, mu.points, grid.elements)
-    left = P.T @ charges(mu, fv)
-    right = P.conj().T @ charges(mu, fv, MODE_CONJ_F)
-    quad = P.T @ (charges(mu, fv, MODE_ABS_F_SQ)[:, None] * P.conj())
-    residual = total_mass(mu) * quad - np.outer(left, right)
-    abs_residual = np.abs(residual)
-
-    fp_max = float(np.max(abs_f[:, None] * np.abs(P), initial=0.0))
-    scale = float(np.sum(np.abs(w) ** 2)) * fp_max**2
+    # finite charges and characters can still overflow in their products
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = P.T @ charges(mu, fv)
+        right = P.conj().T @ charges(mu, fv, MODE_CONJ_F)
+        quad = P.T @ (charges(mu, fv, MODE_ABS_F_SQ)[:, None] * P.conj())
+        residual = total_mass(mu) * quad - np.outer(left, right)
+        abs_residual = np.abs(residual)
+        fp_max = float(np.max(abs_f[:, None] * np.abs(P), initial=0.0))
+        weight_square = float(np.sum(np.abs(w) ** 2))
     max_raw = float(abs_residual.max())
+    try:
+        scale = weight_square * fp_max**2
+    except OverflowError:
+        scale = math.inf
+    if not (math.isfinite(max_raw) and math.isfinite(scale)):
+        raise NumericOverflow("the covariance residual or its scale overflows the float range")
     max_normalized = max_raw / scale if scale > 0 else 0.0
 
     if scale == 0.0 or max_raw <= tol.residual * scale:

@@ -5,21 +5,20 @@ dict keys keep insertion order, and lists of scalars stay on one line, so a
 given report serializes to identical bytes on every run.
 
 Reports carry long lists of same-shape records (transform values, gamma
-tables, per-element rows).  Such a table is written column by column: each
-key's values are gathered and checked with whole-column passes (exact types,
-list lengths, finite floats), and only when every column has passed is the
-table filled by one ``%`` call over a record template.  Float and int
-columns, and columns of equal-length number lists, go to ``%.17g`` and ``%d``
-specifiers directly; a list object that recurs in a column (a grid label
-shared by many records) is written once.  A table with any other value,
-including subclasses of the built-in types, goes record by record through
-the general recursive path, which writes the same bytes and fails on the
-same first value.
+tables, per-element rows).  A command hands such a list over as a ``Table``
+of columns, and ``dumps`` writes it as the list of records
+``Table.records()`` would give, filling one record template with a single
+``%`` call.  A float array column goes to ``%.17g`` specifiers directly (one
+per record, or one fixed-width list per row; a complex array is one
+``[re, im]`` pair per record), after one finiteness check and ``+ 0.0``,
+which turns -0.0 into the 0.0 that ``format_float`` writes.  Any other
+column is written value by value through the general recursive path, once
+per distinct object, so a grid label shared by many records costs one
+write.  When anything in a table fails, the table goes record by record
+through the general path, which raises the first error in record order.
 """
 
-import functools
-from itertools import chain
-from math import isfinite
+import numpy as np
 
 
 def format_float(value: float) -> str:
@@ -52,19 +51,40 @@ _SCALARS = {
     type(None): lambda value: "null",
 }
 _SCALAR_KINDS = frozenset(_SCALARS)
-_NUMBERS = frozenset((float, int))
-_FLOAT = frozenset((float,))
-_INT = frozenset((int,))
-_STR = frozenset((str,))
-_DICT = frozenset((dict,))
-_SEQUENCES = frozenset((list, tuple))
 
-# A list of fewer records goes record by record through _emit: there the
-# table's fixed checks cost more than they save.  Per list of records with two
-# 2-float lists (prony's atoms), best of 25 x 2000 calls on a 2-core Xeon VM,
-# _emit vs the column path: 1 record 8.2 vs 14.5 us, 2 records 15.8 vs 17.3
-# (27.3 vs 26.0 in a second run), 3 records 23.9 vs 20.0, 8 records 64.9 vs 37.7.
-_MIN_TABLE_RECORDS = 2
+
+class Table:
+    """Same-shape records given as columns: record i maps ``keys[j]`` to the i-th value of ``columns[j]``.
+
+    A column is a float ndarray (1-D: one number per record; 2-D: one list of
+    numbers per record), a complex ndarray (one ``[re, im]`` pair per record)
+    or any other sequence of report values.
+    """
+
+    __slots__ = ("keys", "columns")
+
+    def __init__(self, keys, columns):
+        self.keys = tuple(keys)
+        self.columns = tuple(columns)
+        if len(self.keys) != len(self.columns) or len(set(map(len, self.columns))) > 1:
+            raise ValueError("a table needs one column per key, all of one length")
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def records(self) -> list:
+        """The records as dicts, with array entries as Python floats and ``[re, im]`` lists."""
+        return [dict(zip(self.keys, values)) for values in zip(*map(_values, self.columns))]
+
+
+def _values(column):
+    """A column's values as a ``Table`` record holds them."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "c":
+            return np.stack((column.real, column.imag), axis=-1).tolist()
+        if column.dtype.kind == "f":
+            return column.tolist()
+    return column
 
 
 def _scalar(value) -> str:
@@ -101,119 +121,77 @@ def _emit(value, pad: str, lines: list, prefix: str, suffix: str):
             lines.append(f"{pad}{prefix}[{', '.join(map(_scalar, value))}]{suffix}")
             return
         lines.append(f"{pad}{prefix}[")
-        table = _table(value, pad + "  ")
-        if table is not None:
-            lines.append(table)
-        else:
-            last = len(value) - 1
-            for i, item in enumerate(value):
-                _emit(item, pad + "  ", lines, "", "," if i < last else "")
+        last = len(value) - 1
+        for i, item in enumerate(value):
+            _emit(item, pad + "  ", lines, "", "," if i < last else "")
         lines.append(f"{pad}]{suffix}")
+    elif isinstance(value, Table):
+        body = _table(value, pad + "  ") if len(value) else None
+        if body is None:
+            _emit(value.records(), pad, lines, prefix, suffix)
+        else:
+            lines += (f"{pad}{prefix}[", body, f"{pad}]{suffix}")
     else:
         lines.append(f"{pad}{prefix}{_scalar(value)}{suffix}")
 
 
-def _table(records: list, pad: str):
-    """The lines of a list of same-shape records, joined, or None when it needs ``_emit``.
-
-    Every record must be an exact ``dict`` with the first record's exact-str
-    keys in the same order, and every key's column must pass ``_column``.
-    """
-    if len(records) < _MIN_TABLE_RECORDS or not (_DICT.issuperset(map(type, records)) and records[0]):
-        return None
-    keys = list(records[0])
-    if set(map(len, records)) != {len(keys)}:
-        return None
-    flat = list(chain.from_iterable(records))
-    if flat != keys * len(records) or not _STR.issuperset(map(type, flat)):
-        return None
+def _table(table: Table, pad: str):
+    """The lines of a table's records at ``pad``, joined, or None when a value fails."""
     fragments = []
-    slots = []
-    for column in zip(*map(dict.values, records)):
-        written = _column(column)
-        if written is None:
+    slots = []  # one specifier's argument for every record
+    for column in table.columns:
+        numbers = _numbers(column)
+        if numbers is None:
+            try:
+                slots.append(_texts(column, pad + "  "))
+            except (TypeError, ValueError):
+                return None
+            fragments.append("%s")
+        elif np.isfinite(column).all():
+            fragments.append(numbers[0])
+            slots += [(part + 0.0).tolist() for part in numbers[1]]
+        else:
             return None
-        fragments.append(written[0])
-        slots += written[1]
-    # interleave the slots record by record; a lazy slot writes its texts here
-    args = [None] * (len(slots) * len(records))
+    # interleave the slots record by record
+    args = [None] * (len(slots) * len(table))
     for i, slot in enumerate(slots):
         args[i :: len(slots)] = slot
-    return ",\n".join([_template(pad, tuple(keys), tuple(fragments))] * len(records)) % tuple(args)
-
-
-@functools.lru_cache(maxsize=64)
-def _template(pad: str, keys: tuple, fragments: tuple) -> str:
-    """One record's lines, with a ``%`` fragment in place of each key's value."""
     body = ",\n".join(
-        f"{pad}  {_escape(key).replace('%', '%%')}: {fragment}" for key, fragment in zip(keys, fragments)
+        f"{pad}  {_escape(str(key)).replace('%', '%%')}: {fragment}" for key, fragment in zip(table.keys, fragments)
     )
-    return f"{pad}{{\n{body}\n{pad}}}"
+    return ",\n".join([f"{pad}{{\n{body}\n{pad}}}"] * len(table)) % tuple(args)
 
 
-def _column(values: tuple):
-    """(template fragment, slots) that write one key's values, or None when one needs ``_emit``.
-
-    A slot holds one specifier's argument for every record.  Values pass when
-    all are exact built-in scalars, or all are lists or tuples of them, and
-    every float among them is finite.  Text slots are lazy, so nothing is
-    formatted before the whole table has passed.
-    """
-    kinds = set(map(type, values))
-    if kinds <= _SEQUENCES:
-        return _list_column(values)
-    if not (_SCALAR_KINDS.issuperset(kinds) and _finite(values, kinds)):
+def _numbers(column):
+    """(template fragment, 1-D float parts) of a float or complex array column, or None for any other column."""
+    if not isinstance(column, np.ndarray):
         return None
-    if kinds == _FLOAT:
-        return "%.17g", [_canonical(values)]
-    if kinds == _INT:
-        return "%d", [values]
-    return "%s", [map(_scalar, values)]
-
-
-def _list_column(values: tuple):
-    """``_column`` for a column of lists and tuples."""
-    objects = dict(zip(map(id, values), values))
-    shared = len(objects) < len(values)
-    items = list(chain.from_iterable(objects.values() if shared else values))
-    kinds = set(map(type, items))
-    if not (_SCALAR_KINDS.issuperset(kinds) and _finite(items, kinds)):
+    kind, ndim = column.dtype.kind, column.ndim
+    if kind == "f" and ndim == 1:
+        return "%.17g", (column,)
+    if kind == "f" and ndim == 2:
+        parts = tuple(column.T)
+    elif kind == "c" and ndim == 1:
+        parts = (column.real, column.imag)
+    else:
         return None
-    lengths = set(map(len, values))
-    if shared or len(lengths) > 1 or len(kinds) > 1 or not _NUMBERS.issuperset(kinds):
-        return "%s", [map(_ListTexts(objects).__getitem__, map(id, values))]
-    # one specifier per position of equal-length number lists
-    length = lengths.pop()
-    spec = "%d"
-    if kinds == _FLOAT:
-        spec, items = "%.17g", _canonical(items)
-    return "[" + ", ".join([spec] * length) + "]", [items[j::length] for j in range(length)]
+    return "[" + ", ".join(["%.17g"] * len(parts)) + "]", parts
 
 
-class _ListTexts(dict):
-    """id -> one-line text of the list or tuple ``objects[id]``, written on first lookup."""
-
-    def __init__(self, objects: dict):
-        super().__init__()
-        self.objects = objects
-
-    def __missing__(self, key):
-        text = self[key] = "[" + ", ".join(map(_scalar, self.objects[key])) + "]"
-        return text
+def _texts(column, pad: str) -> list:
+    """Each value of a column written at ``pad`` as by ``_emit``, without its first line's pad; once per object."""
+    ids = list(map(id, column))
+    texts = {key: _text(value, pad) for key, value in dict(zip(ids, column)).items()}
+    return list(map(texts.__getitem__, ids))
 
 
-def _finite(values, kinds: set) -> bool:
-    """Whether every float among ``values``, whose exact types are ``kinds``, is finite."""
-    if float not in kinds:
-        return True
-    if len(kinds) > 1:
-        values = [value for value in values if type(value) is float]
-    return all(map(isfinite, values))
-
-
-def _canonical(values):
-    """``values`` with -0.0 as 0.0, so that ``%.17g`` writes what ``format_float`` does."""
-    return [value + 0.0 for value in values] if 0.0 in values else values
+def _text(value, pad: str) -> str:
+    emit = _SCALARS.get(type(value))
+    if emit is not None:
+        return emit(value)
+    lines = []
+    _emit(value, pad, lines, "", "")
+    return "\n".join(lines)[len(pad) :]
 
 
 def dumps(report: dict) -> str:

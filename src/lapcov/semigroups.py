@@ -234,18 +234,17 @@ def _power_table(z: np.ndarray, top: int):
 # exponent and exp/log beyond it; larger exponents use the scalar loop.
 _MAX_SQUARING_EXPONENT = 100
 
-# Blocks with fewer entries use the scalar loop.  The array kernel has a
-# fixed cost of ~30 us per call plus per-element conversions; measured with
-# Python 3.11 and numpy 2.4 on a 2-core Xeon VM, the loop was faster up to
-# 64-96 entries for nat_add and nat_mult (a 1 x 96 row: 203 vs 223 us) and
-# slower from 128 on (1 x 128: 258 vs 245 us; 16 x 16: 430 vs 175 us), and
-# half_line crossed over at 32-64.  The Toeplitz route builds one k x n
-# block per grid (``disc_measures``), and its blocks of 1-4 atoms fall below
-# the threshold although the array is faster on some of them: best of 5 x 200
-# calls on the same VM, loop vs array, nat_mult 2 x 27 216 vs 204 us and
-# 4 x 27 439 vs 202 us (the loop factors each element with ``kappa`` once per
-# atom), half_line 4 x 17 43 vs 35 us, but nat_add 1 x 25 60 vs 156 us.
-_MIN_ARRAY_ENTRIES = 128
+# Blocks with fewer entries than their family's threshold use the scalar
+# loop.  The array kernel has a fixed cost of ~30-130 us per call plus
+# per-element conversions, while the loop's cost per entry is highest for
+# nat_mult (it factors each element with ``kappa`` once per atom).  Best of
+# 5 x 200 calls, loop vs array, Python 3.11 and numpy 2.4 on a 2-core Xeon
+# VM: nat_add d=2 1 x 25 47 vs 133 us, 2 x 36 86 vs 117, 1 x 81 123 vs 120,
+# 4 x 25 184 vs 129; nat_mult 3 primes 1 x 27 58 vs 96, 2 x 27 124 vs 111,
+# 1 x 64 135 vs 150, 4 x 27 238 vs 124; half_line 2 x 17 32 vs 30, 4 x 17
+# 63 vs 35, 1 x 65 58 vs 32.  The Toeplitz route's per-grid blocks
+# (``disc_measures``) have 1-4 atoms, so these small blocks are common there.
+_MIN_ARRAY_ENTRIES = {NAT_ADD: 128, NAT_MULT: 32, HALF_LINE: 32}
 
 # cmath.exp and numpy's exp share exp(x) * (cos y, sin y) up to here; above
 # it cmath rescales, and it raises on overflow where numpy returns inf.
@@ -304,14 +303,15 @@ def character_matrix(semigroup: Semigroup, points, elements) -> np.ndarray:
 
     Single source of truth for every transform in the package: entry (k, j)
     is ``char_eval(semigroup, points[k], elements[j])``, bit for bit.  Blocks
-    of at least ``_MIN_ARRAY_ENTRIES`` entries are computed as arrays, with
-    Python's complex arithmetic spelled out in real arithmetic; the scalar
-    loop keeps small blocks, exponents past ``_MAX_SQUARING_EXPONENT`` and
-    inputs on which Python's complex power or exp would raise.  A value that
-    overflows or is not finite raises NumericOverflow.
+    of at least ``_MIN_ARRAY_ENTRIES[family]`` entries are computed as
+    arrays, with Python's complex arithmetic spelled out in real arithmetic;
+    the scalar loop keeps small blocks, exponents past
+    ``_MAX_SQUARING_EXPONENT`` and inputs on which Python's complex power or
+    exp would raise.  A value that overflows or is not finite raises
+    NumericOverflow.
     """
     out = None
-    if len(points) * len(elements) >= _MIN_ARRAY_ENTRIES:
+    if len(points) * len(elements) >= _MIN_ARRAY_ENTRIES[semigroup.family]:
         # Python's float arithmetic overflows to inf without a warning
         with np.errstate(over="ignore", invalid="ignore"):
             out = _character_array(semigroup, points, elements)

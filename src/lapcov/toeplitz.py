@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import RankDeficientPencil
+from .errors import NumericOverflow, RankDeficientPencil
 from .measures import AtomicMeasure, Symbol, finite_charges, merge_atoms, sup_norm, symbol_values
 from .semigroups import character_matrix
 
@@ -282,9 +282,13 @@ def prony_recover(nu, k_max: int = None, rel_tol: float = DEFAULT_RANK_TOL, penc
     V = _power_columns(positions, rows)
     W = V[:cols]
     design = (V[:, None, :] * W.conj()[None, :, :]).reshape(rows * cols, rank)
-    weights, *_ = np.linalg.lstsq(design, table.ravel(), rcond=None)
-    table_norm = float(np.linalg.norm(table))
-    misfit = float(np.linalg.norm(design @ weights - table.ravel()))
+    # finite moments can overflow in the squares of their norms
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights, *_ = np.linalg.lstsq(design, table.ravel(), rcond=None)
+        table_norm = float(np.linalg.norm(table))
+        misfit = float(np.linalg.norm(design @ weights - table.ravel()))
+    if not (math.isfinite(table_norm) and math.isfinite(misfit)):
+        raise NumericOverflow("a moment table's norm overflows the float range")
     residual = misfit / table_norm if table_norm > 0 else 0.0
 
     atoms = sorted(zip(positions, weights), key=lambda am: (am[0].real, am[0].imag))

@@ -14,6 +14,7 @@ from lapcov import AtomicMeasure, DiscMeasure, Semigroup, Symbol, disc_measure, 
 from lapcov.measures import symbol_values
 from lapcov.semigroups import character_matrix
 from lapcov.errors import RankDeficientPencil
+from lapcov.report import Table
 from lapcov.toeplitz import DEFAULT_MATRIX_ORDER, DEFAULT_RANK_TOL, PronyResult, numerical_rank
 
 
@@ -130,6 +131,8 @@ def _reference_scalar(value) -> str:
 
 def _reference_emit(value, indent: int, lines: list, prefix: str, suffix: str):
     pad = "  " * indent
+    if isinstance(value, Table):  # a table is the list of its records
+        value = value.records()
     if isinstance(value, dict):
         if not value:
             lines.append(f"{pad}{prefix}{{}}{suffix}")
@@ -156,7 +159,10 @@ def _reference_emit(value, indent: int, lines: list, prefix: str, suffix: str):
 
 
 def reference_dumps(report) -> str:
-    """The recursive report emitter that ``report.dumps`` must match byte for byte."""
+    """The recursive report emitter that ``report.dumps`` must match byte for byte.
+
+    A ``report.Table`` is written as the list ``Table.records()``.
+    """
     lines = []
     _reference_emit(report, 0, lines, "", "")
     return "\n".join(lines) + "\n"

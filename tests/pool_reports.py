@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""One digest per benchmark pool: every report the in-process workloads produce.
+"""Two digests per benchmark pool: every report the in-process workloads produce, as JSON and as text.
 
 Usage:
     python tests/pool_reports.py                # print the digests
@@ -8,11 +8,12 @@ Usage:
 
 The dense_atoms, fine_grid and toeplitz_route op pools of
 ``perfbench/scenarios.py`` are built for seeds 1, 7 and 9001, and each op runs
-once through ``lapcov.cli.main`` in this process.  The printed line for a pool
-is the SHA-256 over the exit code, stdout and stderr of its ops in pool order,
-so a change that must leave every report byte-identical (a faster emitter, a
+once through ``lapcov.cli.main`` in this process with ``--format json`` and
+once with ``--format text``.  The printed line for a pool and format is the
+SHA-256 over the exit code, stdout and stderr of its ops in pool order, so a
+change that must leave every report byte-identical (a faster emitter, a
 refactor) can be checked against the digests printed on the parent commit.
-A full run takes ~10-15 s, so it is not part of the test suite.
+A full run takes ~10-30 s, so it is not part of the test suite.
 """
 
 import argparse
@@ -34,20 +35,22 @@ from lapcov.cli import main as cli_main  # noqa: E402
 
 WORKLOADS = ("dense_atoms", "fine_grid", "toeplitz_route")
 SEEDS = (1, 7, 9001)
+FORMATS = ("json", "text")
 
 
-def pool_digest(workload: str, seed: int, directory: str):
-    """(SHA-256 hex digest, number of ops) over the outputs of one pool."""
-    digest = hashlib.sha256()
+def pool_digests(workload: str, seed: int, directory: str):
+    """({format: SHA-256 hex digest}, number of ops) over the outputs of one pool."""
+    digests = {fmt: hashlib.sha256() for fmt in FORMATS}
     ops = scenarios.build(workload, seed)
     for i, op in enumerate(ops):
         path = os.path.join(directory, f"op{i:03d}.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(op.scenario, handle)
-        out, err = io.StringIO(), io.StringIO()
-        code = cli_main([op.cmd, path], stdout=out, stderr=err)
-        digest.update(json.dumps([code, out.getvalue(), err.getvalue()]).encode("utf-8") + b"\n")
-    return digest.hexdigest(), len(ops)
+        for fmt, digest in digests.items():
+            out, err = io.StringIO(), io.StringIO()
+            code = cli_main([op.cmd, path, "--format", fmt], stdout=out, stderr=err)
+            digest.update(json.dumps([code, out.getvalue(), err.getvalue()]).encode("utf-8") + b"\n")
+    return {fmt: digest.hexdigest() for fmt, digest in digests.items()}, len(ops)
 
 
 def lines() -> list:
@@ -55,8 +58,8 @@ def lines() -> list:
     with tempfile.TemporaryDirectory() as directory:
         for workload in WORKLOADS:
             for seed in SEEDS:
-                digest, count = pool_digest(workload, seed, directory)
-                result.append(f"{workload} {seed} {digest} {count}")
+                digests, count = pool_digests(workload, seed, directory)
+                result += [f"{workload} {seed} {fmt} {digest} {count}" for fmt, digest in digests.items()]
     return result
 
 

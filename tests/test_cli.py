@@ -951,6 +951,14 @@ OVERFLOW_SCENARIOS = {
     "symbol": overflow_measure(1, 1e10, grid={"order": 1}, symbol={"kind": "poly", "terms": [{"m": [2], "c": [1e300, 0]}]}),
     # F = 1e200 is finite, |F|^2 is not
     "symbol_squared": overflow_measure(1, 2.0, grid={"order": 1}, symbol={"kind": "poly", "terms": [{"m": [0], "c": [1e200, 0]}]}),
+    # |F|^2 w = 1e300 is finite, its products with character values are not
+    "charge_times_character": overflow_measure(1, 10.0, symbol={"kind": "poly", "terms": [{"m": [0], "c": [1e150, 0]}]}),
+    # the residual is finite on tiny weights, the square of max |F rho| in its scale is not
+    "residual_scale": {
+        "semigroup": {"kind": "nat_add", "d": 1},
+        "measure": {"atoms": [{"point": [[20.0, 0.0]], "weight": [1e-20, 0.0]}, {"point": [[0.5, 0.0]], "weight": [1e-20, 0.0]}]},
+        "symbol": {"kind": "poly", "terms": [{"m": [0], "c": [1e150, 0]}]},
+    },
     # a kernel coefficient whose square overflows
     "kernel_coefficient": {
         "semigroup": {"kind": "nat_add", "d": 1},
@@ -965,6 +973,8 @@ OVERFLOW_SCENARIOS = {
 MEASURE_COMMANDS = ["covariance", "recover", "transform", "toeplitz", "prony", "pd"]
 OVERFLOW_CASES = [(name, command) for name in ("power", "product", "symbol") for command in MEASURE_COMMANDS]
 OVERFLOW_CASES += [("symbol_squared", command) for command in ("covariance", "toeplitz", "prony")]
+OVERFLOW_CASES += [("charge_times_character", command) for command in ("covariance", "prony")]
+OVERFLOW_CASES += [("residual_scale", "covariance")]
 OVERFLOW_CASES += [("random_vector", "random-vector"), ("kernel", "kernel"), ("kernel_coefficient", "kernel")]
 
 

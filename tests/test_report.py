@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lapcov.cli as cli
-from lapcov.report import dumps, format_float
+from lapcov.report import Table, dumps, format_float
 
 from helpers import reference_dumps
 from test_cli import GOLDEN, GOLDEN_CASES, SCENARIOS, build_argv
@@ -76,7 +76,7 @@ def scenario_path(scenario, tmp_path):
     return str(path)
 
 
-# the transform golden is a 4x4 table; these reach the column path at size
+# the transform golden is a 4x4 table; these write large Tables (transform, gamma, per-element)
 LARGE_REPORTS = (
     [("point_mass_natadd2.json", cmd, "8") for cmd in ("transform", "recover", "covariance", "toeplitz", "prony")]
     + [("two_atoms_natadd1.json", cmd, "8") for cmd in ("covariance", "toeplitz", "prony")]
@@ -93,7 +93,8 @@ def test_large_reports_match_the_reference_emitter(scenario, cmd, order, monkeyp
 @pytest.mark.parametrize("bad", [math.nan, math.inf, np.float64("nan")], ids=repr)
 def test_a_large_gamma_table_with_one_non_finite_value_fails_like_the_reference(bad, monkeypatch):
     report = captured_report(["recover", os.path.join(SCENARIOS, "point_mass_natadd2.json"), "--grid-order", "12"], monkeypatch)
-    report["gamma"][len(report["gamma"]) // 2]["value"][1] = bad
+    values = report["gamma"].columns[1]
+    values.imag[len(values) // 2] = bad
     for emit in (dumps, reference_dumps):
         with pytest.raises(ValueError, match="finite numbers only"):
             emit(report)
@@ -179,6 +180,99 @@ def test_tables_fail_on_the_first_bad_value_in_record_order(change, error):
     assert outcome(dumps, report) is outcome(reference_dumps, report) is error
 
 
+# ------------------------------------------------------------ Table
+
+
+def column_table(n, change=lambda columns: None):
+    """``n`` records in the column kinds the commands use; ``change`` edits the columns."""
+    label = [0, 1]
+    columns = {
+        "shared": [label] * n,  # one label object in every record
+        "fresh": [[i, 2] for i in range(n)],
+        "float": np.array([0.5 * i - 1.0 if i % 3 else -0.0 for i in range(n)], dtype=float),
+        "rows": np.array([[-0.0, 1.0 / (i + 1), 1e300] for i in range(n)]).reshape(n, 3),
+        "complex": np.array([complex(-0.0 if i % 2 else 0.1 * i, -0.0 if i % 3 else -i) for i in range(n)], dtype=complex),
+        "int": list(range(n)),
+        "bool": [i % 2 == 0 for i in range(n)],
+        "pair or None": [None if i % 2 else [0.25 * i, -0.0] for i in range(n)],
+        "atoms": [
+            [{"position": [0.5, -0.0], "weight": [float(i), 1.0]}] * (i % 3) + [{"position": [1.0, 2.0], "weight": [0.0, 0.0]}]
+            for i in range(n)
+        ],
+        "float or None": [None if i % 2 else 1.5 * i for i in range(n)],
+        'key "%s" \\': ["x%d" % i for i in range(n)],
+    }
+    change(columns)
+    return Table(columns, columns.values())
+
+
+def _put(key, index, value):
+    def change(columns):
+        columns[key] = columns[key].copy() if isinstance(columns[key], np.ndarray) else list(columns[key])
+        columns[key][index] = value
+
+    return change
+
+
+def test_table_records_hold_python_values():
+    records = column_table(2).records()
+    assert records[1]["float"] == -0.5 and type(records[1]["float"]) is float
+    assert records[1]["rows"] == [-0.0, 0.5, 1e300]
+    assert records[1]["complex"] == [-0.0, -0.0]
+    assert records[0]["shared"] is records[1]["shared"]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 25])
+def test_tables_of_any_length_match_the_reference(n):
+    report = {"table": column_table(n), "nested": [{"inner": column_table(n)}], "after": 1}
+    assert dumps(report) == reference_dumps(report)
+
+
+TABLE_COLUMN_VARIANTS = {
+    "2-D float, no columns": lambda columns: columns.__setitem__("rows", np.empty((5, 0))),
+    "float32": lambda columns: columns.__setitem__("float", columns["float"].astype(np.float32)),
+    "np.float64 scalars": lambda columns: columns.__setitem__("float", list(columns["float"])),
+    "one label object per two records": lambda columns: columns.__setitem__("fresh", [columns["fresh"][i // 2] for i in range(5)]),
+    "2-D complex": lambda columns: columns.__setitem__("complex", columns["complex"].reshape(5, 1)),
+}
+
+
+@pytest.mark.parametrize("change", TABLE_COLUMN_VARIANTS.values(), ids=TABLE_COLUMN_VARIANTS)
+def test_table_column_variants_match_the_reference(change):
+    report = {"table": column_table(5, change)}
+    assert outcome(dumps, report) == outcome(reference_dumps, report)
+
+
+TABLE_FAULTS = {
+    "nan in a float column": (_put("float", 2, math.nan), ValueError),
+    "inf in a 2-D float column": (_put("rows", 3, [0.0, math.inf, 1.0]), ValueError),
+    "nan in a complex column": (_put("complex", 1, complex(0.0, math.nan)), ValueError),
+    "object() in a later generic column": (_put("float or None", 2, object()), TypeError),
+    "nan in a nested atoms list": (_put("atoms", 4, [{"position": [math.nan, 0.0]}]), ValueError),
+    "an int ndarray column": (lambda columns: columns.__setitem__("int", np.arange(5)), TypeError),
+    # two faults in different records: the first in record order wins
+    "nan first, object() later": (lambda columns: (_put("float", 1, math.nan)(columns), _put("pair or None", 3, object())(columns)), ValueError),
+    "object() first, nan later": (lambda columns: (_put("float", 3, math.nan)(columns), _put("pair or None", 1, object())(columns)), TypeError),
+}
+
+
+@pytest.mark.parametrize("change,error", TABLE_FAULTS.values(), ids=TABLE_FAULTS)
+def test_a_failing_table_fails_like_the_reference_over_its_records(change, error):
+    report = {"table": column_table(5, change)}
+    with pytest.raises(error) as raised:
+        dumps(report)
+    with pytest.raises(error) as expected:
+        reference_dumps(report)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_a_table_needs_one_column_per_key_of_one_length():
+    with pytest.raises(ValueError):
+        Table(("a", "b"), ([1, 2],))
+    with pytest.raises(ValueError):
+        Table(("a", "b"), ([1, 2], np.zeros(3)))
+
+
 def test_format_float_canonicalizes_and_rejects_non_finite():
     assert format_float(-0.0) == "0"
     assert format_float(0.1) == "0.10000000000000001"
@@ -243,7 +337,7 @@ def record_lists(draw, leaves, children):
 
 FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(-0.0))
 
-# values that leave a column path: errors, subclasses of float, a bool among ints
+# odd values to put in tables: errors, subclasses of float, a bool among ints
 TABLE_BAD = st.sampled_from(
     [math.nan, math.inf, -math.inf, np.int64(1), np.float64(2.5), np.float64(-0.0), True, 1j, object()]
 )
@@ -290,6 +384,36 @@ def tables(draw, bad):
     return records
 
 
+@st.composite
+def column_tables(draw, bad):
+    """``Table``s of 0-12 records with float, 2-D float, complex and other columns, and up to two ``bad`` values put in."""
+    n = draw(st.integers(0, 12))
+    keys = draw(st.lists(KEYS, min_size=1, max_size=4, unique=True))
+    labels = draw(st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=2), min_size=1, max_size=4))
+    floats = st.lists(FINITE, min_size=n, max_size=n)
+    columns = []
+    for _ in keys:
+        kind = draw(st.sampled_from(["float", "rows", "complex", "other"]))
+        if kind == "float":
+            column = np.array(draw(floats), dtype=float)
+        elif kind == "rows":
+            width = draw(st.integers(0, 3))
+            column = np.array([draw(st.lists(FINITE, min_size=width, max_size=width)) for _ in range(n)]).reshape(n, width)
+        elif kind == "complex":
+            column = np.array([complex(re, im) for re, im in zip(draw(floats), draw(floats))], dtype=complex)
+        else:
+            column = draw(st.lists(draw(column_values(labels)), min_size=n, max_size=n))
+        columns.append(column)
+    for _ in range(draw(st.integers(0, 2)) if bad is not None and n else 0):
+        column = draw(st.sampled_from(columns))
+        index = draw(st.integers(0, n - 1))
+        if not isinstance(column, np.ndarray):
+            column[index] = draw(bad)
+        elif column.size:
+            column.reshape(n, -1)[index, 0] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return Table(keys, columns)
+
+
 def reports(leaves, bad=None):
     def extend(children):
         return st.one_of(
@@ -299,6 +423,7 @@ def reports(leaves, bad=None):
             st.dictionaries(KEYS, children, max_size=3).map(ReversedItems),
             record_lists(leaves, children),
             tables(bad),
+            column_tables(bad),
         )
 
     return st.recursive(leaves, extend, max_leaves=30)
