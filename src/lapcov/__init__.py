@@ -36,6 +36,7 @@ from .kernels import (
     truncation_tail_bound,
 )
 from .laplace import (
+    CharacterTable,
     CovarianceVerdict,
     EvaluationGrid,
     Tolerances,
@@ -71,6 +72,7 @@ from .semigroups import (
     char_eval,
     character_matrix,
     combine,
+    element_exponents,
     first_primes,
     identity,
     kappa,

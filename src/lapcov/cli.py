@@ -10,6 +10,8 @@ import argparse
 import functools
 import sys
 
+import numpy as np
+
 from . import __version__
 from .errors import FMuIntegralZero, LapcovError, MassZero, ScenarioError
 from .kernels import DEGENERATE as KERNEL_DEGENERATE
@@ -28,7 +30,7 @@ from .laplace import (
 from .randomvectors import CONSTANT, decide_constant_vector
 from .report import Table, dumps, encode_complex, format_float
 from .scenario import element, element_to_json, load_scenario, parse, parse_json, point_to_json
-from .semigroups import NAT_ADD, identity
+from .semigroups import NAT_ADD, element_labels, identity
 from .shifts import (
     ShiftCombination,
     admissible_generator,
@@ -49,7 +51,6 @@ from .toeplitz import (
     toeplitz_matrix,
 )
 
-import numpy as np
 
 def _require(scenario, field: str):
     value = getattr(scenario, field, None)
@@ -60,26 +61,25 @@ def _require(scenario, field: str):
 
 def _grid_fields(grid) -> dict:
     return {
-        "grid_order": grid.order if grid.order is not None else None,
+        "grid_order": grid.order,
         "grid_size": len(grid.elements),
     }
 
 
-def _character_table_json(semigroup, grid, table) -> Table:
-    closure = grid.pairs_closure
-    labels = [element_to_json(semigroup, el) for el in closure]
-    return Table(("s", "value"), (labels, np.array([table[el] for el in closure], dtype=complex)))
+def _character_table_json(grid, table) -> Table:
+    return Table(("s", "value"), (element_labels(grid.semigroup, grid.closure_exponents), table.values))
 
 
 def _cmd_transform(scenario, args):
     mu = _require(scenario, "measure")
     grid = scenario.grid
-    labels = [element_to_json(mu.semigroup, el) for el in grid.elements]
-    block = transform_block(mu, scenario.symbol, grid.elements, grid.elements)
+    labels = element_labels(grid.semigroup, grid.exponents)
+    block = transform_block(mu, scenario.symbol, grid.exponents, grid.exponents)
     # record (i, j) holds the pair (labels[i], labels[j])
-    rows = [s for s in labels for _ in labels]
-    values = Table(("s", "t", "v"), (rows, labels * len(labels), block.ravel()))
-    report = {"command": "transform", "grid": labels, "values": values}
+    n = len(labels)
+    columns = (np.repeat(labels, n, axis=0), np.tile(labels, (n,) + (1,) * (labels.ndim - 1)), block.ravel())
+    values = Table(("s", "t", "v"), columns)
+    report = {"command": "transform", "grid": labels.tolist(), "values": values}
     return report, 0, f"tabulated {len(values)} transform values"
 
 
@@ -95,7 +95,7 @@ def _cmd_covariance(scenario, args):
         report["zeta_resolved"] = verdict.point_resolved
         report["max_residual"] = verdict.max_residual
         report["multiplicativity_defect"] = verdict.character_defect
-        report["gamma"] = _character_table_json(sg, scenario.grid, verdict.character)
+        report["gamma"] = _character_table_json(scenario.grid, verdict.character)
         report["certification"] = "relative_to_grid"
         summary = f"point_mass (normalized max residual {format_float(verdict.max_residual)})"
     elif verdict.kind == NOT_POINT_MASS:
@@ -129,7 +129,7 @@ def _cmd_recover(scenario, args):
         "zeta": point_to_json(point) if resolved else None,
         "zeta_resolved": resolved,
         "multiplicativity_defect": defect,
-        "gamma": _character_table_json(mu.semigroup, scenario.grid, table),
+        "gamma": _character_table_json(scenario.grid, table),
     }
     report.update(_grid_fields(scenario.grid))
     return report, 0, f"recover: multiplicativity defect {format_float(defect)}"
@@ -139,8 +139,8 @@ def _cmd_toeplitz(scenario, args):
     mu = _require(scenario, "measure")
     order = scenario.section("toeplitz", matrix_order=args.matrix_order)["matrix_order"]
     rank_tol = scenario.tolerances.rank
-    elements = scenario.grid.elements
-    nus = disc_measures(mu, scenario.symbol, elements)
+    grid = scenario.grid
+    nus = disc_measures(mu, scenario.symbol, grid.exponents)
     moments = moment_matrices(nus, order)
     t_sigmas = np.linalg.svd(toeplitz_matrix(moments), compute_uv=False)
     m_sigmas = np.linalg.svd(moments, compute_uv=False)
@@ -149,7 +149,7 @@ def _cmd_toeplitz(scenario, args):
     per_element = Table(
         ("s", "singular_values", "moment_rank", "atom_count", "luecking_agree", "rank_one_ratio"),
         (
-            [element_to_json(mu.semigroup, s) for s in elements],
+            element_labels(grid.semigroup, grid.exponents),
             t_sigmas,
             [check.rank for check in checks],
             [check.atom_count for check in checks],
@@ -179,23 +179,22 @@ def _cmd_prony(scenario, args):
     mu = _require(scenario, "measure")
     k_max = scenario.section("prony", k_max=args.k_max)["k_max"]
     rank_tol = scenario.tolerances.rank
-    direct_table = {}
+    grid = scenario.grid
     try:
-        _, direct_table = recover_point_mass(mu, scenario.symbol, scenario.grid, scenario.tolerances)
+        _, gamma = recover_point_mass(mu, scenario.symbol, grid, scenario.tolerances)
+        direct = gamma.values[grid.products[0]].tolist()
     except FMuIntegralZero:
-        pass
-    elements = scenario.grid.elements
-    nus = disc_measures(mu, scenario.symbol, elements)
+        direct = [None] * len(grid.elements)
+    nus = disc_measures(mu, scenario.symbol, grid.exponents)
     tables = moment_matrices(nus, k_max, rows=k_max + 1)
     results = [prony_recover(table, pencil=pencil) for table, pencil in zip(tables, prony_pencils(tables, rank_tol))]
     # a rank-one pencil's atom, scaled back from the disc, is a character value
     from_atom = [nu.scale * result.atoms[0][0] if result.rank == 1 else None for nu, result in zip(nus, results)]
-    direct = [direct_table.get(s) for s in elements]
     diffs = [abs(a - b) if a is not None and b is not None else None for a, b in zip(from_atom, direct)]
     per_element = Table(
         ("s", "rank", "atoms", "reconstruction_residual", "character_from_atom", "character_direct", "route_difference"),
         (
-            [element_to_json(mu.semigroup, s) for s in elements],
+            element_labels(grid.semigroup, grid.exponents),
             [result.rank for result in results],
             [
                 [{"position": encode_complex(a), "weight": encode_complex(m)} for a, m in result.atoms]

@@ -16,6 +16,7 @@ a certified point mass (relative to the grid), a certified non-point-mass
 import cmath
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,15 +34,17 @@ from .measures import (
     weight_scale,
 )
 from .semigroups import (
+    HALF_LINE,
     NAT_ADD,
     NAT_MULT,
     Semigroup,
     character_matrix,
     closure_table,
     complex_product,
+    element_exponents,
+    element_labels,
     first_primes,
     identity,
-    validate_element,
 )
 
 POINT_MASS = "point_mass"
@@ -91,6 +94,12 @@ class EvaluationGrid:
     ``products[i, j]`` is the index in ``pairs_closure`` of
     ``elements[i] * elements[j]``.  The identity sorts first, so
     ``products[0]`` indexes the elements themselves.
+
+    ``exponents`` and ``closure_exponents`` are the read-only exponent arrays
+    of ``elements`` and ``pairs_closure`` (see ``semigroups``): (n, d) int64
+    coordinates or prime-exponent vectors, or the reals of the half-line.
+    Both are built once, here, and every character matrix over the grid
+    reads them; the closure is built in exponent space, without factoring.
     """
 
     semigroup: Semigroup
@@ -98,16 +107,25 @@ class EvaluationGrid:
     order: int = None
     pairs_closure: tuple = field(default=(), compare=False)
     products: np.ndarray = field(default=None, compare=False, repr=False)
+    exponents: np.ndarray = field(default=None, compare=False, repr=False)
+    closure_exponents: np.ndarray = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        base = {validate_element(self.semigroup, el) for el in self.elements}
-        base.add(identity(self.semigroup))
-        elements = tuple(sorted(base))
-        closure, products = closure_table(self.semigroup, elements)
-        products.setflags(write=False)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "pairs_closure", closure)
+        sg = self.semigroup
+        rows, closure, products = closure_table(sg, element_exponents(sg, (identity(sg), *self.elements)))
+        for array in (rows, closure, products):
+            array.setflags(write=False)
+        object.__setattr__(self, "elements", _as_elements(sg, rows))
+        object.__setattr__(self, "pairs_closure", _as_elements(sg, closure))
         object.__setattr__(self, "products", products)
+        object.__setattr__(self, "exponents", rows)
+        object.__setattr__(self, "closure_exponents", closure)
+
+
+def _as_elements(semigroup: Semigroup, rows: np.ndarray) -> tuple:
+    """The elements of exponent ``rows`` as the plain values ``validate_element`` returns."""
+    labels = element_labels(semigroup, rows).tolist()
+    return tuple(map(tuple, labels)) if semigroup.family == NAT_ADD else tuple(labels)
 
 
 def default_grid(semigroup: Semigroup, order: int = None) -> EvaluationGrid:
@@ -139,12 +157,54 @@ def default_grid(semigroup: Semigroup, order: int = None) -> EvaluationGrid:
     return EvaluationGrid(semigroup, elements, order=order)
 
 
+class CharacterTable(Mapping):
+    """Read-only {element: complex} view of ``values``, a complex array indexed like ``grid.pairs_closure``.
+
+    The engine reads ``values`` by closure index; a lookup by element builds
+    the element index on first use.
+    """
+
+    def __init__(self, grid: EvaluationGrid, values: np.ndarray):
+        self.grid = grid
+        self.values = values
+        self._index = None
+
+    def __getitem__(self, element) -> complex:
+        if self._index is None:
+            self._index = {el: i for i, el in enumerate(self.grid.pairs_closure)}
+        return complex(self.values[self._index[element]])
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self):
+        return iter(self.grid.pairs_closure)
+
+
+def closure_values(table: Mapping, grid: EvaluationGrid) -> np.ndarray:
+    """The values of ``table`` at ``grid.pairs_closure``, in closure order.
+
+    A ``CharacterTable`` over the same closure hands over its array; any
+    other mapping is looked up element by element, and a missing element
+    raises MissingGridValue.
+    """
+    if isinstance(table, CharacterTable) and (
+        table.grid is grid or table.grid.pairs_closure == grid.pairs_closure
+    ):
+        return table.values
+    try:
+        return np.array([complex(table[el]) for el in grid.pairs_closure], dtype=complex)
+    except KeyError as missing:
+        raise MissingGridValue(f"character table lacks element {missing}") from None
+
+
 @dataclass(frozen=True)
 class CovarianceVerdict:
     """Outcome of the covariance decision.
 
-    ``character`` maps every element of the grid closure to the recovered
-    candidate character value (JSON name: gamma); ``point`` is its location
+    ``character`` is the recovered candidate character on the grid closure
+    (JSON name: gamma), a read-only ``CharacterTable`` view keyed by element
+    over a closure-indexed complex array; ``point`` is its location
     in coordinates (JSON name: zeta) when it could be resolved; ``mass`` is
     the Dirac constant (JSON name: c).  ``max_residual`` is normalized by the
     quadratic residual scale.  Point-mass verdicts are certified only
@@ -154,7 +214,7 @@ class CovarianceVerdict:
 
     kind: str
     mass: complex = None
-    character: dict = None
+    character: CharacterTable = None
     point: tuple = None
     point_resolved: bool = False
     character_defect: float = None
@@ -168,17 +228,17 @@ class CovarianceVerdict:
 def transform_block(mu: AtomicMeasure, symbol, rows, cols, mode: str = MODE_F) -> np.ndarray:
     """L[mu, F](s, t) for s in ``rows`` and t in ``cols``, shape (len(rows), len(cols)).
 
-    Atom k contributes (w_k F(z_k) rho_{z_k}(s)) conj(rho_{z_k}(t)), and the
-    contributions are added in atom order, so an entry does not depend on the
-    block it is computed in.  ``symbol=None`` means F == 1; ``mode`` picks F,
-    conj F or |F|^2.
+    ``rows`` and ``cols`` are exponent arrays: a grid's ``exponents``, or
+    ``element_exponents`` of any elements.  Atom k contributes
+    (w_k F(z_k) rho_{z_k}(s)) conj(rho_{z_k}(t)), and the contributions are
+    added in atom order, so an entry does not depend on the block it is
+    computed in.  ``symbol=None`` means F == 1; ``mode`` picks F, conj F or
+    |F|^2.
     """
     sg = mu.semigroup
-    rows = [validate_element(sg, s) for s in rows]
-    cols = [validate_element(sg, t) for t in cols]
     wf = charges(mu, symbol_values(symbol, mu.points), mode)
     ps = character_matrix(sg, mu.points, rows)
-    pt = ps if cols == rows else character_matrix(sg, mu.points, cols)
+    pt = ps if np.array_equal(cols, rows) else character_matrix(sg, mu.points, cols)
     left_re, left_im = complex_product(wf.real[:, None], wf.imag[:, None], ps.real, ps.imag)
     out = np.zeros((len(rows), len(cols)), dtype=complex)
     for k in range(len(wf)):
@@ -190,7 +250,8 @@ def transform_block(mu: AtomicMeasure, symbol, rows, cols, mode: str = MODE_F) -
 
 def laplace_transform(mu: AtomicMeasure, symbol, s, t, mode: str = MODE_F) -> complex:
     """L[mu, F](s, t); ``symbol=None`` means F == 1, ``mode`` picks F, conj F or |F|^2."""
-    return complex(transform_block(mu, symbol, (s,), (t,), mode)[0, 0])
+    sg = mu.semigroup
+    return complex(transform_block(mu, symbol, element_exponents(sg, (s,)), element_exponents(sg, (t,)), mode)[0, 0])
 
 
 def covariance_residual(mu: AtomicMeasure, symbol, s, t) -> complex:
@@ -212,7 +273,7 @@ def degenerate_check(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Toler
     """
     tol = tol or Tolerances()
     fv = symbol_values(symbol, mu.points)
-    P = character_matrix(mu.semigroup, mu.points, grid.elements)
+    P = character_matrix(mu.semigroup, mu.points, grid.exponents)
     analytic = P.T @ charges(mu, fv)
     conjugate = P.conj().T @ charges(mu, fv, MODE_CONJ_F)
     fp_max = float(np.max(np.abs(fv)[:, None] * np.abs(P), initial=0.0))
@@ -228,33 +289,32 @@ def recover_point_mass(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Tol
     """Dirac constant and candidate character table from transform ratios.
 
     Returns ``(mass, table)`` with mass = mu(support) and
-    table[s] = L[mu,F](s,e) / L[mu,F](e,e) for every s in the grid closure.
+    table[s] = L[mu,F](s,e) / L[mu,F](e,e) for every s in the grid closure,
+    as a ``CharacterTable`` over one closure-indexed array.
     Raises FMuIntegralZero when the denominator is below tolerance.
     """
     tol = tol or Tolerances()
-    closure = grid.pairs_closure
     wf = charges(mu, symbol_values(symbol, mu.points))
-    numerators = character_matrix(mu.semigroup, mu.points, closure).T @ wf
-    e_index = closure.index(identity(mu.semigroup))
-    denominator = complex(numerators[e_index])
+    numerators = character_matrix(mu.semigroup, mu.points, grid.closure_exponents).T @ wf
+    denominator = complex(numerators[0])  # the identity sorts first in the closure
     fmu_scale = float(np.sum(np.abs(wf)))
     if fmu_scale == 0.0 or abs(denominator) < tol.mass * fmu_scale:
         raise FMuIntegralZero("the integral of F against mu is numerically zero")
-    table = {el: complex(numerators[i] / denominator) for i, el in enumerate(closure)}
-    table[closure[e_index]] = 1 + 0j  # the ratio at the identity is 1 by definition
-    return total_mass(mu), table
+    values = numerators / denominator
+    values[0] = 1 + 0j  # the ratio at the identity is 1 by definition
+    values.setflags(write=False)
+    return total_mass(mu), CharacterTable(grid, values)
 
 
-def multiplicativity_defect(table: dict, grid: EvaluationGrid) -> float:
+def multiplicativity_defect(table: Mapping, grid: EvaluationGrid) -> float:
     """max over grid pairs of |table[s*t] - table[s]*table[t]|.
 
-    Computed in real arithmetic in the order Python's complex operations use,
-    so the result matches a scalar loop bit for bit.
+    ``table`` is a ``CharacterTable`` or any mapping from the closure's
+    elements to complex values (``closure_values``).  Computed in real
+    arithmetic in the order Python's complex operations use, so the result
+    matches a scalar loop bit for bit.
     """
-    try:
-        values = np.array([complex(table[el]) for el in grid.pairs_closure])
-    except KeyError as missing:
-        raise MissingGridValue(f"character table lacks element {missing}") from None
+    values = closure_values(table, grid)
     re, im = values.real, values.imag
     at = grid.products[0]
     product_re, product_im = complex_product(re[at][:, None], im[at][:, None], re[at], im[at])
@@ -269,34 +329,29 @@ def factorization_residual(f, s, t) -> complex:
     return f(e, e) * f(s, t) - f(s, e) * f(e, t)
 
 
-def resolve_point(grid: EvaluationGrid, table: dict, semigroup: Semigroup):
+def resolve_point(grid: EvaluationGrid, table: Mapping, semigroup: Semigroup):
     """Locate the recovered character in coordinates.
 
     nat_add reads coordinate values at the unit multi-indices, nat_mult at
-    the retained primes.  half_line inverts one exponential and checks the
-    chosen logarithm branch for consistency across the whole grid; returns
-    ``(None, False)`` when no branch is consistent.
+    the retained primes: both are the closure's unit exponent rows.
+    half_line inverts one exponential and checks the chosen logarithm branch
+    for consistency across the whole grid; returns ``(None, False)`` when no
+    branch is consistent.  ``table`` is read as ``closure_values`` reads it.
     """
-    if semigroup.family == NAT_ADD:
-        coords = []
-        for i in range(semigroup.dim):
-            unit = tuple(1 if j == i else 0 for j in range(semigroup.dim))
-            if unit not in table:
-                return None, False
-            coords.append(table[unit])
-        return tuple(coords), True
-    if semigroup.family == NAT_MULT:
-        coords = []
-        for p in first_primes(semigroup.dim):
-            if p not in table:
-                return None, False
-            coords.append(table[p])
-        return tuple(coords), True
-    nonzero = [s for s in grid.elements if s > 0]
-    if not nonzero:
+    values = closure_values(table, grid)
+    if semigroup.family != HALF_LINE:
+        rows = grid.closure_exponents
+        units = np.flatnonzero(rows.sum(axis=1) == 1)  # nonnegative rows summing to 1
+        at = dict(zip(rows[units].argmax(axis=1).tolist(), values[units].tolist()))
+        if len(at) < semigroup.dim:
+            return None, False
+        return tuple(at[c] for c in range(semigroup.dim)), True
+    # the identity 0.0 sorts first, so the smallest nonzero element is the second
+    if len(grid.elements) < 2:
         return None, False
-    s0 = min(nonzero)
-    base = table[s0]
+    s0 = grid.elements[1]
+    gamma = values[grid.products[0]].tolist()
+    base = gamma[1]
     if abs(base) < 1e-300:
         return None, False
     principal = -cmath.log(base) / s0
@@ -306,7 +361,7 @@ def resolve_point(grid: EvaluationGrid, table: dict, semigroup: Semigroup):
         z = principal + (2 * math.pi * k / s0) * 1j
         if z.real < -1e-9:
             continue
-        if all(abs(table[s] - cmath.exp(-s * z)) < _HALF_LINE_POINT_TOL for s in grid.elements):
+        if all(abs(g - cmath.exp(-s * z)) < _HALF_LINE_POINT_TOL for s, g in zip(grid.elements, gamma)):
             return (z,), True
     return None, False
 
@@ -343,7 +398,7 @@ def decide_covariance(
         )
 
     w = mu.weight_array
-    P = character_matrix(sg, mu.points, grid.elements)
+    P = character_matrix(sg, mu.points, grid.exponents)
     # finite charges and characters can still overflow in their products
     with np.errstate(over="ignore", invalid="ignore"):
         left = P.T @ charges(mu, fv)

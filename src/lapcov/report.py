@@ -11,11 +11,12 @@ of columns, and ``dumps`` writes it as the list of records
 ``%`` call.  A float array column goes to ``%.17g`` specifiers directly (one
 per record, or one fixed-width list per row; a complex array is one
 ``[re, im]`` pair per record), after one finiteness check and ``+ 0.0``,
-which turns -0.0 into the 0.0 that ``format_float`` writes.  Any other
-column is written value by value through the general recursive path, once
-per distinct object, so a grid label shared by many records costs one
-write.  When anything in a table fails, the table goes record by record
-through the general path, which raises the first error in record order.
+which turns -0.0 into the 0.0 that ``format_float`` writes.  An integer
+array column (grid labels) goes to ``%d`` specifiers the same way, with no
+check.  Any other column is written value by value through the general
+recursive path, once per distinct object.  When anything in a table fails,
+the table goes record by record through the general path, which raises the
+first error in record order.
 """
 
 import numpy as np
@@ -56,9 +57,9 @@ _SCALAR_KINDS = frozenset(_SCALARS)
 class Table:
     """Same-shape records given as columns: record i maps ``keys[j]`` to the i-th value of ``columns[j]``.
 
-    A column is a float ndarray (1-D: one number per record; 2-D: one list of
-    numbers per record), a complex ndarray (one ``[re, im]`` pair per record)
-    or any other sequence of report values.
+    A column is a float or integer ndarray (1-D: one number per record; 2-D:
+    one list of numbers per record), a complex ndarray (one ``[re, im]`` pair
+    per record) or any other sequence of report values.
     """
 
     __slots__ = ("keys", "columns")
@@ -73,7 +74,7 @@ class Table:
         return len(self.columns[0]) if self.columns else 0
 
     def records(self) -> list:
-        """The records as dicts, with array entries as Python floats and ``[re, im]`` lists."""
+        """The records as dicts, with array entries as Python floats or ints and ``[re, im]`` lists."""
         return [dict(zip(self.keys, values)) for values in zip(*map(_values, self.columns))]
 
 
@@ -82,7 +83,7 @@ def _values(column):
     if isinstance(column, np.ndarray):
         if column.dtype.kind == "c":
             return np.stack((column.real, column.imag), axis=-1).tolist()
-        if column.dtype.kind == "f":
+        if column.dtype.kind in "fiu":
             return column.tolist()
     return column
 
@@ -147,6 +148,9 @@ def _table(table: Table, pad: str):
             except (TypeError, ValueError):
                 return None
             fragments.append("%s")
+        elif column.dtype.kind in "iu":
+            fragments.append(numbers[0])
+            slots += [part.tolist() for part in numbers[1]]
         elif np.isfinite(column).all():
             fragments.append(numbers[0])
             slots += [(part + 0.0).tolist() for part in numbers[1]]
@@ -163,19 +167,20 @@ def _table(table: Table, pad: str):
 
 
 def _numbers(column):
-    """(template fragment, 1-D float parts) of a float or complex array column, or None for any other column."""
+    """(template fragment, 1-D parts) of a float, integer or complex array column, or None for any other column."""
     if not isinstance(column, np.ndarray):
         return None
     kind, ndim = column.dtype.kind, column.ndim
-    if kind == "f" and ndim == 1:
-        return "%.17g", (column,)
-    if kind == "f" and ndim == 2:
+    spec = "%d" if kind in "iu" else "%.17g"
+    if kind in "fiu" and ndim == 1:
+        return spec, (column,)
+    if kind in "fiu" and ndim == 2:
         parts = tuple(column.T)
     elif kind == "c" and ndim == 1:
         parts = (column.real, column.imag)
     else:
         return None
-    return "[" + ", ".join(["%.17g"] * len(parts)) + "]", parts
+    return "[" + ", ".join([spec] * len(parts)) + "]", parts
 
 
 def _texts(column, pad: str) -> list:

@@ -1,20 +1,25 @@
 """The three built-in commutative semigroups and their character evaluations.
 
-Elements and character points are plain hashable Python values:
+Elements and character points are plain hashable Python values; a grid of
+elements is also held as one exponent array, whose row for an element s is
+the exponent of s in rho_z(s) = z^row (``element_exponents``):
 
-===========  =========================  ==============================
-family       element                    character point
-===========  =========================  ==============================
-nat_add      tuple of ints, length d    tuple of complex, length d
-nat_mult     positive int               tuple of complex, length L
-half_line    float >= 0                 1-tuple (z,) with Re z >= 0
-===========  =========================  ==============================
+===========  =========================  ==============================  ==============================
+family       element                    exponent row                    character point
+===========  =========================  ==============================  ==============================
+nat_add      tuple of ints, length d    the coordinates (int64, d)      tuple of complex, length d
+nat_mult     positive int               kappa(n): prime exponents (L)   tuple of complex, length L
+half_line    float >= 0                 the float itself                1-tuple (z,) with Re z >= 0
+===========  =========================  ==============================  ==============================
 
-Characters are evaluated with the convention 0**0 = 1, so every character
-takes the value 1 at the identity.
+So both integer families are the same problem in exponent space: a
+nat_mult product is a sum of exponent rows, as in nat_add.  Characters are
+evaluated with the convention 0**0 = 1, so every character takes the value 1
+at the identity.
 """
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -104,41 +109,127 @@ def combine(semigroup: Semigroup, a, b):
     return a + b
 
 
-def closure_table(semigroup: Semigroup, elements: tuple):
-    """Sorted pairwise products of ``elements`` and the (n, n) table of their indices.
+def _sort_keys(semigroup: Semigroup, rows: np.ndarray) -> np.ndarray:
+    """One key per exponent row, in the order of the elements, that the semigroup operation adds or multiplies.
 
-    Returns ``(closure, products)`` with ``closure[products[i, j]]`` equal to
-    ``combine(semigroup, elements[i], elements[j])``.
-
-    Every product gets a sort key from array arithmetic: a mixed-radix code
-    for nat_add (coordinate c has radix 2 * max_c + 1, so codes add without
-    carries), the integer product for nat_mult, the float sum for half_line.
-    Keys beyond 2**62 raise GridTooLarge instead of wrapping around in int64.
+    A mixed-radix code for nat_add (coordinate c has radix 2 * max_c + 1, so
+    the codes of two rows add without carries), the integer value for
+    nat_mult, the real itself for half_line.  Rows whose pairwise keys could
+    pass 2**62 raise GridTooLarge instead of wrapping around in int64.
     """
-    n = len(elements)
     if semigroup.family == NAT_ADD:
-        radices = [2 * max(column) + 1 for column in zip(*elements)]
+        radices = [2 * top + 1 for top in rows.max(axis=0, initial=0).tolist()]
         if math.prod(radices) > _INT_LIMIT:
             raise GridTooLarge("nat_add grid coordinates exceed the supported range")
-        strides = [math.prod(radices[c + 1:]) for c in range(len(radices))]
-        coords = np.array(elements, dtype=np.int64)
-        codes = coords @ np.array(strides, dtype=np.int64)
-        keys = np.add.outer(codes, codes)
-    elif semigroup.family == NAT_MULT:
-        top = max(elements)
+        return rows @ np.array([math.prod(radices[c + 1 :]) for c in range(len(radices))], dtype=np.int64)
+    if semigroup.family == NAT_MULT:
+        values = element_labels(semigroup, rows)
+        top = int(values.max(initial=1))
         if top * top > _INT_LIMIT:
             raise GridTooLarge(f"product {top}*{top} exceeds the supported range")
-        values = np.array(elements, dtype=np.int64)
-        keys = np.multiply.outer(values, values)
-    else:
-        values = np.array(elements, dtype=float)
-        keys = np.add.outer(values, values)
-    unique, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    if semigroup.family == NAT_ADD:
-        closure = tuple(map(tuple, (coords[first // n] + coords[first % n]).tolist()))
-    else:
-        closure = tuple(unique.tolist())
-    return closure, inverse.reshape(n, n)
+        return values
+    return rows
+
+
+def closure_table(semigroup: Semigroup, rows: np.ndarray):
+    """The distinct elements of exponent ``rows`` and their pairwise products, in exponent space.
+
+    ``rows`` may come in any order and repeat.  Returns ``(elements,
+    closure, products)``: the distinct rows and the rows of their pairwise
+    products, each sorted by element (by integer value for nat_mult), and the
+    (n, n) index table with ``closure[products[i, j]]`` equal to
+    ``elements[i] + elements[j]``, the exponent of the product.  No element
+    is factored: equal sort keys have equal rows, so any pair with a key
+    gives its row.
+    """
+    keys, first = np.unique(_sort_keys(semigroup, rows), return_index=True)
+    rows = rows[first]
+    n = len(rows)
+    pair_keys = (np.multiply if semigroup.family == NAT_MULT else np.add).outer(keys, keys)
+    unique, first, inverse = np.unique(pair_keys.ravel(), return_index=True, return_inverse=True)
+    closure = unique if semigroup.family == HALF_LINE else rows[first // n] + rows[first % n]
+    return rows, closure, inverse.reshape(n, n)
+
+
+def element_labels(semigroup: Semigroup, rows: np.ndarray) -> np.ndarray:
+    """The elements of exponent ``rows`` as one array: nat_add coordinates, nat_mult integers, half_line reals."""
+    if semigroup.family == NAT_MULT:
+        return np.prod(np.array(first_primes(semigroup.dim), dtype=np.int64) ** rows, axis=1)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _prime_powers(p: int) -> np.ndarray:
+    """p**0, p**1, ..., up to the largest power of p in the int64 range (read-only)."""
+    powers = [1]
+    while powers[-1] * p < 2**63:
+        powers.append(powers[-1] * p)
+    powers = np.array(powers, dtype=np.int64)
+    powers.setflags(write=False)
+    return powers
+
+
+def _factor(values: np.ndarray, primes: tuple):
+    """Prime-exponent rows of positive int64 ``values`` over ``primes``, or None when one has another factor.
+
+    For v = p**e * r with r prime to p, gcd(v, p**K) is p**e when p**K is
+    the largest power of p in the int64 range (p**e <= v keeps e <= K), and e
+    is its index among the powers of p.
+    """
+    rows = np.empty((len(values), len(primes)), dtype=np.int64)
+    for c, p in enumerate(primes):
+        powers = _prime_powers(p)
+        part = np.gcd(values, powers[-1])
+        rows[:, c] = np.searchsorted(powers, part)
+        values = values // part
+    return rows if (values == 1).all() else None
+
+
+def _plain_exponents(semigroup: Semigroup, elements):
+    """Exponent array of valid ``elements`` of the plain types ``validate_element`` returns, else None."""
+    try:
+        if semigroup.family == NAT_ADD:
+            if not (
+                {tuple, list}.issuperset(map(type, elements))
+                and {semigroup.dim}.issuperset(map(len, elements))
+                and {int}.issuperset(map(type, itertools.chain.from_iterable(elements)))
+            ):
+                return None
+            rows = np.array(elements, dtype=np.int64).reshape(len(elements), semigroup.dim)
+            return rows if (rows >= 0).all() else None
+        if semigroup.family == NAT_MULT:
+            if not {int}.issuperset(map(type, elements)):
+                return None
+            values = np.array(elements, dtype=np.int64).reshape(len(elements))
+            return _factor(values, first_primes(semigroup.dim)) if (values >= 1).all() else None
+        if not {float, int}.issuperset(map(type, elements)):
+            return None
+        values = np.array(elements, dtype=float).reshape(len(elements))
+        return values + 0.0 if (np.isfinite(values) & (values >= 0)).all() else None
+    except OverflowError:  # an int past the int64 range
+        return None
+
+
+def element_exponents(semigroup: Semigroup, elements) -> np.ndarray:
+    """The exponent array of ``elements`` (see the module table), each checked as ``validate_element`` checks it.
+
+    Shape (n, d) int64 for nat_add and nat_mult, (n,) float for half_line;
+    -0.0 becomes 0.0.  Plain ints, floats and int tuples are checked with
+    whole-array tests.  Anything else, and any invalid element, goes through
+    ``validate_element`` first, which raises the first bad element's error.
+    Valid elements past the int64 range raise GridTooLarge.
+    """
+    elements = list(elements)
+    rows = _plain_exponents(semigroup, elements)
+    if rows is None:
+        canonical = [validate_element(semigroup, el) for el in elements]
+        rows = _plain_exponents(semigroup, canonical)
+        if rows is None:  # valid, but past the int64 range: nat_add or nat_mult
+            if semigroup.family == NAT_MULT:
+                top = max(canonical)
+                raise GridTooLarge(f"product {top}*{top} exceeds the supported range")
+            raise GridTooLarge("nat_add grid coordinates exceed the supported range")
+    return rows
 
 
 def kappa(n: int, retained_primes: int) -> tuple:
@@ -198,11 +289,15 @@ def complex_product(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _character_loop(semigroup: Semigroup, points, elements) -> np.ndarray:
-    out = np.empty((len(points), len(elements)), dtype=complex)
+def _character_loop(semigroup: Semigroup, points, exponents: np.ndarray) -> np.ndarray:
+    out = np.empty((len(points), len(exponents)), dtype=complex)
+    rows = exponents.tolist()
     for k, z in enumerate(points):
-        for j, s in enumerate(elements):
-            out[k, j] = char_eval(semigroup, z, s)
+        if semigroup.family == HALF_LINE:
+            z = complex(z[0])
+            out[k] = [cmath.exp(-s * z) for s in rows]
+        else:
+            out[k] = [monomial(z, row) for row in rows]
     return out
 
 
@@ -235,30 +330,31 @@ def _power_table(z: np.ndarray, top: int):
 _MAX_SQUARING_EXPONENT = 100
 
 # Blocks with fewer entries than their family's threshold use the scalar
-# loop.  The array kernel has a fixed cost of ~30-130 us per call plus
-# per-element conversions, while the loop's cost per entry is highest for
-# nat_mult (it factors each element with ``kappa`` once per atom).  Best of
-# 5 x 200 calls, loop vs array, Python 3.11 and numpy 2.4 on a 2-core Xeon
-# VM: nat_add d=2 1 x 25 47 vs 133 us, 2 x 36 86 vs 117, 1 x 81 123 vs 120,
-# 4 x 25 184 vs 129; nat_mult 3 primes 1 x 27 58 vs 96, 2 x 27 124 vs 111,
-# 1 x 64 135 vs 150, 4 x 27 238 vs 124; half_line 2 x 17 32 vs 30, 4 x 17
-# 63 vs 35, 1 x 65 58 vs 32.  The Toeplitz route's per-grid blocks
+# loop.  The array kernel has a fixed cost of ~15-80 us per call; the loop
+# costs ~0.5 us per entry and coordinate (one ``monomial`` per entry), and
+# ~0.2 us per entry on the half-line (one ``cmath.exp``).  Best of 15 x 200
+# calls on exponent rows, loop vs array, Python 3.11 and numpy 2.4 on a
+# 2-core Xeon VM: nat_add d=2 1 x 25 26 vs 69 us, 1 x 64 105 vs 101,
+# 3 x 25 73 vs 72, 1 x 81 86 vs 75, 4 x 25 96 vs 82; nat_mult 3 primes
+# 1 x 27 38 vs 72, 1 x 48 63 vs 74, 2 x 27 70 vs 68, 1 x 64 81 vs 63,
+# 4 x 27 129 vs 68; half_line 4 x 17 17 vs 17, 1 x 65 14 vs 15, 1 x 80
+# 17 vs 17, 2 x 65 24 vs 19.  The Toeplitz route's per-grid blocks
 # (``disc_measures``) have 1-4 atoms, so these small blocks are common there.
-_MIN_ARRAY_ENTRIES = {NAT_ADD: 128, NAT_MULT: 32, HALF_LINE: 32}
+_MIN_ARRAY_ENTRIES = {NAT_ADD: 72, NAT_MULT: 54, HALF_LINE: 80}
 
 # cmath.exp and numpy's exp share exp(x) * (cos y, sin y) up to here; above
 # it cmath rescales, and it raises on overflow where numpy returns inf.
 _MAX_EXP_REAL = 708.0
 
 
-def _character_array(semigroup: Semigroup, points, elements):
+def _character_array(semigroup: Semigroup, points, exponents: np.ndarray):
     """``character_matrix`` as array operations, or None where only the scalar loop is exact."""
-    k, n = len(points), len(elements)
+    k, n = len(points), len(exponents)
     z = np.array(points, dtype=complex).reshape(k, semigroup.point_dim)
     out = np.empty((k, n), dtype=complex)
     if semigroup.family == HALF_LINE:
         # -s * z as Python computes it: the float -s times the complex z
-        minus_s = -np.array(elements, dtype=float)
+        minus_s = -exponents
         np.multiply(z.real, minus_s, out=out.real)
         out.real -= 0.0 * z.imag
         np.multiply(z.imag, minus_s, out=out.imag)
@@ -266,14 +362,9 @@ def _character_array(semigroup: Semigroup, points, elements):
         if not np.isfinite(out).all() or out.real.max() > _MAX_EXP_REAL:
             return None
         return np.exp(out, out=out)
-    if semigroup.family == NAT_MULT:
-        exponents = [kappa(s, semigroup.dim) for s in elements]
-    else:
-        exponents = elements
-    top = max(map(max, exponents))
-    if top > _MAX_SQUARING_EXPONENT:
+    top = int(exponents.max())
+    if top > _MAX_SQUARING_EXPONENT or exponents.min() < 0:  # a negative row is no element's: Python divides
         return None
-    exponents = np.array(exponents, dtype=np.int64).reshape(n, semigroup.point_dim)
     # one table for every coordinate: rows c*k .. c*k + k - 1 hold coordinate c
     t_re, t_im = _power_table(z.T.ravel(), top)
     if not (np.isfinite(t_re).all() and np.isfinite(t_im).all()):
@@ -298,12 +389,15 @@ def _character_array(semigroup: Semigroup, points, elements):
     return out
 
 
-def character_matrix(semigroup: Semigroup, points, elements) -> np.ndarray:
-    """Matrix of character values, shape (len(points), len(elements)).
+def character_matrix(semigroup: Semigroup, points, exponents: np.ndarray) -> np.ndarray:
+    """Matrix of character values, shape (len(points), len(exponents)).
 
-    Single source of truth for every transform in the package: entry (k, j)
-    is ``char_eval(semigroup, points[k], elements[j])``, bit for bit.  Blocks
-    of at least ``_MIN_ARRAY_ENTRIES[family]`` entries are computed as
+    Single source of truth for every transform in the package: ``exponents``
+    holds one exponent row per element (``element_exponents``, or a grid's
+    ``exponents`` and ``closure_exponents``), and entry (k, j) is
+    ``monomial(points[k], exponents[j])`` (``exp(-s z)`` on the half-line),
+    which is ``char_eval(semigroup, points[k], element j)`` bit for bit.
+    Blocks of at least ``_MIN_ARRAY_ENTRIES[family]`` entries are computed as
     arrays, with Python's complex arithmetic spelled out in real arithmetic;
     the scalar loop keeps small blocks, exponents past
     ``_MAX_SQUARING_EXPONENT`` and inputs on which Python's complex power or
@@ -311,12 +405,12 @@ def character_matrix(semigroup: Semigroup, points, elements) -> np.ndarray:
     NumericOverflow.
     """
     out = None
-    if len(points) * len(elements) >= _MIN_ARRAY_ENTRIES[semigroup.family]:
+    if len(points) * len(exponents) >= _MIN_ARRAY_ENTRIES[semigroup.family]:
         # Python's float arithmetic overflows to inf without a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _character_array(semigroup, points, elements)
+            out = _character_array(semigroup, points, exponents)
     try:
-        out = _character_loop(semigroup, points, elements) if out is None else out
+        out = _character_loop(semigroup, points, exponents) if out is None else out
     except NumericOverflow:
         raise
     except OverflowError as exc:  # cmath.exp on the half-line

@@ -154,7 +154,7 @@ def pair_function_from_measure(mu: AtomicMeasure, grid: EvaluationGrid, symbol: 
     """Tabulate the (optionally F-weighted) transform of mu on closure x closure."""
     closure = grid.pairs_closure
     w = charges(mu, symbol_values(symbol, mu.points))
-    P = character_matrix(mu.semigroup, mu.points, closure)
+    P = character_matrix(mu.semigroup, mu.points, grid.closure_exponents)
     return PairFunction(grid, PairTable(closure, P.T @ (w[:, None] * P.conj())))
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NumericOverflow, RankDeficientPencil
 from .measures import AtomicMeasure, Symbol, finite_charges, merge_atoms, sup_norm, symbol_values
-from .semigroups import character_matrix
+from .semigroups import character_matrix, element_exponents
 
 DISC_RADIUS = 0.5
 _DISC_TOL = 1e-12
@@ -78,14 +78,15 @@ class DiscMeasure:
         return complex(sum(self.weights))
 
 
-def disc_measures(mu: AtomicMeasure, symbol: Symbol, elements) -> list:
-    """The disc measures induced by probing mu at each of ``elements``, in order.
+def disc_measures(mu: AtomicMeasure, symbol: Symbol, exponents) -> list:
+    """The disc measures induced by probing mu at each element of an exponent array, in order.
 
-    One ``merge_atoms`` call merges every element's atoms, each element a
-    group of its own.  The positions lie inside the disc by construction:
-    |rho| / (2 (1 + max |rho|)) < 1/2.
+    ``exponents`` is a grid's ``exponents``, or ``element_exponents`` of any
+    elements.  One ``merge_atoms`` call merges every element's atoms, each
+    element a group of its own.  The positions lie inside the disc by
+    construction: |rho| / (2 (1 + max |rho|)) < 1/2.
     """
-    values = character_matrix(mu.semigroup, mu.points, elements)
+    values = character_matrix(mu.semigroup, mu.points, exponents)
     # each column is char_eval's bit for bit, so Python's abs gives sup_norm exactly
     scales = [2.0 * (1.0 + max(map(abs, column))) for column in values.T.tolist()]
     fv = symbol_values(symbol, mu.points)
@@ -105,7 +106,7 @@ def disc_measures(mu: AtomicMeasure, symbol: Symbol, elements) -> list:
 
 def disc_measure(mu: AtomicMeasure, symbol: Symbol, s) -> DiscMeasure:
     """The disc measure induced by probing mu at element s."""
-    return disc_measures(mu, symbol, (s,))[0]
+    return disc_measures(mu, symbol, element_exponents(mu.semigroup, (s,)))[0]
 
 
 def _power_columns(positions, rows: int) -> np.ndarray:

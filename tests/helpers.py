@@ -12,7 +12,7 @@ import numpy as np
 
 from lapcov import AtomicMeasure, DiscMeasure, Semigroup, Symbol, disc_measure, moment_matrix, toeplitz_matrix
 from lapcov.measures import symbol_values
-from lapcov.semigroups import character_matrix
+from lapcov.semigroups import character_matrix, element_exponents
 from lapcov.errors import RankDeficientPencil
 from lapcov.report import Table
 from lapcov.toeplitz import DEFAULT_MATRIX_ORDER, DEFAULT_RANK_TOL, PronyResult, numerical_rank
@@ -173,7 +173,7 @@ def reference_dumps(report) -> str:
 
 def reference_disc_measure(mu, symbol, s) -> DiscMeasure:
     """The disc measure at one element from a one-column character block, as before grids were stacked."""
-    values = character_matrix(mu.semigroup, mu.points, (s,))[:, 0]
+    values = character_matrix(mu.semigroup, mu.points, element_exponents(mu.semigroup, (s,)))[:, 0]
     scale = 2.0 * (1.0 + max(map(abs, values.tolist())))
     fv = symbol_values(symbol, mu.points)
     atoms = tuple(

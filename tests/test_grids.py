@@ -5,6 +5,7 @@ scalar semigroup operation ``combine``.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -20,13 +21,17 @@ from lapcov import (
     combine,
     default_grid,
     identity,
+    kappa,
     laplace_transform,
     multiplicativity_defect,
     pair_function_from_measure,
+    recover_point_mass,
+    resolve_point,
     symbol_values,
     transform_block,
 )
 from lapcov.errors import GridTooLarge
+from lapcov.semigroups import element_exponents, validate_element
 from lapcov.measures import MODE_ABS_F_SQ, MODE_CONJ_F, MODE_F
 
 from helpers import random_character_point, random_polynomial_symbol, slow_laplace
@@ -93,6 +98,53 @@ def test_products_index_every_pair(grid):
         assert grid.pairs_closure[grid.products[i, j]] == combine(grid.semigroup, s, t)
     assert grid.elements[0] == identity(grid.semigroup)
     assert tuple(grid.pairs_closure[k] for k in grid.products[0]) == grid.elements
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_exponent_arrays_are_the_elements_in_exponent_space(grid):
+    sg = grid.semigroup
+    for exponents, elements in ((grid.exponents, grid.elements), (grid.closure_exponents, grid.pairs_closure)):
+        assert not exponents.flags.writeable
+        if sg.family == "nat_mult":
+            expected = [list(kappa(s, sg.dim)) for s in elements]
+        else:
+            expected = [list(s) for s in elements] if sg.family == "nat_add" else list(elements)
+        assert exponents.tolist() == expected
+        assert exponents.dtype == (float if sg.family == "half_line" else np.int64)
+
+
+@pytest.mark.parametrize(
+    "semigroup,elements",
+    [
+        (NAT_ADD2, [(1, 2), (1,), (-1, 0)]),
+        (NAT_ADD2, [(1, 2), (-1, 0), (1,)]),
+        (NAT_ADD2, [(1, 2), (0.5, 1), (-1, 0)]),
+        (NAT_ADD2, [(1, 2), 3]),
+        (NAT_MULT2, [6, 35, 0]),
+        (NAT_MULT2, [6, 0, 35]),
+        (NAT_MULT2, [6, 2.5]),
+        (HALF_LINE, [0.5, -1.0, math.nan]),
+        (HALF_LINE, [0.5, math.inf, -1.0]),
+        (HALF_LINE, [0.5, "x"]),
+    ],
+)
+def test_element_exponents_raise_the_first_bad_elements_error(semigroup, elements):
+    with pytest.raises(Exception) as got:
+        element_exponents(semigroup, elements)
+    with pytest.raises(Exception) as want:
+        [validate_element(semigroup, el) for el in elements]
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+def test_element_exponents_take_integral_values_of_other_types():
+    assert element_exponents(NAT_ADD2, [[np.int64(2), 3.0], (True + 1, 0)]).tolist() == [[2, 3], [2, 0]]
+    assert element_exponents(NAT_MULT2, [np.int64(6), 12.0]).tolist() == [[1, 1], [2, 1]]
+    assert element_exponents(HALF_LINE, [np.float32(0.5), -0.0, 2]).tolist() == [0.5, 0.0, 2.0]
+    assert math.copysign(1.0, element_exponents(HALF_LINE, [-0.0])[0]) == 1.0
+    with pytest.raises(GridTooLarge, match="nat_add grid coordinates exceed the supported range"):
+        element_exponents(NAT_ADD2, [(2**64, 0)])
+    with pytest.raises(GridTooLarge, match=f"product {2**64}\\*{2**64} exceeds the supported range"):
+        element_exponents(NAT_MULT2, [2**64, 3])
 
 
 def test_user_grid_adds_identity_and_drops_duplicates():
@@ -162,6 +214,36 @@ def test_defect_ignores_extra_keys_and_reports_missing_ones():
         multiplicativity_defect(table, grid)
 
 
+@pytest.mark.parametrize("semigroup", [NAT_ADD2, NAT_MULT2, HALF_LINE], ids=["natadd", "natmult", "halfline"])
+def test_character_table_is_a_read_only_view_in_closure_order(semigroup, rng):
+    grid = default_grid(semigroup, order=2)
+    mu = AtomicMeasure(semigroup, ((random_character_point(rng, semigroup), 1.5 - 0.5j),))
+    _, table = recover_point_mass(mu, None, grid)
+    closure = grid.pairs_closure
+    assert len(table) == len(closure) and list(table) == list(closure)
+    for i, s in enumerate(closure):
+        assert s in table
+        assert table[s] == table.get(s) == complex(table.values[i]) and type(table[s]) is complex
+    outside = {NAT_ADD2: (9, 0), NAT_MULT2: 7, HALF_LINE: 0.1}[semigroup]
+    assert outside not in table and table.get(outside) is None and table.get(outside, 1j) == 1j
+    with pytest.raises(KeyError):
+        table[outside]
+    with pytest.raises(TypeError):
+        table[closure[1]] = 0j
+    with pytest.raises(ValueError):
+        table.values[1] = 0j
+    # a plain dict reads the same; one that misses an element raises
+    as_dict = dict(table.items())
+    assert multiplicativity_defect(as_dict, grid) == multiplicativity_defect(table, grid)
+    assert resolve_point(grid, as_dict, semigroup) == resolve_point(grid, table, semigroup)
+    # another grid object with the same closure reads the view's array
+    twin = EvaluationGrid(semigroup, grid.elements)
+    assert twin is not grid and multiplicativity_defect(table, twin) == multiplicativity_defect(table, grid)
+    del as_dict[closure[-1]]
+    with pytest.raises(MissingGridValue):
+        multiplicativity_defect(as_dict, grid)
+
+
 # ------------------------------------------------------------ pair tables
 
 
@@ -169,7 +251,7 @@ def dict_pair_function(mu, grid):
     """The closure x closure table as the dict that the pair view replaces."""
     closure = grid.pairs_closure
     w = np.array(mu.weights, dtype=complex) * symbol_values(None, mu.points)
-    P = character_matrix(mu.semigroup, mu.points, closure)
+    P = character_matrix(mu.semigroup, mu.points, grid.closure_exponents)
     table = P.T @ (w[:, None] * P.conj())
     return {(s, t): complex(table[i, j]) for i, s in enumerate(closure) for j, t in enumerate(closure)}
 
@@ -226,13 +308,14 @@ def test_transform_block_entries(semigroup, count, rng):
     mu = random_measure(rng, semigroup, count)
     symbol = random_polynomial_symbol(rng, semigroup.point_dim)
     rows, cols = grid.elements, grid.elements[::2]
+    row_exponents, col_exponents = grid.exponents, grid.exponents[::2]
     fv = [symbol.at(p) for p in mu.points]
     for mode, weights in (
         (MODE_F, fv),
         (MODE_CONJ_F, [f.conjugate() for f in fv]),
         (MODE_ABS_F_SQ, [abs(f) ** 2 for f in fv]),
     ):
-        block = transform_block(mu, symbol, rows, cols, mode)
+        block = transform_block(mu, symbol, row_exponents, col_exponents, mode)
         assert block.shape == (len(rows), len(cols))
         for (i, s), (j, t) in itertools.product(enumerate(rows), enumerate(cols)):
             # an entry does not depend on the block it is computed in
@@ -247,7 +330,7 @@ def test_transform_block_is_scalar_complex_arithmetic(rng):
     mu = random_measure(rng, semigroup, 5)
     symbol = random_polynomial_symbol(rng, semigroup.point_dim)
     wf = np.array(mu.weights, dtype=complex) * symbol_values(symbol, mu.points)
-    block = transform_block(mu, symbol, grid.elements, grid.elements)
+    block = transform_block(mu, symbol, grid.exponents, grid.exponents)
     for (i, s), (j, t) in itertools.product(enumerate(grid.elements), repeat=2):
         total = 0j
         for w, z in zip(wf, mu.points):
@@ -256,10 +339,14 @@ def test_transform_block_is_scalar_complex_arithmetic(rng):
 
 
 def test_transform_block_validates_elements_and_mode():
+    # transform_block reads exponent arrays; element_exponents and laplace_transform validate elements
     mu = AtomicMeasure(NAT_ADD2, (((0.5, 0.5), 1.0),))
-    assert transform_block(mu, None, [[1, 0]], [(0, 1)])[0, 0] == 0.25
+    unit, zero = element_exponents(NAT_ADD2, [[1, 0]]), element_exponents(NAT_ADD2, [(0, 0)])
+    assert transform_block(mu, None, unit, element_exponents(NAT_ADD2, [(0, 1)]))[0, 0] == 0.25
     with pytest.raises(ValueError):
-        transform_block(mu, None, [(1, -1)], [(0, 0)])
+        element_exponents(NAT_ADD2, [(1, -1)])
     with pytest.raises(ValueError):
-        transform_block(mu, None, [(1, 0)], [(0, 0)], mode="square")
-    assert transform_block(mu, None, [], [(0, 0)]).shape == (0, 1)
+        laplace_transform(mu, None, (1, -1), (0, 0))
+    with pytest.raises(ValueError):
+        transform_block(mu, None, unit, zero, mode="square")
+    assert transform_block(mu, None, element_exponents(NAT_ADD2, []), zero).shape == (0, 1)

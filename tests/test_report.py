@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lapcov.cli as cli
-from lapcov.report import Table, dumps, format_float
+from lapcov.report import Table, _scalar, dumps, format_float
 
 from helpers import reference_dumps
 from test_cli import GOLDEN, GOLDEN_CASES, SCENARIOS, build_argv
@@ -93,8 +93,10 @@ def test_large_reports_match_the_reference_emitter(scenario, cmd, order, monkeyp
 @pytest.mark.parametrize("bad", [math.nan, math.inf, np.float64("nan")], ids=repr)
 def test_a_large_gamma_table_with_one_non_finite_value_fails_like_the_reference(bad, monkeypatch):
     report = captured_report(["recover", os.path.join(SCENARIOS, "point_mass_natadd2.json"), "--grid-order", "12"], monkeypatch)
-    values = report["gamma"].columns[1]
+    gamma = report["gamma"]
+    values = gamma.columns[1].copy()  # the recovered table is read-only
     values.imag[len(values) // 2] = bad
+    report["gamma"] = Table(gamma.keys, (gamma.columns[0], values))
     for emit in (dumps, reference_dumps):
         with pytest.raises(ValueError, match="finite numbers only"):
             emit(report)
@@ -192,6 +194,9 @@ def column_table(n, change=lambda columns: None):
         "float": np.array([0.5 * i - 1.0 if i % 3 else -0.0 for i in range(n)], dtype=float),
         "rows": np.array([[-0.0, 1.0 / (i + 1), 1e300] for i in range(n)]).reshape(n, 3),
         "complex": np.array([complex(-0.0 if i % 2 else 0.1 * i, -0.0 if i % 3 else -i) for i in range(n)], dtype=complex),
+        # grid labels: (n, 2) coordinates and 1-D integers
+        "coordinates": np.array([[i, 2 * i - 3] for i in range(n)], dtype=np.int64).reshape(n, 2),
+        "integers": np.arange(n, dtype=np.int64) * 2**40,
         "int": list(range(n)),
         "bool": [i % 2 == 0 for i in range(n)],
         "pair or None": [None if i % 2 else [0.25 * i, -0.0] for i in range(n)],
@@ -220,6 +225,11 @@ def test_table_records_hold_python_values():
     assert records[1]["rows"] == [-0.0, 0.5, 1e300]
     assert records[1]["complex"] == [-0.0, -0.0]
     assert records[0]["shared"] is records[1]["shared"]
+    # text output renders records() value by value, and _scalar takes no numpy integers
+    assert records[1]["coordinates"] == [1, -1] and records[1]["integers"] == 2**40
+    assert all(type(x) is int for x in records[1]["coordinates"] + [records[1]["integers"]])
+    with pytest.raises(TypeError):
+        _scalar(np.int64(1))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 25])
@@ -249,7 +259,8 @@ TABLE_FAULTS = {
     "nan in a complex column": (_put("complex", 1, complex(0.0, math.nan)), ValueError),
     "object() in a later generic column": (_put("float or None", 2, object()), TypeError),
     "nan in a nested atoms list": (_put("atoms", 4, [{"position": [math.nan, 0.0]}]), ValueError),
-    "an int ndarray column": (lambda columns: columns.__setitem__("int", np.arange(5)), TypeError),
+    # np.bool_ values are not report scalars, and a bool array is not an integer column
+    "a bool array": (lambda columns: columns.__setitem__("bool", np.arange(5) % 2 == 0), TypeError),
     # two faults in different records: the first in record order wins
     "nan first, object() later": (lambda columns: (_put("float", 1, math.nan)(columns), _put("pair or None", 3, object())(columns)), ValueError),
     "object() first, nan later": (lambda columns: (_put("float", 3, math.nan)(columns), _put("pair or None", 1, object())(columns)), TypeError),

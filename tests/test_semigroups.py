@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lapcov.semigroups as semigroups
 from lapcov import (
+    AtomicMeasure,
     EvaluationGrid,
     GridTooLarge,
     NumericOverflow,
@@ -15,11 +17,22 @@ from lapcov import (
     char_eval,
     character_matrix,
     combine,
+    decide_covariance,
     default_grid,
     identity,
     kappa,
+    pair_function_from_measure,
+    recover_point_mass,
 )
-from lapcov.semigroups import monomial, validate_element, validate_point
+from lapcov.semigroups import (
+    _MAX_SQUARING_EXPONENT,
+    _MIN_ARRAY_ENTRIES,
+    _character_array,
+    element_exponents,
+    monomial,
+    validate_element,
+    validate_point,
+)
 
 from helpers import random_character_point, slow_char
 
@@ -121,7 +134,7 @@ def test_character_matrix_matches_scalar_eval(sg, rng):
 
     grid = default_grid(sg, order=2)
     points = [validate_point(sg, random_character_point(rng, sg)) for _ in range(3)]
-    matrix = character_matrix(sg, points, grid.elements)
+    matrix = character_matrix(sg, points, grid.exponents)
     for k, z in enumerate(points):
         for j, s in enumerate(grid.elements):
             assert matrix[k, j] == char_eval(sg, z, s)
@@ -130,7 +143,8 @@ def test_character_matrix_matches_scalar_eval(sg, rng):
 
 
 def character_loop(sg, points, elements):
-    # the scalar loop character_matrix ran before it had an array kernel
+    # the scalar loop character_matrix ran before it had an array kernel and
+    # exponent rows: char_eval per entry, with kappa for nat_mult
     out = np.empty((len(points), len(elements)), dtype=complex)
     for k, z in enumerate(points):
         for j, s in enumerate(elements):
@@ -138,8 +152,8 @@ def character_loop(sg, points, elements):
     return out
 
 
-def assert_bit_equal(sg, points, elements):
-    got, want = character_matrix(sg, points, elements), character_loop(sg, points, elements)
+def assert_bit_equal(sg, points, exponents, elements):
+    got, want = character_matrix(sg, points, exponents), character_loop(sg, points, elements)
     assert got.shape == want.shape
     # bytes, not ==, so that the sign of a zero counts
     assert got.tobytes() == want.tobytes()
@@ -168,9 +182,50 @@ def random_points(rng, sg, count):
 def test_character_matrix_is_bit_equal_to_the_scalar_loop(rng, sg, order, count):
     grid = default_grid(sg, order=order)
     points = random_points(rng, sg, count)
-    for elements in (grid.elements, grid.pairs_closure, grid.elements[:1], grid.elements[:20]):
-        assert_bit_equal(sg, points, elements)
-        assert_bit_equal(sg, points[:1], elements)
+    # the grid's own exponent arrays; for nat_mult the closure rows are sums, never factored
+    for exponents, elements in (
+        (grid.exponents, grid.elements),
+        (grid.closure_exponents, grid.pairs_closure),
+        (grid.exponents[:1], grid.elements[:1]),
+        (grid.exponents[:20], grid.elements[:20]),
+    ):
+        assert_bit_equal(sg, points, exponents, elements)
+        assert_bit_equal(sg, points[:1], exponents, elements)
+
+
+def test_character_matrix_on_exponents_past_the_squaring_range_takes_the_loop(rng):
+    sg = Semigroup.nat_add(2)
+    grid = EvaluationGrid(sg, ((_MAX_SQUARING_EXPONENT + 1, 3), (0, 120), (1, 1)))
+    points = random_points(rng, sg, 40)
+    assert _character_array(sg, points, grid.closure_exponents) is None
+    assert_bit_equal(sg, points, grid.exponents, grid.elements)
+    assert_bit_equal(sg, points, grid.closure_exponents, grid.pairs_closure)
+
+
+def test_half_line_exponents_outside_the_exp_range_take_the_loop():
+    # -s Re z = 709 is past the range where numpy's exp matches cmath.exp, yet exp(709) is finite
+    sg = Semigroup.half_line()
+    grid = EvaluationGrid(sg, (7.09e14,))
+    points = [(complex(-1e-12, 1.0 + 0.01 * k),) for k in range(_MIN_ARRAY_ENTRIES[sg.family])]
+    assert _character_array(sg, points, grid.exponents) is None
+    assert_bit_equal(sg, points, grid.exponents, grid.elements)
+
+
+def test_a_built_nat_mult_grid_is_never_factored_again(monkeypatch, rng):
+    sg = Semigroup.nat_mult(3)
+    grid = default_grid(sg, order=3)
+    calls = []
+    original = semigroups.kappa
+    monkeypatch.setattr(semigroups, "kappa", lambda *args: calls.append(args) or original(*args))
+    char_eval(sg, (0.5, 0.5, 0.5), 12)
+    assert calls, "the counting wrapper sees the reference's factoring"
+    calls.clear()
+    for count in (1, 2, 40):  # one atom recovers a point mass; 40 atoms take the array kernel
+        mu = AtomicMeasure(sg, tuple((random_character_point(rng, sg), 1.0) for _ in range(count)))
+        decide_covariance(mu, None, grid)
+        recover_point_mass(mu, None, grid)
+        pair_function_from_measure(mu, grid)
+    assert calls == []
 
 
 def test_character_matrix_is_bit_equal_across_the_exponent_100_boundary(rng):
@@ -179,8 +234,9 @@ def test_character_matrix_is_bit_equal_across_the_exponent_100_boundary(rng):
     points = [(complex(*rng.normal(size=2)) / 1.3, complex(*rng.normal(size=2)) / 1.3) for _ in range(20)]
     points += [(z / abs(z), 1j) for z in (complex(*rng.normal(size=2)) for _ in range(5))] + [(0j, 0j)]
     for top in (99, 100, 101):
-        assert_bit_equal(sg, points, [(e, f) for e in range(top - 8, top + 1) for f in range(3)])
-        assert_bit_equal(sg, points, [(f, e) for e in range(top - 8, top + 1) for f in range(3)])
+        block = [(e, f) for e in range(top - 8, top + 1) for f in range(3)]
+        for elements in (block, [(f, e) for e, f in block]):
+            assert_bit_equal(sg, points, element_exponents(sg, elements), elements)
 
 
 @pytest.mark.parametrize(
@@ -191,11 +247,12 @@ def test_character_matrix_is_bit_equal_across_the_exponent_100_boundary(rng):
     ],
 )
 def test_character_matrix_raises_where_python_overflows(sg, point, elements):
-    for build in (character_matrix, character_loop):
+    exponents = element_exponents(sg, elements)
+    for build, columns in ((character_matrix, exponents), (character_loop, elements)):
         with pytest.raises(OverflowError):
-            build(sg, [(point,)] * 16, elements)
+            build(sg, [(point,)] * 16, columns)
     with pytest.raises(NumericOverflow):
-        character_matrix(sg, [(point,)] * 16, elements)
+        character_matrix(sg, [(point,)] * 16, exponents)
 
 
 def test_validate_element_rejects_bad_inputs():
@@ -242,7 +299,7 @@ def test_monomial_overflow_is_a_numeric_overflow():
 def test_character_matrix_raises_where_the_product_of_finite_powers_overflows(count):
     # each power is finite and Python's complex product returns inf without raising
     with pytest.raises(NumericOverflow):
-        character_matrix(Semigroup.nat_add(2), [(1e160 + 0j, 1e160 + 0j)] * count, [(0, 0), (1, 1), (0, 1)])
+        character_matrix(Semigroup.nat_add(2), [(1e160 + 0j, 1e160 + 0j)] * count, np.array([(0, 0), (1, 1), (0, 1)]))
 
 
 def symbol_term_loop(point, exponents, coeff):

@@ -28,7 +28,7 @@ from lapcov.laplace import default_grid
 from lapcov.scenario import load_scenario
 from lapcov.toeplitz import DEFAULT_MATRIX_ORDER, DEFAULT_RANK_TOL
 from lapcov.measures import symbol_values
-from lapcov.semigroups import character_matrix
+from lapcov.semigroups import character_matrix, element_exponents
 
 from helpers import (
     random_character_point,
@@ -86,7 +86,7 @@ def test_disc_measure_stays_in_half_disc(rng):
 def _sup_norm_scaled_disc_measure(mu, symbol, s):
     """The disc measure with its scale taken from ``sup_norm``, one char_eval per atom."""
     scale = 2.0 * (1.0 + sup_norm(mu, s))
-    values = character_matrix(mu.semigroup, mu.points, (s,))[:, 0]
+    values = character_matrix(mu.semigroup, mu.points, element_exponents(mu.semigroup, (s,)))[:, 0]
     fv = symbol_values(symbol, mu.points)
     return DiscMeasure(tuple((values[k] / scale, abs(fv[k]) ** 2 * mu.weights[k]) for k in range(len(values))))
 
@@ -135,9 +135,10 @@ def _same_bytes(got: DiscMeasure, want: DiscMeasure) -> bool:
 @pytest.mark.parametrize("count", [1, 4, 150])  # 150 atoms take character_matrix's array path
 def test_disc_measures_are_byte_equal_to_one_element_at_a_time(rng, semigroup, count):
     mu = _grid_measure(rng, semigroup, count)
-    elements = default_grid(semigroup).elements
+    grid = default_grid(semigroup)
+    elements = grid.elements
     for symbol in (None, random_polynomial_symbol(rng, semigroup.point_dim)):
-        nus = disc_measures(mu, symbol, elements)
+        nus = disc_measures(mu, symbol, grid.exponents)
         assert len(nus) == len(elements)
         for nu, s in zip(nus, elements):
             assert _same_bytes(nu, reference_disc_measure(mu, symbol, s))
@@ -148,7 +149,7 @@ def test_disc_measures_merge_each_element_apart():
     # at z = 1 every character is 1, so equal positions meet at the boundary between elements 1 and 2
     mu = measure((1, 2.0), (-1, 1.0))
     elements = ((0,), (1,), (2,))
-    nus = disc_measures(mu, None, elements)
+    nus = disc_measures(mu, None, element_exponents(mu.semigroup, elements))
     for nu, s in zip(nus, elements):
         assert _same_bytes(nu, reference_disc_measure(mu, None, s))
     assert [nu.weights for nu in nus] == [(3,), (1, 2), (3,)]
@@ -214,9 +215,10 @@ def test_moment_matrices_keep_empty_and_zero_atom_measures():
 @pytest.mark.parametrize("order", [1, 2, 6, 12])
 def test_grid_stacks_are_byte_equal_to_one_element_at_a_time(rng, semigroup, count, order):
     mu = _grid_measure(rng, semigroup, count)
-    elements = default_grid(semigroup).elements
+    grid = default_grid(semigroup)
+    elements = grid.elements
     for symbol in (None, random_polynomial_symbol(rng, semigroup.point_dim)):
-        nus = disc_measures(mu, symbol, elements)
+        nus = disc_measures(mu, symbol, grid.exponents)
         if count > 1:
             # at the identity every atom merges into one, elsewhere they stay apart: several matmul groups
             assert len(nus[0].atoms) == 1 and len({len(nu.atoms) for nu in nus}) > 1
@@ -466,14 +468,14 @@ def test_prony_pencils_of_mixed_ranks_match_one_table_at_a_time(rng, k_max):
 def test_prony_pencils_on_grids_match_one_table_at_a_time(rng, semigroup, k_max):
     mu = _grid_measure(rng, semigroup, 4)
     for symbol in (None, random_polynomial_symbol(rng, semigroup.point_dim)):
-        nus = disc_measures(mu, symbol, default_grid(semigroup).elements)
+        nus = disc_measures(mu, symbol, default_grid(semigroup).exponents)
         _assert_batched_pencils_match_one_table_at_a_time(moment_matrices(nus, k_max, rows=k_max + 1))
 
 
 def test_prony_pencil_errors_match_one_table_at_a_time():
     # a rank tolerance this small keeps noise directions in the pencil of some elements
     scenario = load_scenario(os.path.join(SCENARIOS, "two_atoms_natadd1.json"))
-    nus = disc_measures(scenario.measure, scenario.symbol, scenario.grid.elements)
+    nus = disc_measures(scenario.measure, scenario.symbol, scenario.grid.exponents)
     pencils = _assert_batched_pencils_match_one_table_at_a_time(moment_matrices(nus, 6, rows=7), 1e-300)
     errors = [i for i, pencil in enumerate(pencils) if pencil.error is not None]
     assert errors and errors != list(range(len(pencils)))
