@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import FMuIntegralZero, LapcovError, MassZero, ScenarioError
+from .errors import FMuIntegralZero, LapcovError, ScenarioError
 from .kernels import DEGENERATE as KERNEL_DEGENERATE
 from .kernels import kernel_recover, truncation_tail_bound
 from .laplace import (
@@ -21,10 +21,10 @@ from .laplace import (
     POINT_MASS,
     decide_covariance,
     laplace_transform,  # noqa: F401  (a lapcov.cli binding that perfbench/layers.py traces)
-    mass_vanishes,
-    multiplicativity_defect,
+    multiplicativity_defect,  # noqa: F401  (a lapcov.cli binding that perfbench/layers.py traces)
+    read_point_mass,
     recover_point_mass,
-    resolve_point,
+    resolve_point,  # noqa: F401  (a lapcov.cli binding that perfbench/layers.py traces)
     transform_block,
 )
 from .randomvectors import CONSTANT, decide_constant_vector
@@ -117,22 +117,17 @@ def _cmd_covariance(scenario, args):
 
 def _cmd_recover(scenario, args):
     mu = _require(scenario, "measure")
-    tol = scenario.tolerances
-    if mass_vanishes(mu, tol):
-        raise MassZero("total mass is numerically zero; nothing to recover")
-    mass, table = recover_point_mass(mu, scenario.symbol, scenario.grid, tol)
-    point, resolved = resolve_point(scenario.grid, table, mu.semigroup)
-    defect = multiplicativity_defect(table, scenario.grid)
+    verdict = read_point_mass(mu, scenario.symbol, scenario.grid, scenario.tolerances)
     report = {
         "command": "recover",
-        "c": encode_complex(mass),
-        "zeta": point_to_json(point) if resolved else None,
-        "zeta_resolved": resolved,
-        "multiplicativity_defect": defect,
-        "gamma": _character_table_json(scenario.grid, table),
+        "c": encode_complex(verdict.mass),
+        "zeta": point_to_json(verdict.point) if verdict.point_resolved else None,
+        "zeta_resolved": verdict.point_resolved,
+        "multiplicativity_defect": verdict.character_defect,
+        "gamma": _character_table_json(scenario.grid, verdict.character),
     }
     report.update(_grid_fields(scenario.grid))
-    return report, 0, f"recover: multiplicativity defect {format_float(defect)}"
+    return report, 0, f"recover: multiplicativity defect {format_float(verdict.character_defect)}"
 
 
 def _cmd_toeplitz(scenario, args):

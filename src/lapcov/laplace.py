@@ -17,11 +17,11 @@ import cmath
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import FMuIntegralZero, MissingGridValue, NumericOverflow
+from .errors import FMuIntegralZero, MassZero, MissingGridValue, NumericOverflow
 from .measures import (
     MODE_ABS_F_SQ,
     MODE_CONJ_F,
@@ -209,7 +209,9 @@ class CovarianceVerdict:
     the Dirac constant (JSON name: c).  ``max_residual`` is normalized by the
     quadratic residual scale.  Point-mass verdicts are certified only
     relative to the probe grid; non-point-mass verdicts carry an explicit
-    witness pair.
+    witness pair.  ``read_point_mass`` builds the point-mass fields (the
+    ``recover`` command prints them); ``decide_covariance`` adds the residual
+    and the symbol flag.
     """
 
     kind: str
@@ -366,6 +368,30 @@ def resolve_point(grid: EvaluationGrid, table: Mapping, semigroup: Semigroup):
     return None, False
 
 
+def read_point_mass(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Tolerances = None) -> CovarianceVerdict:
+    """The point mass c * delta_gamma read off mu's transform ratios, as a ``point_mass`` verdict.
+
+    Applies the mu(Gamma) != 0 gate (MassZero), recovers c and the character
+    table (FMuIntegralZero when the integral of F vanishes), resolves zeta
+    and measures the table's multiplicativity defect.  The residual fields
+    keep their defaults: this reads the point mass, it does not decide
+    that mu is one.
+    """
+    tol = tol or Tolerances()
+    if mass_vanishes(mu, tol):
+        raise MassZero("total mass is numerically zero; nothing to recover")
+    mass, table = recover_point_mass(mu, symbol, grid, tol)
+    point, resolved = resolve_point(grid, table, mu.semigroup)
+    return CovarianceVerdict(
+        kind=POINT_MASS,
+        mass=mass,
+        character=table,
+        point=point,
+        point_resolved=resolved,
+        character_defect=multiplicativity_defect(table, grid),
+    )
+
+
 def decide_covariance(
     mu: AtomicMeasure,
     symbol: Symbol = None,
@@ -419,26 +445,10 @@ def decide_covariance(
 
     if scale == 0.0 or max_raw <= tol.residual * scale:
         try:
-            mass_out, table = recover_point_mass(mu, symbol, grid, tol)
+            verdict = read_point_mass(mu, symbol, grid, tol)
         except FMuIntegralZero:
-            return CovarianceVerdict(
-                kind=DEGENERATE,
-                degenerate_case=F_MU_ZERO,
-                max_residual=max_normalized,
-                symbol_vanishes_on_atom=flag,
-            )
-        point, resolved = resolve_point(grid, table, sg)
-        defect = multiplicativity_defect(table, grid)
-        return CovarianceVerdict(
-            kind=POINT_MASS,
-            mass=mass_out,
-            character=table,
-            point=point,
-            point_resolved=resolved,
-            character_defect=defect,
-            max_residual=max_normalized,
-            symbol_vanishes_on_atom=flag,
-        )
+            verdict = CovarianceVerdict(kind=DEGENERATE, degenerate_case=F_MU_ZERO)
+        return replace(verdict, max_residual=max_normalized, symbol_vanishes_on_atom=flag)
 
     flat_index = int(np.argmax(abs_residual))
     i, j = divmod(flat_index, len(grid.elements))

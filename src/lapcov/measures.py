@@ -308,18 +308,9 @@ def polar_density(mu: AtomicMeasure) -> dict:
 
 
 def apply_symbol(mu: AtomicMeasure, symbol: Symbol, mode: str = MODE_F) -> AtomicMeasure:
-    """Reweight atoms by F, conj(F) or |F|^2; zero-weight atoms are retained."""
-    if mode not in (MODE_F, MODE_CONJ_F, MODE_ABS_F_SQ):
-        raise ValueError(f"unknown symbol mode {mode!r}")
-    atoms = []
-    for point, weight in mu.atoms:
-        value = symbol.at(point) if symbol is not None else 1 + 0j
-        if mode == MODE_CONJ_F:
-            value = value.conjugate()
-        elif mode == MODE_ABS_F_SQ:
-            value = abs(value) ** 2
-        atoms.append((point, weight * value))
-    return AtomicMeasure(mu.semigroup, tuple(atoms))
+    """Reweight atoms by F, conj(F) or |F|^2 (the ``charges``); zero-weight atoms are retained."""
+    weights = charges(mu, symbol_values(symbol, mu.points), mode)
+    return AtomicMeasure(mu.semigroup, Columns(np.array(mu.points), weights))
 
 
 def sup_norm(mu: AtomicMeasure, element) -> float:

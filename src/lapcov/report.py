@@ -14,9 +14,9 @@ per record, or one fixed-width list per row; a complex array is one
 which turns -0.0 into the 0.0 that ``format_float`` writes.  An integer
 array column (grid labels) goes to ``%d`` specifiers the same way, with no
 check.  Any other column is written value by value through the general
-recursive path, once per distinct object.  When anything in a table fails,
-the table goes record by record through the general path, which raises the
-first error in record order.
+recursive path.  When anything in a table fails, the table goes record by
+record through the general path, which raises the first error in record
+order.
 """
 
 import numpy as np
@@ -144,7 +144,7 @@ def _table(table: Table, pad: str):
         numbers = _numbers(column)
         if numbers is None:
             try:
-                slots.append(_texts(column, pad + "  "))
+                slots.append([_text(value, pad + "  ") for value in column])
             except (TypeError, ValueError):
                 return None
             fragments.append("%s")
@@ -183,14 +183,8 @@ def _numbers(column):
     return "[" + ", ".join([spec] * len(parts)) + "]", parts
 
 
-def _texts(column, pad: str) -> list:
-    """Each value of a column written at ``pad`` as by ``_emit``, without its first line's pad; once per object."""
-    ids = list(map(id, column))
-    texts = {key: _text(value, pad) for key, value in dict(zip(ids, column)).items()}
-    return list(map(texts.__getitem__, ids))
-
-
 def _text(value, pad: str) -> str:
+    """A value written at ``pad`` as by ``_emit``, without its first line's pad."""
     emit = _SCALARS.get(type(value))
     if emit is not None:
         return emit(value)

@@ -115,7 +115,9 @@ def _sort_keys(semigroup: Semigroup, rows: np.ndarray) -> np.ndarray:
     A mixed-radix code for nat_add (coordinate c has radix 2 * max_c + 1, so
     the codes of two rows add without carries), the integer value for
     nat_mult, the real itself for half_line.  Rows whose pairwise keys could
-    pass 2**62 raise GridTooLarge instead of wrapping around in int64.
+    pass 2**62 raise GridTooLarge instead of wrapping around in int64, and
+    half_line reals whose pairwise sums could overflow the float range raise
+    it instead of summing to inf.
     """
     if semigroup.family == NAT_ADD:
         radices = [2 * top + 1 for top in rows.max(axis=0, initial=0).tolist()]
@@ -128,6 +130,8 @@ def _sort_keys(semigroup: Semigroup, rows: np.ndarray) -> np.ndarray:
         if top * top > _INT_LIMIT:
             raise GridTooLarge(f"product {top}*{top} exceeds the supported range")
         return values
+    if not math.isfinite(2 * float(rows.max(initial=0.0))):
+        raise GridTooLarge("half_line grid elements exceed the supported range")
     return rows
 
 

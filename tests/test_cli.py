@@ -911,6 +911,31 @@ def test_recover_on_zero_mass_is_a_mass_zero_error():
     assert json.loads(out) == {"error": {"code": "mass_zero", "message": message}}
 
 
+NAT_MULT_POINT_MASS = {
+    "semigroup": {"kind": "nat_mult", "primes": 2},
+    "measure": {"atoms": [{"point": [[0.5, 0.1], [0.25, -0.3]], "weight": [1.5, 0.5]}]},
+    "symbol": {"kind": "poly", "terms": [{"m": [0, 0], "c": [1.0, 0.0]}, {"m": [1, 1], "c": [0.5, 0.25]}]},
+}
+
+
+@pytest.mark.parametrize("family", ["nat_add", "nat_mult", "half_line"])
+def test_recover_and_covariance_print_the_same_point_mass(tmp_path, family):
+    if family == "nat_add":
+        path = os.path.join(SCENARIOS, "point_mass_natadd2.json")
+    else:
+        path = write_scenario(tmp_path, NAT_MULT_POINT_MASS if family == "nat_mult" else HALF_LINE_SCENARIO, "")
+    # numbers stay strings, so equal fields are equal bytes
+    reports = {}
+    for command in ("recover", "covariance"):
+        code, out, _ = run_cli([command, path])
+        assert code == 0
+        reports[command] = json.loads(out, parse_float=str, parse_int=str)
+    assert reports["covariance"]["verdict"] == "point_mass"
+    for key in ("c", "zeta", "zeta_resolved", "multiplicativity_defect", "gamma"):
+        assert reports["recover"][key] == reports["covariance"][key], key
+    assert reports["recover"]["zeta_resolved"] is True
+
+
 @pytest.mark.parametrize("relative_mass,vanishes", [(1e-11, True), (1e-9, False)])
 def test_every_command_applies_the_same_mass_gate(tmp_path, relative_mass, vanishes):
     # atoms of weight 1 and -(1 - 2m) leave mass 2m against sum |w| = 2 - 2m; tol.mass is 1e-10
@@ -985,4 +1010,18 @@ def test_overflow_is_a_numeric_overflow_error(tmp_path, name, command):
         code, out, err = run_cli([command, write_scenario(tmp_path, OVERFLOW_SCENARIOS[name], "")])
     assert code == 1
     assert json.loads(out)["error"]["code"] == "numeric_overflow"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", MEASURE_COMMANDS)
+def test_a_half_line_element_near_the_float_maximum_is_grid_too_large(tmp_path, command):
+    scn = {**HALF_LINE_SCENARIO, "grid": {"elements": [1e308, 0.5]}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the closure's sums must not overflow
+        code, out, err = run_cli([command, write_scenario(tmp_path, scn, "")])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "code": "grid_too_large",
+        "message": "half_line grid elements exceed the supported range",
+    }
     assert "Traceback" not in err

@@ -186,6 +186,15 @@ def test_nat_add_codes_up_to_two_to_the_62():
         EvaluationGrid(NAT_ADD2, ((2**31, 2**31),))
 
 
+def test_half_line_closure_sums_stay_finite():
+    grid = EvaluationGrid(HALF_LINE, (8.9e307,))
+    assert grid.pairs_closure == (0.0, 8.9e307, 1.78e308)
+    # twice 9e307 is past the float range
+    for elements in ((9e307,), (1e308, 0.5)):
+        with pytest.raises(GridTooLarge, match="half_line grid elements exceed the supported range"):
+            EvaluationGrid(HALF_LINE, elements)
+
+
 # ------------------------------------------------ multiplicativity defect
 
 

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from lapcov import (
     total_variation,
 )
 import lapcov.laplace as laplace
-from lapcov.errors import FMuIntegralZero
+from lapcov.errors import FMuIntegralZero, MassZero
 from lapcov.laplace import (
     DEGENERATE,
     F_MU_ZERO,
@@ -33,6 +34,7 @@ from lapcov.laplace import (
     MASS_ZERO_NEITHER,
     NOT_POINT_MASS,
     POINT_MASS,
+    read_point_mass,
 )
 
 from helpers import (
@@ -338,6 +340,48 @@ def test_decide_f_mu_zero():
     assert verdict.kind == DEGENERATE
     assert verdict.degenerate_case == F_MU_ZERO
     assert verdict.symbol_vanishes_on_atom
+    # F(z) = z and weights 1, -a/b at a, b = a + 1e-6: the integral of F cancels, the mass does not,
+    # and the residual is small but not zero
+    a, b = 0.5, 0.5 + 1e-6
+    mu = measure((a, 1), (b, -a / b))
+    f = Symbol.polynomial({(1,): 1})
+    grid = default_grid(SG1)
+    verdict = decide_covariance(mu, f, grid)
+    assert (verdict.kind, verdict.degenerate_case) == (DEGENERATE, F_MU_ZERO)
+    peak = max(abs(covariance_residual(mu, f, s, t)) for s in grid.elements for t in grid.elements)
+    scale = sum(abs(w) ** 2 for w in mu.weights) * max(
+        abs(f.at(p) * char_eval(SG1, p, s)) for p in mu.points for s in grid.elements
+    ) ** 2
+    assert 0 < verdict.max_residual == pytest.approx(peak / scale, rel=1e-9)
+    assert not verdict.symbol_vanishes_on_atom
+
+
+def test_read_point_mass_gates():
+    grid = default_grid(SG1)
+    with pytest.raises(MassZero, match="total mass is numerically zero; nothing to recover"):
+        read_point_mass(measure((1, 1), (-1, -1)), None, grid)
+    with pytest.raises(FMuIntegralZero):
+        read_point_mass(measure((0.5, 2)), Symbol.constant(0), grid)
+
+
+@pytest.mark.parametrize(
+    "sg,atom",
+    [
+        (Semigroup.nat_add(2), ((0.3, -0.1j), 2)),
+        (Semigroup.nat_mult(2), ((0.5 + 0.1j, 0.25), 1.5 - 0.5j)),
+        (Semigroup.half_line(), ((0.8 + 1.1j,), 2)),
+    ],
+    ids=["natadd", "natmult", "halfline"],
+)
+def test_read_point_mass_is_the_point_mass_verdict(sg, atom):
+    mu = AtomicMeasure(sg, (atom,))
+    f = Symbol.polynomial({(0,) * sg.point_dim: 1, (1,) + (0,) * (sg.point_dim - 1): 0.5})
+    grid = default_grid(sg)
+    verdict = decide_covariance(mu, f, grid)
+    read = read_point_mass(mu, f, grid)
+    assert (read.kind, read.max_residual, read.symbol_vanishes_on_atom) == (POINT_MASS, 0.0, False)
+    assert read.point_resolved
+    assert replace(read, max_residual=verdict.max_residual) == verdict
 
 
 def test_verdict_equivalence_with_total_variation(rng):

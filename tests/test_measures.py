@@ -4,6 +4,7 @@ import pytest
 
 from lapcov import (
     AtomicMeasure,
+    NumericOverflow,
     Semigroup,
     Symbol,
     SymbolUndefinedAtAtom,
@@ -83,6 +84,14 @@ def test_apply_symbol_keeps_zero_weight_atoms():
     f = Symbol.polynomial({(1,): 1})
     out = apply_symbol(measure((0, 3), (0.5, 1)), f)
     assert dict(out.atoms) == {(0j,): 0, (0.5 + 0j,): 0.5}
+
+
+def test_apply_symbol_overflow_is_a_numeric_overflow():
+    # F = 1e200 is finite, the |F|^2 weight is not
+    with pytest.raises(NumericOverflow):
+        apply_symbol(measure((0.5, 1)), Symbol.constant(1e200), mode="abs_f_sq")
+    with pytest.raises(ValueError, match="unknown symbol mode"):
+        apply_symbol(measure((0.5, 1)), Symbol.constant(1), mode="g")
 
 
 def test_table_symbol_must_cover_atoms():
