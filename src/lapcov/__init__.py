@@ -20,6 +20,7 @@ from .errors import (
     MassZero,
     MissingGridValue,
     NumericOverflow,
+    OutputUnwritable,
     PrimeOutOfRange,
     RankDeficientPencil,
     ScenarioError,

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import FMuIntegralZero, LapcovError, ScenarioError
+from .errors import FMuIntegralZero, LapcovError, OutputUnwritable, ScenarioError
 from .kernels import DEGENERATE as KERNEL_DEGENERATE
 from .kernels import kernel_recover, truncation_tail_bound
 from .laplace import (
@@ -163,9 +163,12 @@ def _cmd_toeplitz(scenario, args):
         if args.csv_element is not None:
             s = parse(element, parse_json(args.csv_element, "--csv-element"), "--csv-element", mu.semigroup)
         matrix = moment_matrix(disc_measure(mu, scenario.symbol, s), order)
-        with open(args.moments_csv, "w", encoding="utf-8") as handle:
-            for row in matrix:
-                handle.write(",".join(format_float(x) for value in row for x in (value.real, value.imag)) + "\n")
+        try:
+            with open(args.moments_csv, "w", encoding="utf-8") as handle:
+                for row in matrix:
+                    handle.write(",".join(format_float(x) for value in row for x in (value.real, value.imag)) + "\n")
+        except OSError as exc:
+            raise OutputUnwritable(f"--moments-csv: cannot write {args.moments_csv}: {exc.strerror or exc}") from exc
         report["moments_csv"] = args.moments_csv
     return report, 0, f"toeplitz: rank/support agreement on {sum(agree)}/{len(agree)} elements"
 

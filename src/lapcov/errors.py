@@ -60,6 +60,11 @@ class NumericOverflow(LapcovError, OverflowError):
     code = "numeric_overflow"
 
 
+class OutputUnwritable(LapcovError):
+    """A file the command was asked to write could not be opened or written."""
+    code = "output_unwritable"
+
+
 class ScenarioError(LapcovError):
     """A scenario file violates the published schema."""
     code = "scenario_invalid"

@@ -67,7 +67,11 @@ class Tolerances:
     """Decision thresholds.
 
     ``mass`` is relative to the total variation, ``residual`` to the quadratic
-    residual scale, ``rank`` to the largest singular value.
+    residual scale, ``rank`` to the largest singular value.  ``mass`` and
+    ``rank`` lie in (0, 1): since |mu(Gamma)| <= sum_k |w_k| and sigma_1 is
+    the largest singular value, a bound of 1 or more calls every measure
+    massless and every matrix rank zero.  ``residual`` may exceed 1, as the
+    normalized residual can.
     """
 
     mass: float = 1e-10
@@ -77,6 +81,8 @@ class Tolerances:
     def __post_init__(self):
         if not all(math.isfinite(v) and v > 0 for v in (self.mass, self.residual, self.rank)):
             raise ValueError("tolerances must be positive and finite")
+        if not (self.mass < 1 and self.rank < 1):
+            raise ValueError("mass and rank tolerances must be below 1")
 
 
 def mass_vanishes(mu: AtomicMeasure, tol: Tolerances) -> bool:

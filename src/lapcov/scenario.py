@@ -136,6 +136,13 @@ def positive_number(value, semigroup=None) -> float:
     return float(value)
 
 
+def fraction(value, semigroup=None) -> float:
+    """A number in the open interval (0, 1): a relative tolerance of 1 or more would hold for everything."""
+    if type(value) not in _NUMBERS or not 0 < value < 1:
+        raise Invalid("expected a positive number below 1")
+    return float(value)
+
+
 def probability(value, semigroup=None) -> float:
     if type(value) not in _NUMBERS:
         raise Invalid("expected a probability")
@@ -456,9 +463,9 @@ SECTIONS = {
         exactly_one=("order", "elements"),
     ),
     "tolerances": Section({
-        "mass": (positive_number, OPTIONAL, "--tol-mass"),
+        "mass": (fraction, OPTIONAL, "--tol-mass"),
         "residual": (positive_number, OPTIONAL, "--tol-res"),
-        "rank": (positive_number, OPTIONAL, "--rank-tol"),
+        "rank": (fraction, OPTIONAL, "--rank-tol"),
     }),
     # command sections: each is checked only when its command runs
     "toeplitz": Section({"matrix_order": (positive_int, DEFAULT_MATRIX_ORDER, "--matrix-order")}),

@@ -13,9 +13,10 @@ A grid is handled as stacks: ``disc_measures`` reads one character matrix and
 one vector of symbol values for all elements, ``moment_matrices`` builds one
 Vandermonde stack and one stacked matmul per atom count,
 ``toeplitz_matrix`` and ``np.linalg.svd`` take the whole stack, and
-``prony_pencils`` takes one SVD for every pencil and one ``eigvals`` per rank.
-Each element's matrices, singular values and pencil eigenvalues are byte-equal
-to building them one at a time.
+``prony_pencils`` takes one SVD for every pencil, then one ``eigvals`` and one
+stacked least-squares solve of the atom weights per rank.  Each element's
+matrices, singular values, pencil eigenvalues and weights are byte-equal to
+building them one at a time.
 """
 
 import math
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NumericOverflow, RankDeficientPencil
 from .measures import AtomicMeasure, Symbol, finite_charges, merge_atoms, sup_norm, symbol_values
@@ -206,41 +208,93 @@ class PronyResult(NamedTuple):
 
 
 class Pencil(NamedTuple):
+    """One moment table's entry of ``prony_pencils``: everything ``prony_recover`` reads but the table.
+
+    A rank-0 table has empty positions and weights and misfit 0.  When
+    ``error`` is set, ``prony_recover`` raises it and reads nothing else.
+    """
+
     rank: int               # numerical rank of the unshifted block
     positions: np.ndarray   # pencil eigenvalues, in LAPACK's order
-    error: str              # why the restricted pencil cannot be solved, or None
+    weights: np.ndarray     # least-squares weights against the full table, in the order of positions
+    misfit: float           # Frobenius norm of the reconstruction misfit
+    error: Exception        # what prony_recover raises for this table, or None
+
+
+def _raise_lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+# the stacked least-squares gufunc np.linalg.lstsq calls; numpy 1.x splits it by
+# shape, and a Prony design (rows * cols equations, at most cols unknowns) is tall
+_LSTSQ = getattr(_umath_linalg, "lstsq", None) or _umath_linalg.lstsq_n
+
+
+def _lstsq_weights(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.lstsq(design[i], rhs[i], rcond=None)[0] for each (m, n) design of a stack, m > n."""
+    rcond = np.finfo(float).eps * design.shape[-2]
+    with np.errstate(call=_raise_lstsq_error, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _LSTSQ(design, rhs[..., None], rcond, signature="DDd->Ddid")[0][..., 0]
 
 
 def prony_pencils(tables: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> list:
-    """The Hua-Sarkar pencil of each moment table in a (n, rows, cols) stack, in order.
+    """The Hua-Sarkar pencil and least-squares weights of each moment table in a (n, rows, cols) stack, in order.
 
     One SVD takes every unshifted block ``tables[:, :-1, :]``; the rank r of
     each is read from its singular values.  Since Ur^H unshifted Vr =
     diag(sigma_1..sigma_r), the restricted pencil is the standard eigenproblem
     of (Ur^H shifted Vr) / sigma, and tables of equal rank share one matmul and
-    one ``eigvals``.  Each pencil is byte-equal to solving its table alone.
-    Nothing is raised: a pencil that is singular beyond tolerance or has
-    non-finite eigenvalues carries the message in ``error``.
+    one ``eigvals``.  They also share one Vandermonde stack, one design stack
+    and one call of the stacked least-squares gufunc behind
+    ``np.linalg.lstsq``, and one batched matmul gives their misfits.  Each
+    pencil is byte-equal to solving its table alone.  Nothing is raised: a
+    pencil that is singular beyond tolerance or has non-finite eigenvalues,
+    or whose least-squares solve does not converge, carries the exception in
+    ``error``.
     """
     tables = np.asarray(tables, dtype=complex)
+    n, rows, cols = tables.shape
     U, sigmas, Vh = np.linalg.svd(tables[:, :-1, :])
-    pencils = [Pencil(0, np.empty(0, dtype=complex), None)] * len(tables)
+    pencils = [Pencil(0, np.empty(0, dtype=complex), np.empty(0, dtype=complex), 0.0, None)] * n
     groups = {}
     for i, sigma in enumerate(sigmas):
         rank = _rank_from_sigma(sigma, rel_tol)
         if rank == 0:
             continue
         if sigma[rank - 1] <= 1e-13 * sigma[0]:
-            pencils[i] = Pencil(rank, None, "restricted moment pencil is numerically singular")
+            singular = RankDeficientPencil("restricted moment pencil is numerically singular")
+            pencils[i] = Pencil(rank, None, None, None, singular)
         else:
             groups.setdefault(rank, []).append(i)
     for rank, index in groups.items():
         Ur = U[index, :, :rank]
         Vr = Vh[index, :rank, :].conj().transpose(0, 2, 1)
         restricted = Ur.conj().transpose(0, 2, 1) @ tables[index, 1:, :] @ Vr
-        for i, positions in zip(index, np.linalg.eigvals(restricted / sigmas[index, :rank, None])):
-            finite = bool(np.all(np.isfinite(positions)))
-            pencils[i] = Pencil(rank, positions, None if finite else "pencil eigenvalues are not finite")
+        positions = np.linalg.eigvals(restricted / sigmas[index, :rank, None])
+        finite = np.isfinite(positions).all(axis=1)
+        index = np.asarray(index)
+        for i in index[~finite].tolist():
+            pencils[i] = Pencil(rank, None, None, None, RankDeficientPencil("pencil eigenvalues are not finite"))
+        index, positions = index[finite].tolist(), positions[finite]
+        V = _power_columns(positions, rows)
+        design = (V[:, :, None, :] * V[:, None, :cols].conj()).reshape(len(index), rows * cols, rank)
+        rhs = tables[index].reshape(len(index), rows * cols)
+        errors = [None] * len(index)
+        try:
+            weights = _lstsq_weights(design, rhs)
+        except np.linalg.LinAlgError:
+            # solve the tables one at a time, so each failure is raised by its own element
+            weights = np.full((len(index), rank), np.nan, dtype=complex)
+            for j in range(len(index)):
+                try:
+                    weights[j] = _lstsq_weights(design[j], rhs[j])
+                except np.linalg.LinAlgError as exc:
+                    errors[j] = exc
+        # finite moments can overflow in the squares of their norms
+        with np.errstate(over="ignore", invalid="ignore"):
+            misfits = [float(np.linalg.norm(row)) for row in (design @ weights[..., None])[..., 0] - rhs]
+        for j, i in enumerate(index):
+            pencils[i] = Pencil(rank, positions[j], weights[j], misfits[j], errors[j])
     return pencils
 
 
@@ -254,11 +308,15 @@ def prony_recover(nu, k_max: int = None, rel_tol: float = DEFAULT_RANK_TOL, penc
     the row-shifted pencil restricted to the dominant r-dimensional singular
     subspace (Hua & Sarkar's matrix pencil), and weights follow by least
     squares against the full moment table.  ``pencil`` is the table's entry
-    from ``prony_pencils``; when it is omitted, ``prony_pencils`` is called on
-    the table alone with ``rel_tol``.
+    from ``prony_pencils``, which holds the positions, weights and misfit;
+    when it is omitted, ``prony_pencils`` is called on the table alone with
+    ``rel_tol``.  What is left here is the table's norm, the residual and the
+    sort of the atoms.
 
     Raises RankDeficientPencil when the restricted pencil is singular beyond
-    tolerance (possible for user-supplied moment tables of inconsistent rank).
+    tolerance (possible for user-supplied moment tables of inconsistent rank),
+    NumericOverflow when a norm overflows, and numpy's LinAlgError when the
+    least-squares solve does not converge.
     """
     if isinstance(nu, DiscMeasure):
         if k_max is None:
@@ -274,26 +332,19 @@ def prony_recover(nu, k_max: int = None, rel_tol: float = DEFAULT_RANK_TOL, penc
     if pencil is None:
         pencil = prony_pencils(table[None], rel_tol)[0]
     if pencil.error is not None:
-        raise RankDeficientPencil(pencil.error)
-    rank, positions = pencil.rank, pencil.positions
-    if rank == 0:
+        raise pencil.error
+    if pencil.rank == 0:
         return PronyResult((), 0.0, 0)
 
-    rows, cols = table.shape
-    V = _power_columns(positions, rows)
-    W = V[:cols]
-    design = (V[:, None, :] * W.conj()[None, :, :]).reshape(rows * cols, rank)
     # finite moments can overflow in the squares of their norms
     with np.errstate(over="ignore", invalid="ignore"):
-        weights, *_ = np.linalg.lstsq(design, table.ravel(), rcond=None)
         table_norm = float(np.linalg.norm(table))
-        misfit = float(np.linalg.norm(design @ weights - table.ravel()))
-    if not (math.isfinite(table_norm) and math.isfinite(misfit)):
+    if not (math.isfinite(table_norm) and math.isfinite(pencil.misfit)):
         raise NumericOverflow("a moment table's norm overflows the float range")
-    residual = misfit / table_norm if table_norm > 0 else 0.0
+    residual = pencil.misfit / table_norm if table_norm > 0 else 0.0
 
-    atoms = sorted(zip(positions, weights), key=lambda am: (am[0].real, am[0].imag))
-    return PronyResult(tuple((complex(a), complex(m)) for a, m in atoms), residual, rank)
+    atoms = sorted(zip(pencil.positions, pencil.weights), key=lambda am: (am[0].real, am[0].imag))
+    return PronyResult(tuple((complex(a), complex(m)) for a, m in atoms), residual, pencil.rank)
 
 
 def character_value_from_atom(mu: AtomicMeasure, s, position: complex) -> complex:

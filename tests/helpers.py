@@ -225,6 +225,21 @@ def _reference_power_columns(positions, rows: int) -> np.ndarray:
     return V
 
 
+def reference_prony_weights(table: np.ndarray, positions: np.ndarray) -> tuple:
+    """Least-squares weights of pencil positions against one moment table, and the misfit norm.
+
+    ``np.linalg.lstsq`` on an outer-product design and ``np.linalg.norm`` of
+    its misfit, one table at a time: the per-element form of the solve that
+    ``prony_pencils`` stacks per rank.
+    """
+    rows, cols = table.shape
+    V = _reference_power_columns(positions, rows)
+    W = _reference_power_columns(positions, cols)
+    design = np.stack([np.outer(V[:, i], W[:, i].conj()).ravel() for i in range(len(positions))], axis=1)
+    weights, *_ = np.linalg.lstsq(design, table.ravel(), rcond=None)
+    return weights, float(np.linalg.norm(design @ weights - table.ravel()))
+
+
 def reference_prony_recover(table: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> PronyResult:
     """The matrix-pencil recovery of one moment table, solved on its own.
 
@@ -246,13 +261,8 @@ def reference_prony_recover(table: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL
     if not np.all(np.isfinite(positions)):
         raise RankDeficientPencil("pencil eigenvalues are not finite")
 
-    rows, cols = table.shape
-    V = _reference_power_columns(positions, rows)
-    W = _reference_power_columns(positions, cols)
-    design = np.stack([np.outer(V[:, i], W[:, i].conj()).ravel() for i in range(rank)], axis=1)
-    weights, *_ = np.linalg.lstsq(design, table.ravel(), rcond=None)
+    weights, misfit = reference_prony_weights(table, positions)
     table_norm = float(np.linalg.norm(table))
-    misfit = float(np.linalg.norm(design @ weights - table.ravel()))
     residual = misfit / table_norm if table_norm > 0 else 0.0
 
     atoms = sorted(zip(positions, weights), key=lambda am: (am[0].real, am[0].imag))

@@ -6,6 +6,7 @@ import sys
 import warnings
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import lapcov.cli as cli
@@ -21,6 +22,7 @@ from lapcov.errors import (
     MassZero,
     MissingGridValue,
     NumericOverflow,
+    OutputUnwritable,
     PrimeOutOfRange,
     RankDeficientPencil,
     ScenarioError,
@@ -836,6 +838,81 @@ def test_prony_pencil_error_comes_from_the_first_failing_element(monkeypatch):
     assert len(seen) == failing[0] + 1
 
 
+def test_cmd_prony_raises_the_singular_pencil_of_element_2(monkeypatch):
+    # elements 2 and 4 get an unshifted block with singular values 1 and 5e-14: both count at
+    # --rank-tol 1e-15 and the second is below 1e-13, so each pencil is singular; element 2 raises
+    argv = build_argv("point_mass_natadd2.json", ["prony", "--rank-tol", "1e-15"])
+    original_tables = cli.moment_matrices
+
+    def planted(nus, order, rows=None):
+        tables = original_tables(nus, order, rows)
+        for i in (2, 4):
+            tables[i] = 0.0
+            tables[i][0, 0], tables[i][1, 1] = 1.0, 5e-14
+        return tables
+
+    seen = []
+    original_recover = cli.prony_recover
+
+    def recording(table, **kwargs):
+        seen.append(table)
+        return original_recover(table, **kwargs)
+
+    monkeypatch.setattr(cli, "moment_matrices", planted)
+    monkeypatch.setattr(cli, "prony_recover", recording)
+    scenario = load_scenario(argv[1], tol_overrides={"rank": 1e-15})
+    with pytest.raises(RankDeficientPencil, match="restricted moment pencil is numerically singular"):
+        cli._cmd_prony(scenario, cli.build_parser().parse_args(argv))
+    assert len(seen) == 3
+
+
+def test_a_prony_op_does_not_call_np_linalg_lstsq(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+    name, scenario, tail, _ = GOLDEN_CASES[5]
+    code, out, _ = run_cli(build_argv(scenario, tail))
+    with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
+        assert code == 0 and out == fh.read()
+
+
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+def test_moments_csv_to_an_unwritable_path_is_output_unwritable(tmp_path, target):
+    path = str(tmp_path / "missing" / "m.csv") if target == "missing_directory" else str(tmp_path)
+    code, out, err = run_cli(build_argv("two_atoms_natadd1.json", ["toeplitz", "--moments-csv", path]))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "output_unwritable"
+    assert error["message"].startswith(f"--moments-csv: cannot write {path}: ")
+    assert err == f"error: {error['message']}\n"
+
+
+@pytest.mark.parametrize("value", ["1", "10", "1e300"])
+@pytest.mark.parametrize("flag", ["--tol-mass", "--rank-tol"])
+def test_relative_tolerances_of_one_or_more_are_rejected(flag, value):
+    # a mass bound >= 1 calls every measure massless; a rank bound >= 1 gives rank 0 everywhere
+    for command in ("recover", "toeplitz", "prony"):
+        argv = build_argv("two_atoms_natadd1.json", [command, f"{flag}={value}"])
+        assert_scenario_invalid(argv, f"{flag}: expected a positive number below 1")
+
+
+@pytest.mark.parametrize("key", ["mass", "rank"])
+def test_scenario_relative_tolerances_of_one_are_rejected(tmp_path, key):
+    with open(os.path.join(SCENARIOS, "two_atoms_natadd1.json")) as fh:
+        scn = json.load(fh)
+    scn["tolerances"] = {key: 1}
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps(scn))
+    assert_scenario_invalid(["prony", str(path)], f"tolerances.{key}: expected a positive number below 1")
+
+
+def test_a_residual_tolerance_above_one_is_accepted():
+    # the normalized residual can exceed 1, so only mass and rank are bounded by 1
+    code, out, _ = run_cli(build_argv("two_atoms_natadd1.json", ["covariance", "--tol-res", "10"]))
+    assert code == 0 and "error" not in json.loads(out)
+
+
 def test_unexpected_exceptions_become_internal_errors(monkeypatch):
     def broken(scenario, args):
         raise RuntimeError("boom")
@@ -878,6 +955,7 @@ ERROR_CODES = {
     RankDeficientPencil: "rank_deficient_pencil",
     ExpectationYZero: "expectation_y_zero",
     NumericOverflow: "numeric_overflow",
+    OutputUnwritable: "output_unwritable",
     ScenarioError: "scenario_invalid",
 }
 

@@ -470,6 +470,14 @@ def test_tolerances_must_be_positive_and_finite(value):
             Tolerances(**{field: value})
 
 
+@pytest.mark.parametrize("value", [1.0, 10.0])
+def test_mass_and_rank_tolerances_must_be_below_one(value):
+    for field in ("mass", "rank"):
+        with pytest.raises(ValueError, match="below 1"):
+            Tolerances(**{field: value})
+    assert Tolerances(residual=value).residual == value
+
+
 @pytest.mark.parametrize(
     "atoms,kind,symbol_calls,matrix_calls",
     [

@@ -26,6 +26,7 @@ from lapcov import (
 from lapcov.errors import RankDeficientPencil
 from lapcov.laplace import default_grid
 from lapcov.scenario import load_scenario
+from lapcov import toeplitz
 from lapcov.toeplitz import DEFAULT_MATRIX_ORDER, DEFAULT_RANK_TOL
 from lapcov.measures import symbol_values
 from lapcov.semigroups import character_matrix, element_exponents
@@ -42,6 +43,7 @@ from helpers import (
     reference_moment_matrix,
     reference_moment_sigma,
     reference_prony_recover,
+    reference_prony_weights,
     reference_prony_table,
     reference_toeplitz_sigma,
     slow_moment,
@@ -479,6 +481,84 @@ def test_prony_pencil_errors_match_one_table_at_a_time():
     pencils = _assert_batched_pencils_match_one_table_at_a_time(moment_matrices(nus, 6, rows=7), 1e-300)
     errors = [i for i, pencil in enumerate(pencils) if pencil.error is not None]
     assert errors and errors != list(range(len(pencils)))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+def test_prony_pencil_weights_and_misfits_are_bit_equal_to_one_table_at_a_time(rng, monkeypatch):
+    # ranks 0, 1, 2 and 4 in one stack, plus a singular pencil and one whose eigenvalues are not finite
+    k_max = 6
+    tables = [np.zeros((k_max + 1, k_max), dtype=complex)]
+    for count in (1, 2, 4, 1, 2, 4, 2, 1):
+        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, count)) + np.arange(count) * 2.0 * math.pi / count
+        atoms = tuple((0.4 * np.exp(1j * a), rng.uniform(0.5, 2.0) * random_phase(rng)) for a in angles)
+        tables.append(moment_matrix(DiscMeasure(atoms), k_max, rows=k_max + 1))
+    singular, not_finite = 3, 5
+    # unshifted singular values 1 and 5e-14: two count at this tolerance, and the second is below 1e-13
+    tables.insert(singular, np.zeros((k_max + 1, k_max), dtype=complex))
+    tables[singular][0, 0], tables[singular][1, 1] = 1.0, 5e-14
+    tables = np.array(tables)
+    rel_tol = 1e-14
+
+    eigvals = np.linalg.eigvals
+
+    def one_not_finite(restricted):
+        # the rank-one group is elements 1, 5 and 9, in that order
+        values = eigvals(restricted)
+        if restricted.shape[-1] == 1:
+            values[1, 0] = complex(math.inf, 0.0)
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvals", one_not_finite)
+    pencils = prony_pencils(tables, rel_tol)
+    monkeypatch.undo()
+
+    assert [pencil.rank for pencil in pencils] == [0, 1, 2, 2, 4, 1, 2, 4, 2, 1]
+    assert str(pencils[singular].error) == "restricted moment pencil is numerically singular"
+    assert str(pencils[not_finite].error) == "pencil eigenvalues are not finite"
+    for i, (table, pencil) in enumerate(zip(tables, pencils)):
+        if i in (singular, not_finite):
+            continue
+        assert pencil.error is None
+        if pencil.rank == 0:
+            assert pencil.weights.size == 0 and pencil.misfit == 0.0
+            continue
+        weights, misfit = reference_prony_weights(table, pencil.positions)
+        assert _bits(pencil.weights) == _bits(weights)
+        assert pencil.misfit == misfit and type(pencil.misfit) is float
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_failed_least_squares_solve_is_raised_by_its_own_element():
+    # the last moment row of 1e300 gives a pencil eigenvalue near 7e299 whose powers overflow the design,
+    # so LAPACK's least-squares SVD fails on that table alone, as np.linalg.lstsq does per table
+    good = np.array([[1.0, 0.3], [0.2, 1.0], [0.5, -0.25j]], dtype=complex)
+    failing = np.array([[1.0, 0.3], [0.2, 1.0], [1e300, 1e300]], dtype=complex)
+    singular = np.array([[1.0, 0.0], [1.0, 1e-14], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge in Linear Least Squares"):
+        reference_prony_recover(failing)
+
+    pencils = prony_pencils(np.array([good, failing, good * 2.0, singular]), 1e-15)
+    assert [pencil.rank for pencil in pencils] == [2, 2, 2, 2]
+    assert _same_recovery(prony_recover(good, pencil=pencils[0]), reference_prony_recover(good, 1e-15))
+    assert _same_recovery(prony_recover(good * 2.0, pencil=pencils[2]), reference_prony_recover(good * 2.0, 1e-15))
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge in Linear Least Squares"):
+        prony_recover(failing, pencil=pencils[1])
+    with pytest.raises(RankDeficientPencil):
+        prony_recover(singular, pencil=pencils[3])
+    with pytest.raises(np.linalg.LinAlgError):
+        prony_recover(failing)
+
+
+def test_the_stacked_least_squares_gufunc_is_np_linalg_lstsq(rng):
+    # the gufunc resolved at import, on a stack, against np.linalg.lstsq one design at a time
+    design = rng.normal(size=(5, 42, 3)) + 1j * rng.normal(size=(5, 42, 3))
+    rhs = rng.normal(size=(5, 42)) + 1j * rng.normal(size=(5, 42))
+    stacked = toeplitz._lstsq_weights(design, rhs)
+    for d, b, x in zip(design, rhs, stacked):
+        assert _bits(x) == _bits(np.linalg.lstsq(d, b, rcond=None)[0])
 
 
 def test_character_value_from_atom_inverts_scaling():
