@@ -38,12 +38,12 @@ from .semigroups import (
     NAT_ADD,
     NAT_MULT,
     Semigroup,
+    _check_pairs,
     character_matrix,
     closure_table,
     complex_product,
     element_exponents,
     element_labels,
-    first_primes,
     identity,
 )
 
@@ -106,19 +106,26 @@ class EvaluationGrid:
     coordinates or prime-exponent vectors, or the reals of the half-line.
     Both are built once, here, and every character matrix over the grid
     reads them; the closure is built in exponent space, without factoring.
+    The constructor takes ``(semigroup, elements, order)`` and checks each
+    element with ``element_exponents``; ``default_grid`` hands its exponent
+    rows over instead.  The other four fields are derived, and equality
+    ignores them.
     """
 
     semigroup: Semigroup
     elements: tuple
     order: int = None
-    pairs_closure: tuple = field(default=(), compare=False)
-    products: np.ndarray = field(default=None, compare=False, repr=False)
-    exponents: np.ndarray = field(default=None, compare=False, repr=False)
-    closure_exponents: np.ndarray = field(default=None, compare=False, repr=False)
+    pairs_closure: tuple = field(default=None, init=False, compare=False)
+    products: np.ndarray = field(default=None, init=False, compare=False, repr=False)
+    exponents: np.ndarray = field(default=None, init=False, compare=False, repr=False)
+    closure_exponents: np.ndarray = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         sg = self.semigroup
-        rows, closure, products = closure_table(sg, element_exponents(sg, (identity(sg), *self.elements)))
+        rows = self.exponents  # None unless set by _from_rows
+        if rows is None:
+            rows = element_exponents(sg, (identity(sg), *self.elements))
+        rows, closure, products = closure_table(sg, rows)
         for array in (rows, closure, products):
             array.setflags(write=False)
         object.__setattr__(self, "elements", _as_elements(sg, rows))
@@ -126,6 +133,15 @@ class EvaluationGrid:
         object.__setattr__(self, "products", products)
         object.__setattr__(self, "exponents", rows)
         object.__setattr__(self, "closure_exponents", closure)
+
+    @classmethod
+    def _from_rows(cls, semigroup: Semigroup, rows: np.ndarray, order: int) -> "EvaluationGrid":
+        """The grid of exponent ``rows``, which include the identity's, without validating an element."""
+        grid = object.__new__(cls)
+        for name, value in (("semigroup", semigroup), ("order", order), ("exponents", rows)):
+            object.__setattr__(grid, name, value)
+        grid.__post_init__()
+        return grid
 
 
 def _as_elements(semigroup: Semigroup, rows: np.ndarray) -> tuple:
@@ -135,32 +151,27 @@ def _as_elements(semigroup: Semigroup, rows: np.ndarray) -> tuple:
 
 
 def default_grid(semigroup: Semigroup, order: int = None) -> EvaluationGrid:
-    """The standard probe grid for each semigroup family.
+    """The standard probe grid for each semigroup family, built in exponent space.
 
     nat_add: all multi-indices with components <= order (4 for d <= 2,
     2 for d == 3, 1 beyond).  nat_mult: integers with prime exponents
-    <= order (default 2).  half_line: 0, 0.25, ..., 0.25 * order (default 8).
+    <= order (default 2), so their exponent rows are the same multi-indices.
+    half_line: 0, 0.25, ..., 0.25 * order (default 8).  An order <= 0 gives
+    the identity alone.  The rows go to the grid as built: no element is
+    validated or factored.  A grid too large for its pair table raises
+    GridTooLarge before any row is built.
     """
-    if semigroup.family == NAT_ADD:
-        if order is None:
-            order = 4 if semigroup.dim <= 2 else (2 if semigroup.dim == 3 else 1)
-        elements = tuple(itertools.product(range(order + 1), repeat=semigroup.dim))
-    elif semigroup.family == NAT_MULT:
-        if order is None:
-            order = 2
-        primes = first_primes(semigroup.dim)
-        elements = []
-        for exponents in itertools.product(range(order + 1), repeat=semigroup.dim):
-            n = 1
-            for p, e in zip(primes, exponents):
-                n *= p**e
-            elements.append(n)
-        elements = tuple(elements)
+    if order is None and semigroup.family == NAT_ADD:
+        order = 4 if semigroup.dim <= 2 else (2 if semigroup.dim == 3 else 1)
+    elif order is None:
+        order = 2 if semigroup.family == NAT_MULT else 8
+    top = max(order, 0)
+    _check_pairs((top + 1) ** semigroup.dim, "a grid")
+    if semigroup.family == HALF_LINE:
+        rows = 0.25 * np.arange(top + 1)
     else:
-        if order is None:
-            order = 8
-        elements = tuple(0.25 * k for k in range(order + 1))
-    return EvaluationGrid(semigroup, elements, order=order)
+        rows = np.array(list(itertools.product(range(top + 1), repeat=semigroup.dim)), dtype=np.int64)
+    return EvaluationGrid._from_rows(semigroup, rows, order)
 
 
 class CharacterTable(Mapping):

@@ -13,13 +13,15 @@ half_line    float >= 0                 the float itself                1-tuple 
 ===========  =========================  ==============================  ==============================
 
 So both integer families are the same problem in exponent space: a
-nat_mult product is a sum of exponent rows, as in nat_add.  Characters are
+nat_mult product is a sum of exponent rows, as in nat_add.  A list of
+elements reaches exponent space one way, ``validate_element`` and ``kappa``
+per element; default grids start there and are never factored.  Tables over
+pairs of elements are bounded by ``_MAX_PAIR_ENTRIES``.  Characters are
 evaluated with the convention 0**0 = 1, so every character takes the value 1
 at the identity.
 """
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,6 +39,11 @@ _INT_LIMIT = 2**62
 
 # slack when checking Re z >= 0 on the half-line
 _HALF_PLANE_TOL = 1e-12
+
+# Tables over pairs of grid or closure elements are refused past this many
+# entries (64 MB as complex), ~8x the largest the benchmark builds: the
+# 729 x 729 pair table of a nat_mult order-4 pd.
+_MAX_PAIR_ENTRIES = 2**22
 
 
 @dataclass(frozen=True)
@@ -117,7 +124,10 @@ def _sort_keys(semigroup: Semigroup, rows: np.ndarray) -> np.ndarray:
     nat_mult, the real itself for half_line.  Rows whose pairwise keys could
     pass 2**62 raise GridTooLarge instead of wrapping around in int64, and
     half_line reals whose pairwise sums could overflow the float range raise
-    it instead of summing to inf.
+    it instead of summing to inf.  For nat_mult that is the rule
+    top * top <= 2**62 on the largest element top; when the product of the
+    largest exponents could break it, top is computed from the rows in
+    Python ints, since ``element_labels`` wraps around past int64.
     """
     if semigroup.family == NAT_ADD:
         radices = [2 * top + 1 for top in rows.max(axis=0, initial=0).tolist()]
@@ -125,14 +135,23 @@ def _sort_keys(semigroup: Semigroup, rows: np.ndarray) -> np.ndarray:
             raise GridTooLarge("nat_add grid coordinates exceed the supported range")
         return rows @ np.array([math.prod(radices[c + 1 :]) for c in range(len(radices))], dtype=np.int64)
     if semigroup.family == NAT_MULT:
-        values = element_labels(semigroup, rows)
-        top = int(values.max(initial=1))
-        if top * top > _INT_LIMIT:
-            raise GridTooLarge(f"product {top}*{top} exceeds the supported range")
-        return values
+        primes = first_primes(semigroup.dim)
+        if math.prod(map(pow, primes, rows.max(axis=0, initial=0).tolist())) ** 2 > _INT_LIMIT:
+            top = max(math.prod(map(pow, primes, row)) for row in rows.tolist())
+            if top * top > _INT_LIMIT:
+                raise GridTooLarge(f"product {top}*{top} exceeds the supported range")
+        return element_labels(semigroup, rows)
     if not math.isfinite(2 * float(rows.max(initial=0.0))):
         raise GridTooLarge("half_line grid elements exceed the supported range")
     return rows
+
+
+def _check_pairs(count: int, what: str):
+    """Raise GridTooLarge when ``what`` has too many elements for a table over its pairs."""
+    if count * count > _MAX_PAIR_ENTRIES:
+        raise GridTooLarge(
+            f"{what} of {count} elements has {count * count} pairs, more than the supported {_MAX_PAIR_ENTRIES}"
+        )
 
 
 def closure_table(semigroup: Semigroup, rows: np.ndarray):
@@ -147,6 +166,7 @@ def closure_table(semigroup: Semigroup, rows: np.ndarray):
     gives its row.
     """
     keys, first = np.unique(_sort_keys(semigroup, rows), return_index=True)
+    _check_pairs(len(keys), "a grid")
     rows = rows[first]
     n = len(rows)
     pair_keys = (np.multiply if semigroup.family == NAT_MULT else np.add).outer(keys, keys)
@@ -162,78 +182,24 @@ def element_labels(semigroup: Semigroup, rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=None)
-def _prime_powers(p: int) -> np.ndarray:
-    """p**0, p**1, ..., up to the largest power of p in the int64 range (read-only)."""
-    powers = [1]
-    while powers[-1] * p < 2**63:
-        powers.append(powers[-1] * p)
-    powers = np.array(powers, dtype=np.int64)
-    powers.setflags(write=False)
-    return powers
-
-
-def _factor(values: np.ndarray, primes: tuple):
-    """Prime-exponent rows of positive int64 ``values`` over ``primes``, or None when one has another factor.
-
-    For v = p**e * r with r prime to p, gcd(v, p**K) is p**e when p**K is
-    the largest power of p in the int64 range (p**e <= v keeps e <= K), and e
-    is its index among the powers of p.
-    """
-    rows = np.empty((len(values), len(primes)), dtype=np.int64)
-    for c, p in enumerate(primes):
-        powers = _prime_powers(p)
-        part = np.gcd(values, powers[-1])
-        rows[:, c] = np.searchsorted(powers, part)
-        values = values // part
-    return rows if (values == 1).all() else None
-
-
-def _plain_exponents(semigroup: Semigroup, elements):
-    """Exponent array of valid ``elements`` of the plain types ``validate_element`` returns, else None."""
-    try:
-        if semigroup.family == NAT_ADD:
-            if not (
-                {tuple, list}.issuperset(map(type, elements))
-                and {semigroup.dim}.issuperset(map(len, elements))
-                and {int}.issuperset(map(type, itertools.chain.from_iterable(elements)))
-            ):
-                return None
-            rows = np.array(elements, dtype=np.int64).reshape(len(elements), semigroup.dim)
-            return rows if (rows >= 0).all() else None
-        if semigroup.family == NAT_MULT:
-            if not {int}.issuperset(map(type, elements)):
-                return None
-            values = np.array(elements, dtype=np.int64).reshape(len(elements))
-            return _factor(values, first_primes(semigroup.dim)) if (values >= 1).all() else None
-        if not {float, int}.issuperset(map(type, elements)):
-            return None
-        values = np.array(elements, dtype=float).reshape(len(elements))
-        return values + 0.0 if (np.isfinite(values) & (values >= 0)).all() else None
-    except OverflowError:  # an int past the int64 range
-        return None
-
-
 def element_exponents(semigroup: Semigroup, elements) -> np.ndarray:
-    """The exponent array of ``elements`` (see the module table), each checked as ``validate_element`` checks it.
+    """The exponent array of ``elements`` (see the module table), each checked by ``validate_element``.
 
     Shape (n, d) int64 for nat_add and nat_mult, (n,) float for half_line;
-    -0.0 becomes 0.0.  Plain ints, floats and int tuples are checked with
-    whole-array tests.  Anything else, and any invalid element, goes through
-    ``validate_element`` first, which raises the first bad element's error.
-    Valid elements past the int64 range raise GridTooLarge.
+    -0.0 becomes 0.0.  ``validate_element`` raises the first bad element's
+    error; each nat_mult element then gives its ``kappa`` row.  Exponents
+    past the int64 range raise GridTooLarge.  Only element lists come here:
+    ``default_grid`` builds its rows in exponent space.
     """
-    elements = list(elements)
-    rows = _plain_exponents(semigroup, elements)
-    if rows is None:
-        canonical = [validate_element(semigroup, el) for el in elements]
-        rows = _plain_exponents(semigroup, canonical)
-        if rows is None:  # valid, but past the int64 range: nat_add or nat_mult
-            if semigroup.family == NAT_MULT:
-                top = max(canonical)
-                raise GridTooLarge(f"product {top}*{top} exceeds the supported range")
-            raise GridTooLarge("nat_add grid coordinates exceed the supported range")
-    return rows
+    canonical = [validate_element(semigroup, el) for el in elements]
+    if semigroup.family == HALF_LINE:
+        return np.array(canonical, dtype=float) + 0.0
+    if semigroup.family == NAT_MULT:
+        canonical = [kappa(n, semigroup.dim) for n in canonical]
+    try:
+        return np.array(canonical, dtype=np.int64).reshape(len(canonical), semigroup.dim)
+    except OverflowError:
+        raise GridTooLarge(f"{semigroup.family} grid coordinates exceed the supported range") from None
 
 
 def kappa(n: int, retained_primes: int) -> tuple:

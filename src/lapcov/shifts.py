@@ -16,7 +16,7 @@ import numpy as np
 from .errors import MissingGridValue
 from .laplace import EvaluationGrid
 from .measures import AtomicMeasure, Symbol, charges, symbol_values
-from .semigroups import Semigroup, char_eval, character_matrix, combine, identity, validate_element
+from .semigroups import Semigroup, _check_pairs, char_eval, character_matrix, combine, identity, validate_element
 
 ADMISSIBLE_PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
 
@@ -151,8 +151,12 @@ class PairFunction:
 
 
 def pair_function_from_measure(mu: AtomicMeasure, grid: EvaluationGrid, symbol: Symbol = None) -> PairFunction:
-    """Tabulate the (optionally F-weighted) transform of mu on closure x closure."""
+    """Tabulate the (optionally F-weighted) transform of mu on closure x closure.
+
+    A closure too large for the table raises GridTooLarge before any of it is built.
+    """
     closure = grid.pairs_closure
+    _check_pairs(len(closure), "a grid closure")
     w = charges(mu, symbol_values(symbol, mu.points))
     P = character_matrix(mu.semigroup, mu.points, grid.closure_exponents)
     return PairFunction(grid, PairTable(closure, P.T @ (w[:, None] * P.conj())))

@@ -248,9 +248,10 @@ def prony_pencils(tables: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> list
     and one call of the stacked least-squares gufunc behind
     ``np.linalg.lstsq``, and one batched matmul gives their misfits.  Each
     pencil is byte-equal to solving its table alone.  Nothing is raised: a
-    pencil that is singular beyond tolerance or has non-finite eigenvalues,
-    or whose least-squares solve does not converge, carries the exception in
-    ``error``.
+    pencil that is singular beyond tolerance or has non-finite eigenvalues
+    (RankDeficientPencil), whose design overflows (NumericOverflow; it never
+    reaches LAPACK), or whose least-squares solve does not converge
+    (LinAlgError) carries the exception in ``error``.
     """
     tables = np.asarray(tables, dtype=complex)
     n, rows, cols = tables.shape
@@ -275,9 +276,15 @@ def prony_pencils(tables: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> list
         index = np.asarray(index)
         for i in index[~finite].tolist():
             pencils[i] = Pencil(rank, None, None, None, RankDeficientPencil("pencil eigenvalues are not finite"))
-        index, positions = index[finite].tolist(), positions[finite]
-        V = _power_columns(positions, rows)
-        design = (V[:, :, None, :] * V[:, None, :cols].conj()).reshape(len(index), rows * cols, rank)
+        index, positions = index[finite], positions[finite]
+        # the powers of a position far outside the disc can overflow; LAPACK must not see them
+        with np.errstate(over="ignore", invalid="ignore"):
+            V = _power_columns(positions, rows)
+            design = (V[:, :, None, :] * V[:, None, :cols].conj()).reshape(len(index), rows * cols, rank)
+        bounded = np.isfinite(design).all(axis=(1, 2))
+        for i in index[~bounded].tolist():
+            pencils[i] = Pencil(rank, None, None, None, NumericOverflow("a Prony design overflows the float range"))
+        index, positions, design = index[bounded].tolist(), positions[bounded], design[bounded]
         rhs = tables[index].reshape(len(index), rows * cols)
         errors = [None] * len(index)
         try:
@@ -315,8 +322,8 @@ def prony_recover(nu, k_max: int = None, rel_tol: float = DEFAULT_RANK_TOL, penc
 
     Raises RankDeficientPencil when the restricted pencil is singular beyond
     tolerance (possible for user-supplied moment tables of inconsistent rank),
-    NumericOverflow when a norm overflows, and numpy's LinAlgError when the
-    least-squares solve does not converge.
+    NumericOverflow when the weights' design or a norm overflows, and numpy's
+    LinAlgError when the least-squares solve does not converge.
     """
     if isinstance(nu, DiscMeasure):
         if k_max is None:

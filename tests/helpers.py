@@ -182,14 +182,6 @@ def reference_disc_measure(mu, symbol, s) -> DiscMeasure:
     return DiscMeasure(atoms)
 
 
-def _reference_power_columns(positions, rows: int) -> np.ndarray:
-    n = len(positions)
-    V = np.ones((rows, n), dtype=complex)
-    for j in range(1, rows):
-        V[j] = V[j - 1] * np.asarray(positions, dtype=complex)
-    return V
-
-
 def reference_moment_matrix(nu: DiscMeasure, order: int, rows: int = None) -> np.ndarray:
     """One element's moment matrix from its own Vandermonde matrices."""
     rows = order if rows is None else rows

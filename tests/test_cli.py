@@ -12,6 +12,7 @@ import pytest
 import lapcov.cli as cli
 import lapcov.laplace as laplace
 import lapcov.measures as measures
+import lapcov.semigroups as semigroups
 import lapcov.toeplitz as toeplitz
 from lapcov.cli import main
 from lapcov.errors import (
@@ -1088,6 +1089,43 @@ def test_overflow_is_a_numeric_overflow_error(tmp_path, name, command):
         code, out, err = run_cli([command, write_scenario(tmp_path, OVERFLOW_SCENARIOS[name], "")])
     assert code == 1
     assert json.loads(out)["error"]["code"] == "numeric_overflow"
+    assert "Traceback" not in err
+
+
+NAT_MULT3_SCENARIO = {
+    "semigroup": {"kind": "nat_mult", "primes": 3},
+    "measure": {"atoms": [{"point": [[0.5, 0.1], [0.2, 0.0], [0.3, -0.2]], "weight": [1.0, 0.0]}]},
+}
+NAT_ADD2_SCENARIO = {
+    "semigroup": {"kind": "nat_add", "d": 2},
+    "measure": {"atoms": [{"point": [[0.5, 0.1], [0.2, 0.0]], "weight": [1.0, 0.0]}]},
+}
+RANDOM_VECTOR_DIM2 = {
+    "random_vector": {
+        "outcomes": [
+            {"p": 0.5, "x": [[1.0, 0.0], [0.5, 0.0]], "y": [1.0, 0.0]},
+            {"p": 0.5, "x": [[0.0, 0.0], [0.2, 0.0]], "y": [1.0, 0.0]},
+        ],
+        "max_order": 10,
+    }
+}
+# (argv tail, scenario, message): the two runaway tables of a nat_mult pd closure and
+# a fine nat_add grid, at sizes that a bound lowered to 1000 pairs refuses
+GRID_121 = "a grid of 121 elements has 14641 pairs, more than the supported 1000"
+PAIR_BOUND_CASES = {
+    "pd_closure": (["pd"], NAT_MULT3_SCENARIO, "a grid closure of 125 elements has 15625 pairs, more than the supported 1000"),
+    "grid_order": (["covariance", "--grid-order", "10"], NAT_ADD2_SCENARIO, GRID_121),
+    "max_order": (["random-vector"], RANDOM_VECTOR_DIM2, GRID_121),
+}
+
+
+@pytest.mark.parametrize("case", PAIR_BOUND_CASES)
+def test_a_grid_past_the_pair_bound_is_grid_too_large(tmp_path, monkeypatch, case):
+    tail, scn, message = PAIR_BOUND_CASES[case]
+    monkeypatch.setattr(semigroups, "_MAX_PAIR_ENTRIES", 1000)
+    code, out, err = run_cli([tail[0], write_scenario(tmp_path, scn, "")] + tail[1:])
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "grid_too_large", "message": message}
     assert "Traceback" not in err
 
 

@@ -6,6 +6,7 @@ scalar semigroup operation ``combine``.
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,11 +31,14 @@ from lapcov import (
     symbol_values,
     transform_block,
 )
+from lapcov import semigroups
 from lapcov.errors import GridTooLarge
 from lapcov.semigroups import element_exponents, validate_element
 from lapcov.measures import MODE_ABS_F_SQ, MODE_CONJ_F, MODE_F
 
 from helpers import random_character_point, random_polynomial_symbol, slow_laplace
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 NAT_ADD2 = Semigroup.nat_add(2)
 NAT_MULT2 = Semigroup.nat_mult(2)
@@ -143,8 +147,72 @@ def test_element_exponents_take_integral_values_of_other_types():
     assert math.copysign(1.0, element_exponents(HALF_LINE, [-0.0])[0]) == 1.0
     with pytest.raises(GridTooLarge, match="nat_add grid coordinates exceed the supported range"):
         element_exponents(NAT_ADD2, [(2**64, 0)])
+    # 2**64 has the exponent row (64, 0); its product range is the grid's to check
+    assert element_exponents(NAT_MULT2, [2**64, 3]).tolist() == [[64, 0], [0, 1]]
     with pytest.raises(GridTooLarge, match=f"product {2**64}\\*{2**64} exceeds the supported range"):
-        element_exponents(NAT_MULT2, [2**64, 3])
+        EvaluationGrid(NAT_MULT2, (2**64, 3))
+
+
+# the semigroups of the benchmark's scenarios (perfbench/scenarios.py FAMILIES)
+BENCHMARK_SEMIGROUPS = [("nat_add", NAT_ADD2), ("nat_mult", Semigroup.nat_mult(3)), ("half_line", HALF_LINE)]
+
+
+def _benchmark_orders(monkeypatch, family):
+    """Every grid order of ``family`` in the benchmark's workloads."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import scenarios
+
+    fine = scenarios.FINE_ORDERS[family]
+    return {scenarios.DENSE_ORDERS[family], *fine, scenarios.TRANSFORM_ORDERS[family]}
+
+
+def _same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("family,semigroup", BENCHMARK_SEMIGROUPS)
+def test_a_default_grid_is_the_grid_of_its_own_elements(monkeypatch, family, semigroup):
+    for order in sorted({0, 1, 2} | _benchmark_orders(monkeypatch, family)):
+        built = default_grid(semigroup, order)
+        listed = EvaluationGrid(semigroup, built.elements, order=order)
+        assert built == listed
+        assert built.elements == listed.elements and built.pairs_closure == listed.pairs_closure
+        for name in ("exponents", "closure_exponents", "products"):
+            assert _same_array(getattr(built, name), getattr(listed, name)), (order, name)
+
+
+def test_default_grids_below_order_one_hold_the_identity_alone():
+    for semigroup in (NAT_ADD2, NAT_MULT2, HALF_LINE):
+        for order in (0, -3):
+            grid = default_grid(semigroup, order)
+            assert grid.elements == (identity(semigroup),) and grid.order == order
+
+
+@pytest.mark.parametrize("name", ["pairs_closure", "products", "exponents", "closure_exponents"])
+def test_a_grid_takes_no_derived_field(name):
+    with pytest.raises(TypeError):
+        EvaluationGrid(NAT_ADD2, ((1, 0),), 2, **{name: None})
+
+
+def test_pair_tables_past_the_bound_raise_before_they_are_built(monkeypatch, rng):
+    monkeypatch.setattr(semigroups, "_MAX_PAIR_ENTRIES", 1000)
+    with pytest.raises(GridTooLarge, match="^a grid of 121 elements has 14641 pairs, more than the supported 1000$"):
+        default_grid(NAT_ADD2, 10)
+    # counted after the duplicates are dropped: 31 distinct reals and the identity
+    with pytest.raises(GridTooLarge, match="^a grid of 32 elements has 1024 pairs"):
+        EvaluationGrid(HALF_LINE, 2 * tuple(0.5 * k for k in range(1, 32)))
+    assert len(EvaluationGrid(HALF_LINE, 2 * tuple(0.5 * k for k in range(1, 31))).elements) == 31
+    grid = default_grid(Semigroup.nat_mult(3))  # 27 elements, 125 in the closure
+    with pytest.raises(GridTooLarge, match="^a grid closure of 125 elements has 15625 pairs"):
+        pair_function_from_measure(random_measure(rng, grid.semigroup, 2), grid)
+    monkeypatch.setattr(semigroups, "_MAX_PAIR_ENTRIES", 121**2)
+    assert len(default_grid(NAT_ADD2, 10).elements) == 121
+
+
+@pytest.mark.parametrize("family,semigroup", BENCHMARK_SEMIGROUPS)
+def test_every_benchmark_pair_table_is_below_the_bound(monkeypatch, family, semigroup):
+    grid = default_grid(semigroup, max(_benchmark_orders(monkeypatch, family)))
+    assert len(grid.pairs_closure) ** 2 <= semigroups._MAX_PAIR_ENTRIES
 
 
 def test_user_grid_adds_identity_and_drops_duplicates():

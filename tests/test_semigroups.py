@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lapcov.laplace as laplace
 import lapcov.semigroups as semigroups
 from lapcov import (
     AtomicMeasure,
@@ -213,13 +214,20 @@ def test_half_line_exponents_outside_the_exp_range_take_the_loop():
 
 def test_a_built_nat_mult_grid_is_never_factored_again(monkeypatch, rng):
     sg = Semigroup.nat_mult(3)
-    grid = default_grid(sg, order=3)
     calls = []
-    original = semigroups.kappa
-    monkeypatch.setattr(semigroups, "kappa", lambda *args: calls.append(args) or original(*args))
+
+    def counting(name, original):
+        return lambda *args: calls.append(name) or original(*args)
+
+    for module, name in ((semigroups, "kappa"), (semigroups, "validate_element"),
+                         (semigroups, "element_exponents"), (laplace, "element_exponents")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     char_eval(sg, (0.5, 0.5, 0.5), 12)
-    assert calls, "the counting wrapper sees the reference's factoring"
+    EvaluationGrid(sg, (12,))
+    assert set(calls) == {"kappa", "validate_element", "element_exponents"}, "the wrappers see an element list's checks"
     calls.clear()
+    grid = default_grid(sg, order=3)
+    assert calls == [], "a default grid is built in exponent space"
     for count in (1, 2, 40):  # one atom recovers a point mass; 40 atoms take the array kernel
         mu = AtomicMeasure(sg, tuple((random_character_point(rng, sg), 1.0) for _ in range(count)))
         decide_covariance(mu, None, grid)

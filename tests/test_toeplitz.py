@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from lapcov import (
     sup_norm,
     toeplitz_matrix,
 )
-from lapcov.errors import RankDeficientPencil
+from lapcov.errors import NumericOverflow, RankDeficientPencil
 from lapcov.laplace import default_grid
 from lapcov.scenario import load_scenario
 from lapcov import toeplitz
@@ -530,26 +531,48 @@ def test_prony_pencil_weights_and_misfits_are_bit_equal_to_one_table_at_a_time(r
         assert pencil.misfit == misfit and type(pencil.misfit) is float
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_failed_least_squares_solve_is_raised_by_its_own_element():
-    # the last moment row of 1e300 gives a pencil eigenvalue near 7e299 whose powers overflow the design,
-    # so LAPACK's least-squares SVD fails on that table alone, as np.linalg.lstsq does per table
+def test_a_failed_least_squares_solve_is_raised_by_its_own_element(capfd):
+    # the last moment row of 1e300 gives a pencil eigenvalue near 7e299 whose powers overflow the
+    # design: that table alone is refused before LAPACK sees it, without a warning or LAPACK's own output
     good = np.array([[1.0, 0.3], [0.2, 1.0], [0.5, -0.25j]], dtype=complex)
     failing = np.array([[1.0, 0.3], [0.2, 1.0], [1e300, 1e300]], dtype=complex)
     singular = np.array([[1.0, 0.0], [1.0, 1e-14], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge in Linear Least Squares"):
-        reference_prony_recover(failing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pencils = prony_pencils(np.array([good, failing, good * 2.0, singular]), 1e-15)
+        assert [pencil.rank for pencil in pencils] == [2, 2, 2, 2]
+        assert _same_recovery(prony_recover(good, pencil=pencils[0]), reference_prony_recover(good, 1e-15))
+        assert _same_recovery(prony_recover(good * 2.0, pencil=pencils[2]), reference_prony_recover(good * 2.0, 1e-15))
+        with pytest.raises(NumericOverflow, match="a Prony design overflows the float range"):
+            prony_recover(failing, pencil=pencils[1])
+        with pytest.raises(RankDeficientPencil):
+            prony_recover(singular, pencil=pencils[3])
+        with pytest.raises(NumericOverflow):
+            prony_recover(failing)
+    assert capfd.readouterr().out == ""
 
-    pencils = prony_pencils(np.array([good, failing, good * 2.0, singular]), 1e-15)
-    assert [pencil.rank for pencil in pencils] == [2, 2, 2, 2]
+
+def test_a_non_converging_solve_is_raised_by_its_own_element(monkeypatch):
+    # a stand-in for the stacked solver fails on every stack that holds the table starting with 7
+    good = np.array([[1.0, 0.3], [0.2, 1.0], [0.5, -0.25j]], dtype=complex)
+    failing = np.array([[7.0, 0.3], [0.2, 1.0], [0.5, -0.25j]], dtype=complex)
+    solve = toeplitz._LSTSQ
+    calls = []
+
+    def stand_in(design, rhs, *args, **kwargs):
+        calls.append(design.ndim)
+        if (rhs[..., 0, 0] == 7.0).any():
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        return solve(design, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(toeplitz, "_LSTSQ", stand_in)
+    pencils = prony_pencils(np.array([good, failing, good * 2.0]), 1e-15)
+    assert calls == [3, 2, 2, 2], "one stacked solve, then one solve per table"
+    assert [pencil.rank for pencil in pencils] == [2, 2, 2]
     assert _same_recovery(prony_recover(good, pencil=pencils[0]), reference_prony_recover(good, 1e-15))
     assert _same_recovery(prony_recover(good * 2.0, pencil=pencils[2]), reference_prony_recover(good * 2.0, 1e-15))
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge in Linear Least Squares"):
         prony_recover(failing, pencil=pencils[1])
-    with pytest.raises(RankDeficientPencil):
-        prony_recover(singular, pencil=pencils[3])
-    with pytest.raises(np.linalg.LinAlgError):
-        prony_recover(failing)
 
 
 def test_the_stacked_least_squares_gufunc_is_np_linalg_lstsq(rng):
