@@ -377,19 +377,19 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("scenario", help="path to a scenario JSON file")
-        sub.add_argument("--grid-order", type=int, default=None)
-        sub.add_argument("--tol-res", type=float, default=None)
-        sub.add_argument("--tol-mass", type=float, default=None)
-        sub.add_argument("--rank-tol", type=float, default=None)
+        sub.add_argument("--grid-order", default=None)
+        sub.add_argument("--tol-res", default=None)
+        sub.add_argument("--tol-mass", default=None)
+        sub.add_argument("--rank-tol", default=None)
         sub.add_argument("--format", choices=("json", "text"), default="json")
         if name == "toeplitz":
-            sub.add_argument("--matrix-order", type=int, default=None)
+            sub.add_argument("--matrix-order", default=None)
             sub.add_argument("--moments-csv", default=None, help="export a moment matrix as CSV")
             sub.add_argument(
                 "--csv-element", default=None, help="JSON element for the CSV export (default identity)"
             )
         if name == "prony":
-            sub.add_argument("--k-max", type=int, default=None)
+            sub.add_argument("--k-max", default=None)
     return parser
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import FMuIntegralZero, MassZero, MissingGridValue, NumericOverflow
+from .errors import FMuIntegralZero, MassZero, NumericOverflow
 from .measures import (
     MODE_ABS_F_SQ,
     MODE_CONJ_F,
@@ -198,23 +198,6 @@ class CharacterTable(Mapping):
         return iter(self.grid.pairs_closure)
 
 
-def closure_values(table: Mapping, grid: EvaluationGrid) -> np.ndarray:
-    """The values of ``table`` at ``grid.pairs_closure``, in closure order.
-
-    A ``CharacterTable`` over the same closure hands over its array; any
-    other mapping is looked up element by element, and a missing element
-    raises MissingGridValue.
-    """
-    if isinstance(table, CharacterTable) and (
-        table.grid is grid or table.grid.pairs_closure == grid.pairs_closure
-    ):
-        return table.values
-    try:
-        return np.array([complex(table[el]) for el in grid.pairs_closure], dtype=complex)
-    except KeyError as missing:
-        raise MissingGridValue(f"character table lacks element {missing}") from None
-
-
 @dataclass(frozen=True)
 class CovarianceVerdict:
     """Outcome of the covariance decision.
@@ -325,15 +308,14 @@ def recover_point_mass(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Tol
     return total_mass(mu), CharacterTable(grid, values)
 
 
-def multiplicativity_defect(table: Mapping, grid: EvaluationGrid) -> float:
-    """max over grid pairs of |table[s*t] - table[s]*table[t]|.
+def multiplicativity_defect(values: np.ndarray, grid: EvaluationGrid) -> float:
+    """max over grid pairs of |gamma(s*t) - gamma(s)*gamma(t)|.
 
-    ``table`` is a ``CharacterTable`` or any mapping from the closure's
-    elements to complex values (``closure_values``).  Computed in real
-    arithmetic in the order Python's complex operations use, so the result
-    matches a scalar loop bit for bit.
+    ``values`` is gamma as a complex array indexed like ``grid.pairs_closure``
+    (a ``CharacterTable``'s ``values``).  Computed in real arithmetic in the
+    order Python's complex operations use, so the result matches a scalar
+    loop bit for bit.
     """
-    values = closure_values(table, grid)
     re, im = values.real, values.imag
     at = grid.products[0]
     product_re, product_im = complex_product(re[at][:, None], im[at][:, None], re[at], im[at])
@@ -348,16 +330,16 @@ def factorization_residual(f, s, t) -> complex:
     return f(e, e) * f(s, t) - f(s, e) * f(e, t)
 
 
-def resolve_point(grid: EvaluationGrid, table: Mapping, semigroup: Semigroup):
-    """Locate the recovered character in coordinates.
+def resolve_point(grid: EvaluationGrid, values: np.ndarray):
+    """Locate the recovered character, the closure-indexed complex array ``values``, in coordinates.
 
     nat_add reads coordinate values at the unit multi-indices, nat_mult at
     the retained primes: both are the closure's unit exponent rows.
     half_line inverts one exponential and checks the chosen logarithm branch
     for consistency across the whole grid; returns ``(None, False)`` when no
-    branch is consistent.  ``table`` is read as ``closure_values`` reads it.
+    branch is consistent.  The family is ``grid.semigroup``'s.
     """
-    values = closure_values(table, grid)
+    semigroup = grid.semigroup
     if semigroup.family != HALF_LINE:
         rows = grid.closure_exponents
         units = np.flatnonzero(rows.sum(axis=1) == 1)  # nonnegative rows summing to 1
@@ -398,14 +380,14 @@ def read_point_mass(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Tolera
     if mass_vanishes(mu, tol):
         raise MassZero("total mass is numerically zero; nothing to recover")
     mass, table = recover_point_mass(mu, symbol, grid, tol)
-    point, resolved = resolve_point(grid, table, mu.semigroup)
+    point, resolved = resolve_point(grid, table.values)
     return CovarianceVerdict(
         kind=POINT_MASS,
         mass=mass,
         character=table,
         point=point,
         point_resolved=resolved,
-        character_defect=multiplicativity_defect(table, grid),
+        character_defect=multiplicativity_defect(table.values, grid),
     )
 
 

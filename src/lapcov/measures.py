@@ -1,6 +1,5 @@
 """Atomic complex measures on character space, and the symbols weighting them."""
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -56,29 +55,27 @@ def merge_atoms(points: np.ndarray, weights: list, groups: np.ndarray = None) ->
     of close atoms may merge into several.  Atoms of different ``groups``
     (nondecreasing ints; by default one group) never merge.  The kept indices
     come sorted by group, then by point as ``_point_sort_key`` orders them.
+    Every coordinate is finite: measures refuse other points where they enter.
 
-    A point with a coordinate that is not finite is within ``MERGE_TOL`` of
-    nothing.  Sorted by group and then by point, each group's finite points
-    come first, with their first real coordinates in order; they split into
-    clusters wherever that coordinate jumps by more than ``_MERGE_WINDOW``.
-    Points within ``MERGE_TOL`` share a cluster, so only clusters of two or
-    more need the input-order rule: a cluster's first atom is kept and claims
-    every later one within reach, then the first atom left over is kept, and
-    so on.
+    Sorted by group and then by point, each group's first real coordinates
+    are in order; they split into clusters wherever that coordinate jumps by
+    more than ``_MERGE_WINDOW``.  Points within ``MERGE_TOL`` share a
+    cluster, so only clusters of two or more need the input-order rule: a
+    cluster's first atom is kept and claims every later one within reach,
+    then the first atom left over is kept, and so on.
     """
     k = len(points)
     weights = list(weights)
     if k < 2:
         return list(range(k)), weights
     groups = np.zeros(k, dtype=np.int64) if groups is None else np.asarray(groups)
-    finite = np.isfinite(points).all(axis=1)
     columns = [part for z in points.T[::-1] for part in (z.imag, z.real)]
-    order = np.lexsort(columns + [~finite, groups])
-    key, group, ok = points[order, 0].real, groups[order], finite[order]
+    order = np.lexsort(columns + [groups])
+    key, group = points[order, 0].real, groups[order]
     kept = np.ones(k, dtype=bool)
-    # Python's float arithmetic overflows to inf and makes NaN without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        together = (np.diff(key) <= _MERGE_WINDOW) & (group[1:] == group[:-1]) & ok[1:]
+    # Python's float arithmetic overflows to inf without a warning
+    with np.errstate(over="ignore"):
+        together = (np.diff(key) <= _MERGE_WINDOW) & (group[1:] == group[:-1])
         bounds = [0, *(np.flatnonzero(~together) + 1).tolist(), k] if together.any() else []
         for start, stop in zip(bounds, bounds[1:]):
             members = np.sort(order[start:stop])
@@ -89,14 +86,7 @@ def merge_atoms(points: np.ndarray, weights: list, groups: np.ndarray = None) ->
                     weights[q] += weights[i]
                 kept[joined] = False
                 members = members[~near]
-    keep = order[kept[order]]
-    if not ok.all():
-        # NaN does not sort as a number: each group's kept points go through sorted() in input order
-        keep = np.sort(keep)
-        rows, owner = points[keep].tolist(), groups[keep].tolist()
-        runs = itertools.groupby(range(len(keep)), key=owner.__getitem__)
-        keep = keep[[n for _, run in runs for n in sorted(run, key=lambda n: _point_sort_key(rows[n]))]]
-    keep = keep.tolist()
+    keep = order[kept[order]].tolist()
     return keep, [weights[i] for i in keep]
 
 
@@ -163,9 +153,9 @@ class AtomicMeasure:
     ``atoms`` is a sequence of (point, weight) pairs, or ``Columns`` of a
     (k, d) point array and k weights.  Construction normalizes points, merges
     atoms closer than ``MERGE_TOL`` (weights summed), and sorts atoms for
-    deterministic iteration.  Atoms with
-    zero weight are kept: they still belong to the support set used for
-    sup-norms.  ``points``, ``weights`` and the read-only ``weight_array``
+    deterministic iteration.  A point or weight that is not finite, also
+    after the merge, raises ValueError.  Atoms with zero weight are kept:
+    they still belong to the support set used for sup-norms.  ``points``, ``weights`` and the read-only ``weight_array``
     are the merged atoms' points and weights, built once.
     """
 
@@ -183,6 +173,8 @@ class AtomicMeasure:
         keep, weights = merge_atoms(points, weights)
         points = tuple(map(tuple, points[keep].tolist()))
         weight_array = np.array(weights, dtype=complex)
+        if not np.isfinite(weight_array).all():
+            raise ValueError("atom weights must be finite, also once coincident atoms are summed")
         weight_array.flags.writeable = False
         object.__setattr__(self, "atoms", tuple(zip(points, weights)))
         object.__setattr__(self, "points", points)
@@ -240,9 +232,6 @@ class Symbol:
             if len(entry_point) == len(point) and _point_distance(entry_point, point) <= MERGE_TOL:
                 return value
         raise SymbolUndefinedAtAtom(f"symbol table has no entry at {point}")
-
-
-ONE = Symbol.constant(1)
 
 
 def symbol_values(symbol, points) -> np.ndarray:

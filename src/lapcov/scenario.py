@@ -133,7 +133,10 @@ def nonnegative_int(value, semigroup=None) -> int:
 def positive_number(value, semigroup=None) -> float:
     if type(value) not in _NUMBERS or not 0 < value < math.inf:
         raise Invalid("expected a positive number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range, as a flag's text may spell
+        raise Invalid("expected a positive number") from None
 
 
 def fraction(value, semigroup=None) -> float:
@@ -515,12 +518,23 @@ def _given_section(raw: dict, name: str, semigroup: Semigroup = None):
     return parse(SECTIONS[name], raw[name], name, semigroup) if name in raw else None
 
 
+def _flag_value(value):
+    """A flag's text as the number it spells, an int before a float (so nan, inf and 1e999 are floats), else as given."""
+    if isinstance(value, str):
+        for number in (int, float):
+            try:
+                return number(value)
+            except ValueError:
+                pass
+    return value
+
+
 def _laid_over(fields: dict, name: str, flags: dict) -> dict:
     """``fields`` of section ``name`` with each given flag value, parsed by its key's leaf, laid over that key."""
     table = SECTIONS[name]
     for key, value in flags.items():
         if value is not None:
-            fields[key] = parse(table.fields[key][0], value, table.flags[key])
+            fields[key] = parse(table.fields[key][0], _flag_value(value), table.flags[key])
     return fields
 
 

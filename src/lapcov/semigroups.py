@@ -14,11 +14,12 @@ half_line    float >= 0                 the float itself                1-tuple 
 
 So both integer families are the same problem in exponent space: a
 nat_mult product is a sum of exponent rows, as in nat_add.  A list of
-elements reaches exponent space one way, ``validate_element`` and ``kappa``
-per element; default grids start there and are never factored.  Tables over
-pairs of elements are bounded by ``_MAX_PAIR_ENTRIES``.  Characters are
-evaluated with the convention 0**0 = 1, so every character takes the value 1
-at the identity.
+elements reaches exponent space one way, one check per element
+(``validate_element``, or one ``kappa`` call for nat_mult); default grids
+start there and are never factored.  Tables over pairs of elements, and the
+Toeplitz route's moment and design stacks, are bounded by ``_MAX_PAIR_ENTRIES``.
+Characters are evaluated with the convention 0**0 = 1, so every character
+takes the value 1 at the identity.
 """
 
 import cmath
@@ -40,9 +41,10 @@ _INT_LIMIT = 2**62
 # slack when checking Re z >= 0 on the half-line
 _HALF_PLANE_TOL = 1e-12
 
-# Tables over pairs of grid or closure elements are refused past this many
-# entries (64 MB as complex), ~8x the largest the benchmark builds: the
-# 729 x 729 pair table of a nat_mult order-4 pd.
+# Tables over pairs of grid or closure elements, moment stacks and Prony
+# design stacks are refused past this many entries (64 MB as complex), ~8x
+# the largest the benchmark builds: the 729 x 729 pair table of a nat_mult
+# order-4 pd.
 _MAX_PAIR_ENTRIES = 2**22
 
 
@@ -154,6 +156,12 @@ def _check_pairs(count: int, what: str):
         )
 
 
+def _check_entries(count: int, what: str):
+    """Raise GridTooLarge when ``what`` would hold more than ``_MAX_PAIR_ENTRIES`` entries."""
+    if count > _MAX_PAIR_ENTRIES:
+        raise GridTooLarge(f"{what} has {count} entries, more than the supported {_MAX_PAIR_ENTRIES}")
+
+
 def closure_table(semigroup: Semigroup, rows: np.ndarray):
     """The distinct elements of exponent ``rows`` and their pairwise products, in exponent space.
 
@@ -183,19 +191,21 @@ def element_labels(semigroup: Semigroup, rows: np.ndarray) -> np.ndarray:
 
 
 def element_exponents(semigroup: Semigroup, elements) -> np.ndarray:
-    """The exponent array of ``elements`` (see the module table), each checked by ``validate_element``.
+    """The exponent array of ``elements`` (see the module table), each checked as ``validate_element`` checks it.
 
     Shape (n, d) int64 for nat_add and nat_mult, (n,) float for half_line;
-    -0.0 becomes 0.0.  ``validate_element`` raises the first bad element's
-    error; each nat_mult element then gives its ``kappa`` row.  Exponents
+    -0.0 becomes 0.0.  The first bad element raises its ``validate_element``
+    error; a nat_mult element is read by ``_integer`` and one ``kappa`` call,
+    which raise what ``validate_element`` raises and give the row.  Exponents
     past the int64 range raise GridTooLarge.  Only element lists come here:
     ``default_grid`` builds its rows in exponent space.
     """
-    canonical = [validate_element(semigroup, el) for el in elements]
+    if semigroup.family == NAT_MULT:
+        canonical = [kappa(_integer(el), semigroup.dim) for el in elements]
+    else:
+        canonical = [validate_element(semigroup, el) for el in elements]
     if semigroup.family == HALF_LINE:
         return np.array(canonical, dtype=float) + 0.0
-    if semigroup.family == NAT_MULT:
-        canonical = [kappa(n, semigroup.dim) for n in canonical]
     try:
         return np.array(canonical, dtype=np.int64).reshape(len(canonical), semigroup.dim)
     except OverflowError:
@@ -421,16 +431,20 @@ def points_fit(semigroup: Semigroup, points: np.ndarray) -> bool:
     """Whether each row of a numeric (k, point_dim) array is a point ``validate_point`` accepts."""
     if points.dtype.kind not in "biufc" or points.ndim != 2 or points.shape[1] != semigroup.point_dim:
         return False
+    if not np.isfinite(points).all():
+        return False
     return semigroup.family != HALF_LINE or not (points[:, 0].real < -_HALF_PLANE_TOL).any()
 
 
 def validate_point(semigroup: Semigroup, point) -> tuple:
-    """Normalize a character point to a tuple of complex of the right length."""
+    """Normalize a character point to a tuple of finite complex of the right length."""
     pt = tuple(complex(z) for z in point)
     if len(pt) != semigroup.point_dim:
         raise ValueError(
             f"expected character point of length {semigroup.point_dim}, got {len(pt)}"
         )
+    if not all(map(cmath.isfinite, pt)):
+        raise ValueError(f"character point coordinates must be finite, got {pt}")
     if semigroup.family == HALF_LINE and pt[0].real < -_HALF_PLANE_TOL:
         raise ValueError("half-line character points need Re z >= 0")
     return pt

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import MissingGridValue
 from .laplace import EvaluationGrid
 from .measures import AtomicMeasure, Symbol, charges, symbol_values
-from .semigroups import Semigroup, _check_pairs, char_eval, character_matrix, combine, identity, validate_element
+from .semigroups import Semigroup, _check_pairs, character_matrix, combine, identity, validate_element
 
 ADMISSIBLE_PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
 
@@ -163,14 +163,8 @@ def pair_function_from_measure(mu: AtomicMeasure, grid: EvaluationGrid, symbol: 
 
 
 def semicharacter_from_point(semigroup: Semigroup, point, grid: EvaluationGrid) -> PairFunction:
-    """The pair function rho(s) conj(rho(t)) of the character labelled by ``point``."""
-    closure = grid.pairs_closure
-    values = {}
-    for s in closure:
-        rho_s = char_eval(semigroup, point, s)
-        for t in closure:
-            values[(s, t)] = rho_s * char_eval(semigroup, point, t).conjugate()
-    return PairFunction(grid, values)
+    """rho(s) conj(rho(t)) for the character at ``point``: the table of the unit point mass there."""
+    return pair_function_from_measure(AtomicMeasure(semigroup, ((point, 1),)), grid)
 
 
 def apply_shift(op: ShiftCombination, f: PairFunction, at) -> complex:

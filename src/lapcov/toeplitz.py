@@ -28,7 +28,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import NumericOverflow, RankDeficientPencil
 from .measures import AtomicMeasure, Symbol, finite_charges, merge_atoms, sup_norm, symbol_values
-from .semigroups import character_matrix, element_exponents
+from .semigroups import _check_entries, character_matrix, element_exponents
 
 DISC_RADIUS = 0.5
 _DISC_TOL = 1e-12
@@ -42,7 +42,8 @@ class DiscMeasure:
     """Atomic measure supported in the closed disc of radius 1/2.
 
     Coincident positions (within ``MERGE_TOL``) are merged with summed
-    weights by ``merge_atoms``; positions outside the disc are rejected.
+    weights by ``merge_atoms``; positions outside the disc or not finite,
+    and weights that are not finite, are rejected.
     ``scale`` is the factor 2 (1 + sup-norm) that ``disc_measures`` divided
     the character values by, so a position times it is a character value.
     """
@@ -53,10 +54,12 @@ class DiscMeasure:
     def __post_init__(self):
         atoms = [(complex(a), complex(m)) for a, m in self.atoms]
         for a, _ in atoms:
-            if abs(a) > DISC_RADIUS + _DISC_TOL:
+            if not abs(a) <= DISC_RADIUS + _DISC_TOL:  # NaN is not inside
                 raise ValueError(f"disc atom {a} lies outside radius {DISC_RADIUS}")
         positions = np.array([a for a, _ in atoms], dtype=complex).reshape(-1, 1)
         keep, weights = merge_atoms(positions, [m for _, m in atoms])
+        if not np.isfinite(weights).all():
+            raise ValueError("disc atom weights must be finite, also once coincident atoms are summed")
         object.__setattr__(self, "atoms", tuple(zip([atoms[i][0] for i in keep], weights)))
 
     @classmethod
@@ -126,11 +129,13 @@ def moment_matrices(nus, order: int, rows: int = None) -> np.ndarray:
     The shape is (len(nus), rows, order); ``rows`` (default ``order``) allows
     the extra shifted row needed by the pencil recovery.  Measures with the
     same atom count share one Vandermonde stack and one stacked matmul, so
-    every matrix is byte-equal to building it alone.
+    every matrix is byte-equal to building it alone.  A stack too large to
+    hold raises GridTooLarge before any of it is built.
     """
     if order < 1:
         raise ValueError("matrix order must be >= 1")
     rows = order if rows is None else rows
+    _check_entries(len(nus) * rows * order, f"a moment stack of {len(nus)} matrices of {rows} x {order}")
     groups = {}
     for i, nu in enumerate(nus):
         groups.setdefault(len(nu.atoms), []).append(i)
@@ -247,11 +252,12 @@ def prony_pencils(tables: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> list
     one ``eigvals``.  They also share one Vandermonde stack, one design stack
     and one call of the stacked least-squares gufunc behind
     ``np.linalg.lstsq``, and one batched matmul gives their misfits.  Each
-    pencil is byte-equal to solving its table alone.  Nothing is raised: a
-    pencil that is singular beyond tolerance or has non-finite eigenvalues
-    (RankDeficientPencil), whose design overflows (NumericOverflow; it never
-    reaches LAPACK), or whose least-squares solve does not converge
-    (LinAlgError) carries the exception in ``error``.
+    pencil is byte-equal to solving its table alone.  A rank group's design
+    stack too large to hold raises GridTooLarge before it is built.  Nothing
+    else is raised: a pencil that is singular beyond tolerance or has
+    non-finite eigenvalues (RankDeficientPencil), whose design overflows
+    (NumericOverflow; it never reaches LAPACK), or whose least-squares solve
+    does not converge (LinAlgError) carries the exception in ``error``.
     """
     tables = np.asarray(tables, dtype=complex)
     n, rows, cols = tables.shape
@@ -277,6 +283,9 @@ def prony_pencils(tables: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> list
         for i in index[~finite].tolist():
             pencils[i] = Pencil(rank, None, None, None, RankDeficientPencil("pencil eigenvalues are not finite"))
         index, positions = index[finite], positions[finite]
+        _check_entries(
+            len(index) * rows * cols * rank, f"a Prony design stack of {len(index)} designs of {rows * cols} x {rank}"
+        )
         # the powers of a position far outside the disc can overflow; LAPACK must not see them
         with np.errstate(over="ignore", invalid="ignore"):
             V = _power_columns(positions, rows)

@@ -303,6 +303,27 @@ def test_non_finite_scenario_tolerances_are_rejected(tmp_path, value):
     assert_scenario_invalid(["covariance", str(path)], "tolerances")
 
 
+@pytest.mark.parametrize(
+    "command,flag,value,message",
+    [
+        ("covariance", "--grid-order", "2.5", "expected a positive integer"),
+        ("covariance", "--tol-res", "abc", "expected a positive number"),
+        ("prony", "--k-max", "1.5", "expected a positive integer"),
+        ("toeplitz", "--matrix-order", "x", "expected a positive integer"),
+        # past the float range: it must not reach the leaf's float()
+        ("covariance", "--tol-res", "1" * 400, "expected a positive number"),
+        ("covariance", "--rank-tol", "1" * 400, "expected a positive number below 1"),
+    ],
+    ids=["grid-order-2.5", "tol-res-abc", "k-max-1.5", "matrix-order-x", "tol-res-400-digits", "rank-tol-400-digits"],
+)
+def test_a_flag_value_that_is_no_number_of_its_kind_is_scenario_invalid(command, flag, value, message):
+    # the flag's text reaches the leaf parser of the key it overrides, not argparse's type check
+    code, out, err = run_cli(build_argv("two_atoms_natadd1.json", [command, flag, value]))
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "scenario_invalid", "message": f"{flag}: {message}"}
+    assert "Traceback" not in err and "usage:" not in err
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_k_max_below_one_is_rejected(value):
     assert_scenario_invalid(build_argv("two_atoms_natadd1.json", ["prony", "--k-max", value]), "--k-max")
@@ -1109,13 +1130,27 @@ RANDOM_VECTOR_DIM2 = {
         "max_order": 10,
     }
 }
+# three atoms that stay apart at elements 1 and 3, so their pencils have rank 3
+THREE_ATOMS_NATADD1 = {
+    "semigroup": {"kind": "nat_add", "d": 1},
+    "measure": {"atoms": [{"point": [[0.9, 0.0]], "weight": [1.0, 0.0]}, {"point": [[-0.9, 0.0]], "weight": [1.0, 0.0]},
+                          {"point": [[0.0, 0.9]], "weight": [1.0, 0.0]}]},
+    "grid": {"elements": [[1], [3]]},
+}
 # (argv tail, scenario, message): the two runaway tables of a nat_mult pd closure and
-# a fine nat_add grid, at sizes that a bound lowered to 1000 pairs refuses
+# a fine nat_add grid, and the moment and Prony design stacks of a large matrix
+# order, at sizes that a bound lowered to 1000 entries refuses
 GRID_121 = "a grid of 121 elements has 14641 pairs, more than the supported 1000"
 PAIR_BOUND_CASES = {
     "pd_closure": (["pd"], NAT_MULT3_SCENARIO, "a grid closure of 125 elements has 15625 pairs, more than the supported 1000"),
     "grid_order": (["covariance", "--grid-order", "10"], NAT_ADD2_SCENARIO, GRID_121),
     "max_order": (["random-vector"], RANDOM_VECTOR_DIM2, GRID_121),
+    "toeplitz_moments": (["toeplitz", "--matrix-order", "19"], THREE_ATOMS_NATADD1,
+                         "a moment stack of 3 matrices of 19 x 19 has 1083 entries, more than the supported 1000"),
+    "prony_moments": (["prony", "--k-max", "18"], THREE_ATOMS_NATADD1,
+                      "a moment stack of 3 matrices of 19 x 18 has 1026 entries, more than the supported 1000"),
+    "prony_design": (["prony", "--k-max", "15"], THREE_ATOMS_NATADD1,
+                     "a Prony design stack of 2 designs of 240 x 3 has 1440 entries, more than the supported 1000"),
 }
 
 
@@ -1126,6 +1161,19 @@ def test_a_grid_past_the_pair_bound_is_grid_too_large(tmp_path, monkeypatch, cas
     code, out, err = run_cli([tail[0], write_scenario(tmp_path, scn, "")] + tail[1:])
     assert code == 1
     assert json.loads(out)["error"] == {"code": "grid_too_large", "message": message}
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,flag", [("toeplitz", "--matrix-order"), ("prony", "--k-max")])
+def test_a_matrix_order_past_the_bound_is_grid_too_large_before_anything_is_allocated(command, flag):
+    code, out, err = run_cli(build_argv("two_atoms_natadd1.json", [command, flag, "100000"]))
+    assert code == 1
+    rows = 100000 if command == "toeplitz" else 100001
+    assert json.loads(out)["error"] == {
+        "code": "grid_too_large",
+        "message": f"a moment stack of 4 matrices of {rows} x 100000 has {4 * rows * 100000} entries, "
+        f"more than the supported {semigroups._MAX_PAIR_ENTRIES}",
+    }
     assert "Traceback" not in err
 
 

@@ -63,15 +63,13 @@ def reference_closure(grid):
     return tuple(sorted({combine(grid.semigroup, s, t) for s, t in itertools.product(grid.elements, repeat=2)}))
 
 
-def reference_defect(table, grid):
-    """The multiplicativity defect as a scalar loop over grid pairs."""
+def reference_defect(values, grid):
+    """The multiplicativity defect of closure-indexed ``values`` as a scalar loop over grid pairs of a dict."""
+    table = {el: complex(v) for el, v in zip(grid.pairs_closure, values)}
     defect = 0.0
     for s, t in itertools.product(grid.elements, repeat=2):
         st = combine(grid.semigroup, s, t)
-        try:
-            defect = max(defect, abs(table[st] - table[s] * table[t]))
-        except KeyError as missing:
-            raise MissingGridValue(f"character table lacks element {missing}") from None
+        defect = max(defect, abs(table[st] - table[s] * table[t]))
     return defect
 
 
@@ -271,30 +269,21 @@ def test_defect_bit_equal_to_scalar_loop(grid, rng):
     closure = grid.pairs_closure
     for scale in (1e-3, 1.0, 1e3):
         values = scale * (rng.normal(size=len(closure)) + 1j * rng.normal(size=len(closure)))
-        table = {el: complex(v) for el, v in zip(closure, values)}
-        assert multiplicativity_defect(table, grid) == reference_defect(table, grid)
-    table[closure[-1]] = complex("nan+1j")
-    assert multiplicativity_defect(table, grid) == reference_defect(table, grid)
+        assert multiplicativity_defect(values, grid) == reference_defect(values, grid)
+    values[-1] = complex("nan+1j")
+    assert multiplicativity_defect(values, grid) == reference_defect(values, grid)
     # a true character table: the defect is rounding only
     z = random_character_point(rng, grid.semigroup)
     mu = AtomicMeasure(grid.semigroup, ((z, 1.0),))
-    table = {el: laplace_transform(mu, None, el, identity(grid.semigroup)) for el in closure}
-    assert multiplicativity_defect(table, grid) == reference_defect(table, grid)
-
-
-def test_defect_ignores_extra_keys_and_reports_missing_ones():
-    grid = default_grid(Semigroup.nat_add(1), order=2)
-    table = {(k,): 0.5**k for k in range(6)}
-    assert multiplicativity_defect(table, grid) == 0.0
-    del table[(3,)]
-    with pytest.raises(MissingGridValue):
-        multiplicativity_defect(table, grid)
+    values = np.array([laplace_transform(mu, None, el, identity(grid.semigroup)) for el in closure])
+    assert multiplicativity_defect(values, grid) == reference_defect(values, grid)
 
 
 @pytest.mark.parametrize("semigroup", [NAT_ADD2, NAT_MULT2, HALF_LINE], ids=["natadd", "natmult", "halfline"])
 def test_character_table_is_a_read_only_view_in_closure_order(semigroup, rng):
     grid = default_grid(semigroup, order=2)
-    mu = AtomicMeasure(semigroup, ((random_character_point(rng, semigroup), 1.5 - 0.5j),))
+    z = random_character_point(rng, semigroup)
+    mu = AtomicMeasure(semigroup, ((z, 1.5 - 0.5j),))
     _, table = recover_point_mass(mu, None, grid)
     closure = grid.pairs_closure
     assert len(table) == len(closure) and list(table) == list(closure)
@@ -309,16 +298,10 @@ def test_character_table_is_a_read_only_view_in_closure_order(semigroup, rng):
         table[closure[1]] = 0j
     with pytest.raises(ValueError):
         table.values[1] = 0j
-    # a plain dict reads the same; one that misses an element raises
-    as_dict = dict(table.items())
-    assert multiplicativity_defect(as_dict, grid) == multiplicativity_defect(table, grid)
-    assert resolve_point(grid, as_dict, semigroup) == resolve_point(grid, table, semigroup)
-    # another grid object with the same closure reads the view's array
-    twin = EvaluationGrid(semigroup, grid.elements)
-    assert twin is not grid and multiplicativity_defect(table, twin) == multiplicativity_defect(table, grid)
-    del as_dict[closure[-1]]
-    with pytest.raises(MissingGridValue):
-        multiplicativity_defect(as_dict, grid)
+    # the engine reads the view's array, and the element view reads the same values
+    assert multiplicativity_defect(table.values, grid) == reference_defect([table[s] for s in closure], grid)
+    point, resolved = resolve_point(grid, table.values)
+    assert resolved and max(abs(a - b) for a, b in zip(point, z)) <= 1e-9
 
 
 # ------------------------------------------------------------ pair tables

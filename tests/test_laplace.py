@@ -9,7 +9,6 @@ from lapcov import (
     AtomicMeasure,
     char_eval,
     EvaluationGrid,
-    MissingGridValue,
     Semigroup,
     Symbol,
     Tolerances,
@@ -192,19 +191,13 @@ def test_recover_raises_when_f_mu_vanishes():
 
 def test_multiplicativity_defect_examples():
     grid = default_grid(SG1, order=1)  # elements (0,), (1,); closure adds (2,)
-    point_mass_table = {(0,): 1 + 0j, (1,): 0.5 + 0.5j, (2,): (0.5 + 0.5j) ** 2}
-    assert multiplicativity_defect(point_mass_table, grid) <= 1e-12
+    point_mass_values = np.array([1 + 0j, 0.5 + 0.5j, (0.5 + 0.5j) ** 2])
+    assert multiplicativity_defect(point_mass_values, grid) <= 1e-12
 
     # from the two-atom measure: gamma = {0: 1, 1: 0, 2: 1}
-    assert multiplicativity_defect({(0,): 1, (1,): 0, (2,): 1}, grid) == 1
+    assert multiplicativity_defect(np.array([1, 0, 1], dtype=complex), grid) == 1
 
-    assert multiplicativity_defect({(0,): 1, (1,): 1, (2,): 1}, grid) == 0
-
-
-def test_multiplicativity_defect_missing_value():
-    grid = default_grid(SG1, order=1)
-    with pytest.raises(MissingGridValue):
-        multiplicativity_defect({(0,): 1, (1,): 1}, grid)
+    assert multiplicativity_defect(np.ones(3, dtype=complex), grid) == 0
 
 
 # ---------------------------------------------------------- factorization

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from lapcov import (
@@ -15,7 +16,7 @@ from lapcov import (
     total_mass,
     total_variation,
 )
-from lapcov.measures import MERGE_TOL, _point_distance, _point_sort_key
+from lapcov.measures import MERGE_TOL, Columns, _point_distance, _point_sort_key
 from lapcov.toeplitz import DiscMeasure
 
 SG1 = Semigroup.nat_add(1)
@@ -161,11 +162,8 @@ def random_point(rng, dim, scale=1.0):
     return tuple(complex(*rng.normal(size=2)) * scale for _ in range(dim))
 
 
-NON_FINITE = (complex(math.nan, 0.0), complex(-math.inf, 1.0), complex(0.0, math.inf), complex(math.nan, math.nan))
-
-
 def jittered_atoms(rng, dim, scale):
-    """Copies of a few centers, each moved by up to 1.5 * MERGE_TOL; some exact copies, some coordinates not finite."""
+    """Copies of a few centers, each moved by up to 1.5 * MERGE_TOL, and some exact copies."""
     centers = [random_point(rng, dim, scale) for _ in range(int(rng.integers(1, 6)))]
     atoms = []
     for _ in range(int(rng.integers(1, 40))):
@@ -175,20 +173,17 @@ def jittered_atoms(rng, dim, scale):
         center = centers[int(rng.integers(len(centers)))]
         jitter = rng.uniform(0.0, 1.5 * MERGE_TOL) / 2
         point = tuple(z + complex(*rng.normal(size=2)) * jitter for z in center)
-        if rng.random() < 0.1:
-            at = int(rng.integers(dim))
-            point = point[:at] + (NON_FINITE[int(rng.integers(len(NON_FINITE)))],) + point[at + 1:]
         atoms.append((point, complex(*rng.normal(size=2))))
     return atoms
 
 
 def disc_atoms(atoms):
-    """(position, weight) atoms of 1-point atoms that lie in the disc (NaN positions pass its check)."""
-    return [(p[0], w) for p, w in atoms if not abs(p[0]) > 0.5]
+    """(position, weight) atoms of 1-point atoms that lie in the disc."""
+    return [(p[0], w) for p, w in atoms if abs(p[0]) <= 0.5]
 
 
 def assert_both_merge_like_the_scan(semigroup, atoms):
-    # repr, so that NaN coordinates compare equal; -0.0 and 0.0 differ in it
+    # repr, so that -0.0 and 0.0 differ
     assert repr(AtomicMeasure(semigroup, tuple(atoms)).atoms) == repr(merge_loop(atoms))
     if semigroup.point_dim == 1:
         disc = disc_atoms(atoms)
@@ -212,16 +207,34 @@ def test_merge_matches_the_pairwise_scan(rng, dim):
         assert_both_merge_like_the_scan(sg, atoms)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_exact_copies_with_a_non_finite_coordinate_stay_apart(dim):
-    # a distance to a point with a NaN or infinite coordinate is NaN or inf, never within MERGE_TOL
+NON_FINITE = (complex(math.nan, 0.0), complex(-math.inf, 1.0), complex(0.0, math.inf), complex(math.nan, math.nan))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_non_finite_atoms_are_refused_where_they_enter(dim):
     sg = Semigroup.nat_add(dim)
+    good = (complex(0.25, 0.1),) * dim
     for bad in NON_FINITE:
         for at in range(dim):
-            point = tuple(bad if c == at else complex(0.25, 0.1) for c in range(dim))
-            atoms = [(point, 1 + 0j), ((complex(0.25, 0.1),) * dim, 2 + 0j), (point, 3j)]
-            assert len(AtomicMeasure(sg, tuple(atoms)).atoms) == 3
-            assert_both_merge_like_the_scan(sg, atoms)
+            point = good[:at] + (bad,) + good[at + 1:]
+            for atoms in ([(good, 1.0), (point, 2.0)], Columns(np.array([good, point]), [1.0, 2.0])):
+                with pytest.raises(ValueError, match="^character point coordinates must be finite"):
+                    AtomicMeasure(sg, atoms)
+        for atoms in ([(good, 1.0), ((0.5,) * dim, bad)], Columns(np.array([good]), np.array([bad]))):
+            with pytest.raises(ValueError, match="^atom weights must be finite"):
+                AtomicMeasure(sg, atoms)
+        if dim == 1:
+            with pytest.raises(ValueError, match="^character point coordinates must be finite"):
+                AtomicMeasure(Semigroup.half_line(), [((bad,), 1.0)])
+            with pytest.raises(ValueError, match="lies outside radius 0.5$"):
+                DiscMeasure(((0.1, 1.0), (bad, 2.0)))
+            with pytest.raises(ValueError, match="^disc atom weights must be finite"):
+                DiscMeasure(((0.1, 1.0), (0.2, bad)))
+    # finite weights whose merged sum overflows
+    with pytest.raises(ValueError, match="^atom weights must be finite, also once coincident atoms are summed$"):
+        AtomicMeasure(sg, [(good, 1e308), (good, 1e308)])
+    with pytest.raises(ValueError, match="^disc atom weights must be finite"):
+        DiscMeasure(((0.1, 1e308), (0.1, 1e308)))
 
 
 def test_signed_zeros_merge_into_the_first_atom():

@@ -12,6 +12,7 @@ from lapcov import (
     admissible_generator,
     apply_shift,
     bv_norm,
+    char_eval,
     compose,
     default_grid,
     factorization_residual,
@@ -20,7 +21,9 @@ from lapcov import (
     positive_definite_check,
     semicharacter_defect,
     semicharacter_from_point,
+    semigroups,
 )
+from lapcov.errors import GridTooLarge
 
 from helpers import random_character_point, random_nonnegative_measure
 
@@ -191,6 +194,25 @@ def test_semicharacter_defect_of_true_characters(rng):
             point = random_character_point(rng, sg)
             eta = semicharacter_from_point(sg, point, grid)
             assert semicharacter_defect(eta, pairs) <= 1e-12
+
+
+def test_semicharacter_from_point_is_the_unit_point_mass_table(rng, monkeypatch):
+    for sg in ALL_KINDS:
+        grid = default_grid(sg, order=2)
+        point = random_character_point(rng, sg)
+        eta = semicharacter_from_point(sg, point, grid)
+        for s, t in itertools.product(grid.pairs_closure, repeat=2):
+            want = char_eval(sg, point, s) * char_eval(sg, point, t).conjugate()
+            assert abs(eta(s, t) - want) <= 1e-15 * max(1.0, abs(want))
+    # the point is checked as an atom's is
+    with pytest.raises(ValueError, match="^expected character point of length 2, got 1$"):
+        semicharacter_from_point(Semigroup.nat_add(2), (0.5,), default_grid(Semigroup.nat_add(2), order=1))
+    with pytest.raises(ValueError, match="^half-line character points need Re z >= 0$"):
+        semicharacter_from_point(Semigroup.half_line(), (-5 + 0j,), default_grid(Semigroup.half_line(), order=2))
+    # and the table is bounded as every pair table is
+    monkeypatch.setattr(semigroups, "_MAX_PAIR_ENTRIES", 1000)
+    with pytest.raises(GridTooLarge, match="^a grid closure of 41 elements has 1681 pairs, more than the supported 1000$"):
+        semicharacter_from_point(SG1, (0.5,), default_grid(SG1, order=20))
 
 
 def test_semicharacter_defect_two_atom_transform():
