@@ -67,7 +67,7 @@ def _grid_fields(grid) -> dict:
 
 
 def _character_table_json(grid, table) -> Table:
-    return Table(("s", "value"), (element_labels(grid.semigroup, grid.closure_exponents), table.values))
+    return Table(("s", "value"), (element_labels(grid.semigroup, grid.closure_exponents), table.array))
 
 
 def _cmd_transform(scenario, args):
@@ -137,6 +137,7 @@ def _cmd_toeplitz(scenario, args):
     grid = scenario.grid
     nus = disc_measures(mu, scenario.symbol, grid.exponents)
     moments = moment_matrices(nus, order)
+    # both stacks are finite here: moment_matrices and toeplitz_matrix raise NumericOverflow otherwise
     t_sigmas = np.linalg.svd(toeplitz_matrix(moments), compute_uv=False)
     m_sigmas = np.linalg.svd(moments, compute_uv=False)
     checks = [luecking_check(nu, m_sigma, rank_tol) for nu, m_sigma in zip(nus, m_sigmas)]
@@ -180,7 +181,7 @@ def _cmd_prony(scenario, args):
     grid = scenario.grid
     try:
         _, gamma = recover_point_mass(mu, scenario.symbol, grid, scenario.tolerances)
-        direct = gamma.values[grid.products[0]].tolist()
+        direct = gamma.array[grid.products[0]].tolist()
     except FMuIntegralZero:
         direct = [None] * len(grid.elements)
     nus = disc_measures(mu, scenario.symbol, grid.exponents)

@@ -14,10 +14,10 @@ a certified point mass (relative to the grid), a certified non-point-mass
 """
 
 import cmath
-import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .semigroups import (
     NAT_MULT,
     Semigroup,
     _check_pairs,
+    box_closure,
     character_matrix,
     closure_table,
     complex_product,
@@ -106,10 +107,11 @@ class EvaluationGrid:
     coordinates or prime-exponent vectors, or the reals of the half-line.
     Both are built once, here, and every character matrix over the grid
     reads them; the closure is built in exponent space, without factoring.
-    The constructor takes ``(semigroup, elements, order)`` and checks each
-    element with ``element_exponents``; ``default_grid`` hands its exponent
-    rows over instead.  The other four fields are derived, and equality
-    ignores them.
+    The constructor takes ``(semigroup, elements, order)``, checks each
+    element with ``element_exponents`` and sorts out the closure with
+    ``closure_table``; ``default_grid`` hands over its box instead, whose
+    closure ``box_closure`` writes down in closed form.  The other four
+    fields are derived, and equality ignores them.
     """
 
     semigroup: Semigroup
@@ -119,13 +121,15 @@ class EvaluationGrid:
     products: np.ndarray = field(default=None, init=False, compare=False, repr=False)
     exponents: np.ndarray = field(default=None, init=False, compare=False, repr=False)
     closure_exponents: np.ndarray = field(default=None, init=False, compare=False, repr=False)
+    # the top coordinate of a default grid's box {0..top}^d, set by _from_box
+    _box_top: ClassVar[int] = None
 
     def __post_init__(self):
         sg = self.semigroup
-        rows = self.exponents  # None unless set by _from_rows
-        if rows is None:
-            rows = element_exponents(sg, (identity(sg), *self.elements))
-        rows, closure, products = closure_table(sg, rows)
+        if self._box_top is None:
+            rows, closure, products = closure_table(sg, element_exponents(sg, (identity(sg), *self.elements)))
+        else:
+            rows, closure, products = box_closure(sg, self._box_top)
         for array in (rows, closure, products):
             array.setflags(write=False)
         object.__setattr__(self, "elements", _as_elements(sg, rows))
@@ -135,10 +139,10 @@ class EvaluationGrid:
         object.__setattr__(self, "closure_exponents", closure)
 
     @classmethod
-    def _from_rows(cls, semigroup: Semigroup, rows: np.ndarray, order: int) -> "EvaluationGrid":
-        """The grid of exponent ``rows``, which include the identity's, without validating an element."""
+    def _from_box(cls, semigroup: Semigroup, top: int, order: int) -> "EvaluationGrid":
+        """The grid of the exponent box {0..top}^d, without validating an element."""
         grid = object.__new__(cls)
-        for name, value in (("semigroup", semigroup), ("order", order), ("exponents", rows)):
+        for name, value in (("semigroup", semigroup), ("order", order), ("_box_top", top)):
             object.__setattr__(grid, name, value)
         grid.__post_init__()
         return grid
@@ -157,8 +161,9 @@ def default_grid(semigroup: Semigroup, order: int = None) -> EvaluationGrid:
     2 for d == 3, 1 beyond).  nat_mult: integers with prime exponents
     <= order (default 2), so their exponent rows are the same multi-indices.
     half_line: 0, 0.25, ..., 0.25 * order (default 8).  An order <= 0 gives
-    the identity alone.  The rows go to the grid as built: no element is
-    validated or factored.  A grid too large for its pair table raises
+    the identity alone.  The grid is built from its box: no element is
+    validated or factored, and the closure is the box of twice the order
+    (``box_closure``).  A grid too large for its pair table raises
     GridTooLarge before any row is built.
     """
     if order is None and semigroup.family == NAT_ADD:
@@ -167,32 +172,29 @@ def default_grid(semigroup: Semigroup, order: int = None) -> EvaluationGrid:
         order = 2 if semigroup.family == NAT_MULT else 8
     top = max(order, 0)
     _check_pairs((top + 1) ** semigroup.dim, "a grid")
-    if semigroup.family == HALF_LINE:
-        rows = 0.25 * np.arange(top + 1)
-    else:
-        rows = np.array(list(itertools.product(range(top + 1), repeat=semigroup.dim)), dtype=np.int64)
-    return EvaluationGrid._from_rows(semigroup, rows, order)
+    return EvaluationGrid._from_box(semigroup, top, order)
 
 
 class CharacterTable(Mapping):
-    """Read-only {element: complex} view of ``values``, a complex array indexed like ``grid.pairs_closure``.
+    """Read-only {element: complex} view of ``array``, a complex array indexed like ``grid.pairs_closure``.
 
-    The engine reads ``values`` by closure index; a lookup by element builds
-    the element index on first use.
+    The engine reads ``array`` by closure index; a lookup by element builds
+    the element index on first use.  ``keys()``, ``values()`` and
+    ``items()`` are the Mapping's, in closure order.
     """
 
-    def __init__(self, grid: EvaluationGrid, values: np.ndarray):
+    def __init__(self, grid: EvaluationGrid, array: np.ndarray):
         self.grid = grid
-        self.values = values
+        self.array = array
         self._index = None
 
     def __getitem__(self, element) -> complex:
         if self._index is None:
             self._index = {el: i for i, el in enumerate(self.grid.pairs_closure)}
-        return complex(self.values[self._index[element]])
+        return complex(self.array[self._index[element]])
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.array)
 
     def __iter__(self):
         return iter(self.grid.pairs_closure)
@@ -312,7 +314,7 @@ def multiplicativity_defect(values: np.ndarray, grid: EvaluationGrid) -> float:
     """max over grid pairs of |gamma(s*t) - gamma(s)*gamma(t)|.
 
     ``values`` is gamma as a complex array indexed like ``grid.pairs_closure``
-    (a ``CharacterTable``'s ``values``).  Computed in real arithmetic in the
+    (a ``CharacterTable``'s ``array``).  Computed in real arithmetic in the
     order Python's complex operations use, so the result matches a scalar
     loop bit for bit.
     """
@@ -380,14 +382,14 @@ def read_point_mass(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Tolera
     if mass_vanishes(mu, tol):
         raise MassZero("total mass is numerically zero; nothing to recover")
     mass, table = recover_point_mass(mu, symbol, grid, tol)
-    point, resolved = resolve_point(grid, table.values)
+    point, resolved = resolve_point(grid, table.array)
     return CovarianceVerdict(
         kind=POINT_MASS,
         mass=mass,
         character=table,
         point=point,
         point_resolved=resolved,
-        character_defect=multiplicativity_defect(table.values, grid),
+        character_defect=multiplicativity_defect(table.array, grid),
     )
 
 

@@ -16,7 +16,10 @@ So both integer families are the same problem in exponent space: a
 nat_mult product is a sum of exponent rows, as in nat_add.  A list of
 elements reaches exponent space one way, one check per element
 (``validate_element``, or one ``kappa`` call for nat_mult); default grids
-start there and are never factored.  Tables over pairs of elements, and the
+start there and are never factored.  The closure of an element list is
+found by sorting its pairwise products (``closure_table``); a default
+grid's is the box of twice its order, written down in closed form
+(``box_closure``).  Tables over pairs of elements, and the
 Toeplitz route's moment and design stacks, are bounded by ``_MAX_PAIR_ENTRIES``.
 Characters are evaluated with the convention 0**0 = 1, so every character
 takes the value 1 at the identity.
@@ -171,7 +174,9 @@ def closure_table(semigroup: Semigroup, rows: np.ndarray):
     (n, n) index table with ``closure[products[i, j]]`` equal to
     ``elements[i] + elements[j]``, the exponent of the product.  No element
     is factored: equal sort keys have equal rows, so any pair with a key
-    gives its row.
+    gives its row.  Element lists take this path; a default grid's box takes
+    ``box_closure``, which returns the same arrays without the sort over the
+    n^2 pair keys, and the tests hold the two equal.
     """
     keys, first = np.unique(_sort_keys(semigroup, rows), return_index=True)
     _check_pairs(len(keys), "a grid")
@@ -181,6 +186,42 @@ def closure_table(semigroup: Semigroup, rows: np.ndarray):
     unique, first, inverse = np.unique(pair_keys.ravel(), return_index=True, return_inverse=True)
     closure = unique if semigroup.family == HALF_LINE else rows[first // n] + rows[first % n]
     return rows, closure, inverse.reshape(n, n)
+
+
+def _box(top: int, dim: int) -> np.ndarray:
+    """The exponent rows {0..top}^dim in lexicographic order, shape ((top + 1)**dim, dim) int64."""
+    return np.ascontiguousarray(np.indices((top + 1,) * dim, dtype=np.int64).reshape(dim, -1).T)
+
+
+def box_closure(semigroup: Semigroup, top: int):
+    """``closure_table`` of a default grid's box, in closed form: no sort over pairs.
+
+    The box is the exponent rows {0..top}^d (the reals 0.25 * {0..top} on the
+    half-line) and its closure is the box {0..2 top}^d.  A row's mixed-radix
+    code in radix 2 top + 1 is its index in the closure box in lexicographic
+    order, so two rows' codes add to their product's index.  nat_add keeps
+    both boxes in lexicographic order, which is their order by element;
+    nat_mult sorts each box by integer value and maps a code to its rank; on
+    the half-line the indices are the multiples of 0.25 themselves, and their
+    sums are exact.  The element rows pass ``_sort_keys``, so a box out of
+    range raises what ``closure_table`` raises on them; the pair count is the
+    caller's to check.  Returns what ``closure_table`` returns on the box's
+    rows, equal in value and dtype.
+    """
+    if semigroup.family == HALF_LINE:
+        index = np.arange(top + 1)
+        rows = _sort_keys(semigroup, 0.25 * index)
+        return rows, 0.25 * np.arange(2 * top + 1), np.add.outer(index, index)
+    rows = _box(top, semigroup.dim)
+    keys = _sort_keys(semigroup, rows)
+    closure = _box(2 * top, semigroup.dim)
+    if semigroup.family == NAT_ADD:  # the keys are the codes
+        return rows, closure, np.add.outer(keys, keys)
+    order, closure_order = np.argsort(keys), np.argsort(element_labels(semigroup, closure))
+    rank = np.empty_like(closure_order)
+    rank[closure_order] = np.arange(len(closure_order))
+    codes = rows[order] @ (2 * top + 1) ** np.arange(semigroup.dim - 1, -1, -1)
+    return rows[order], closure[closure_order], rank[np.add.outer(codes, codes)]
 
 
 def element_labels(semigroup: Semigroup, rows: np.ndarray) -> np.ndarray:

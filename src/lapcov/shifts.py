@@ -8,12 +8,13 @@ bounded-variation description of generalized Laplace transforms.
 """
 
 import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingGridValue
+from .errors import MissingGridValue, NumericOverflow
 from .laplace import EvaluationGrid
 from .measures import AtomicMeasure, Symbol, charges, symbol_values
 from .semigroups import Semigroup, _check_pairs, character_matrix, combine, identity, validate_element
@@ -153,13 +154,23 @@ class PairFunction:
 def pair_function_from_measure(mu: AtomicMeasure, grid: EvaluationGrid, symbol: Symbol = None) -> PairFunction:
     """Tabulate the (optionally F-weighted) transform of mu on closure x closure.
 
-    A closure too large for the table raises GridTooLarge before any of it is built.
+    A closure too large for the table raises GridTooLarge before any of it is
+    built.  Finite charges and characters can still overflow in the table:
+    this function owns its finiteness check, which ``positive_definite_check``
+    relies on, and raises NumericOverflow on a value that is not finite.  No
+    entry exceeds sum_k |w_k| max_s |rho_k(s)|^2 in modulus, so only a table
+    whose bound overflows is checked entry by entry.
     """
     closure = grid.pairs_closure
     _check_pairs(len(closure), "a grid closure")
     w = charges(mu, symbol_values(symbol, mu.points))
     P = character_matrix(mu.semigroup, mu.points, grid.closure_exponents)
-    return PairFunction(grid, PairTable(closure, P.T @ (w[:, None] * P.conj())))
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = P.T @ (w[:, None] * P.conj())
+        bound = 2.0 * float(np.sum(np.abs(w) * np.max(np.abs(P), axis=1, initial=0.0) ** 2))
+    if not math.isfinite(bound) and not np.isfinite(table).all():
+        raise NumericOverflow("a pair-function value overflows the float range")
+    return PairFunction(grid, PairTable(closure, table))
 
 
 def semicharacter_from_point(semigroup: Semigroup, point, grid: EvaluationGrid) -> PairFunction:
@@ -196,6 +207,9 @@ def positive_definite_check(f: PairFunction, points, rel_tol: float = 1e-10) -> 
     ``points`` is a list of pairs (s, t); with the swap involution the probed
     arguments are (s_j t_k, t_j s_k).  The Gram matrix is symmetrized before
     the eigenvalue computation; its raw asymmetry is reported separately.
+    A finite Gram matrix can still overflow in its symmetrization or its
+    eigenvalues: this function owns that check, so ``np.linalg.eigvalsh``
+    sees finite matrices only, and raises NumericOverflow.
     """
     sg = f.semigroup
     n = len(points)
@@ -203,10 +217,15 @@ def positive_definite_check(f: PairFunction, points, rel_tol: float = 1e-10) -> 
     for j, (sj, tj) in enumerate(points):
         for k, (sk, tk) in enumerate(points):
             gram[j, k] = f(combine(sg, sj, tk), combine(sg, tj, sk))
-    hermitian = (gram + gram.conj().T) / 2.0
-    asymmetry = float(np.linalg.norm(gram - gram.conj().T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        hermitian = (gram + gram.conj().T) / 2.0
+        asymmetry = float(np.linalg.norm(gram - gram.conj().T))
+        trace = abs(float(np.trace(hermitian).real))
+    if not (np.isfinite(hermitian).all() and math.isfinite(asymmetry) and math.isfinite(trace)):
+        raise NumericOverflow("the Gram matrix overflows the float range")
     min_eig = float(np.linalg.eigvalsh(hermitian).min())
-    trace = abs(float(np.trace(hermitian).real))
+    if not math.isfinite(min_eig):
+        raise NumericOverflow("the Gram matrix's least eigenvalue overflows the float range")
     return DefinitenessResult(min_eig, min_eig >= -rel_tol * trace, asymmetry)
 
 

@@ -130,7 +130,10 @@ def moment_matrices(nus, order: int, rows: int = None) -> np.ndarray:
     the extra shifted row needed by the pencil recovery.  Measures with the
     same atom count share one Vandermonde stack and one stacked matmul, so
     every matrix is byte-equal to building it alone.  A stack too large to
-    hold raises GridTooLarge before any of it is built.
+    hold raises GridTooLarge before any of it is built.  Finite weights can
+    still overflow in their sums: this function owns the finiteness check of
+    the moment stack, which ``np.linalg.svd`` and ``prony_pencils`` read, and
+    raises NumericOverflow on a stack that is not finite.
     """
     if order < 1:
         raise ValueError("matrix order must be >= 1")
@@ -140,10 +143,14 @@ def moment_matrices(nus, order: int, rows: int = None) -> np.ndarray:
     for i, nu in enumerate(nus):
         groups.setdefault(len(nu.atoms), []).append(i)
     out = np.empty((len(nus), rows, order), dtype=complex)
-    for index in groups.values():
-        V = _power_columns([nus[i].positions for i in index], max(rows, order))
-        weights = np.array([nus[i].weights for i in index], dtype=complex)
-        out[index] = (V[:, :rows] * weights[:, None, :]) @ V[:, :order].conj().transpose(0, 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index in groups.values():
+            V = _power_columns([nus[i].positions for i in index], max(rows, order))
+            weights = np.array([nus[i].weights for i in index], dtype=complex)
+            out[index] = (V[:, :rows] * weights[:, None, :]) @ V[:, :order].conj().transpose(0, 2, 1)
+    # LAPACK's SVD fails on a NaN, or never ends
+    if not np.isfinite(out).all():
+        raise NumericOverflow("a moment matrix overflows the float range")
     return out
 
 
@@ -158,10 +165,17 @@ def toeplitz_matrix(moments: np.ndarray) -> np.ndarray:
     ``moments`` is one (order, order) moment matrix or a stack of them.  In
     the orthonormal monomial basis e_j = sqrt((j+1)/pi) z^j the entries are
     T[j, k] = sqrt((j+1)(k+1))/pi * sum_i m_i a_i^k conj(a_i)^j = sqrt((j+1)(k+1))/pi * M[k, j],
-    so T[0, 0] = nu(disc) / pi.
+    so T[0, 0] = nu(disc) / pi.  Finite moments can overflow in T: this
+    function owns the finiteness check of the Toeplitz stack, which the
+    ``toeplitz`` command hands to ``np.linalg.svd``, and raises
+    NumericOverflow on a stack that is not finite.
     """
     j = np.arange(1, moments.shape[-1] + 1, dtype=float)
-    return np.sqrt(np.outer(j, j)) / math.pi * np.swapaxes(moments, -1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.sqrt(np.outer(j, j)) / math.pi * np.swapaxes(moments, -1, -2)
+    if not np.isfinite(out).all():
+        raise NumericOverflow("a Toeplitz matrix overflows the float range or is not a number")
+    return out
 
 
 def _rank_from_sigma(sigma: np.ndarray, rel_tol: float) -> int:
@@ -172,8 +186,14 @@ def _rank_from_sigma(sigma: np.ndarray, rel_tol: float) -> int:
 
 
 def numerical_rank(matrix: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above rel_tol times the largest (0 for the zero matrix)."""
-    return _rank_from_sigma(np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False), rel_tol)
+    """Number of singular values above rel_tol times the largest (0 for the zero matrix).
+
+    A matrix with an entry that is not finite raises ValueError before it reaches LAPACK.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix entries must be finite")
+    return _rank_from_sigma(np.linalg.svd(matrix, compute_uv=False), rel_tol)
 
 
 class LueckingResult(NamedTuple):
@@ -255,9 +275,12 @@ def prony_pencils(tables: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> list
     pencil is byte-equal to solving its table alone.  A rank group's design
     stack too large to hold raises GridTooLarge before it is built.  Nothing
     else is raised: a pencil that is singular beyond tolerance or has
-    non-finite eigenvalues (RankDeficientPencil), whose design overflows
-    (NumericOverflow; it never reaches LAPACK), or whose least-squares solve
-    does not converge (LinAlgError) carries the exception in ``error``.
+    non-finite eigenvalues (RankDeficientPencil), whose restricted pencil or
+    design overflows (NumericOverflow; neither reaches LAPACK), or whose
+    least-squares solve does not converge (LinAlgError) carries the exception
+    in ``error``.  ``tables`` must be finite, since LAPACK's SVD may never end
+    on a NaN: ``moment_matrices`` checks the stacks it builds, and
+    ``prony_recover`` a table it is handed without a pencil.
     """
     tables = np.asarray(tables, dtype=complex)
     n, rows, cols = tables.shape
@@ -276,10 +299,16 @@ def prony_pencils(tables: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> list
     for rank, index in groups.items():
         Ur = U[index, :, :rank]
         Vr = Vh[index, :rank, :].conj().transpose(0, 2, 1)
-        restricted = Ur.conj().transpose(0, 2, 1) @ tables[index, 1:, :] @ Vr
-        positions = np.linalg.eigvals(restricted / sigmas[index, :rank, None])
-        finite = np.isfinite(positions).all(axis=1)
+        # a finite table can still overflow in its restriction; eigvals must not see it
+        with np.errstate(over="ignore", invalid="ignore"):
+            restricted = Ur.conj().transpose(0, 2, 1) @ tables[index, 1:, :] @ Vr / sigmas[index, :rank, None]
         index = np.asarray(index)
+        bounded = np.isfinite(restricted).all(axis=(1, 2))
+        for i in index[~bounded].tolist():
+            pencils[i] = Pencil(rank, None, None, None, NumericOverflow("a restricted pencil overflows the float range"))
+        index, restricted = index[bounded], restricted[bounded]
+        positions = np.linalg.eigvals(restricted)
+        finite = np.isfinite(positions).all(axis=1)
         for i in index[~finite].tolist():
             pencils[i] = Pencil(rank, None, None, None, RankDeficientPencil("pencil eigenvalues are not finite"))
         index, positions = index[finite], positions[finite]
@@ -344,6 +373,8 @@ def prony_recover(nu, k_max: int = None, rel_tol: float = DEFAULT_RANK_TOL, penc
             raise ValueError("moment table must have shape (n+1, n) or larger")
         if k_max is not None and k_max + 1 <= table.shape[0] - 1 and k_max <= table.shape[1]:
             table = table[: k_max + 1, :k_max]
+        if pencil is None and not np.isfinite(table).all():
+            raise ValueError("moment table entries must be finite")
 
     if pencil is None:
         pencil = prony_pencils(table[None], rel_tol)[0]

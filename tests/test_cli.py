@@ -1084,6 +1084,8 @@ OVERFLOW_SCENARIOS = {
         "measure": {"atoms": [{"point": [[20.0, 0.0]], "weight": [1e-20, 0.0]}, {"point": [[0.5, 0.0]], "weight": [1e-20, 0.0]}]},
         "symbol": {"kind": "poly", "terms": [{"m": [0], "c": [1e150, 0]}]},
     },
+    # each charge F w = 1e308 is finite, the pair-function table's sums of them are not
+    "pair_table": overflow_measure(1, 0.25, symbol={"kind": "poly", "terms": [{"m": [0], "c": [1e308, 0]}]}),
     # a kernel coefficient whose square overflows
     "kernel_coefficient": {
         "semigroup": {"kind": "nat_add", "d": 1},
@@ -1099,7 +1101,7 @@ MEASURE_COMMANDS = ["covariance", "recover", "transform", "toeplitz", "prony", "
 OVERFLOW_CASES = [(name, command) for name in ("power", "product", "symbol") for command in MEASURE_COMMANDS]
 OVERFLOW_CASES += [("symbol_squared", command) for command in ("covariance", "toeplitz", "prony")]
 OVERFLOW_CASES += [("charge_times_character", command) for command in ("covariance", "prony")]
-OVERFLOW_CASES += [("residual_scale", "covariance")]
+OVERFLOW_CASES += [("residual_scale", "covariance"), ("pair_table", "pd")]
 OVERFLOW_CASES += [("random_vector", "random-vector"), ("kernel", "kernel"), ("kernel_coefficient", "kernel")]
 
 
@@ -1111,6 +1113,34 @@ def test_overflow_is_a_numeric_overflow_error(tmp_path, name, command):
     assert code == 1
     assert json.loads(out)["error"]["code"] == "numeric_overflow"
     assert "Traceback" not in err
+
+
+def moment_overflow_measure(semigroup, d):
+    """Atoms at 0.5 and 0.25 under F = 1e154: each charge |F|^2 w = 1e308 is finite, the moments they add to are not."""
+    atoms = [{"point": [[p, 0.0]] * d, "weight": [1.0, 0.0]} for p in (0.5, 0.25)]
+    symbol = {"kind": "poly", "terms": [{"m": [0] * d, "c": [1e154, 0]}]}
+    return {"semigroup": semigroup, "measure": {"atoms": atoms}, "symbol": symbol}
+
+
+MOMENT_OVERFLOW_SCENARIOS = {
+    "nat_add1": moment_overflow_measure({"kind": "nat_add", "d": 1}, 1),
+    "nat_add2": moment_overflow_measure({"kind": "nat_add", "d": 2}, 2),
+    "nat_mult2": moment_overflow_measure({"kind": "nat_mult", "primes": 2}, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOMENT_OVERFLOW_SCENARIOS))
+@pytest.mark.parametrize("command", ["toeplitz", "prony"])
+def test_a_moment_stack_that_overflows_never_reaches_lapack(tmp_path, name, command):
+    # LAPACK's SVD of the NaN stack failed (toeplitz) or never ended (prony); a
+    # fresh process bounds the run and shows every warning printed on stderr
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "lapcov.cli", command, write_scenario(tmp_path, MOMENT_OVERFLOW_SCENARIOS[name], "")]
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 1
+    assert json.loads(result.stdout)["error"]["code"] == "numeric_overflow"
+    assert "RuntimeWarning" not in result.stderr and "Traceback" not in result.stderr
 
 
 NAT_MULT3_SCENARIO = {

@@ -6,6 +6,7 @@ scalar semigroup operation ``combine``.
 
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from lapcov import (
 )
 from lapcov import semigroups
 from lapcov.errors import GridTooLarge
+from lapcov.laplace import read_point_mass
 from lapcov.semigroups import element_exponents, validate_element
 from lapcov.measures import MODE_ABS_F_SQ, MODE_CONJ_F, MODE_F
 
@@ -179,6 +181,44 @@ def test_a_default_grid_is_the_grid_of_its_own_elements(monkeypatch, family, sem
             assert _same_array(getattr(built, name), getattr(listed, name)), (order, name)
 
 
+def _box_rows(semigroup, top):
+    """The box {0..top}^d of a default grid, listed by ``itertools.product``."""
+    if semigroup.family == "half_line":
+        return 0.25 * np.arange(top + 1)
+    rows = itertools.product(range(top + 1), repeat=semigroup.dim)
+    return np.array(list(rows), dtype=np.int64).reshape(-1, semigroup.dim)
+
+
+@pytest.mark.parametrize(
+    "family,dim", [(family, dim) for family in ("nat_add", "nat_mult") for dim in (1, 2, 3, 4)] + [("half_line", 1)]
+)
+def test_the_closed_form_closure_of_a_box_is_closure_tables(family, dim):
+    semigroup = Semigroup(family, dim)
+    compared = 0
+    for order in range(13):
+        if ((order + 1) ** dim) ** 2 > semigroups._MAX_PAIR_ENTRIES:
+            continue  # default_grid refuses it first
+        try:
+            want = semigroups.closure_table(semigroup, _box_rows(semigroup, order))
+        except GridTooLarge as exc:
+            with pytest.raises(GridTooLarge, match=f"^{re.escape(str(exc))}$"):
+                semigroups.box_closure(semigroup, order)
+            continue
+        got = semigroups.box_closure(semigroup, order)
+        for name, a, b in zip(("rows", "closure", "products"), got, want):
+            assert _same_array(a, b), (order, name)
+        compared += 1
+    # nat_mult with 4 primes leaves the int64 range past order 4
+    assert compared >= 5
+
+
+def test_an_oversized_default_grid_raises_what_it_raised_before():
+    with pytest.raises(GridTooLarge, match="^a grid of 2197 elements has 4826809 pairs, more than the supported 4194304$"):
+        default_grid(Semigroup.nat_add(3), 12)
+    with pytest.raises(GridTooLarge, match="^product 21870000000\\*21870000000 exceeds the supported range$"):
+        default_grid(Semigroup.nat_mult(3), 7)
+
+
 def test_default_grids_below_order_one_hold_the_identity_alone():
     for semigroup in (NAT_ADD2, NAT_MULT2, HALF_LINE):
         for order in (0, -3):
@@ -289,7 +329,7 @@ def test_character_table_is_a_read_only_view_in_closure_order(semigroup, rng):
     assert len(table) == len(closure) and list(table) == list(closure)
     for i, s in enumerate(closure):
         assert s in table
-        assert table[s] == table.get(s) == complex(table.values[i]) and type(table[s]) is complex
+        assert table[s] == table.get(s) == complex(table.array[i]) and type(table[s]) is complex
     outside = {NAT_ADD2: (9, 0), NAT_MULT2: 7, HALF_LINE: 0.1}[semigroup]
     assert outside not in table and table.get(outside) is None and table.get(outside, 1j) == 1j
     with pytest.raises(KeyError):
@@ -297,11 +337,21 @@ def test_character_table_is_a_read_only_view_in_closure_order(semigroup, rng):
     with pytest.raises(TypeError):
         table[closure[1]] = 0j
     with pytest.raises(ValueError):
-        table.values[1] = 0j
+        table.array[1] = 0j
     # the engine reads the view's array, and the element view reads the same values
-    assert multiplicativity_defect(table.values, grid) == reference_defect([table[s] for s in closure], grid)
-    point, resolved = resolve_point(grid, table.values)
+    assert multiplicativity_defect(table.array, grid) == reference_defect([table[s] for s in closure], grid)
+    point, resolved = resolve_point(grid, table.array)
     assert resolved and max(abs(a - b) for a, b in zip(point, z)) <= 1e-9
+
+
+def test_character_table_keys_values_and_items_agree(rng):
+    grid = default_grid(NAT_MULT2, order=2)
+    mu = AtomicMeasure(NAT_MULT2, ((random_character_point(rng, NAT_MULT2), 1.5 - 0.5j),))
+    table = read_point_mass(mu, None, grid).character
+    assert list(table.keys()) == list(grid.pairs_closure)
+    assert list(table.values()) == [complex(v) for v in table.array] == [table[s] for s in table.keys()]
+    assert list(table.items()) == list(zip(table.keys(), table.values()))
+    assert all(type(v) is complex for v in table.values())
 
 
 # ------------------------------------------------------------ pair tables

@@ -8,6 +8,7 @@ from lapcov import (
     PairFunction,
     Semigroup,
     ShiftCombination,
+    Symbol,
     adjoint_op,
     admissible_generator,
     apply_shift,
@@ -23,7 +24,7 @@ from lapcov import (
     semicharacter_from_point,
     semigroups,
 )
-from lapcov.errors import GridTooLarge
+from lapcov.errors import GridTooLarge, NumericOverflow
 
 from helpers import random_character_point, random_nonnegative_measure
 
@@ -243,3 +244,27 @@ def test_factorization_matches_semicharacter_defect():
     normalized = PairFunction(grid, {k: v for k, v in two_atoms.values.items()})
     assert semicharacter_defect(normalized, pairs) > 1e-3
     assert max(abs(factorization_residual(two_atoms, s, t)) for s, t in pairs) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "off_diagonal,diagonal,message",
+    [
+        # every value is finite, the symmetrized Gram matrix's sums of them are not
+        (1.7e308, 1.7e308, "the Gram matrix overflows"),
+        # -a (J - I) on four points has trace 0 and least eigenvalue -3a
+        (-8e307, 0.0, "the Gram matrix's least eigenvalue overflows"),
+    ],
+)
+def test_a_gram_matrix_that_overflows_never_reaches_the_report(off_diagonal, diagonal, message):
+    grid = default_grid(SG1, order=3)
+    pairs = itertools.product(grid.pairs_closure, repeat=2)
+    f = PairFunction(grid, {(s, t): complex(diagonal if s == t else off_diagonal) for s, t in pairs})
+    with pytest.raises(NumericOverflow, match=message):
+        positive_definite_check(f, [(s, (0,)) for s in grid.elements])
+
+
+def test_a_pair_table_that_overflows_raises():
+    mu = measure((0.5, 1.0), (0.25, 1.0))
+    # each charge F w = 1e308 is finite, the table's sum of two of them is not
+    with pytest.raises(NumericOverflow, match="a pair-function value overflows"):
+        pair_function_from_measure(mu, default_grid(SG1, order=1), Symbol.constant(1e308))

@@ -589,3 +589,37 @@ def test_character_value_from_atom_inverts_scaling():
     a = disc_measure(mu, None, (1,)).positions[0]
     assert abs(character_value_from_atom(mu, (1,), a) - 0.5) < 1e-15
     assert sup_norm(mu, (1,)) == 0.5
+
+
+def test_a_moment_stack_that_overflows_raises_before_lapack():
+    # each weight is finite, their sum in the zeroth moment is not
+    nu = DiscMeasure(((0.25, 1e308), (0.125, 1e308)))
+    with pytest.raises(NumericOverflow, match="a moment matrix overflows"):
+        moment_matrices((nu,), 4)
+    with pytest.raises(NumericOverflow, match="a moment matrix overflows"):
+        prony_recover(nu)
+    # finite moments whose Toeplitz entries are not: T[0, 1] = sqrt(2) / pi * M[1, 0]
+    moments = np.zeros((2, 2), dtype=complex)
+    moments[1, 0] = 1.7e308 * math.pi
+    with pytest.raises(NumericOverflow, match="a Toeplitz matrix overflows"):
+        toeplitz_matrix(moments)
+
+
+def test_a_restricted_pencil_that_overflows_never_reaches_eigvals():
+    # the unshifted block's one singular direction is row 3, whose shift is the huge row 4
+    table = np.zeros((5, 4), dtype=complex)
+    table[3], table[4] = 1.0, 1.7e308
+    (pencil,) = prony_pencils(table[None])
+    assert pencil.rank == 1 and isinstance(pencil.error, NumericOverflow)
+    with pytest.raises(NumericOverflow, match="a restricted pencil overflows"):
+        prony_recover(table)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_table_that_is_not_finite_is_refused_before_lapack(bad):
+    table = np.eye(5, 4, dtype=complex)
+    table[2, 1] = bad
+    with pytest.raises(ValueError, match="moment table entries must be finite"):
+        prony_recover(table)
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        numerical_rank(table)
