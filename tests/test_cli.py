@@ -149,12 +149,17 @@ def test_rank_deficient_pencil_is_an_error():
 
 
 def test_cli_import_does_not_load_scipy():
-    # the package is numpy-only; importing scipy added about 0.2 s to every cold start
+    # the package is numpy-only; importing scipy added about 0.2 s to every cold start, numpy.ma about 20 ms
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, lapcov.cli; print('scipy' in sys.modules)"
+    argv = build_argv("two_atoms_natadd1.json", ["prony"])
+    probe = (
+        "import io, sys, lapcov.cli; "
+        f"code = lapcov.cli.main({argv!r}, stdout=io.StringIO(), stderr=io.StringIO()); "
+        "print(code, [name for name in ('scipy', 'numpy.ma') if name in sys.modules])"
+    )
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "0 []"
 
 
 def test_usage_error_exit_code():
@@ -897,6 +902,34 @@ def test_a_prony_op_does_not_call_np_linalg_lstsq(monkeypatch):
     code, out, _ = run_cli(build_argv(scenario, tail))
     with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
         assert code == 0 and out == fh.read()
+
+
+# F = z^2 - z/4 - 1/8 vanishes exactly on both atoms, so every disc measure is zero
+VANISHING_SYMBOL = {
+    "semigroup": {"kind": "nat_add", "d": 1},
+    "measure": {"atoms": [{"point": [[0.5, 0.0]], "weight": [1.0, 0.0]}, {"point": [[-0.25, 0.0]], "weight": [2.0, 0.0]}]},
+    "symbol": {"kind": "poly", "terms": [{"m": [0], "c": [-0.125, 0.0]}, {"m": [1], "c": [-0.25, 0.0]}, {"m": [2], "c": [1.0, 0.0]}]},
+}
+
+
+@pytest.mark.parametrize("command", ["prony", "toeplitz"])
+@pytest.mark.parametrize("name", ["vanishing_symbol_natadd1", "zero_mass_natadd1"])
+def test_empty_atom_lists_and_null_characters_keep_their_bytes(tmp_path, name, command):
+    # every element of rank 0, or ranks 0 and 2 on a zero-mass measure: empty ragged rows and all-null character columns
+    path = tmp_path / "vanishing.json"
+    path.write_text(json.dumps(VANISHING_SYMBOL))
+    source = str(path) if name == "vanishing_symbol_natadd1" else os.path.join(SCENARIOS, name + ".json")
+    outputs = [run_cli([command, source, "--format", fmt]) for fmt in ("json", "text")]
+    for (code, out, _), suffix in zip(outputs, (".json", ".txt")):
+        with open(os.path.join(DATA, "pinned", f"{name}__{command}{suffix}"), encoding="utf-8") as fh:
+            assert code == 0 and out == fh.read()
+    rows = json.loads(outputs[0][1])["per_element"]
+    if command == "toeplitz":
+        assert all(row["luecking_agree"] for row in rows)
+    else:
+        assert all(row["character_from_atom"] is row["character_direct"] is row["route_difference"] is None for row in rows)
+        assert [len(row["atoms"]) for row in rows] == [row["rank"] for row in rows]
+        assert {row["rank"] for row in rows} == ({0} if name == "vanishing_symbol_natadd1" else {0, 2})
 
 
 @pytest.mark.parametrize("target", ["missing_directory", "directory"])

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lapcov.cli as cli
-from lapcov.report import Table, _scalar, dumps, format_float
+from lapcov.report import Ragged, Table, _scalar, dumps, format_float
 
 from helpers import reference_dumps
 from test_cli import GOLDEN, GOLDEN_CASES, SCENARIOS, build_argv
@@ -185,6 +185,18 @@ def test_tables_fail_on_the_first_bad_value_in_record_order(change, error):
 # ------------------------------------------------------------ Table
 
 
+def ragged(counts, change=lambda columns: None):
+    """A ragged column whose row i holds ``counts[i]`` inner records (complex, float and other columns); ``change`` edits the inner columns."""
+    m = sum(counts)
+    columns = {
+        "position": np.array([complex(0.25 * j, -0.0 if j % 2 else 0.5) for j in range(m)], dtype=complex),
+        "weight": np.array([-0.0 if j % 3 else 1.0 / (j + 1) for j in range(m)], dtype=float),
+        "tag": [None if j % 2 else [j, -0.0] for j in range(m)],
+    }
+    change(columns)
+    return Ragged(Table(columns, columns.values()), np.cumsum([0] + list(counts)).tolist())
+
+
 def column_table(n, change=lambda columns: None):
     """``n`` records in the column kinds the commands use; ``change`` edits the columns."""
     label = [0, 1]
@@ -205,6 +217,7 @@ def column_table(n, change=lambda columns: None):
             for i in range(n)
         ],
         "float or None": [None if i % 2 else 1.5 * i for i in range(n)],
+        "ragged": ragged([i % 5 for i in range(n)]),  # rows of 0-4 records
         'key "%s" \\': ["x%d" % i for i in range(n)],
     }
     change(columns)
@@ -220,7 +233,11 @@ def _put(key, index, value):
 
 
 def test_table_records_hold_python_values():
-    records = column_table(2).records()
+    records = column_table(3).records()
+    assert records[0]["ragged"] == [] and records[2]["ragged"] == [
+        {"position": [0.25, -0.0], "weight": -0.0, "tag": None},
+        {"position": [0.5, 0.5], "weight": -0.0, "tag": [2, -0.0]},
+    ]
     assert records[1]["float"] == -0.5 and type(records[1]["float"]) is float
     assert records[1]["rows"] == [-0.0, 0.5, 1e300]
     assert records[1]["complex"] == [-0.0, -0.0]
@@ -235,6 +252,13 @@ def test_table_records_hold_python_values():
 @pytest.mark.parametrize("n", [0, 1, 2, 25])
 def test_tables_of_any_length_match_the_reference(n):
     report = {"table": column_table(n), "nested": [{"inner": column_table(n)}], "after": 1}
+    assert dumps(report) == reference_dumps(report)
+
+
+@pytest.mark.parametrize("counts", [[], [0], [0, 0, 0], [4], [1, 0, 2], [0, 1, 2, 3, 4], [3, 0, 0, 4, 0]], ids=str)
+def test_ragged_columns_match_the_reference(counts):
+    table = Table(("s", "atoms", "r"), (np.arange(len(counts)), ragged(counts), [float(c) for c in counts]))
+    report = {"table": table, "ragged alone": Table(("atoms",), (ragged(counts),))}
     assert dumps(report) == reference_dumps(report)
 
 
@@ -259,6 +283,17 @@ TABLE_FAULTS = {
     "nan in a complex column": (_put("complex", 1, complex(0.0, math.nan)), ValueError),
     "object() in a later generic column": (_put("float or None", 2, object()), TypeError),
     "nan in a nested atoms list": (_put("atoms", 4, [{"position": [math.nan, 0.0]}]), ValueError),
+    "nan in a ragged row": (lambda columns: columns.__setitem__("ragged", ragged([0, 1, 2, 3, 4], _put("weight", 4, math.nan))), ValueError),
+    "inf in a ragged complex column": (lambda columns: columns.__setitem__("ragged", ragged([0, 1, 2, 3, 4], _put("position", 7, complex(math.inf, 0.0)))), ValueError),
+    # the ragged column comes after "float": an inner fault in an earlier record still wins
+    "object() in a ragged row first, nan later": (
+        lambda columns: (_put("float", 3, math.nan)(columns), columns.__setitem__("ragged", ragged([0, 1, 2, 3, 4], _put("tag", 1, object())))),
+        TypeError,
+    ),
+    "nan first, object() in a ragged row later": (
+        lambda columns: (_put("float", 2, math.nan)(columns), columns.__setitem__("ragged", ragged([0, 1, 2, 3, 4], _put("tag", 6, object())))),
+        ValueError,
+    ),
     # np.bool_ values are not report scalars, and a bool array is not an integer column
     "a bool array": (lambda columns: columns.__setitem__("bool", np.arange(5) % 2 == 0), TypeError),
     # two faults in different records: the first in record order wins
@@ -404,7 +439,7 @@ def column_tables(draw, bad):
     floats = st.lists(FINITE, min_size=n, max_size=n)
     columns = []
     for _ in keys:
-        kind = draw(st.sampled_from(["float", "rows", "complex", "other"]))
+        kind = draw(st.sampled_from(["float", "rows", "complex", "ragged", "other"]))
         if kind == "float":
             column = np.array(draw(floats), dtype=float)
         elif kind == "rows":
@@ -412,16 +447,24 @@ def column_tables(draw, bad):
             column = np.array([draw(st.lists(FINITE, min_size=width, max_size=width)) for _ in range(n)]).reshape(n, width)
         elif kind == "complex":
             column = np.array([complex(re, im) for re, im in zip(draw(floats), draw(floats))], dtype=complex)
+        elif kind == "ragged":
+            counts = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+            inner = st.lists(FINITE, min_size=sum(counts), max_size=sum(counts))
+            column = ragged(counts, lambda columns: columns.update(weight=np.array(draw(inner)), position=np.array(draw(inner)) * 1j))
         else:
             column = draw(st.lists(draw(column_values(labels)), min_size=n, max_size=n))
         columns.append(column)
     for _ in range(draw(st.integers(0, 2)) if bad is not None and n else 0):
         column = draw(st.sampled_from(columns))
-        index = draw(st.integers(0, n - 1))
+        if isinstance(column, Ragged):  # a fault in one of its inner columns
+            column = draw(st.sampled_from(column.table.columns))
+        if not len(column):
+            continue
+        index = draw(st.integers(0, len(column) - 1))
         if not isinstance(column, np.ndarray):
             column[index] = draw(bad)
         elif column.size:
-            column.reshape(n, -1)[index, 0] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            column.reshape(len(column), -1)[index, 0] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     return Table(keys, columns)
 
 

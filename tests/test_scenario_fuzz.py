@@ -3,10 +3,18 @@
 The faults come from the scenario schema, ``lapcov.scenario.SECTIONS``: ``sites``
 pairs each JSON node of a test scenario with the table, array or leaf that
 parses it, so a key added to a table is fuzzed as soon as it is there.
+
+Each example's scenario is written to stderr before it runs, and a watchdog
+ends the run with a traceback of every thread when one example takes longer
+than ``WATCHDOG_S``: a hang inside LAPACK cannot be interrupted by a signal or
+a timeout exception.  The traceback goes to the run's stderr; run with ``-s``
+to see the scenario that hung just above it.
 """
 
+import faulthandler
 import json
 import os
+import sys
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -14,6 +22,7 @@ from hypothesis import strategies as st
 from lapcov.scenario import MISSING, REQUIRED, SECTIONS, Array, Kinds, Section, nonnegative_int, positive_int
 from test_cli import GOLDEN_CASES, SCENARIOS, run_cli
 
+WATCHDOG_S = 60
 WRONG_TYPES = (None, True, "x", 1.5, [], {})
 BAD_INTS = (-1, 0, True, 2.5)
 
@@ -80,7 +89,7 @@ def apply(scenario: dict, fault) -> dict:
 
 @settings(max_examples=200, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
-def test_faulty_scenarios_end_in_a_report_or_a_json_error(tmp_path_factory, data):
+def test_faulty_scenarios_end_in_a_report_or_a_json_error(tmp_path_factory, stderr_fd, data):
     _, source, tail, _ = data.draw(st.sampled_from(GOLDEN_CASES))
     with open(os.path.join(SCENARIOS, source), encoding="utf-8") as handle:
         scenario = json.load(handle)
@@ -91,7 +100,12 @@ def test_faulty_scenarios_end_in_a_report_or_a_json_error(tmp_path_factory, data
         scenario = apply(scenario, data.draw(st.sampled_from([fault for fault in found if fault[0] == kind])))
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
     path.write_text(json.dumps(scenario))
-    code, out, err = run_cli([tail[0], str(path)] + tail[1:])
+    sys.stderr.write(f"{tail[0]} {json.dumps(scenario)}\n")
+    faulthandler.dump_traceback_later(WATCHDOG_S, exit=True, file=stderr_fd)
+    try:
+        code, out, err = run_cli([tail[0], str(path)] + tail[1:])
+    finally:
+        faulthandler.cancel_dump_traceback_later()
     assert code in (0, 1, 2)
     report = json.loads(out)
     if code == 1:
