@@ -9,6 +9,7 @@ object with a machine-readable code).
 import argparse
 import functools
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .laplace import (
 )
 from .randomvectors import CONSTANT, decide_constant_vector
 from .report import Ragged, Table, dumps, encode_complex, format_float
-from .scenario import element, element_to_json, load_scenario, parse, parse_json, point_to_json
+from .scenario import SECTIONS, element, element_to_json, load_scenario, parse, parse_json, point_to_json
 from .semigroups import NAT_ADD, element_labels, identity
 from .shifts import (
     ShiftCombination,
@@ -132,7 +133,7 @@ def _cmd_recover(scenario, args):
 
 def _cmd_toeplitz(scenario, args):
     mu = _require(scenario, "measure")
-    order = scenario.section("toeplitz", matrix_order=args.matrix_order)["matrix_order"]
+    order = scenario.section("toeplitz")["matrix_order"]
     rank_tol = scenario.tolerances.rank
     grid = scenario.grid
     nus = disc_measures(mu, scenario.symbol, grid.exponents)
@@ -176,7 +177,7 @@ def _cmd_toeplitz(scenario, args):
 
 def _cmd_prony(scenario, args):
     mu = _require(scenario, "measure")
-    k_max = scenario.section("prony", k_max=args.k_max)["k_max"]
+    k_max = scenario.section("prony")["k_max"]
     rank_tol = scenario.tolerances.rank
     grid = scenario.grid
     try:
@@ -286,7 +287,7 @@ def _cmd_kernel(scenario, args):
     section = scenario.section("kernel")
     kernel, z_grid = section["coefficients"], section["z_points"]
     verdict = kernel_recover(
-        kernel, section["f"], mu, z_grid=z_grid, residual_tol=section["residual_tol"], tol=scenario.tolerances
+        kernel, section["f"], mu, z_grid, section["residual_tol"], tol=scenario.tolerances, grid=scenario.grid
     )
     z_norm = max((sum(abs(v) ** 2 for v in z) ** 0.5 for z in z_grid), default=0.0)
     w_norm = max((sum(abs(v) ** 2 for v in p) ** 0.5 for p in mu.points), default=0.0)
@@ -306,15 +307,27 @@ def _cmd_kernel(scenario, args):
     return report, exit_code, f"kernel: {verdict.kind}"
 
 
+# a subcommand: what runs it, its help line, the scenario sections whose flags it takes,
+# and (flag, help) of each flag of its own, which overrides no scenario key
+Command = namedtuple("Command", "run help sections options", defaults=((),))
+_ENGINE = ("grid", "tolerances")
 _COMMANDS = {
-    "transform": _cmd_transform,
-    "covariance": _cmd_covariance,
-    "recover": _cmd_recover,
-    "toeplitz": _cmd_toeplitz,
-    "prony": _cmd_prony,
-    "pd": _cmd_pd,
-    "random-vector": _cmd_random_vector,
-    "kernel": _cmd_kernel,
+    "transform": Command(_cmd_transform, "tabulate the generalized Laplace transform over the grid", ("grid",)),
+    "covariance": Command(_cmd_covariance, "decide the covariance equation", _ENGINE),
+    "recover": Command(_cmd_recover, "recover the Dirac constant and candidate character", _ENGINE),
+    "toeplitz": Command(
+        _cmd_toeplitz,
+        "singular-value profiles, rank/support and rank-one checks",
+        _ENGINE + ("toeplitz",),
+        (("--moments-csv", "export a moment matrix as CSV"),
+         ("--csv-element", "JSON element for the CSV export (default identity)")),
+    ),
+    "prony": Command(_cmd_prony, "matrix-pencil atom recovery and route agreement", _ENGINE + ("prony",)),
+    "pd": Command(_cmd_pd, "positive definiteness, semicharacter defect and variation norm", ("grid",)),
+    "random-vector": Command(
+        _cmd_random_vector, "decide whether a discrete random vector is constant", ("tolerances",)
+    ),
+    "kernel": Command(_cmd_kernel, "decide the analytic-kernel extremal property", _ENGINE),
 }
 
 
@@ -365,31 +378,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"lapcov {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("transform", "tabulate the generalized Laplace transform over the grid"),
-        ("covariance", "decide the covariance equation"),
-        ("recover", "recover the Dirac constant and candidate character"),
-        ("toeplitz", "singular-value profiles, rank/support and rank-one checks"),
-        ("prony", "matrix-pencil atom recovery and route agreement"),
-        ("pd", "positive definiteness, semicharacter defect and variation norm"),
-        ("random-vector", "decide whether a discrete random vector is constant"),
-        ("kernel", "decide the analytic-kernel extremal property"),
-    ):
-        sub = subparsers.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.help)
         sub.add_argument("scenario", help="path to a scenario JSON file")
-        sub.add_argument("--grid-order", default=None)
-        sub.add_argument("--tol-res", default=None)
-        sub.add_argument("--tol-mass", default=None)
-        sub.add_argument("--rank-tol", default=None)
+        # each flag overrides its scenario key; the parsed value is kept under the flag as SECTIONS spells it
+        for section in command.sections:
+            for flag in SECTIONS[section].flags.values():
+                sub.add_argument(flag, dest=flag, metavar=flag[2:].replace("-", "_").upper())
         sub.add_argument("--format", choices=("json", "text"), default="json")
-        if name == "toeplitz":
-            sub.add_argument("--matrix-order", default=None)
-            sub.add_argument("--moments-csv", default=None, help="export a moment matrix as CSV")
-            sub.add_argument(
-                "--csv-element", default=None, help="JSON element for the CSV export (default identity)"
-            )
-        if name == "prony":
-            sub.add_argument("--k-max", default=None)
+        for flag, help_text in command.options:
+            sub.add_argument(flag, help=help_text)
     return parser
 
 
@@ -403,16 +401,8 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         return 0 if exc.code in (0, None) else 1
 
     try:
-        scenario = load_scenario(
-            args.scenario,
-            grid_order=args.grid_order,
-            tol_overrides={
-                "mass": args.tol_mass,
-                "residual": args.tol_res,
-                "rank": args.rank_tol,
-            },
-        )
-        report, exit_code, summary = _COMMANDS[args.command](scenario, args)
+        scenario = load_scenario(args.scenario, vars(args))
+        report, exit_code, summary = _COMMANDS[args.command].run(scenario, args)
         text = dumps(report) if args.format == "json" else "\n".join(_render_text(report)) + "\n"
     except Exception as exc:  # the process boundary: every failure ends in a JSON error, never a traceback
         if isinstance(exc, LapcovError):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NumericOverflow
-from .laplace import POINT_MASS, Tolerances, decide_covariance, default_grid, mass_vanishes
+from .laplace import POINT_MASS, EvaluationGrid, Tolerances, decide_covariance, default_grid, mass_vanishes
 from .measures import AtomicMeasure, total_mass
 from .semigroups import monomial
 
@@ -161,16 +161,17 @@ def kernel_recover(
     z_grid=None,
     residual_tol: float = 1e-8,
     tol: Tolerances = None,
+    grid: EvaluationGrid = None,
 ) -> KernelVerdict:
     """Decide extremality and recover the certifying (c, zeta, phase).
 
-    The verdict is ``extremal`` when the squared-modulus equation holds on the
-    probe grid, the moment route certifies mu as a point mass c delta_zeta,
-    and f's coefficients match lambda times the kernel column at conj(zeta)
-    with |lambda|^2 = c; the phase of lambda is reported since the equation
-    determines f only up to a unimodular factor.  ``inconclusive`` is returned
-    instead of guessing when the kernel column vanishes on every index needed
-    for the comparison.
+    The verdict is ``extremal`` when the squared-modulus equation holds on
+    ``z_grid``, the moment route on ``grid`` (or the default grid) certifies mu
+    as a point mass c delta_zeta, and f's coefficients match lambda times the
+    kernel column at conj(zeta) with |lambda|^2 = c; the phase of lambda is
+    reported since the equation determines f only up to a unimodular factor.
+    ``inconclusive`` is returned instead of guessing when the kernel column
+    vanishes on every index needed for the comparison.
     """
     tol = tol or Tolerances()
     f_coefficients = {tuple(int(i) for i in m): complex(b) for m, b in f_coefficients.items()}
@@ -189,7 +190,7 @@ def kernel_recover(
     if max_residual > residual_tol:
         return KernelVerdict(kind=NOT_EXTREMAL, max_residual=max_residual, witness_z=witness)
 
-    verdict = decide_covariance(mu, None, default_grid(mu.semigroup), tol)
+    verdict = decide_covariance(mu, None, grid if grid is not None else default_grid(mu.semigroup), tol)
     if verdict.kind != POINT_MASS:
         return KernelVerdict(
             kind=NOT_EXTREMAL, max_residual=max_residual, reason="moment_route_not_point_mass"

@@ -283,6 +283,7 @@ class Kinds:
         self.tables = tables
         self.default = default
         self.shape = "expected an object" if default else "expected an object with a 'kind' field"
+        self.flags = {}  # no key of a kind's table has a command-line flag
 
     def __call__(self, data, semigroup=None):
         if type(data) is not dict or ("kind" not in data and self.default is None):
@@ -402,11 +403,12 @@ def point_index(value, semigroup=None) -> tuple:
     return index
 
 
-def _polynomial(fields: dict, semigroup=None) -> Symbol:
+def _series(terms) -> dict:
+    """index -> coefficient of a series given as (index, coefficient) terms: the terms of a repeated index add up."""
     coefficients = {}
-    for index, c in fields["terms"]:
-        coefficients[index] = coefficients.get(index, 0j) + c
-    return Symbol.polynomial(coefficients)
+    for index, c in terms:
+        coefficients[index] = coefficients[index] + c if index in coefficients else c
+    return coefficients
 
 
 def _kernel(fields: dict, semigroup=None) -> dict:
@@ -415,10 +417,10 @@ def _kernel(fields: dict, semigroup=None) -> dict:
     if terms is None:
         coefficients = KernelCoefficients.bergman(truncation)
     else:
-        terms_by_index = {(m, n): a for m, n, a in terms}
+        terms_by_index = _series(((m, n), a) for m, n, a in terms)
         coefficients = KernelCoefficients.from_terms(len(terms[0][0]), len(terms[0][1]), truncation, terms_by_index)
     z_points = fields.get("z_points") or default_z_grid(coefficients.z_dim)
-    return dict(fields, coefficients=coefficients, f=dict(fields["f"]), z_points=z_points)
+    return dict(fields, coefficients=coefficients, f=_series(fields["f"]), z_points=z_points)
 
 
 _KIND = (None, OPTIONAL)  # ``Kinds`` reads it before the walk
@@ -453,7 +455,7 @@ SECTIONS = {
         "poly": Section(
             {"kind": _KIND, "terms": (Array({"m": point_index, "c": complex_number},
                                             "expected an array of {m, c} terms", nonempty=False), None)},
-            build=_polynomial,
+            build=lambda f, sg: Symbol.polynomial(_series(f["terms"])),
         ),
         "table": Section(
             {"kind": _KIND, "entries": (Array({"point": point, "value": complex_number},
@@ -530,17 +532,17 @@ def _flag_value(value):
 
 
 def _laid_over(fields: dict, name: str, flags: dict) -> dict:
-    """``fields`` of section ``name`` with each given flag value, parsed by its key's leaf, laid over that key."""
+    """``fields`` of section ``name``, each key's flag that ``flags`` gives laid over the key by its leaf parser."""
     table = SECTIONS[name]
-    for key, value in flags.items():
-        if value is not None:
-            fields[key] = parse(table.fields[key][0], _flag_value(value), table.flags[key])
+    for key, flag in table.flags.items():
+        if flags.get(flag) is not None:
+            fields[key] = parse(table.fields[key][0], _flag_value(flags[flag]), flag)
     return fields
 
 
 @dataclass
 class Scenario:
-    """Parsed scenario: the engine inputs plus the raw command sections."""
+    """Parsed scenario: the engine inputs, the raw command sections and the command-line flags."""
 
     semigroup: Semigroup
     measure: AtomicMeasure
@@ -548,15 +550,18 @@ class Scenario:
     grid: EvaluationGrid
     tolerances: Tolerances
     raw: dict
+    flags: dict
 
-    def section(self, name: str, **flags) -> dict:
-        """Command section ``name``, checked against its table when the command runs, with flags laid over it."""
+    def section(self, name: str) -> dict:
+        """Command section ``name``, checked against its table when the command runs, with its flags laid over it."""
         if name in ("random_vector", "kernel") and self.raw.get(name) is None:  # the others default to {}
             raise ScenarioError(f"this command needs a '{name}' section")
-        return _laid_over(parse(SECTIONS[name], self.raw.get(name, {}), name, self.semigroup), name, flags)
+        return _laid_over(parse(SECTIONS[name], self.raw.get(name, {}), name, self.semigroup), name, self.flags)
 
 
-def parse_scenario(data, grid_order: int = None, tol_overrides: dict = None) -> Scenario:
+def parse_scenario(data, flags: dict = None) -> Scenario:
+    """The scenario ``data`` under ``flags``: a flag, as ``SECTIONS`` spells it, -> its text or None."""
+    flags = flags or {}
     raw = parse(SCENARIO, data, "")
     for name in ("measure", "grid", "symbol"):
         if name in raw and "semigroup" not in raw:
@@ -566,20 +571,20 @@ def parse_scenario(data, grid_order: int = None, tol_overrides: dict = None) -> 
         semigroup = parse(SECTIONS["semigroup"], raw["semigroup"], "semigroup")
         if "measure" in raw:
             measure = parse(SECTIONS["measure"], raw["measure"], "measure", semigroup)
-        fields = _laid_over(_given_section(raw, "grid", semigroup) or {}, "grid", {"order": grid_order})
-        if "elements" in fields and grid_order is None:
+        fields = _laid_over(_given_section(raw, "grid", semigroup) or {}, "grid", flags)
+        if "elements" in fields and "order" not in fields:  # a grid order flag replaces the elements
             grid = EvaluationGrid(semigroup, fields["elements"])
         else:
             grid = default_grid(semigroup, order=fields.get("order"))
     symbol = _given_section(raw, "symbol", semigroup) or Symbol.constant(1)
-    tolerances = Tolerances(**_laid_over(_given_section(raw, "tolerances") or {}, "tolerances", tol_overrides or {}))
-    return Scenario(semigroup, measure, symbol, grid, tolerances, raw)
+    tolerances = Tolerances(**_laid_over(_given_section(raw, "tolerances") or {}, "tolerances", flags))
+    return Scenario(semigroup, measure, symbol, grid, tolerances, raw, flags)
 
 
-def load_scenario(source_path: str, grid_order: int = None, tol_overrides: dict = None) -> Scenario:
+def load_scenario(source_path: str, flags: dict = None) -> Scenario:
     try:
         with open(source_path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
-    return parse_scenario(parse_json(text), grid_order=grid_order, tol_overrides=tol_overrides)
+    return parse_scenario(parse_json(text), flags)

@@ -887,7 +887,7 @@ def test_cmd_prony_raises_the_singular_pencil_of_element_2(monkeypatch):
 
     monkeypatch.setattr(cli, "moment_matrices", planted)
     monkeypatch.setattr(cli, "prony_recover", recording)
-    scenario = load_scenario(argv[1], tol_overrides={"rank": 1e-15})
+    scenario = load_scenario(argv[1], {"--rank-tol": "1e-15"})
     with pytest.raises(RankDeficientPencil, match="restricted moment pencil is numerically singular"):
         cli._cmd_prony(scenario, cli.build_parser().parse_args(argv))
     assert len(seen) == 3
@@ -972,7 +972,7 @@ def test_unexpected_exceptions_become_internal_errors(monkeypatch):
     def broken(scenario, args):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._COMMANDS, "covariance", broken)
+    monkeypatch.setitem(cli._COMMANDS, "covariance", cli._COMMANDS["covariance"]._replace(run=broken))
     code, out, err = run_cli(build_argv("two_atoms_natadd1.json", ["covariance"]))
     assert code == 1
     assert json.loads(out) == {"error": {"code": "internal_error", "message": "RuntimeError: boom"}}
@@ -981,7 +981,8 @@ def test_unexpected_exceptions_become_internal_errors(monkeypatch):
 
 def test_non_finite_report_values_become_internal_errors(monkeypatch):
     # a non-finite float reaching the emitter is reported, not raised
-    monkeypatch.setitem(cli._COMMANDS, "covariance", lambda scenario, args: ({"value": float("nan")}, 0, ""))
+    nan_report = cli._COMMANDS["covariance"]._replace(run=lambda scenario, args: ({"value": float("nan")}, 0, ""))
+    monkeypatch.setitem(cli._COMMANDS, "covariance", nan_report)
     code, out, _ = run_cli(build_argv("two_atoms_natadd1.json", ["covariance"]))
     assert code == 1
     assert json.loads(out)["error"]["code"] == "internal_error"
@@ -992,7 +993,7 @@ def test_interrupt_and_exit_are_not_caught(monkeypatch, exc):
     def interrupted(scenario, args):
         raise exc()
 
-    monkeypatch.setitem(cli._COMMANDS, "covariance", interrupted)
+    monkeypatch.setitem(cli._COMMANDS, "covariance", cli._COMMANDS["covariance"]._replace(run=interrupted))
     with pytest.raises(exc):
         run_cli(build_argv("two_atoms_natadd1.json", ["covariance"]))
 
@@ -1030,7 +1031,7 @@ def test_main_reports_the_code_its_error_type_declares(monkeypatch, error_type):
     def failing(scenario, args):
         raise error_type("went wrong")
 
-    monkeypatch.setitem(cli._COMMANDS, "covariance", failing)
+    monkeypatch.setitem(cli._COMMANDS, "covariance", cli._COMMANDS["covariance"]._replace(run=failing))
     code, out, err = run_cli(build_argv("two_atoms_natadd1.json", ["covariance"]))
     assert code == 1
     assert json.loads(out) == {"error": {"code": ERROR_CODES[error_type], "message": "went wrong"}}
@@ -1082,6 +1083,35 @@ def test_every_command_applies_the_same_mass_gate(tmp_path, relative_mass, vanis
     assert (outcomes["covariance"][0] == 2) is vanishes
     assert ("mass_zero" in outcomes["recover"][1]) is vanishes
     assert (json.loads(outcomes["kernel"][1]).get("reason") == "measure_mass_zero") is vanishes
+
+
+def test_kernel_reads_the_scenario_grid(tmp_path):
+    # the identity alone cannot resolve zeta, on the moment route of kernel as on covariance
+    scn = load_scenario_file("kernel_extremal.json")
+    scn["grid"] = {"elements": [[0]]}
+    path = write_scenario(tmp_path, scn, "")
+    assert json.loads(run_cli(["covariance", path])[1])["zeta_resolved"] is False
+    code, out, _ = run_cli(["kernel", path])
+    report = json.loads(out)
+    assert (code, report["verdict"], report["reason"]) == (0, "inconclusive", "point_unresolved")
+    # a grid order flag replaces those elements, so zeta resolves again
+    code, out, _ = run_cli(["kernel", path, "--grid-order", "2"])
+    assert (code, json.loads(out)["verdict"]) == (0, "extremal")
+
+
+@pytest.mark.parametrize("series,coefficient", [("f", "b"), ("coefficients", "a")])
+def test_repeated_kernel_series_indices_add_up(tmp_path, series, coefficient):
+    # like a poly symbol's terms: a series split into two terms of one index reads as the unsplit series
+    scn = load_scenario_file("kernel_extremal.json")
+    # the file's bergman kernel, written out as a list kernel
+    terms = [{"m": [m], "n": [m], "a": [m + 1.0, 0.0]} for m in range(scn["kernel"]["truncation"] + 1)]
+    scn["kernel"].update(kind="list", coefficients=terms)
+    whole = run_cli(["kernel", write_scenario(tmp_path, scn, "")])
+    assert json.loads(whole[1])["verdict"] == "extremal"
+    first, *rest = scn["kernel"][series]
+    half = dict(first, **{coefficient: [value / 2 for value in first[coefficient]]})
+    scn["kernel"][series] = [half] + rest + [half]
+    assert run_cli(["kernel", write_scenario(tmp_path, scn, "")]) == whole
 
 
 def overflow_measure(d, big, **extra):
