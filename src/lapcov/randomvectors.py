@@ -23,8 +23,8 @@ from .laplace import (
     decide_covariance,
     default_grid,
 )
-from .measures import AtomicMeasure, Columns, python_column
-from .semigroups import Semigroup, monomial
+from .measures import AtomicMeasure, Columns
+from .semigroups import Semigroup, complex_product, monomial
 
 CONSTANT = "constant"
 NOT_CONSTANT = "not_constant"
@@ -33,17 +33,12 @@ NOT_CONSTANT = "not_constant"
 def _normalized(outcomes: tuple) -> tuple:
     """(p, x, y) outcomes as float, tuple of complex and complex, checked one by one: the first fault raises."""
     normalized = []
-    dim = None
     for p, x, y in outcomes:
         p = float(p)
         if p < 0:
             raise ValueError("probabilities must be nonnegative")
-        if isinstance(x, (int, float, complex)):
-            x = (x,)
-        x = tuple(complex(v) for v in x)
-        if dim is None:
-            dim = len(x)
-        elif len(x) != dim:
+        x = tuple(complex(v) for v in ((x,) if isinstance(x, (int, float, complex)) else x))
+        if normalized and len(x) != len(normalized[0][1]):
             raise ValueError("all outcomes must share the vector dimension")
         normalized.append((p, x, complex(y)))
     if not normalized:
@@ -51,44 +46,49 @@ def _normalized(outcomes: tuple) -> tuple:
     return tuple(normalized)
 
 
+def _arrays(columns) -> list:
+    """(p, x, y) columns as float, (n, dim) complex and complex arrays; None if one does not fit or a p is negative."""
+    try:
+        ps, xs, ys = map(np.asarray, columns)
+    except (TypeError, ValueError):
+        return None
+    numeric = ps.dtype.kind in "biuf" and xs.dtype.kind in "biufc" and ys.dtype.kind in "biufc"
+    if not numeric or xs.ndim != 2 or not ps.shape == ys.shape == xs.shape[:1] != (0,) or (ps < 0).any():
+        return None
+    return [np.array(ps, dtype=float), np.array(xs, dtype=complex), np.array(ys, dtype=complex)]  # copies: frozen below
+
+
+def _running_sum(values: np.ndarray):
+    """``values`` added left to right from 0, as a Python loop adds them: numpy's pairwise sum rounds otherwise."""
+    return (np.cumsum(values)[-1] + 0.0).item()
+
+
 @dataclass(frozen=True)
 class DiscreteRandomVector:
-    """Finite list of outcomes (probability, x-vector, y-value).
+    """Finite list of outcomes (probability, x-vector, y-value), kept as ``Columns`` of read-only arrays.
 
     ``outcomes`` is a sequence of (p, x, y) triples, checked one by one, or
-    ``Columns`` of probabilities, an (n, dim) x-array and y-values, which is
-    kept as ``x_array`` without converting each outcome again.  When the
-    columns do not fit, they are checked one by one too, which raises the
-    first fault.
+    ``Columns`` of probabilities, an (n, dim) x-array and y-values that numpy
+    reads whole, or checks one by one when they do not fit.
     """
 
-    outcomes: tuple
+    outcomes: Columns
     x_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        fits = False
-        if isinstance(self.outcomes, Columns):
-            ps, xs, ys = self.outcomes.columns
-            try:
-                ps, xs, ys = list(map(float, python_column(ps))), np.asarray(xs), list(map(complex, python_column(ys)))
-                fits = xs.dtype.kind in "biufc" and xs.ndim == 2 and not any(p < 0 for p in ps)
-            except (TypeError, ValueError):
-                pass  # the outcomes, read one by one below, name the fault
-        if fits:
-            xs = xs.astype(complex, copy=False)
-            outcomes = tuple(zip(ps, map(tuple, xs.tolist()), ys))
-        else:
-            outcomes = _normalized(tuple(self.outcomes))
-            xs = np.array([x for _, x, _ in outcomes], dtype=complex)
-        if abs(sum(p for p, _, _ in outcomes) - 1.0) > 1e-12:
+        columns = _arrays(self.outcomes.columns) if isinstance(self.outcomes, Columns) else None
+        if columns is None:  # normalized outcomes always fit
+            columns = _arrays(zip(*_normalized(tuple(self.outcomes))))
+        if abs(_running_sum(columns[0]) - 1.0) > 1e-12:
             raise ValueError("outcome probabilities must sum to 1")
-        xs.flags.writeable = False
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "x_array", xs)
+        for column in columns:
+            column.flags.writeable = False
+        object.__setattr__(self, "outcomes", Columns(*columns))
+        object.__setattr__(self, "x_array", columns[1])
 
     @property
     def dim(self) -> int:
-        return len(self.outcomes[0][1])
+        return self.x_array.shape[1]
 
 
 def moment_condition_residual(rv: DiscreteRandomVector, m, n) -> complex:
@@ -109,10 +109,24 @@ def moment_condition_residual(rv: DiscreteRandomVector, m, n) -> complex:
     return e_y * e_mixed - e_analytic * e_conjugate
 
 
+def _weights(rv: DiscreteRandomVector) -> np.ndarray:
+    """p * y of each outcome, as Python multiplies a float by a complex."""
+    ps, _, ys = rv.outcomes.columns
+    weights = np.empty(len(ps), dtype=complex)
+    weights.real, weights.imag = complex_product(ps, 0.0, ys.real, ys.imag)
+    return weights
+
+
+def _y_moments(rv: DiscreteRandomVector) -> tuple:
+    """E[Y] and E|Y|, summed outcome by outcome (np.abs of a complex rounds otherwise than abs, np.hypot does not)."""
+    ps, _, ys = rv.outcomes.columns
+    return _running_sum(_weights(rv)), _running_sum(ps * np.hypot(ys.real, ys.imag))
+
+
 def as_measure(rv: DiscreteRandomVector) -> AtomicMeasure:
     """The induced atomic measure: atom p*y at each X-value (equal X merged)."""
     sg = Semigroup.nat_add(rv.dim)
-    return AtomicMeasure(sg, Columns(rv.x_array, [p * y for p, _, y in rv.outcomes]))
+    return AtomicMeasure(sg, Columns(rv.x_array, _weights(rv)))
 
 
 @dataclass(frozen=True)
@@ -134,8 +148,7 @@ def decide_constant_vector(
     nonzero-expectation hypothesis.
     """
     tol = tol or Tolerances()
-    e_y = sum(p * y for p, _, y in rv.outcomes)
-    y_scale = sum(p * abs(y) for p, _, y in rv.outcomes)
+    e_y, y_scale = _y_moments(rv)
     if abs(e_y) < tol.mass * y_scale or y_scale == 0.0:
         raise ExpectationYZero("E[Y] is numerically zero")
     mu = as_measure(rv)

@@ -14,6 +14,7 @@ prefixes its key, so a JSON path is formatted only when a value fails.
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -75,6 +76,17 @@ def _non_finite_path(value, path: str):
     return None
 
 
+# digits to 0 and E to e: a long digit run or exponent is then a literal, and a search from "e" runs at C speed
+_DIGIT_SHAPES = bytes.maketrans(b"123456789E", b"000000000e")
+_LONG_EXPONENT = re.compile(rb"e[-+]?000")
+
+
+def _within_float_range(text: str) -> bool:
+    """True when no exponent has 3 digits and no 200 digits run on: every number is then below 1e200 * 1e99."""
+    shapes = text.encode("utf-8", "surrogatepass").translate(_DIGIT_SHAPES)
+    return b"0" * 200 not in shapes and not _LONG_EXPONENT.search(shapes)
+
+
 def parse_json(text: str, path: str = ""):
     """Decode JSON whose numbers are all finite floats: NaN, Infinity and overflow such as 1e999 are rejected."""
     rejected = []
@@ -93,13 +105,15 @@ def parse_json(text: str, path: str = ""):
         value = int(token)
         return value if abs(value) <= sys.float_info.max else non_finite(token)
 
+    # a number that cannot overflow needs no hook: NaN and Infinity still reach parse_constant
+    hooks = {} if _within_float_range(text) else {"parse_float": finite_float, "parse_int": finite_int}
     try:
-        data = json.loads(text, parse_constant=non_finite, parse_float=finite_float, parse_int=finite_int)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text, parse_constant=non_finite, **hooks)
+        if rejected:
+            where, token = _non_finite_path(data, path)
+            raise ScenarioError(f"{where or 'scenario'}: number {token} is not a finite float")
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting past the interpreter's limit
         raise ScenarioError(f"{path or 'scenario'}: not valid JSON: {exc}") from None
-    if rejected:
-        where, token = _non_finite_path(data, path)
-        raise ScenarioError(f"{where or 'scenario'}: number {token} is not a finite float")
     return data
 
 
@@ -411,6 +425,16 @@ def _series(terms) -> dict:
     return coefficients
 
 
+def _lookup(pairs, key: str, noun: str) -> dict:
+    """The dict of (``noun``, value) pairs of array ``key``: a ``noun`` given twice fails at its second entry."""
+    table = {}
+    for i, (lookup, value) in enumerate(pairs):
+        if lookup in table:
+            raise Invalid(f"repeats an earlier entry's {noun}", f".{key}[{i}]")
+        table[lookup] = value
+    return table
+
+
 def _kernel(fields: dict, semigroup=None) -> dict:
     """The kernel section with its coefficients built (listed only under "list"), ``f`` as a dict and z points."""
     terms, truncation = fields.get("coefficients"), fields["truncation"]
@@ -460,7 +484,7 @@ SECTIONS = {
         "table": Section(
             {"kind": _KIND, "entries": (Array({"point": point, "value": complex_number},
                                               "expected an array of {point, value} entries", nonempty=False), None)},
-            build=lambda f, sg: Symbol.table(dict(f["entries"])),
+            build=lambda f, sg: Symbol.table(_lookup(f["entries"], "entries", "point")),
         ),
     }),
     "grid": Section(
@@ -482,7 +506,8 @@ SECTIONS = {
                  "values": (Array({"s": element, "t": element, "v": complex_number}, nonempty=False), REQUIRED)},
                 shape="expected an object with a 'values' array",
                 build=lambda f, sg: PairFunction(
-                    EvaluationGrid(sg, f["grid"]), {(s, t): v for s, t, v in f["values"]}
+                    EvaluationGrid(sg, f["grid"]),
+                    _lookup((((s, t), v) for s, t, v in f["values"]), "values", "(s, t)"),
                 ),
             ), OPTIONAL),
             "points": (Array(Section({"s": (element, MISSING), "t": (element, MISSING)},

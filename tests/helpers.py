@@ -89,6 +89,22 @@ def slow_moment_table(disc_atoms, rows: int, cols: int) -> np.ndarray:
     return np.array([[slow_moment(disc_atoms, j, k) for k in range(cols)] for j in range(rows)])
 
 
+def slow_vector_sums(outcomes) -> tuple:
+    """(sum of p, E[Y], E|Y|, [p * y]) of (p, x, y) outcomes, one outcome at a time from 0 as a Python loop adds.
+
+    ``complex(p) * y`` is the product Python 3.11 forms for ``p * y``: the
+    float becomes the complex (p, 0.0) first.
+    """
+    total, e_y, y_scale, weights = 0.0, 0j, 0.0, []
+    for p, _, y in outcomes:
+        weight = complex(p) * complex(y)
+        total += p
+        e_y += weight
+        y_scale += p * abs(complex(y))
+        weights.append(weight)
+    return total, e_y, y_scale, weights
+
+
 # ------------------------------------------------------ report emitter
 
 

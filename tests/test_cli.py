@@ -148,18 +148,31 @@ def test_rank_deficient_pencil_is_an_error():
     assert "Traceback" not in err
 
 
-def test_cli_import_does_not_load_scipy():
-    # the package is numpy-only; importing scipy added about 0.2 s to every cold start, numpy.ma about 20 ms
+def run_probe(probe: str) -> str:
+    """The stdout of ``python -c probe`` in a fresh interpreter that imports lapcov from this checkout."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True).stdout
+
+
+def test_cli_import_does_not_load_scipy():
+    # the package is numpy-only; importing scipy added about 0.2 s to every cold start, numpy.ma about 20 ms
     argv = build_argv("two_atoms_natadd1.json", ["prony"])
     probe = (
         "import io, sys, lapcov.cli; "
         f"code = lapcov.cli.main({argv!r}, stdout=io.StringIO(), stderr=io.StringIO()); "
         "print(code, [name for name in ('scipy', 'numpy.ma') if name in sys.modules])"
     )
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    assert result.stdout.strip() == "0 []"
+    assert run_probe(probe).strip() == "0 []"
+
+
+def test_cli_import_loads_little_beyond_numpy_argparse_and_json():
+    # every module imported at startup is paid by each cold start; these three were all lapcov.cli added
+    probe = (
+        "import argparse, json, sys, numpy; before = set(sys.modules); import lapcov.cli; "
+        "print(json.dumps(sorted(name for name in set(sys.modules) - before if name.split('.')[0] != 'lapcov')))"
+    )
+    assert set(json.loads(run_probe(probe))) <= {"cmath", "copy", "dataclasses"}
 
 
 def test_usage_error_exit_code():
@@ -406,6 +419,9 @@ NON_FINITE_CASES = {
     "half_line_element": ("covariance", None, lambda s: s["grid"]["elements"].append("VALUE"), "grid.elements[3]"),
     "probability": ("random-vector", "random_vector_two_point.json",
                     lambda s: s["random_vector"]["outcomes"][0].update(p="VALUE"), "random_vector.outcomes[0].p"),
+    # a section the command does not read is still read as JSON, so its numbers are checked too
+    "unread_section": ("covariance", "two_atoms_natadd1.json", lambda s: s.update(kernel={"residual_tol": "VALUE"}),
+                       "kernel.residual_tol"),
 }
 
 
@@ -442,6 +458,39 @@ def test_non_finite_csv_element_is_rejected(tmp_path, token):
 def test_invalid_csv_element_json_is_rejected(tmp_path):
     argv = build_argv("two_atoms_natadd1.json", ["toeplitz", "--moments-csv", str(tmp_path / "m.csv"), "--csv-element", "[1"])
     assert_scenario_invalid(argv, "--csv-element")
+
+
+@pytest.mark.parametrize("opening,closing", [("[", "]"), ('{"a": ', "}")])
+def test_nesting_past_the_recursion_limit_is_invalid_json(tmp_path, opening, closing):
+    text = opening * 100000 + "1" + closing * 100000
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    for command in ("covariance", "random-vector", "pd"):
+        assert_scenario_invalid([command, str(path)], "scenario: not valid JSON: maximum recursion depth exceeded")
+    tail = ["toeplitz", "--moments-csv", str(tmp_path / "m.csv"), "--csv-element", text]
+    assert_scenario_invalid(build_argv("two_atoms_natadd1.json", tail), "--csv-element: not valid JSON: maximum")
+
+
+# case: (command, edit that repeats a key, the whole error message)
+REPEATED_KEY_CASES = {
+    "table_point": ("covariance", lambda s: s.update(symbol={"kind": "table", "entries": [
+        {"point": [1], "value": 1}, {"point": [-1], "value": 1}, {"point": [[1.0, 0.0]], "value": 0}]}),
+        "symbol.entries[2]: repeats an earlier entry's point"),
+    "pair_function_pair": ("pd", lambda s: s.update(pd={"pair_function": dict(
+        PAIR_FUNCTION, values=PAIR_FUNCTION["values"][:4] + [{"s": [0], "t": [1], "v": 9.0}])}),
+        "pd.pair_function.values[4]: repeats an earlier entry's (s, t)"),
+}
+
+
+@pytest.mark.parametrize("case", list(REPEATED_KEY_CASES))
+def test_repeated_table_keys_are_rejected(tmp_path, case):
+    # a repeated key was read last-wins: the table symbol below vanished on an atom and covariance exited 0
+    command, edit, message = REPEATED_KEY_CASES[case]
+    scn = load_scenario_file("two_atoms_natadd1.json")
+    edit(scn)
+    code, out, _ = run_cli([command, write_scenario(tmp_path, scn, "")])
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "scenario_invalid", "message": message}
 
 
 def first_atom_point(value):
