@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NumericOverflow
-from .laplace import POINT_MASS, EvaluationGrid, Tolerances, decide_covariance, default_grid, mass_vanishes
+from .laplace import POINT_MASS, EvaluationGrid, Tolerances, decide_covariance, default_grid, mass_vanishes, negligible
 from .measures import AtomicMeasure, total_mass
 from .semigroups import monomial
 
@@ -221,12 +221,12 @@ def kernel_recover(
     coeff_scale = max(
         column_max * abs(ratio), max((abs(b) for b in f_coefficients.values()), default=0.0)
     )
-    if mismatch > coeff_tol * max(coeff_scale, 1e-300):
+    if not negligible(mismatch, coeff_scale, coeff_tol):
         return KernelVerdict(
             kind=NOT_EXTREMAL, max_residual=max_residual, reason="f_coefficient_mismatch"
         )
     mass = total_mass(mu)
-    if abs(mass - abs(ratio) ** 2) > coeff_tol * (1.0 + abs(mass)):
+    if not negligible(mass - abs(ratio) ** 2, 1.0 + abs(mass), coeff_tol):
         return KernelVerdict(
             kind=NOT_EXTREMAL, max_residual=max_residual, reason="mass_modulus_mismatch"
         )

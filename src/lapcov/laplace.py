@@ -86,9 +86,19 @@ class Tolerances:
             raise ValueError("mass and rank tolerances must be below 1")
 
 
+def negligible(value, scale, tol: float):
+    """Whether |value| <= tol * scale: the one rule by which a verdict gate or rank count calls a value zero.
+
+    Builtin ``abs``, so a scalar gate makes no numpy call and an array is
+    compared elementwise.  Against a zero scale only an exact 0 is
+    negligible; a NaN never is.
+    """
+    return abs(value) <= tol * scale
+
+
 def mass_vanishes(mu: AtomicMeasure, tol: Tolerances) -> bool:
-    """Whether the hypothesis mu(Gamma) != 0 fails numerically: |mu(Gamma)| < tol.mass * sum_k |w_k|."""
-    return abs(total_mass(mu)) < tol.mass * weight_scale(mu)
+    """Whether the hypothesis mu(Gamma) != 0 fails numerically: |mu(Gamma)| is negligible against sum_k |w_k|."""
+    return negligible(total_mass(mu), weight_scale(mu), tol.mass)
 
 
 @dataclass(frozen=True)
@@ -280,11 +290,10 @@ def degenerate_check(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Toler
     P = character_matrix(mu.semigroup, mu.points, grid.exponents)
     analytic = P.T @ charges(mu, fv)
     conjugate = P.conj().T @ charges(mu, fv, MODE_CONJ_F)
-    fp_max = float(np.max(np.abs(fv)[:, None] * np.abs(P), initial=0.0))
-    threshold = tol.residual * weight_scale(mu) * fp_max
-    if np.all(np.abs(analytic) <= threshold):
+    scale = weight_scale(mu) * float(np.max(np.abs(fv)[:, None] * np.abs(P), initial=0.0))
+    if negligible(analytic, scale, tol.residual).all():
         return MASS_ZERO_ANALYTIC
-    if np.all(np.abs(conjugate) <= threshold):
+    if negligible(conjugate, scale, tol.residual).all():
         return MASS_ZERO_CONJUGATE
     return MASS_ZERO_NEITHER
 
@@ -301,8 +310,7 @@ def recover_point_mass(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Tol
     wf = charges(mu, symbol_values(symbol, mu.points))
     numerators = character_matrix(mu.semigroup, mu.points, grid.closure_exponents).T @ wf
     denominator = complex(numerators[0])  # the identity sorts first in the closure
-    fmu_scale = float(np.sum(np.abs(wf)))
-    if fmu_scale == 0.0 or abs(denominator) < tol.mass * fmu_scale:
+    if negligible(denominator, float(np.sum(np.abs(wf))), tol.mass):
         raise FMuIntegralZero("the integral of F against mu is numerically zero")
     values = numerators / denominator
     values[0] = 1 + 0j  # the ratio at the identity is 1 by definition
@@ -416,7 +424,7 @@ def decide_covariance(
 
     fv = symbol_values(symbol, mu.points)
     abs_f = np.abs(fv)
-    flag = bool(np.any(abs_f < tol.residual * max(1.0, float(abs_f.max())))) if len(abs_f) else False
+    flag = bool(negligible(abs_f, max(1.0, float(abs_f.max())), tol.residual).any())
 
     if mass_vanishes(mu, tol):
         case = degenerate_check(mu, symbol, grid, tol)
@@ -444,7 +452,7 @@ def decide_covariance(
         raise NumericOverflow("the covariance residual or its scale overflows the float range")
     max_normalized = max_raw / scale if scale > 0 else 0.0
 
-    if scale == 0.0 or max_raw <= tol.residual * scale:
+    if negligible(max_raw, scale, tol.residual):
         try:
             verdict = read_point_mass(mu, symbol, grid, tol)
         except FMuIntegralZero:

@@ -110,6 +110,8 @@ class Columns:
     """
 
     def __init__(self, *columns):
+        if len(set(map(len, columns))) > 1:
+            raise ValueError("columns must have one length")
         self.columns = columns
 
     def __len__(self) -> int:

@@ -16,12 +16,7 @@ import numpy as np
 
 from .errors import ExpectationYZero
 from .laplace import (
-    NOT_POINT_MASS,
-    POINT_MASS,
-    CovarianceVerdict,
-    Tolerances,
-    decide_covariance,
-    default_grid,
+    NOT_POINT_MASS, POINT_MASS, CovarianceVerdict, Tolerances, decide_covariance, default_grid, negligible
 )
 from .measures import AtomicMeasure, Columns
 from .semigroups import Semigroup, complex_product, monomial
@@ -149,7 +144,7 @@ def decide_constant_vector(
     """
     tol = tol or Tolerances()
     e_y, y_scale = _y_moments(rv)
-    if abs(e_y) < tol.mass * y_scale or y_scale == 0.0:
+    if negligible(e_y, y_scale, tol.mass):
         raise ExpectationYZero("E[Y] is numerically zero")
     mu = as_measure(rv)
     grid = default_grid(mu.semigroup, order=max_order)

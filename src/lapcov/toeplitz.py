@@ -27,6 +27,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import NumericOverflow, RankDeficientPencil
+from .laplace import Tolerances, negligible
 from .measures import AtomicMeasure, Symbol, finite_charges, merge_atoms, sup_norm, symbol_values
 from .semigroups import _check_entries, character_matrix, element_exponents
 
@@ -34,7 +35,7 @@ DISC_RADIUS = 0.5
 _DISC_TOL = 1e-12
 
 DEFAULT_MATRIX_ORDER = 12
-DEFAULT_RANK_TOL = 1e-8
+DEFAULT_RANK_TOL = Tolerances.rank
 
 
 @dataclass(frozen=True)
@@ -178,11 +179,9 @@ def toeplitz_matrix(moments: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rank_from_sigma(sigma: np.ndarray, rel_tol: float) -> int:
-    """Number of values of a descending singular-value profile above rel_tol times the largest."""
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > rel_tol * sigma[0]))
+def _ranks(sigmas: np.ndarray, rel_tol: float):
+    """Per descending singular-value profile of a stack, the count of its values not negligible against its first."""
+    return (~negligible(sigmas, sigmas[..., :1], rel_tol)).sum(axis=-1)
 
 
 def numerical_rank(matrix: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -193,7 +192,7 @@ def numerical_rank(matrix: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int
     matrix = np.asarray(matrix, dtype=complex)
     if not np.isfinite(matrix).all():
         raise ValueError("matrix entries must be finite")
-    return _rank_from_sigma(np.linalg.svd(matrix, compute_uv=False), rel_tol)
+    return int(_ranks(np.linalg.svd(matrix, compute_uv=False), rel_tol))
 
 
 class LueckingResult(NamedTuple):
@@ -211,7 +210,7 @@ def luecking_check(nu: DiscMeasure, sigma, rel_tol: float = DEFAULT_RANK_TOL) ->
     Clustered atoms degrade the rank estimate; the caller sees the
     disagreement rather than a silently adjusted count.
     """
-    rank = _rank_from_sigma(np.asarray(sigma), rel_tol)
+    rank = int(_ranks(np.asarray(sigma), rel_tol))
     atom_count = sum(1 for m in nu.weights if m != 0)
     return LueckingResult(rank, atom_count, rank == atom_count)
 
@@ -293,10 +292,10 @@ def prony_pencils(tables: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> list
     n, rows, cols = tables.shape
     U, sigmas, Vh = np.linalg.svd(tables[:, :-1, :])
     pencils = [Pencil(0, np.empty(0, dtype=complex), np.empty(0, dtype=complex), 0.0, None)] * n
-    # _rank_from_sigma of every table; sigma is descending, so sigma[rank - 1] <= 1e-13 sigma[0]
-    # (a singular pencil) where fewer than rank values exceed 1e-13 sigma[0]
-    ranks = np.count_nonzero(sigmas > rel_tol * sigmas[:, :1], axis=1)
-    singular = (np.count_nonzero(sigmas > 1e-13 * sigmas[:, :1], axis=1) < ranks).tolist()
+    # sigma is descending, so sigma[rank - 1] is negligible at 1e-13 (a singular pencil)
+    # where fewer values than the rank are not
+    ranks = _ranks(sigmas, rel_tol)
+    singular = (_ranks(sigmas, 1e-13) < ranks).tolist()
     groups = {}
     for i, rank in enumerate(ranks.tolist()):
         if singular[i]:

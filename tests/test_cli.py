@@ -204,6 +204,41 @@ def test_tolerance_flag_changes_verdict():
     assert json.loads(out)["verdict"] == "point_mass"
 
 
+def scenario_file(tmp_path, name, edit):
+    """A copy of the test scenario ``name`` changed by ``edit``, a function of its parsed JSON."""
+    with open(os.path.join(SCENARIOS, name), encoding="utf-8") as fh:
+        scn = json.load(fh)
+    edit(scn)
+    path = tmp_path / name
+    path.write_text(json.dumps(scn))
+    return str(path)
+
+
+def test_the_zero_measure_is_a_mass_zero_case(tmp_path):
+    # +1 and -1 at one point merge into a weight 0; the weight scale is 0 as well
+    zero = scenario_file(tmp_path, "zero_mass_natadd1.json", lambda scn: scn["measure"]["atoms"][0].update(point=[-1]))
+    code, out, _ = run_cli(["covariance", zero])
+    report = json.loads(out)
+    assert (code, report["verdict"], report["case"]) == (2, "degenerate", "mass_zero_analytic_vanishes")
+    code, out, _ = run_cli(["recover", zero])
+    assert (code, json.loads(out)["error"]["code"]) == (1, "mass_zero")
+    zero_kernel = scenario_file(tmp_path, "kernel_extremal.json", lambda scn: scn["measure"]["atoms"][0].update(weight=0))
+    code, out, _ = run_cli(["kernel", zero_kernel])
+    report = json.loads(out)
+    assert (code, report["verdict"], report["reason"]) == (2, "degenerate", "measure_mass_zero")
+
+
+def test_an_underflowing_residual_scale_certifies_nothing(tmp_path):
+    # sum |w|^2 underflows to 0: the residual at (4, 4) is not negligible against it
+    path = tmp_path / "underflow.json"
+    atoms = [{"point": [1e18], "weight": 1e-163}, {"point": [2e18], "weight": 1e-163}]
+    path.write_text(json.dumps({"semigroup": {"kind": "nat_add", "d": 1}, "measure": {"atoms": atoms}}))
+    code, out, _ = run_cli(["covariance", str(path)])
+    report = json.loads(out)
+    assert (code, report["verdict"]) == (0, "not_point_mass")
+    assert [report["witness_s"], report["witness_t"]] == [[4], [4]]
+
+
 def test_pd_accepts_explicit_pair_function_and_operators(tmp_path):
     # the published pair-function encoding round-trips through the pd command
     scn = {

@@ -207,6 +207,13 @@ def test_merge_matches_the_pairwise_scan(rng, dim):
         assert_both_merge_like_the_scan(sg, atoms)
 
 
+def test_columns_of_unequal_length_are_refused():
+    points = np.array([[0.25 + 0j], [0.5 + 0j], [0.75 + 0j]])
+    with pytest.raises(ValueError, match="^columns must have one length$"):
+        AtomicMeasure(Semigroup.nat_add(1), Columns(points, [1.0, 2.0]))
+    assert len(Columns(points, [1.0, 2.0, 3.0])) == 3
+
+
 NON_FINITE = (complex(math.nan, 0.0), complex(-math.inf, 1.0), complex(0.0, math.inf), complex(math.nan, math.nan))
 
 

@@ -83,6 +83,12 @@ def test_sums_match_on_edge_outcomes(ps, xs, ys):
         assert_sums_match(rv)
 
 
+def test_columns_of_unequal_length_are_refused():
+    # three probabilities, two outcomes: no outcome is silently dropped
+    with pytest.raises(ValueError, match="^columns must have one length$"):
+        DiscreteRandomVector(Columns([0.5, 0.5, 0.3], [[1], [2]], [1, 1]))
+
+
 def test_columns_stay_arrays_and_read_only():
     rv, from_tuples = columns_and_tuples([0.5, 0.5], [[1.0], [-1.0]], [1.0, 2.0])
     assert list(rv.outcomes) == list(from_tuples.outcomes) == [(0.5, (1 + 0j,), 1 + 0j), (0.5, (-1 + 0j,), 2 + 0j)]
