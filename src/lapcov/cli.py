@@ -41,6 +41,7 @@ from .shifts import (
     semicharacter_defect,
 )
 from .toeplitz import (
+    _ranks,
     disc_measure,
     disc_measures,
     luecking_check,
@@ -141,7 +142,7 @@ def _cmd_toeplitz(scenario, args):
     # both stacks are finite here: moment_matrices and toeplitz_matrix raise NumericOverflow otherwise
     t_sigmas = np.linalg.svd(toeplitz_matrix(moments), compute_uv=False)
     m_sigmas = np.linalg.svd(moments, compute_uv=False)
-    checks = [luecking_check(nu, m_sigma, rank_tol) for nu, m_sigma in zip(nus, m_sigmas)]
+    checks = [luecking_check(nu, rank) for nu, rank in zip(nus, _ranks(m_sigmas, rank_tol).tolist())]
     agree = [check.agree for check in checks]
     per_element = Table(
         ("s", "singular_values", "moment_rank", "atom_count", "luecking_agree", "rank_one_ratio"),

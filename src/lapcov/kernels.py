@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import NumericOverflow
-from .laplace import POINT_MASS, EvaluationGrid, Tolerances, decide_covariance, default_grid, mass_vanishes, negligible
-from .measures import AtomicMeasure, total_mass
+from .laplace import POINT_MASS, EvaluationGrid, Tolerances, decide_covariance, default_grid, mass_vanishes
+from .measures import AtomicMeasure, negligible, total_mass
 from .semigroups import monomial
 
 EXTREMAL = "extremal"

@@ -29,6 +29,7 @@ from .measures import (
     AtomicMeasure,
     Symbol,
     charges,
+    negligible,
     symbol_values,
     total_mass,
     weight_scale,
@@ -84,16 +85,6 @@ class Tolerances:
             raise ValueError("tolerances must be positive and finite")
         if not (self.mass < 1 and self.rank < 1):
             raise ValueError("mass and rank tolerances must be below 1")
-
-
-def negligible(value, scale, tol: float):
-    """Whether |value| <= tol * scale: the one rule by which a verdict gate or rank count calls a value zero.
-
-    Builtin ``abs``, so a scalar gate makes no numpy call and an array is
-    compared elementwise.  Against a zero scale only an exact 0 is
-    negligible; a NaN never is.
-    """
-    return abs(value) <= tol * scale
 
 
 def mass_vanishes(mu: AtomicMeasure, tol: Tolerances) -> bool:
@@ -283,17 +274,16 @@ def degenerate_check(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Toler
 
     Reports whether the analytic side L[mu,F](s,e) vanishes for every grid s,
     or the conjugate side L[mu,conj F](e,s) does, or neither.  When both
-    vanish the analytic case is reported.
+    vanish the analytic case is reported: the conjugate side is computed
+    only when the analytic one does not vanish.
     """
     tol = tol or Tolerances()
     fv = symbol_values(symbol, mu.points)
     P = character_matrix(mu.semigroup, mu.points, grid.exponents)
-    analytic = P.T @ charges(mu, fv)
-    conjugate = P.conj().T @ charges(mu, fv, MODE_CONJ_F)
     scale = weight_scale(mu) * float(np.max(np.abs(fv)[:, None] * np.abs(P), initial=0.0))
-    if negligible(analytic, scale, tol.residual).all():
+    if negligible(P.T @ charges(mu, fv), scale, tol.residual).all():
         return MASS_ZERO_ANALYTIC
-    if negligible(conjugate, scale, tol.residual).all():
+    if negligible(P.conj().T @ charges(mu, fv, MODE_CONJ_F), scale, tol.residual).all():
         return MASS_ZERO_CONJUGATE
     return MASS_ZERO_NEITHER
 
@@ -432,17 +422,21 @@ def decide_covariance(
             kind=DEGENERATE, degenerate_case=case, symbol_vanishes_on_atom=flag
         )
 
-    w = mu.weight_array
+    # the residual and its scale are quadratic in w, so tiny weights would square to 0: scale
+    # them by the power of two that lifts the largest |w_k| into [1/2, 1).  The exact rescaling
+    # leaves max_residual's bits alone wherever nothing underflowed; weights are never scaled
+    # down, so large ones still report their overflow
+    unit = 2.0 ** min(max(-math.frexp(float(np.max(np.abs(mu.weight_array))))[1], 0), 1023)
     P = character_matrix(sg, mu.points, grid.exponents)
     # finite charges and characters can still overflow in their products
     with np.errstate(over="ignore", invalid="ignore"):
-        left = P.T @ charges(mu, fv)
-        right = P.conj().T @ charges(mu, fv, MODE_CONJ_F)
-        quad = P.T @ (charges(mu, fv, MODE_ABS_F_SQ)[:, None] * P.conj())
-        residual = total_mass(mu) * quad - np.outer(left, right)
+        left = P.T @ (charges(mu, fv) * unit)
+        right = P.conj().T @ (charges(mu, fv, MODE_CONJ_F) * unit)
+        quad = P.T @ ((charges(mu, fv, MODE_ABS_F_SQ) * unit)[:, None] * P.conj())
+        residual = total_mass(mu) * unit * quad - np.outer(left, right)
         abs_residual = np.abs(residual)
         fp_max = float(np.max(abs_f[:, None] * np.abs(P), initial=0.0))
-        weight_square = float(np.sum(np.abs(w) ** 2))
+        weight_square = float(np.sum(np.abs(mu.weight_array * unit) ** 2))
     max_raw = float(abs_residual.max())
     try:
         scale = weight_square * fp_max**2
@@ -464,7 +458,7 @@ def decide_covariance(
     return CovarianceVerdict(
         kind=NOT_POINT_MASS,
         witness=(grid.elements[i], grid.elements[j]),
-        witness_residual=complex(residual[i, j]),
+        witness_residual=complex(residual[i, j]) / unit / unit,
         max_residual=max_normalized,
         symbol_vanishes_on_atom=flag,
     )

@@ -271,6 +271,16 @@ def finite_charges(values):
     return values
 
 
+def negligible(value, scale, tol: float):
+    """Whether |value| <= tol * scale: the one rule by which a verdict gate or rank count calls a value zero.
+
+    Builtin ``abs``, so a scalar gate makes no numpy call and an array is
+    compared elementwise.  Against a zero scale only an exact 0 is
+    negligible; a NaN never is.
+    """
+    return abs(value) <= tol * scale
+
+
 def total_mass(mu: AtomicMeasure) -> complex:
     return complex(sum(mu.weights))
 

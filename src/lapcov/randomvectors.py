@@ -16,9 +16,14 @@ import numpy as np
 
 from .errors import ExpectationYZero
 from .laplace import (
-    NOT_POINT_MASS, POINT_MASS, CovarianceVerdict, Tolerances, decide_covariance, default_grid, negligible
+    NOT_POINT_MASS,
+    POINT_MASS,
+    CovarianceVerdict,
+    Tolerances,
+    decide_covariance,
+    default_grid,
 )
-from .measures import AtomicMeasure, Columns
+from .measures import AtomicMeasure, Columns, negligible
 from .semigroups import Semigroup, complex_product, monomial
 
 CONSTANT = "constant"

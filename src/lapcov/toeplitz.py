@@ -27,8 +27,8 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import NumericOverflow, RankDeficientPencil
-from .laplace import Tolerances, negligible
-from .measures import AtomicMeasure, Symbol, finite_charges, merge_atoms, sup_norm, symbol_values
+from .laplace import Tolerances
+from .measures import AtomicMeasure, Symbol, finite_charges, merge_atoms, negligible, sup_norm, symbol_values
 from .semigroups import _check_entries, character_matrix, element_exponents
 
 DISC_RADIUS = 0.5
@@ -201,16 +201,16 @@ class LueckingResult(NamedTuple):
     agree: bool
 
 
-def luecking_check(nu: DiscMeasure, sigma, rel_tol: float = DEFAULT_RANK_TOL) -> LueckingResult:
+def luecking_check(nu: DiscMeasure, rank: int) -> LueckingResult:
     """Finite-rank check: moment-matrix rank vs. number of charged atoms.
 
-    The rank is read from ``sigma``, the descending singular values of nu's
-    moment matrix.  Luecking's theorem says the two agree for any finitely
-    supported disc measure once the matrix order exceeds the support size.
-    Clustered atoms degrade the rank estimate; the caller sees the
-    disagreement rather than a silently adjusted count.
+    ``rank`` is the numerical rank of nu's moment matrix (``numerical_rank``,
+    or ``_ranks`` over a stack of singular values).  Luecking's theorem says
+    the two agree for any finitely supported disc measure once the matrix
+    order exceeds the support size.  Clustered atoms degrade the rank
+    estimate; the caller sees the disagreement rather than a silently
+    adjusted count.
     """
-    rank = int(_ranks(np.asarray(sigma), rel_tol))
     atom_count = sum(1 for m in nu.weights if m != 0)
     return LueckingResult(rank, atom_count, rank == atom_count)
 

@@ -228,15 +228,23 @@ def test_the_zero_measure_is_a_mass_zero_case(tmp_path):
     assert (code, report["verdict"], report["reason"]) == (2, "degenerate", "measure_mass_zero")
 
 
-def test_an_underflowing_residual_scale_certifies_nothing(tmp_path):
-    # sum |w|^2 underflows to 0: the residual at (4, 4) is not negligible against it
-    path = tmp_path / "underflow.json"
-    atoms = [{"point": [1e18], "weight": 1e-163}, {"point": [2e18], "weight": 1e-163}]
-    path.write_text(json.dumps({"semigroup": {"kind": "nat_add", "d": 1}, "measure": {"atoms": atoms}}))
-    code, out, _ = run_cli(["covariance", str(path)])
-    report = json.loads(out)
+def test_tiny_weights_are_judged_against_their_own_scale(tmp_path):
+    # sum |w|^2 underflows to 0 at weights 1e-163: a point mass there is still certified, and a
+    # pair is refuted at (4, 4) with a normalized residual that is not 0
+    def covariance(*points):
+        path = tmp_path / "tiny.json"
+        atoms = [{"point": [z], "weight": 1e-163} for z in points]
+        path.write_text(json.dumps({"semigroup": {"kind": "nat_add", "d": 1}, "measure": {"atoms": atoms}}))
+        code, out, _ = run_cli(["covariance", str(path)])
+        return code, json.loads(out)
+
+    code, report = covariance(1e18)
+    assert (code, report["verdict"], report["zeta"]) == (0, "point_mass", [[1e18, 0]])
+    assert report["max_residual"] < 1e-8
+    code, report = covariance(1e18, 2e18)
     assert (code, report["verdict"]) == (0, "not_point_mass")
     assert [report["witness_s"], report["witness_t"]] == [[4], [4]]
+    assert report["max_residual"] == pytest.approx(0.439453125)
 
 
 def test_pd_accepts_explicit_pair_function_and_operators(tmp_path):

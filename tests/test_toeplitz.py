@@ -28,7 +28,7 @@ from lapcov.errors import NumericOverflow, RankDeficientPencil
 from lapcov.laplace import default_grid
 from lapcov.scenario import load_scenario
 from lapcov import toeplitz
-from lapcov.toeplitz import DEFAULT_MATRIX_ORDER, DEFAULT_RANK_TOL
+from lapcov.toeplitz import DEFAULT_MATRIX_ORDER, DEFAULT_RANK_TOL, _ranks
 from lapcov.measures import symbol_values
 from lapcov.semigroups import character_matrix, element_exponents
 
@@ -228,14 +228,14 @@ def test_grid_stacks_are_byte_equal_to_one_element_at_a_time(rng, semigroup, cou
         moments = moment_matrices(nus, order)
         t_sigmas = np.linalg.svd(toeplitz_matrix(moments), compute_uv=False)
         m_sigmas = np.linalg.svd(moments, compute_uv=False)
+        m_ranks = _ranks(m_sigmas, DEFAULT_RANK_TOL).tolist()
         tables = moment_matrices(nus, order, rows=order + 1)
         for i, nu in enumerate(nus):
             assert moments[i].tobytes() == reference_moment_matrix(nu, order).tobytes()
             assert moment_matrix(nu, order).tobytes() == moments[i].tobytes()
             assert t_sigmas[i].tobytes() == reference_toeplitz_sigma(nu, order).tobytes()
             assert m_sigmas[i].tobytes() == reference_moment_sigma(nu, order).tobytes()
-            check = luecking_check(nu, m_sigmas[i], DEFAULT_RANK_TOL)
-            assert check.rank == reference_luecking_rank(nu, order, DEFAULT_RANK_TOL)
+            assert m_ranks[i] == reference_luecking_rank(nu, order, DEFAULT_RANK_TOL)
             assert tables[i].tobytes() == reference_prony_table(nu, order).tobytes()
 
 
@@ -293,7 +293,7 @@ def test_numerical_rank_examples():
 
 
 def _luecking(nu, order=DEFAULT_MATRIX_ORDER):
-    return luecking_check(nu, np.linalg.svd(moment_matrix(nu, order), compute_uv=False))
+    return luecking_check(nu, numerical_rank(moment_matrix(nu, order)))
 
 
 def test_luecking_examples():
