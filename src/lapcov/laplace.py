@@ -240,10 +240,16 @@ def transform_block(mu: AtomicMeasure, symbol, rows, cols, mode: str = MODE_F) -
     computed in.  ``symbol=None`` means F == 1; ``mode`` picks F, conj F or
     |F|^2.
     """
-    sg = mu.semigroup
-    wf = charges(mu, symbol_values(symbol, mu.points), mode)
-    ps = character_matrix(sg, mu.points, rows)
-    pt = ps if np.array_equal(cols, rows) else character_matrix(sg, mu.points, cols)
+    return charge_block(mu.semigroup, mu.points, charges(mu, symbol_values(symbol, mu.points), mode), rows, cols)
+
+
+def charge_block(semigroup: Semigroup, points, wf: np.ndarray, rows, cols) -> np.ndarray:
+    """sum_k wf_k rho_{z_k}(s) conj(rho_{z_k}(t)) for s in ``rows`` and t in ``cols``: ``transform_block`` on given charges.
+
+    ``wf`` holds the charges of the atoms at ``points`` (``measures.charges``).
+    """
+    ps = character_matrix(semigroup, points, rows)
+    pt = ps if np.array_equal(cols, rows) else character_matrix(semigroup, points, cols)
     left_re, left_im = complex_product(wf.real[:, None], wf.imag[:, None], ps.real, ps.imag)
     out = np.zeros((len(rows), len(cols)), dtype=complex)
     for k in range(len(wf)):
@@ -294,7 +300,8 @@ def recover_point_mass(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Tol
     Returns ``(mass, table)`` with mass = mu(support) and
     table[s] = L[mu,F](s,e) / L[mu,F](e,e) for every s in the grid closure,
     as a ``CharacterTable`` over one closure-indexed array.
-    Raises FMuIntegralZero when the denominator is below tolerance.
+    Raises FMuIntegralZero when the denominator is below tolerance, and
+    NumericOverflow when a ratio is not finite.
     """
     tol = tol or Tolerances()
     wf = charges(mu, symbol_values(symbol, mu.points))
@@ -302,8 +309,12 @@ def recover_point_mass(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Tol
     denominator = complex(numerators[0])  # the identity sorts first in the closure
     if negligible(denominator, float(np.sum(np.abs(wf))), tol.mass):
         raise FMuIntegralZero("the integral of F against mu is numerically zero")
-    values = numerators / denominator
+    # numpy's complex division overflows on a subnormal denominator, where Python's does not
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = numerators / denominator
     values[0] = 1 + 0j  # the ratio at the identity is 1 by definition
+    if not np.isfinite(values).all():
+        raise NumericOverflow("a transform ratio overflows the float range")
     values.setflags(write=False)
     return total_mass(mu), CharacterTable(grid, values)
 

@@ -62,7 +62,9 @@ def merge_atoms(points: np.ndarray, weights: list, groups: np.ndarray = None) ->
     more than ``_MERGE_WINDOW``.  Points within ``MERGE_TOL`` share a
     cluster, so only clusters of two or more need the input-order rule: a
     cluster's first atom is kept and claims every later one within reach,
-    then the first atom left over is kept, and so on.
+    then the first atom left over is kept, and so on.  In a cluster whose
+    points are all equal every atom joins the first: such clusters are found
+    at once, and each adds its weights in one loop, with no distance test.
     """
     k = len(points)
     weights = list(weights)
@@ -76,16 +78,31 @@ def merge_atoms(points: np.ndarray, weights: list, groups: np.ndarray = None) ->
     # Python's float arithmetic overflows to inf without a warning
     with np.errstate(over="ignore"):
         together = (np.diff(key) <= _MERGE_WINDOW) & (group[1:] == group[:-1])
-        bounds = [0, *(np.flatnonzero(~together) + 1).tolist(), k] if together.any() else []
-        for start, stop in zip(bounds, bounds[1:]):
-            members = np.sort(order[start:stop])
-            while members.size > 1:
-                near = _within_tol(points[members], points[members[0]])
-                q, joined = int(members[0]), members[near][1:]
-                for i in joined.tolist():
-                    weights[q] += weights[i]
-                kept[joined] = False
-                members = members[~near]
+        if together.any():
+            starts = np.flatnonzero(np.r_[True, ~together])
+            sizes = np.diff(np.r_[starts, k])
+            # sorted atoms equal to their predecessor: equal points sort next to each other, and
+            # lexsort is stable, so a cluster of equal points lists its atoms in input order
+            repeats = np.r_[False, together & (points[order[1:]] == points[order[:-1]]).all(axis=1)]
+            equal = (sizes > 1) & (np.add.reduceat(repeats, starts) == sizes - 1)
+            listed = order.tolist()
+            for start, stop in zip(starts[equal].tolist(), (starts + sizes)[equal].tolist()):
+                q = listed[start]
+                total = weights[q]
+                for i in listed[start + 1 : stop]:
+                    total += weights[i]
+                weights[q] = total
+            kept[order[np.repeat(equal, sizes) & repeats]] = False
+            mixed = ~equal & (sizes > 1)
+            for start, size in zip(starts[mixed].tolist(), sizes[mixed].tolist()):
+                members = np.sort(order[start : start + size])
+                while members.size > 1:
+                    near = _within_tol(points[members], points[members[0]])
+                    q, joined = int(members[0]), members[near][1:]
+                    for i in joined.tolist():
+                        weights[q] += weights[i]
+                    kept[joined] = False
+                    members = members[~near]
     keep = order[kept[order]].tolist()
     return keep, [weights[i] for i in keep]
 

@@ -8,10 +8,12 @@ Reports carry long lists of same-shape records (transform values, gamma
 tables, per-element rows).  A command hands such a list over as a ``Table``
 of columns, and ``dumps`` writes it as the list of records
 ``Table.records()`` would give, filling one record template with a single
-``%`` call.  A float array column goes to ``%.17g`` specifiers directly (one
-per record, or one fixed-width list per row; a complex array is one
-``[re, im]`` pair per record), after one finiteness check and ``+ 0.0``,
-which turns -0.0 into the 0.0 that ``format_float`` writes.  An integer
+``%`` call per chunk of 256 records; the chunks are lines of the report,
+so the one final join copies each of them once.  A float array column goes
+to ``%.17g`` specifiers directly (one per record, or one fixed-width list
+per row; a complex array is one ``[re, im]`` pair per record), after one
+finiteness check and, a chunk at a time, ``+ 0.0``, which turns -0.0 into
+the 0.0 that ``format_float`` writes.  An integer
 array column (grid labels) goes to ``%d`` specifiers the same way, with no
 check.  A ``Ragged`` column (an inner ``Table`` and row bounds: Prony's
 atom lists) formats all inner records the same way in one more ``%`` call
@@ -146,28 +148,48 @@ def _emit(value, pad: str, lines: list, prefix: str, suffix: str):
             _emit(item, pad + "  ", lines, "", "," if i < last else "")
         lines.append(f"{pad}]{suffix}")
     elif isinstance(value, Table):
-        body = _table(value, pad + "  ") if len(value) else None
-        if body is None:
+        chunks = _table(value, pad + "  ") if len(value) else None
+        if chunks is None:
             _emit(value.records(), pad, lines, prefix, suffix)
         else:
-            lines += (f"{pad}{prefix}[", body, f"{pad}]{suffix}")
+            lines += (f"{pad}{prefix}[", *chunks, f"{pad}]{suffix}")
     else:
         lines.append(f"{pad}{prefix}{_scalar(value)}{suffix}")
 
 
+# records per ``%`` call: a longer table is formatted chunk by chunk, so no format string or
+# argument tuple as long as the whole table is built next to the text
+_CHUNK = 256
+
+
 def _table(table: Table, pad: str):
-    """The lines of a table's records at ``pad``, joined, or None when a value fails."""
+    """The lines of a table's records at ``pad`` as one text per chunk of records, or None when a value fails.
+
+    Every chunk but the last ends in the comma that separates it from the
+    next, so the chunks are lines of the report.
+    """
     try:
-        record, args = _template(table, pad)
+        record, slots = _template(table, pad)
     except (TypeError, ValueError):
         return None
-    return ",\n".join([record] * len(table)) % args
+    count = len(table)
+    parts = []
+    if count > _CHUNK:
+        chunk = ",\n".join([record] * _CHUNK) + ","
+        parts = [chunk % _arguments(slots, start, start + _CHUNK) for start in range(0, count - _CHUNK, _CHUNK)]
+    last = count - _CHUNK * len(parts)
+    parts.append(",\n".join([record] * last) % _arguments(slots, count - last, count))
+    return parts
 
 
 def _template(table: Table, pad: str):
-    """One record's ``%`` template at ``pad`` and the arguments of all records; TypeError or ValueError when a value fails."""
+    """One record's ``%`` template at ``pad`` and its slots; TypeError or ValueError when a value fails.
+
+    A slot holds one specifier's argument for every record: a 1-D number
+    array, converted a chunk at a time by ``_arguments``, or a list of texts.
+    """
     fragments = []
-    slots = []  # one specifier's argument for every record
+    slots = []
     for column in table.columns:
         numbers = _numbers(column)
         if numbers is None:
@@ -176,31 +198,42 @@ def _template(table: Table, pad: str):
                 slots.append(_rows(column, pad + "  "))
             else:
                 slots.append([_text(value, pad + "  ") for value in column])
-        elif column.dtype.kind in "iu":
+        elif column.dtype.kind in "iu" or np.isfinite(column).all():
             fragments.append(numbers[0])
-            slots += [part.tolist() for part in numbers[1]]
-        elif np.isfinite(column).all():
-            fragments.append(numbers[0])
-            slots += [(part + 0.0).tolist() for part in numbers[1]]
+            slots += numbers[1]
         else:
             raise ValueError("reports must contain finite numbers only")
-    # interleave the slots record by record
-    args = [None] * (len(slots) * len(table))
-    for i, slot in enumerate(slots):
-        args[i :: len(slots)] = slot
     body = ",\n".join(
         f"{pad}  {_escape(str(key)).replace('%', '%%')}: {fragment}" for key, fragment in zip(table.keys, fragments)
     )
-    return f"{pad}{{\n{body}\n{pad}}}", tuple(args)
+    return f"{pad}{{\n{body}\n{pad}}}", slots
+
+
+def _arguments(slots: list, start: int, stop: int) -> tuple:
+    """The ``%`` arguments of records ``start:stop``, record by record.
+
+    A float slot gets ``+ 0.0``, which turns -0.0 into the 0.0 that
+    ``format_float`` writes.
+    """
+    columns = []
+    for slot in slots:
+        part = slot[start:stop]
+        if isinstance(part, np.ndarray):
+            part = (part + 0.0 if part.dtype.kind == "f" else part).tolist()
+        columns.append(part)
+    args = [None] * (len(columns) * (stop - start))
+    for i, column in enumerate(columns):
+        args[i :: len(columns)] = column
+    return tuple(args)
 
 
 def _rows(column: Ragged, pad: str) -> list:
     """Each value of a ragged column as a list written at ``pad``, from one ``%`` call over all its inner records."""
-    record, args = _template(column.table, pad + "  ")
+    record, slots = _template(column.table, pad + "  ")
     bounds = column.bounds
     # "\0" is never written: _escape turns control characters into \u escapes
     rows = ["[\n" + ",\n".join([record] * (b - a)) + f"\n{pad}]" if b > a else "[]" for a, b in zip(bounds, bounds[1:])]
-    return ("\0".join(rows) % args).split("\0")
+    return ("\0".join(rows) % _arguments(slots, 0, len(column.table))).split("\0")
 
 
 def _numbers(column):
@@ -236,4 +269,5 @@ def dumps(report: dict) -> str:
     """Serialize a report to deterministic, pretty-printed JSON (with newline)."""
     lines = []
     _emit(report, "", lines, "", "")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, written by the one join
+    return "\n".join(lines)

@@ -46,8 +46,8 @@ _HALF_PLANE_TOL = 1e-12
 
 # Tables over pairs of grid or closure elements, moment stacks and Prony
 # design stacks are refused past this many entries (64 MB as complex), ~8x
-# the largest the benchmark builds: the 729 x 729 pair table of a nat_mult
-# order-4 pd.
+# the largest pair domain the benchmark uses: the 729 x 729 closure pairs of a
+# nat_mult order-4 pd, which evaluates only the pairs it probes.
 _MAX_PAIR_ENTRIES = 2**22
 
 

@@ -15,9 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingGridValue, NumericOverflow
-from .laplace import EvaluationGrid
+from .laplace import EvaluationGrid, charge_block
 from .measures import AtomicMeasure, Symbol, charges, symbol_values
-from .semigroups import Semigroup, _check_pairs, character_matrix, combine, identity, validate_element
+from .semigroups import (
+    Semigroup,
+    _check_pairs,
+    character_matrix,  # noqa: F401  (a lapcov.shifts binding that perfbench/layers.py traces)
+    combine,
+    identity,
+    validate_element,
+)
 
 ADMISSIBLE_PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
 
@@ -85,37 +92,81 @@ def admissible_generator(semigroup: Semigroup, pair, phase) -> ShiftCombination:
     ).normalized()
 
 
-class PairTable(Mapping):
-    """Read-only {(s, t): complex} view of a matrix indexed by ``elements`` on both axes."""
+class TransformPairs(Mapping):
+    """Read-only {(s, t): complex} view of L[mu, F] on closure x closure, computed when it is read.
 
-    def __init__(self, elements: tuple, matrix: np.ndarray):
-        self._elements = elements
-        self._index = {el: i for i, el in enumerate(elements)}
-        self._matrix = matrix
+    ``read`` computes a batch of pairs with one ``laplace.charge_block`` over
+    the distinct closure elements the batch names, as rows and as columns,
+    so each value equals ``transform_block``'s bit for bit.  A batch naming
+    a pair outside the closure raises KeyError with the first such pair; a
+    value that is not finite raises NumericOverflow.
+    """
+
+    def __init__(self, grid: EvaluationGrid, semigroup: Semigroup, points, wf: np.ndarray):
+        self._grid = grid
+        self._atoms = (semigroup, points, wf)
+        self._index = {el: i for i, el in enumerate(grid.pairs_closure)}
+
+    def read(self, keys) -> list:
+        """The values at the list of pairs ``keys``, in order, as Python complex."""
+        index = self._index
+        block_at = {}  # closure index -> row and column of the block
+
+        def position(element) -> int:
+            return block_at.setdefault(index[element], len(block_at))
+
+        try:
+            at = [(position(s), position(t)) for s, t in keys]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(next(key for key in keys if key not in self)) from None
+        exponents = self._grid.closure_exponents[list(block_at)]
+        # finite charges and characters can still overflow in their products and sums
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = charge_block(*self._atoms, exponents, exponents)
+        values = block[tuple(np.array(at, dtype=np.int64).reshape(-1, 2).T)]
+        if not np.isfinite(values).all():
+            raise NumericOverflow("a pair-function value overflows the float range")
+        return values.tolist()
 
     def __getitem__(self, key) -> complex:
+        return self.read([key])[0]
+
+    def __contains__(self, key) -> bool:
         try:
             s, t = key
+            return s in self._index and t in self._index
         except (TypeError, ValueError):
-            raise KeyError(key) from None
-        return complex(self._matrix[self._index[s], self._index[t]])
+            return False
 
     def __len__(self) -> int:
-        return len(self._elements) ** 2
+        return len(self._index) ** 2
 
     def __iter__(self):
-        return itertools.product(self._elements, repeat=2)
+        return itertools.product(self._grid.pairs_closure, repeat=2)
+
+
+def _read(values: Mapping, keys) -> list:
+    """The values of ``values`` at ``keys``, in one batch when the mapping reads batches."""
+    read = getattr(values, "read", None)
+    return read(keys) if read is not None else [values[key] for key in keys]
 
 
 class QuotientTable(Mapping):
-    """Read-only view of ``values`` divided by ``divisor`` at each lookup."""
+    """Read-only view of ``values`` divided by ``divisor`` at each read, with Python's complex division."""
 
     def __init__(self, values: Mapping, divisor: complex):
         self._values = values
         self._divisor = divisor
 
+    def read(self, keys) -> list:
+        divisor = self._divisor
+        return [value / divisor for value in _read(self._values, keys)]
+
     def __getitem__(self, key) -> complex:
-        return self._values[key] / self._divisor
+        return self.read([key])[0]
+
+    def __contains__(self, key) -> bool:
+        return key in self._values
 
     def __len__(self) -> int:
         return len(self._values)
@@ -128,9 +179,10 @@ class QuotientTable(Mapping):
 class PairFunction:
     """A table of complex values on pairs of grid-closure elements.
 
-    Calling it outside the stored domain raises MissingGridValue; shift
-    combinations therefore only resolve while their probes stay inside the
-    closure.
+    ``values`` is any mapping from pairs to complex: a dict, or a view
+    computed when it is read.  Reading outside the stored domain raises
+    MissingGridValue; shift combinations therefore only resolve while their
+    probes stay inside the closure.
     """
 
     grid: EvaluationGrid
@@ -141,36 +193,33 @@ class PairFunction:
         return self.grid.semigroup
 
     def __call__(self, s, t) -> complex:
+        return self.read([(s, t)])[0]
+
+    def read(self, pairs) -> list:
+        """f at each pair of the list ``pairs``, in one batch; MissingGridValue names the first pair outside the domain."""
         try:
-            return self.values[(s, t)]
+            return _read(self.values, pairs)
         except KeyError:
+            s, t = next(pair for pair in pairs if pair not in self.values)
             raise MissingGridValue(f"pair function undefined at ({s}, {t})") from None
 
     def divided_by(self, divisor: complex) -> "PairFunction":
-        """f / divisor on the same grid, divided at each lookup."""
+        """f / divisor on the same grid, divided at each read."""
         return PairFunction(self.grid, QuotientTable(self.values, divisor))
 
 
 def pair_function_from_measure(mu: AtomicMeasure, grid: EvaluationGrid, symbol: Symbol = None) -> PairFunction:
-    """Tabulate the (optionally F-weighted) transform of mu on closure x closure.
+    """The (optionally F-weighted) transform of mu on closure x closure, computed where it is read.
 
-    A closure too large for the table raises GridTooLarge before any of it is
-    built.  Finite charges and characters can still overflow in the table:
-    this function owns its finiteness check, which ``positive_definite_check``
-    relies on, and raises NumericOverflow on a value that is not finite.  No
-    entry exceeds sum_k |w_k| max_s |rho_k(s)|^2 in modulus, so only a table
-    whose bound overflows is checked entry by entry.
+    A closure too large for a table over its pairs raises GridTooLarge here,
+    as do symbol values and charges that are not defined or not finite.
+    The values are a ``TransformPairs`` view: a read computes only the pairs
+    it names, and raises NumericOverflow on a value that is not finite,
+    which ``positive_definite_check`` relies on.
     """
-    closure = grid.pairs_closure
-    _check_pairs(len(closure), "a grid closure")
-    w = charges(mu, symbol_values(symbol, mu.points))
-    P = character_matrix(mu.semigroup, mu.points, grid.closure_exponents)
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = P.T @ (w[:, None] * P.conj())
-        bound = 2.0 * float(np.sum(np.abs(w) * np.max(np.abs(P), axis=1, initial=0.0) ** 2))
-    if not math.isfinite(bound) and not np.isfinite(table).all():
-        raise NumericOverflow("a pair-function value overflows the float range")
-    return PairFunction(grid, PairTable(closure, table))
+    _check_pairs(len(grid.pairs_closure), "a grid closure")
+    wf = charges(mu, symbol_values(symbol, mu.points))
+    return PairFunction(grid, TransformPairs(grid, mu.semigroup, mu.points, wf))
 
 
 def semicharacter_from_point(semigroup: Semigroup, point, grid: EvaluationGrid) -> PairFunction:
@@ -178,20 +227,31 @@ def semicharacter_from_point(semigroup: Semigroup, point, grid: EvaluationGrid) 
     return pair_function_from_measure(AtomicMeasure(semigroup, ((point, 1),)), grid)
 
 
-def apply_shift(op: ShiftCombination, f: PairFunction, at) -> complex:
-    """Evaluate (sum_i c_i E_{(a_i, b_i)}) f at the pair ``at``."""
+def _shifted_pairs(sg: Semigroup, op: ShiftCombination, at) -> list:
+    """The pairs (a_i s, b_i t) that the terms of ``op`` read at ``at`` = (s, t)."""
     s, t = at
-    sg = f.semigroup
+    return [(combine(sg, a, s), combine(sg, b, t)) for a, b, _ in op.terms]
+
+
+def _combination(op: ShiftCombination, values) -> complex:
+    """sum_i c_i v_i over the terms of ``op``, taking v_i from the iterator ``values``."""
     total = 0j
-    for a, b, coeff in op.terms:
-        total += coeff * f(combine(sg, a, s), combine(sg, b, t))
+    for _, _, coeff in op.terms:
+        total += coeff * next(values)
     return total
 
 
+def apply_shift(op: ShiftCombination, f: PairFunction, at) -> complex:
+    """Evaluate (sum_i c_i E_{(a_i, b_i)}) f at the pair ``at``."""
+    return _combination(op, iter(f.read(_shifted_pairs(f.semigroup, op, at))))
+
+
 def bv_norm(f: PairFunction, operators) -> float:
-    """Variation sum sum_T |T f(e, e)| over a finite operator family."""
+    """Variation sum sum_T |T f(e, e)| over a finite operator family, read in one batch."""
     e = identity(f.semigroup)
-    return float(sum(abs(apply_shift(op, f, (e, e))) for op in operators))
+    operators = list(operators)
+    values = iter(f.read([pair for op in operators for pair in _shifted_pairs(f.semigroup, op, (e, e))]))
+    return float(sum(abs(_combination(op, values)) for op in operators))
 
 
 @dataclass(frozen=True)
@@ -213,10 +273,8 @@ def positive_definite_check(f: PairFunction, points, rel_tol: float = 1e-10) -> 
     """
     sg = f.semigroup
     n = len(points)
-    gram = np.empty((n, n), dtype=complex)
-    for j, (sj, tj) in enumerate(points):
-        for k, (sk, tk) in enumerate(points):
-            gram[j, k] = f(combine(sg, sj, tk), combine(sg, tj, sk))
+    pairs = [(combine(sg, sj, tk), combine(sg, tj, sk)) for sj, tj in points for sk, tk in points]
+    gram = np.array(f.read(pairs), dtype=complex).reshape(n, n)
     with np.errstate(over="ignore", invalid="ignore"):
         hermitian = (gram + gram.conj().T) / 2.0
         asymmetry = float(np.linalg.norm(gram - gram.conj().T))
@@ -237,8 +295,13 @@ def semicharacter_defect(f: PairFunction, points) -> float:
     """
     sg = f.semigroup
     e = identity(sg)
-    defect = abs(f(e, e) - 1.0)
+    # one batch, in the order the pairs are used: f(e, e), then lhs, f(s, t), f(s', t') per probe pair
+    pairs = [(e, e)]
     for (s, t), (s2, t2) in itertools.product(points, repeat=2):
-        lhs = f(combine(sg, s, t2), combine(sg, t, s2))
-        defect = max(defect, abs(lhs - f(s, t) * f(s2, t2).conjugate()))
+        pairs += [(combine(sg, s, t2), combine(sg, t, s2)), (s, t), (s2, t2)]
+    values = f.read(pairs)
+    defect = abs(values[0] - 1.0)
+    for i in range(1, len(values), 3):
+        lhs, first, second = values[i : i + 3]
+        defect = max(defect, abs(lhs - first * second.conjugate()))
     return float(defect)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -245,6 +246,19 @@ def test_tiny_weights_are_judged_against_their_own_scale(tmp_path):
     assert (code, report["verdict"]) == (0, "not_point_mass")
     assert [report["witness_s"], report["witness_t"]] == [[4], [4]]
     assert report["max_residual"] == pytest.approx(0.439453125)
+
+
+def test_pd_holds_no_table_over_the_closure_pairs():
+    # the order-12 closure has 625 elements: a table over its 390,625 pairs takes 6.25 MB, the probed pairs a few KB
+    argv = build_argv("point_mass_natadd2.json", ["pd", "--grid-order", "12"])
+    code, out, _ = run_cli(argv)  # warm every cache first
+    tracemalloc.start()
+    try:
+        assert run_cli(argv)[:2] == (code, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 1_000_000, f"pd peaked at {peak} bytes"
 
 
 def test_pd_accepts_explicit_pair_function_and_operators(tmp_path):
@@ -1239,7 +1253,7 @@ OVERFLOW_SCENARIOS = {
         "measure": {"atoms": [{"point": [[20.0, 0.0]], "weight": [1e-20, 0.0]}, {"point": [[0.5, 0.0]], "weight": [1e-20, 0.0]}]},
         "symbol": {"kind": "poly", "terms": [{"m": [0], "c": [1e150, 0]}]},
     },
-    # each charge F w = 1e308 is finite, the pair-function table's sums of them are not
+    # each charge F w = 1e308 is finite, their sum, the pair-function value at (e, e) that pd reads, is not
     "pair_table": overflow_measure(1, 0.25, symbol={"kind": "poly", "terms": [{"m": [0], "c": [1e308, 0]}]}),
     # a kernel coefficient whose square overflows
     "kernel_coefficient": {
@@ -1268,6 +1282,21 @@ def test_overflow_is_a_numeric_overflow_error(tmp_path, name, command):
     assert code == 1
     assert json.loads(out)["error"]["code"] == "numeric_overflow"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["covariance", "recover", "prony"])
+def test_a_subnormal_weight_is_a_numeric_overflow_error(tmp_path, command):
+    # numpy's complex division by the subnormal F-integral 1e-320 overflows, though each true ratio 2**s is finite
+    scenario = {
+        "semigroup": {"kind": "nat_add", "d": 1},
+        "measure": {"atoms": [{"point": [[2.0, 0.0]], "weight": [1e-320, 0.0]}]},
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli([command, write_scenario(tmp_path, scenario, "")])
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "numeric_overflow", "message": "a transform ratio overflows the float range"}
+    assert err == "error: a transform ratio overflows the float range\n"
 
 
 def moment_overflow_measure(semigroup, d):

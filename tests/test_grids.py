@@ -18,6 +18,7 @@ from lapcov import (
     MissingGridValue,
     PairFunction,
     Semigroup,
+    Symbol,
     char_eval,
     character_matrix,
     combine,
@@ -357,12 +358,15 @@ def test_character_table_keys_values_and_items_agree(rng):
 # ------------------------------------------------------------ pair tables
 
 
-def dict_pair_function(mu, grid):
-    """The closure x closure table as the dict that the pair view replaces."""
+def bits(values) -> list:
+    """The bit patterns of complex values, so that -0.0 and 0.0 differ and NaN equals itself."""
+    return np.array(list(values), dtype=complex).view(np.uint64).tolist()
+
+
+def transform_pair_dict(mu, grid, symbol=None):
+    """The closure x closure table from one ``transform_block``, as a dict."""
     closure = grid.pairs_closure
-    w = np.array(mu.weights, dtype=complex) * symbol_values(None, mu.points)
-    P = character_matrix(mu.semigroup, mu.points, grid.closure_exponents)
-    table = P.T @ (w[:, None] * P.conj())
+    table = transform_block(mu, symbol, grid.closure_exponents, grid.closure_exponents)
     return {(s, t): complex(table[i, j]) for i, s in enumerate(closure) for j, t in enumerate(closure)}
 
 
@@ -371,15 +375,42 @@ def test_pair_view_matches_dict(semigroup, rng):
     grid = default_grid(semigroup, order=1)
     mu = random_measure(rng, semigroup, 2)
     f = pair_function_from_measure(mu, grid)
-    reference = dict_pair_function(mu, grid)
+    reference = transform_pair_dict(mu, grid)
     closure = grid.pairs_closure
     assert len(f.values) == len(closure) ** 2 == len(reference)
     assert list(f.values) == list(reference)
-    assert dict(f.values.items()) == reference
+    items = dict(f.values.items())
+    assert list(items) == list(reference) and bits(items.values()) == bits(reference.values())
     for key, value in reference.items():
-        assert f(*key) == value and type(f(*key)) is complex
-        expected = laplace_transform(mu, None, *key)
-        assert abs(value - expected) <= 1e-14 * max(1.0, abs(expected))
+        assert type(f(*key)) is complex
+        assert bits([f(*key), laplace_transform(mu, None, *key)]) == bits([value, value])
+
+
+PAIR_SEMIGROUPS = [Semigroup.nat_add(1), NAT_ADD2, NAT_MULT2, Semigroup.nat_mult(3), HALF_LINE]
+
+
+@pytest.mark.parametrize("semigroup", PAIR_SEMIGROUPS, ids=["natadd1", "natadd2", "natmult2", "natmult3", "halfline"])
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+def test_pair_reads_are_transform_block_bits_in_any_batch_order(semigroup, count, rng):
+    grid = default_grid(semigroup, order=2)
+    mu = random_measure(rng, semigroup, count)
+    closure = grid.pairs_closure
+    symbols = [None, Symbol.constant(complex(rng.normal(), rng.normal()))]
+    if semigroup.family != HALF_LINE.family:
+        symbols.append(random_polynomial_symbol(rng, semigroup.point_dim))
+    for symbol in symbols:
+        f = pair_function_from_measure(mu, grid, symbol)
+        reference = transform_pair_dict(mu, grid, symbol)
+        pairs = list(reference)
+        # the whole domain, a shuffled batch with repeats, small batches and single reads
+        shuffled = [pairs[i] for i in rng.integers(0, len(pairs), size=3 * len(closure))]
+        assert bits(f.read(pairs)) == bits(reference.values())
+        assert bits(f.read(shuffled)) == bits([reference[p] for p in shuffled])
+        for start in range(0, 40, 7):
+            batch = shuffled[start : start + 7]
+            assert bits(f.read(batch)) == bits([reference[p] for p in batch])
+        assert bits([f(*p) for p in shuffled[:10]]) == bits([reference[p] for p in shuffled[:10]])
+        assert f.read([]) == []
 
 
 def test_pair_view_outside_closure():
@@ -392,6 +423,19 @@ def test_pair_view_outside_closure():
     assert "not a pair" not in f.values
     with pytest.raises(KeyError):
         f.values[(0,)]
+    # a batch read names its first pair outside the closure, in read order, and computes nothing
+    inside = [((0,), (0,)), ((2,), (1,))]
+    with pytest.raises(MissingGridValue, match=r"^pair function undefined at \(\(4,\), \(0,\)\)$"):
+        f.read(inside + [((4,), (0,)), ((0,), (3,)), ((5,), (5,))])
+    with pytest.raises(MissingGridValue, match=r"^pair function undefined at \(\(0,\), \(3,\)\)$"):
+        f.read([((0,), (3,))] + inside)
+    with pytest.raises(MissingGridValue, match=r"^pair function undefined at \(\(0,\), \(3,\)\)$"):
+        f.divided_by(2.0).read(inside + [((0,), (3,))])
+    # a plain dict of values reads the same way
+    table = PairFunction(grid, {pair: 1j for pair in inside})
+    assert table.read(inside[::-1]) == [1j, 1j]
+    with pytest.raises(MissingGridValue, match=r"^pair function undefined at \(\(1,\), \(1,\)\)$"):
+        table.read(inside + [((1,), (1,)), ((4,), (0,))])
 
 
 def test_divided_by_is_python_division():
@@ -404,6 +448,12 @@ def test_divided_by_is_python_division():
     assert len(scaled.values) == len(f.values)
     for key, value in f.values.items():
         assert scaled.values[key] == value / mass
+        assert bits([scaled(*key)]) == bits([value / mass])
+    pairs = list(f.values)[::-1]
+    assert bits(scaled.read(pairs)) == bits([f(*pair) / mass for pair in pairs])
+    # the quotient of a quotient divides twice, each time with Python's complex division
+    twice = scaled.divided_by(3 - 1j)
+    assert bits(twice.read(pairs)) == bits([f(*pair) / mass / (3 - 1j) for pair in pairs])
     with pytest.raises(MissingGridValue):
         scaled((5,), (0,))
 

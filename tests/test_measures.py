@@ -16,7 +16,7 @@ from lapcov import (
     total_mass,
     total_variation,
 )
-from lapcov.measures import MERGE_TOL, Columns, _point_distance, _point_sort_key
+from lapcov.measures import MERGE_TOL, Columns, _point_distance, _point_sort_key, merge_atoms
 from lapcov.toeplitz import DiscMeasure
 
 SG1 = Semigroup.nat_add(1)
@@ -205,6 +205,58 @@ def test_merge_matches_the_pairwise_scan(rng, dim):
     distinct = [(random_point(rng, dim), complex(*rng.normal(size=2))) for _ in range(100)]
     for atoms in (chain, chain[::-1], tight, tight[::-1], edge, edge[::-1], distinct, distinct + distinct[::-1]):
         assert_both_merge_like_the_scan(sg, atoms)
+
+
+def signed_weight(rng):
+    """A weight whose parts span 19 decades, so that the order of a sum shows, or are signed zeros."""
+    parts = [float(rng.normal()) * 10.0 ** int(rng.integers(-3, 17)) for _ in range(2)]
+    for i in range(2):
+        if rng.random() < 0.25:
+            parts[i] = (0.0, -0.0)[int(rng.integers(2))]
+    return complex(*parts)
+
+
+def cluster_atoms(rng, dim):
+    """Clusters of exactly equal points (sizes 1-12), of near-equal points, and of equal points plus one near one, shuffled."""
+    atoms = []
+    for kind in rng.integers(0, 3, size=int(rng.integers(1, 12))).tolist():
+        center = random_point(rng, dim, (1.0, 0.4)[dim == 1])
+        size = int(rng.integers(1, 13))
+        points = [center] * size
+        if kind == 1:  # near-equal: every point moved by up to MERGE_TOL / 2
+            points = [tuple(z + complex(*rng.normal(size=2)) * MERGE_TOL / 4 for z in center) for _ in range(size)]
+        elif kind == 2:  # mixed: one point a hair away from the others
+            points[int(rng.integers(size))] = tuple(z + 1e-13 for z in center)
+        atoms += [(point, signed_weight(rng)) for point in points]
+    return [atoms[i] for i in rng.permutation(len(atoms))]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_equal_clusters_merge_like_the_pairwise_scan(rng, dim):
+    sg = Semigroup.nat_add(dim)
+    for _ in range(200):
+        assert_both_merge_like_the_scan(sg, cluster_atoms(rng, dim))
+    # a sum whose rounding depends on its order, and signed zeros that only survive a left-to-right sum
+    point = (0.25 + 0j,) * dim
+    for weights in ([1e16, 1.0, -1e16, 1.0], [1.0, 1e16, 1.0, -1e16], [-0.0, -0.0j, complex(-0.0, -0.0)], [complex(-0.0, 1.0), -0.0]):
+        atoms = [(point, complex(w)) for w in weights]
+        assert_both_merge_like_the_scan(sg, atoms + [((0.5 + 0j,) * dim, 2 + 0j)] * 3)
+    with pytest.raises(ValueError, match="^atom weights must be finite, also once coincident atoms are summed$"):
+        AtomicMeasure(sg, [(point, 1e308), (point, 1.0), (point, 1e308), ((0.5 + 0j,) * dim, 1e308)])
+
+
+def test_grouped_equal_clusters_merge_group_by_group(rng):
+    # one cluster of equal points across three groups merges into one atom per group
+    atoms = cluster_atoms(rng, 1)
+    groups = np.sort(rng.integers(0, 3, size=len(atoms)))
+    points = np.array([p for p, _ in atoms], dtype=complex)
+    keep, weights = merge_atoms(points, [w for _, w in atoms], groups)
+    want = []
+    for g in range(3):
+        members = np.flatnonzero(groups == g).tolist()
+        scan = merge_loop([(atoms[i][0], atoms[i][1]) for i in members])
+        want += [(p, w) for p, w in scan]
+    assert repr([(tuple(points[i].tolist()), w) for i, w in zip(keep, weights)]) == repr(want)
 
 
 def test_columns_of_unequal_length_are_refused():

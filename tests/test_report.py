@@ -249,10 +249,17 @@ def test_table_records_hold_python_values():
         _scalar(np.int64(1))
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 25])
+# past 256 records a table is formatted chunk by chunk
+@pytest.mark.parametrize("n", [0, 1, 2, 25, 256, 257, 600])
 def test_tables_of_any_length_match_the_reference(n):
     report = {"table": column_table(n), "nested": [{"inner": column_table(n)}], "after": 1}
     assert dumps(report) == reference_dumps(report)
+
+
+@pytest.mark.parametrize("index", [0, 255, 256, 599])
+def test_a_long_table_fails_like_the_reference_in_any_chunk(index):
+    report = {"table": column_table(600, _put("float", index, math.nan))}
+    assert outcome(dumps, report) is outcome(reference_dumps, report) is ValueError
 
 
 @pytest.mark.parametrize("counts", [[], [0], [0, 0, 0], [4], [1, 0, 2], [0, 1, 2, 3, 4], [3, 0, 0, 4, 0]], ids=str)

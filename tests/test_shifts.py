@@ -210,7 +210,7 @@ def test_semicharacter_from_point_is_the_unit_point_mass_table(rng, monkeypatch)
         semicharacter_from_point(Semigroup.nat_add(2), (0.5,), default_grid(Semigroup.nat_add(2), order=1))
     with pytest.raises(ValueError, match="^half-line character points need Re z >= 0$"):
         semicharacter_from_point(Semigroup.half_line(), (-5 + 0j,), default_grid(Semigroup.half_line(), order=2))
-    # and the table is bounded as every pair table is
+    # and its closure is bounded as every table over pairs is
     monkeypatch.setattr(semigroups, "_MAX_PAIR_ENTRIES", 1000)
     with pytest.raises(GridTooLarge, match="^a grid closure of 41 elements has 1681 pairs, more than the supported 1000$"):
         semicharacter_from_point(SG1, (0.5,), default_grid(SG1, order=20))
@@ -265,6 +265,10 @@ def test_a_gram_matrix_that_overflows_never_reaches_the_report(off_diagonal, dia
 
 def test_a_pair_table_that_overflows_raises():
     mu = measure((0.5, 1.0), (0.25, 1.0))
-    # each charge F w = 1e308 is finite, the table's sum of two of them is not
-    with pytest.raises(NumericOverflow, match="a pair-function value overflows"):
-        pair_function_from_measure(mu, default_grid(SG1, order=1), Symbol.constant(1e308))
+    # each charge F w = 1e308 is finite, their sum at (e, e) is not; the value is computed when it is read
+    f = pair_function_from_measure(mu, default_grid(SG1, order=1), Symbol.constant(1e308))
+    assert f((1,), (2,)) == 1e308 * 0.5**3 + 1e308 * 0.25**3
+    with pytest.raises(NumericOverflow, match="^a pair-function value overflows the float range$"):
+        f((0,), (0,))
+    with pytest.raises(NumericOverflow, match="^a pair-function value overflows the float range$"):
+        positive_definite_check(f, [((1,), (0,)), ((0,), (0,))])
