@@ -73,25 +73,28 @@ def function_eval(coefficients: dict, z) -> complex:
     return sum((complex(b) * monomial(z, m) for m, b in coefficients.items()), 0j)
 
 
-def kernel_equation_residual(kernel: KernelCoefficients, f_coefficients: dict, mu: AtomicMeasure, z) -> float:
-    """| |f(z)|^2 - sum_k w_k |K(z, conj(atom_k))|^2 | at one probe point z.
+def kernel_equation_residual(kernel: KernelCoefficients, f_coefficients: dict, mu: AtomicMeasure, z) -> tuple:
+    """| |f(z)|^2 - sum_k w_k |K(z, conj(atom_k))|^2 | at one probe point z, and its scale |f(z)|^2 + sum_k |w_k| |K|^2.
 
     A term that overflows the float range raises NumericOverflow.
     """
     try:
         lhs = abs(function_eval(f_coefficients, z)) ** 2
         rhs = 0j
+        scale = lhs
         for point, weight in mu.atoms:
             conj_point = tuple(v.conjugate() for v in point)
-            rhs += weight * abs(kernel_eval(kernel, z, conj_point)) ** 2
+            term = abs(kernel_eval(kernel, z, conj_point)) ** 2
+            rhs += weight * term
+            scale += abs(weight) * term
         residual = abs(lhs - rhs)
     except NumericOverflow:
         raise
     except OverflowError as exc:
         raise NumericOverflow(f"a kernel equation term overflows: {exc}") from None
-    if not math.isfinite(residual):
+    if not (math.isfinite(residual) and math.isfinite(scale)):
         raise NumericOverflow("a kernel equation term overflows the float range")
-    return residual
+    return residual, scale
 
 
 def truncation_tail_bound(kernel: KernelCoefficients, z_norm: float, w_norm: float) -> float:
@@ -166,10 +169,13 @@ def kernel_recover(
     """Decide extremality and recover the certifying (c, zeta, phase).
 
     The verdict is ``extremal`` when the squared-modulus equation holds on
-    ``z_grid``, the moment route on ``grid`` (or the default grid) certifies mu
+    ``z_grid`` (the largest residual is negligible at ``residual_tol``
+    against the largest scale), the moment route on ``grid`` (or the default grid) certifies mu
     as a point mass c delta_zeta, and f's coefficients match lambda times the
     kernel column at conj(zeta) with |lambda|^2 = c; the phase of lambda is
-    reported since the equation determines f only up to a unimodular factor.
+    reported since the equation determines f only up to a unimodular factor,
+    and c must match |lambda|^2 relative to |c|.  No gate depends on an
+    overall scale of mu or f.
     ``inconclusive`` is returned instead of guessing when the kernel column
     vanishes on every index needed for the comparison.
     """
@@ -180,14 +186,15 @@ def kernel_recover(
 
     if z_grid is None:
         z_grid = default_z_grid(kernel.z_dim)
-    max_residual = 0.0
+    max_residual = scale = 0.0
     witness = None
     for z in z_grid:
-        value = kernel_equation_residual(kernel, f_coefficients, mu, z)
+        value, size = kernel_equation_residual(kernel, f_coefficients, mu, z)
+        scale = max(scale, size)
         if value > max_residual:
             max_residual = value
             witness = tuple(complex(v) for v in z)
-    if max_residual > residual_tol:
+    if not negligible(max_residual, scale, residual_tol):
         return KernelVerdict(kind=NOT_EXTREMAL, max_residual=max_residual, witness_z=witness)
 
     verdict = decide_covariance(mu, None, grid if grid is not None else default_grid(mu.semigroup), tol)
@@ -226,7 +233,7 @@ def kernel_recover(
             kind=NOT_EXTREMAL, max_residual=max_residual, reason="f_coefficient_mismatch"
         )
     mass = total_mass(mu)
-    if not negligible(mass - abs(ratio) ** 2, 1.0 + abs(mass), coeff_tol):
+    if not negligible(mass - abs(ratio) ** 2, abs(mass), coeff_tol):
         return KernelVerdict(
             kind=NOT_EXTREMAL, max_residual=max_residual, reason="mass_modulus_mismatch"
         )

@@ -30,6 +30,7 @@ from .measures import (
     Symbol,
     charges,
     negligible,
+    normalized,
     symbol_values,
     total_mass,
     weight_scale,
@@ -240,22 +241,28 @@ def transform_block(mu: AtomicMeasure, symbol, rows, cols, mode: str = MODE_F) -
     computed in.  ``symbol=None`` means F == 1; ``mode`` picks F, conj F or
     |F|^2.
     """
-    return charge_block(mu.semigroup, mu.points, charges(mu, symbol_values(symbol, mu.points), mode), rows, cols)
+    wf = charges(mu.weight_array, symbol_values(symbol, mu.points), mode)
+    return charge_block(mu.semigroup, mu.points, wf, rows, cols)
 
 
 def charge_block(semigroup: Semigroup, points, wf: np.ndarray, rows, cols) -> np.ndarray:
     """sum_k wf_k rho_{z_k}(s) conj(rho_{z_k}(t)) for s in ``rows`` and t in ``cols``: ``transform_block`` on given charges.
 
     ``wf`` holds the charges of the atoms at ``points`` (``measures.charges``).
+    A value that is not finite raises NumericOverflow.
     """
     ps = character_matrix(semigroup, points, rows)
     pt = ps if np.array_equal(cols, rows) else character_matrix(semigroup, points, cols)
-    left_re, left_im = complex_product(wf.real[:, None], wf.imag[:, None], ps.real, ps.imag)
     out = np.zeros((len(rows), len(cols)), dtype=complex)
-    for k in range(len(wf)):
-        re, im = complex_product(left_re[k][:, None], left_im[k][:, None], pt.real[k], -pt.imag[k])
-        out.real += re
-        out.imag += im
+    # finite charges and characters can still overflow in their products and sums
+    with np.errstate(over="ignore", invalid="ignore"):
+        left_re, left_im = complex_product(wf.real[:, None], wf.imag[:, None], ps.real, ps.imag)
+        for k in range(len(wf)):
+            re, im = complex_product(left_re[k][:, None], left_im[k][:, None], pt.real[k], -pt.imag[k])
+            out.real += re
+            out.imag += im
+    if not np.isfinite(out).all():
+        raise NumericOverflow("a pair-function value overflows the float range")
     return out
 
 
@@ -284,12 +291,13 @@ def degenerate_check(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Toler
     only when the analytic one does not vanish.
     """
     tol = tol or Tolerances()
-    fv = symbol_values(symbol, mu.points)
+    weights, _ = normalized(mu.weight_array)
+    fv, _ = normalized(symbol_values(symbol, mu.points))
     P = character_matrix(mu.semigroup, mu.points, grid.exponents)
-    scale = weight_scale(mu) * float(np.max(np.abs(fv)[:, None] * np.abs(P), initial=0.0))
-    if negligible(P.T @ charges(mu, fv), scale, tol.residual).all():
+    scale = float(np.abs(weights).sum()) * float(np.max(np.abs(fv)[:, None] * np.abs(P), initial=0.0))
+    if negligible(P.T @ charges(weights, fv), scale, tol.residual).all():
         return MASS_ZERO_ANALYTIC
-    if negligible(P.conj().T @ charges(mu, fv, MODE_CONJ_F), scale, tol.residual).all():
+    if negligible(P.conj().T @ charges(weights, fv, MODE_CONJ_F), scale, tol.residual).all():
         return MASS_ZERO_CONJUGATE
     return MASS_ZERO_NEITHER
 
@@ -299,17 +307,18 @@ def recover_point_mass(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Tol
 
     Returns ``(mass, table)`` with mass = mu(support) and
     table[s] = L[mu,F](s,e) / L[mu,F](e,e) for every s in the grid closure,
-    as a ``CharacterTable`` over one closure-indexed array.
+    as a ``CharacterTable`` over one closure-indexed array.  The ratios are
+    formed from the normalized weights and F (``measures.normalized``).
     Raises FMuIntegralZero when the denominator is below tolerance, and
     NumericOverflow when a ratio is not finite.
     """
     tol = tol or Tolerances()
-    wf = charges(mu, symbol_values(symbol, mu.points))
+    wf = charges(normalized(mu.weight_array)[0], normalized(symbol_values(symbol, mu.points))[0])
     numerators = character_matrix(mu.semigroup, mu.points, grid.closure_exponents).T @ wf
     denominator = complex(numerators[0])  # the identity sorts first in the closure
     if negligible(denominator, float(np.sum(np.abs(wf))), tol.mass):
         raise FMuIntegralZero("the integral of F against mu is numerically zero")
-    # numpy's complex division overflows on a subnormal denominator, where Python's does not
+    # a large character value can still overflow its ratio
     with np.errstate(over="ignore", invalid="ignore"):
         values = numerators / denominator
     values[0] = 1 + 0j  # the ratio at the identity is 1 by definition
@@ -413,9 +422,12 @@ def decide_covariance(
     The residual matrix over grid x grid is compared against
     ``tol.residual * scale`` with the scale-free normalization
     scale = sum_k |w_k|^2 * (max_{k,s} |F(z_k) rho_{z_k}(s)|)^2, which matches
-    the residual's quadratic scaling in mu.  Atoms where F numerically
-    vanishes are flagged: for such measures the equation constrains only
-    F-weighted data, not mu itself.
+    the residual's quadratic scaling in mu.  Both are formed from the weights
+    times 2**a and F times 2**b (``measures.normalized``), so the verdict,
+    the witness and ``max_residual`` do not depend on the scale of either;
+    the witness residual is scaled back by 2**(-2(a + b)).  Atoms where |F|
+    is negligible against max |F| are flagged: for such measures the
+    equation constrains only F-weighted data, not mu itself.
     """
     sg = mu.semigroup
     grid = grid or default_grid(sg)
@@ -423,9 +435,9 @@ def decide_covariance(
     if grid.semigroup != sg:
         raise ValueError("grid and measure use different semigroups")
 
-    fv = symbol_values(symbol, mu.points)
+    fv, b = normalized(symbol_values(symbol, mu.points))
     abs_f = np.abs(fv)
-    flag = bool(negligible(abs_f, max(1.0, float(abs_f.max())), tol.residual).any())
+    flag = bool(negligible(abs_f, float(abs_f.max()), tol.residual).any())
 
     if mass_vanishes(mu, tol):
         case = degenerate_check(mu, symbol, grid, tol)
@@ -433,21 +445,17 @@ def decide_covariance(
             kind=DEGENERATE, degenerate_case=case, symbol_vanishes_on_atom=flag
         )
 
-    # the residual and its scale are quadratic in w, so tiny weights would square to 0: scale
-    # them by the power of two that lifts the largest |w_k| into [1/2, 1).  The exact rescaling
-    # leaves max_residual's bits alone wherever nothing underflowed; weights are never scaled
-    # down, so large ones still report their overflow
-    unit = 2.0 ** min(max(-math.frexp(float(np.max(np.abs(mu.weight_array))))[1], 0), 1023)
+    weights, a = normalized(mu.weight_array)
     P = character_matrix(sg, mu.points, grid.exponents)
     # finite charges and characters can still overflow in their products
     with np.errstate(over="ignore", invalid="ignore"):
-        left = P.T @ (charges(mu, fv) * unit)
-        right = P.conj().T @ (charges(mu, fv, MODE_CONJ_F) * unit)
-        quad = P.T @ ((charges(mu, fv, MODE_ABS_F_SQ) * unit)[:, None] * P.conj())
-        residual = total_mass(mu) * unit * quad - np.outer(left, right)
+        left = P.T @ charges(weights, fv)
+        right = P.conj().T @ charges(weights, fv, MODE_CONJ_F)
+        quad = P.T @ (charges(weights, fv, MODE_ABS_F_SQ)[:, None] * P.conj())
+        residual = complex(sum(weights.tolist())) * quad - np.outer(left, right)
         abs_residual = np.abs(residual)
         fp_max = float(np.max(abs_f[:, None] * np.abs(P), initial=0.0))
-        weight_square = float(np.sum(np.abs(mu.weight_array * unit) ** 2))
+        weight_square = float(np.sum(np.abs(weights) ** 2))
     max_raw = float(abs_residual.max())
     try:
         scale = weight_square * fp_max**2
@@ -466,10 +474,15 @@ def decide_covariance(
 
     flat_index = int(np.argmax(abs_residual))
     i, j = divmod(flat_index, len(grid.elements))
+    witness, back = complex(residual[i, j]), -2 * (a + b)
+    try:
+        witness_residual = complex(math.ldexp(witness.real, back), math.ldexp(witness.imag, back))
+    except OverflowError:
+        raise NumericOverflow("the witness residual overflows the float range") from None
     return CovarianceVerdict(
         kind=NOT_POINT_MASS,
         witness=(grid.elements[i], grid.elements[j]),
-        witness_residual=complex(residual[i, j]) / unit / unit,
+        witness_residual=witness_residual,
         max_residual=max_normalized,
         symbol_vanishes_on_atom=flag,
     )

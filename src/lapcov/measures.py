@@ -266,8 +266,8 @@ def symbol_values(symbol, points) -> np.ndarray:
     return values
 
 
-def charges(mu: AtomicMeasure, fv: np.ndarray, mode: str = MODE_F) -> np.ndarray:
-    """The atom weights reweighted by F, conj F or |F|^2 (``mode``), from F's values ``fv``.
+def charges(weights: np.ndarray, fv: np.ndarray, mode: str = MODE_F) -> np.ndarray:
+    """The atom ``weights`` reweighted by F, conj F or |F|^2 (``mode``), from F's values ``fv``.
 
     A charge that overflows the float range raises NumericOverflow.
     """
@@ -278,7 +278,7 @@ def charges(mu: AtomicMeasure, fv: np.ndarray, mode: str = MODE_F) -> np.ndarray
             fv = np.abs(fv) ** 2
         elif mode != MODE_F:
             raise ValueError(f"unknown symbol mode {mode!r}")
-        return finite_charges(mu.weight_array * fv)
+        return finite_charges(weights * fv)
 
 
 def finite_charges(values):
@@ -307,6 +307,20 @@ def weight_scale(mu: AtomicMeasure) -> float:
     return float(np.abs(mu.weight_array).sum())
 
 
+def normalized(values: np.ndarray) -> tuple:
+    """(values * 2**n, n) for the n that puts the largest modulus of ``values`` in [1/2, 1).
+
+    The one scale rule: the covariance identity is homogeneous in the
+    weights and in F, so verdicts read both normalized, and no product of
+    tiny or huge factors underflows or overflows on the way.  ``values`` is
+    a nonempty contiguous complex array.  ``np.ldexp`` scales both parts
+    exactly, also subnormal ones, unless an entry far below the largest
+    leaves the float range.  An all-zero array keeps n = 0.
+    """
+    n = -math.frexp(float(np.abs(values).max()))[1]
+    return np.ldexp(values.view(float), n).view(complex), n
+
+
 def total_variation(mu: AtomicMeasure) -> AtomicMeasure:
     """The measure with weights |w|; atoms of weight zero are dropped."""
     kept = [(p, abs(w)) for p, w in mu.atoms if w != 0]
@@ -327,7 +341,7 @@ def polar_density(mu: AtomicMeasure) -> dict:
 
 def apply_symbol(mu: AtomicMeasure, symbol: Symbol, mode: str = MODE_F) -> AtomicMeasure:
     """Reweight atoms by F, conj(F) or |F|^2 (the ``charges``); zero-weight atoms are retained."""
-    weights = charges(mu, symbol_values(symbol, mu.points), mode)
+    weights = charges(mu.weight_array, symbol_values(symbol, mu.points), mode)
     return AtomicMeasure(mu.semigroup, Columns(np.array(mu.points), weights))
 
 

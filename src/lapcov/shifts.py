@@ -99,7 +99,7 @@ class TransformPairs(Mapping):
     the distinct closure elements the batch names, as rows and as columns,
     so each value equals ``transform_block``'s bit for bit.  A batch naming
     a pair outside the closure raises KeyError with the first such pair; a
-    value that is not finite raises NumericOverflow.
+    block value that is not finite raises NumericOverflow (``charge_block``).
     """
 
     def __init__(self, grid: EvaluationGrid, semigroup: Semigroup, points, wf: np.ndarray):
@@ -120,13 +120,8 @@ class TransformPairs(Mapping):
         except (KeyError, TypeError, ValueError):
             raise KeyError(next(key for key in keys if key not in self)) from None
         exponents = self._grid.closure_exponents[list(block_at)]
-        # finite charges and characters can still overflow in their products and sums
-        with np.errstate(over="ignore", invalid="ignore"):
-            block = charge_block(*self._atoms, exponents, exponents)
-        values = block[tuple(np.array(at, dtype=np.int64).reshape(-1, 2).T)]
-        if not np.isfinite(values).all():
-            raise NumericOverflow("a pair-function value overflows the float range")
-        return values.tolist()
+        block = charge_block(*self._atoms, exponents, exponents)
+        return block[tuple(np.array(at, dtype=np.int64).reshape(-1, 2).T)].tolist()
 
     def __getitem__(self, key) -> complex:
         return self.read([key])[0]
@@ -218,7 +213,7 @@ def pair_function_from_measure(mu: AtomicMeasure, grid: EvaluationGrid, symbol: 
     which ``positive_definite_check`` relies on.
     """
     _check_pairs(len(grid.pairs_closure), "a grid closure")
-    wf = charges(mu, symbol_values(symbol, mu.points))
+    wf = charges(mu.weight_array, symbol_values(symbol, mu.points))
     return PairFunction(grid, TransformPairs(grid, mu.semigroup, mu.points, wf))
 
 

@@ -5,6 +5,7 @@ Usage:
     python tests/pool_reports.py                # print the digests
     python tests/pool_reports.py > pools.txt    # keep them
     python tests/pool_reports.py --check pools.txt   # exit 1 on any difference
+    python tests/pool_reports.py --against HEAD~1    # the same, against a revision's own digests
 
 The dense_atoms, fine_grid and toeplitz_route op pools of
 ``perfbench/scenarios.py`` are built for seeds 1, 7 and 9001, and each op runs
@@ -14,8 +15,10 @@ for its command, so the flag overlay is covered too.  The printed line for a
 pool and pass is the SHA-256 over the exit code, stdout and stderr of its ops
 in pool order, so a change that must leave every report byte-identical (a
 faster emitter, a refactor) can be checked against the digests printed on the
-parent commit.  A full run takes ~10-30 s, so it is not part of the test
-suite.
+parent commit.  ``--against REV`` prints those digests itself: it checks
+REV out in a temporary ``git worktree``, runs REV's copy of this script there
+and removes the worktree.  A full run takes ~10-30 s, so it is not part of
+the test suite.
 """
 
 import argparse
@@ -23,6 +26,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -83,16 +87,37 @@ def lines() -> list:
     return result
 
 
+def lines_at(rev: str) -> list:
+    """The lines that ``rev``'s copy of this script prints, run in a temporary git worktree of ``ROOT``."""
+    with tempfile.TemporaryDirectory() as directory:
+        tree = os.path.join(directory, "tree")
+        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--quiet", "--detach", tree, rev], check=True)
+        try:
+            # the script finds its own src/; a PYTHONPATH naming this checkout's must not come first
+            env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+            script = os.path.join(tree, "tests", "pool_reports.py")
+            result = subprocess.run([sys.executable, script], check=True, capture_output=True, text=True, env=env)
+        finally:
+            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", tree], check=True)
+    return result.stdout.splitlines()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", metavar="FILE", help="compare with digests printed earlier; exit 1 on any difference")
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--check", metavar="FILE", help="compare with digests printed earlier; exit 1 on any difference")
+    source.add_argument("--against", metavar="REV", help="compare with the digests of git revision REV; exit 1 on any difference")
     args = parser.parse_args(argv)
     current = lines()
-    if args.check is None:
+    if args.against is not None:
+        expected = lines_at(args.against)
+    elif args.check is not None:
+        with open(args.check, encoding="utf-8") as handle:
+            expected = handle.read().splitlines()
+    else:
         print("\n".join(current))
         return 0
-    with open(args.check, encoding="utf-8") as handle:
-        expected = [line.strip() for line in handle if line.strip()]
+    expected = [line.strip() for line in expected if line.strip()]
     for line in current:
         print(("same    " if line in expected else "CHANGED ") + line)
     for line in expected:

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -1243,9 +1244,11 @@ OVERFLOW_SCENARIOS = {
     },
     # F = 1e300 z^2 overflows at z = 1e10, and |F|^2 at z = 0.5
     "symbol": overflow_measure(1, 1e10, grid={"order": 1}, symbol={"kind": "poly", "terms": [{"m": [2], "c": [1e300, 0]}]}),
-    # F = 1e200 is finite, |F|^2 is not
+    # F = 1e200 is finite, |F|^2 is not; covariance reads F normalized, and overflows only when it scales
+    # the witness residual back
     "symbol_squared": overflow_measure(1, 2.0, grid={"order": 1}, symbol={"kind": "poly", "terms": [{"m": [0], "c": [1e200, 0]}]}),
-    # |F|^2 w = 1e300 is finite, its products with character values are not
+    # |F|^2 w = 1e300 is finite, its products with character values are not (covariance reads them
+    # normalized: test_covariance_reads_huge_or_tiny_factors_at_their_own_scale)
     "charge_times_character": overflow_measure(1, 10.0, symbol={"kind": "poly", "terms": [{"m": [0], "c": [1e150, 0]}]}),
     # the residual is finite on tiny weights, the square of max |F rho| in its scale is not
     "residual_scale": {
@@ -1253,7 +1256,7 @@ OVERFLOW_SCENARIOS = {
         "measure": {"atoms": [{"point": [[20.0, 0.0]], "weight": [1e-20, 0.0]}, {"point": [[0.5, 0.0]], "weight": [1e-20, 0.0]}]},
         "symbol": {"kind": "poly", "terms": [{"m": [0], "c": [1e150, 0]}]},
     },
-    # each charge F w = 1e308 is finite, their sum, the pair-function value at (e, e) that pd reads, is not
+    # each charge F w = 1e308 is finite, their sum, the transform value at (e, e), is not
     "pair_table": overflow_measure(1, 0.25, symbol={"kind": "poly", "terms": [{"m": [0], "c": [1e308, 0]}]}),
     # a kernel coefficient whose square overflows
     "kernel_coefficient": {
@@ -1269,8 +1272,7 @@ OVERFLOW_SCENARIOS = {
 MEASURE_COMMANDS = ["covariance", "recover", "transform", "toeplitz", "prony", "pd"]
 OVERFLOW_CASES = [(name, command) for name in ("power", "product", "symbol") for command in MEASURE_COMMANDS]
 OVERFLOW_CASES += [("symbol_squared", command) for command in ("covariance", "toeplitz", "prony")]
-OVERFLOW_CASES += [("charge_times_character", command) for command in ("covariance", "prony")]
-OVERFLOW_CASES += [("residual_scale", "covariance"), ("pair_table", "pd")]
+OVERFLOW_CASES += [("charge_times_character", "prony"), ("pair_table", "pd"), ("pair_table", "transform")]
 OVERFLOW_CASES += [("random_vector", "random-vector"), ("kernel", "kernel"), ("kernel_coefficient", "kernel")]
 
 
@@ -1284,19 +1286,130 @@ def test_overflow_is_a_numeric_overflow_error(tmp_path, name, command):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["covariance", "recover", "prony"])
-def test_a_subnormal_weight_is_a_numeric_overflow_error(tmp_path, command):
-    # numpy's complex division by the subnormal F-integral 1e-320 overflows, though each true ratio 2**s is finite
-    scenario = {
+@pytest.mark.parametrize("name", ["charge_times_character", "residual_scale"])
+def test_covariance_reads_huge_or_tiny_factors_at_their_own_scale(tmp_path, name):
+    # the residual of F = 1e150 on weights 1 or 1e-20 is formed from F and the weights normalized, so
+    # it refutes the measure as F * 2**-500 does, with the witness residual scaled back by 2**1000
+    def covariance(scenario):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run_cli(["covariance", write_scenario(tmp_path, scenario, "")])
+        return code, json.loads(out)
+
+    scenario = OVERFLOW_SCENARIOS[name]
+    smaller = json.loads(json.dumps(scenario))
+    smaller["symbol"]["terms"][0]["c"][0] *= 2.0**-500
+    (code, report), (small_code, small) = covariance(scenario), covariance(smaller)
+    assert (code, small_code, report["verdict"]) == (0, 0, "not_point_mass")
+    assert [math.ldexp(part, 1000) for part in small.pop("residual")] == report.pop("residual")
+    assert report == small
+
+
+def atom_at_two(weight):
+    return {
         "semigroup": {"kind": "nat_add", "d": 1},
-        "measure": {"atoms": [{"point": [[2.0, 0.0]], "weight": [1e-320, 0.0]}]},
+        "measure": {"atoms": [{"point": [[2.0, 0.0]], "weight": [weight, 0.0]}]},
     }
+
+
+def point_mass_natadd2(weight):
+    scenario = load_scenario_file("point_mass_natadd2.json")
+    scenario["measure"]["atoms"][0]["weight"] = [weight, 0.0]
+    return scenario
+
+
+# (scenario at a weight, a subnormal weight, the normal weight that normalizes to the same bits): at weight
+# 1e-320 the F-integral is subnormal and numpy's complex division by it overflowed; point_mass_natadd2 at
+# 2**-1059 was refuted with a witness residual of 0 (covariance) or ended in numeric_overflow (recover)
+SUBNORMAL_CASES = {
+    "atom_at_two": (atom_at_two, 1e-320, math.ldexp(1e-320, 1074)),
+    "point_mass_natadd2": (point_mass_natadd2, 2.0**-1059, 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUBNORMAL_CASES))
+@pytest.mark.parametrize("command", ["covariance", "recover"])
+def test_a_subnormal_weight_is_a_point_mass(tmp_path, command, case):
+    # read from the normalized weight, the point mass is that of the normal weight, c in its own units
+    scenario, tiny_weight, weight = SUBNORMAL_CASES[case]
+
+    def run(w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli([command, write_scenario(tmp_path, scenario(w), "")])
+        assert (code, "Traceback" in err) == (0, False)
+        return json.loads(out)
+
+    tiny, whole = run(tiny_weight), run(weight)
+    assert (tiny.pop("c"), whole.pop("c")) == ([tiny_weight, 0], [weight, 0])
+    assert tiny == whole
+    assert tiny.get("verdict", "point_mass") == "point_mass"
+
+
+@pytest.mark.parametrize("command", ["prony"])
+def test_a_subnormal_weight_is_a_numeric_overflow_error(tmp_path, command):
+    # the Toeplitz/Prony route reads the disc measures in the measure's own units: the pencil of the
+    # subnormal moments overflows, though each true atom is finite
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run_cli([command, write_scenario(tmp_path, scenario, "")])
+        code, out, err = run_cli([command, write_scenario(tmp_path, atom_at_two(1e-320), "")])
     assert code == 1
-    assert json.loads(out)["error"] == {"code": "numeric_overflow", "message": "a transform ratio overflows the float range"}
-    assert err == "error: a transform ratio overflows the float range\n"
+    message = "a restricted pencil overflows the float range"
+    assert json.loads(out)["error"] == {"code": "numeric_overflow", "message": message}
+    assert err == f"error: {message}\n"
+
+
+def test_a_tiny_symbol_does_not_certify_two_atoms(tmp_path):
+    # at F = 2**-600, w |F|^2 = 2**-1201 underflowed and an exact 0 residual certified the pair; the
+    # normalized F refutes it as F = 1 does, and the witness residual, 1 * 2**-1200, underflows to 0
+    def covariance(value):
+        code, out, _ = run_cli(["covariance", scenario_file(tmp_path, "two_atoms_natadd1.json", lambda scn: scn["symbol"].update(value=[value, 0.0]))])
+        return code, json.loads(out)
+
+    (code, tiny), (_, whole) = covariance(2.0**-600), covariance(1.0)
+    assert (code, tiny["verdict"], tiny["max_residual"]) == (0, "not_point_mass", 2)
+    assert (tiny.pop("residual"), whole.pop("residual")) == ([0, 0], [1, 0])
+    assert tiny == whole
+
+
+def scaled_kernel_pair(tmp_path, s, f_factor):
+    """kernel_extremal.json with its weight times s**2 and f times ``f_factor``."""
+    def edit(scn):
+        atom = scn["measure"]["atoms"][0]
+        atom["weight"] = [atom["weight"][0] * s * s, 0.0]
+        for term in scn["kernel"]["f"]:
+            term["b"] = [term["b"][0] * f_factor, 0.0]
+
+    code, out, _ = run_cli(["kernel", scenario_file(tmp_path, "kernel_extremal.json", edit)])
+    assert code == 0
+    return json.loads(out)
+
+
+def test_kernel_verdicts_do_not_depend_on_scale(tmp_path):
+    # the kernel equation's residual was judged absolutely (1e-8): at s = 1e4 the extremal pair was
+    # refuted by a residual of 2.1e-7, and at s = 1e-5 an f of twice the kernel side passed with 6.8e-10
+    large = scaled_kernel_pair(tmp_path, 1e4, 1e4)
+    assert (large["verdict"], large["reason"]) == ("extremal", None)
+    assert large["c"][0] == pytest.approx(2e8, rel=1e-12) and large["zeta"][0][0] == pytest.approx(0.1, rel=1e-12)
+    twice = scaled_kernel_pair(tmp_path, 1e-5, 2e-5)
+    assert (twice["verdict"], twice["reason"], twice["c"]) == ("not_extremal", None, None)
+    assert twice["max_residual"] == pytest.approx(6.8e-10, rel=0.01)
+
+
+def test_a_huge_witness_residual_is_a_numeric_overflow_error(tmp_path):
+    # F = 1e200 on two atoms: the normalized residual is finite, the witness residual scaled back is not
+    code, out, _ = run_cli(["covariance", write_scenario(tmp_path, OVERFLOW_SCENARIOS["symbol_squared"], "")])
+    message = "the witness residual overflows the float range"
+    assert (code, json.loads(out)["error"]) == (1, {"code": "numeric_overflow", "message": message})
+
+
+def test_transform_and_pd_name_one_overflow(tmp_path):
+    # both read the pair function through laplace.charge_block, which owns its finiteness check
+    path = write_scenario(tmp_path, OVERFLOW_SCENARIOS["pair_table"], "")
+    message = "a pair-function value overflows the float range"
+    for command in ("transform", "pd"):
+        code, out, err = run_cli([command, path])
+        assert (code, json.loads(out)["error"], err) == (1, {"code": "numeric_overflow", "message": message}, f"error: {message}\n")
 
 
 def moment_overflow_measure(semigroup, d):

@@ -52,7 +52,7 @@ def test_equation_residual_central_atom():
     f = bergman_column(0.0, truncation=12)
     mu = point_mass(0.0, 1.0)
     for z in default_z_grid():
-        assert kernel_equation_residual(kernel, f, mu, z) < 1e-15
+        assert kernel_equation_residual(kernel, f, mu, z)[0] < 1e-15
 
 
 def test_equation_residual_matched_point_mass():
@@ -61,14 +61,14 @@ def test_equation_residual_matched_point_mass():
     f = bergman_column(zeta, scale=math.sqrt(c))
     mu = point_mass(zeta, c)
     for z in default_z_grid():
-        assert kernel_equation_residual(kernel, f, mu, z) <= 1e-10
+        assert kernel_equation_residual(kernel, f, mu, z)[0] <= 1e-10
 
 
 def test_equation_residual_two_atoms():
     kernel = KernelCoefficients.bergman(24)
     f = bergman_column(0.0)
     mu = AtomicMeasure(SG1, (((0.2 + 0j,), 0.5), ((-0.2 + 0j,), 0.5)))
-    worst = max(kernel_equation_residual(kernel, f, mu, z) for z in default_z_grid())
+    worst = max(kernel_equation_residual(kernel, f, mu, z)[0] for z in default_z_grid())
     assert worst > 1e-4
 
 
@@ -78,10 +78,12 @@ def test_equation_residual_quadratic_scaling():
     f = bergman_column(zeta, truncation=16)
     mu = point_mass(0.05, 1.0)
     z = (0.25 + 0.1j,)
-    base = kernel_equation_residual(kernel, f, mu, z)
+    base = kernel_equation_residual(kernel, f, mu, z)[0]
     f2 = {m: 2.0 * b for m, b in f.items()}
     mu2 = point_mass(0.05, 4.0)
-    assert abs(kernel_equation_residual(kernel, f2, mu2, z) - 4.0 * base) <= 1e-10 * max(base, 1.0)
+    assert abs(kernel_equation_residual(kernel, f2, mu2, z)[0] - 4.0 * base) <= 1e-10 * max(base, 1.0)
+    # the scale the residual is judged against is quadratic too, and a power of two scales it exactly
+    assert kernel_equation_residual(kernel, f2, mu2, z)[1] == 4.0 * kernel_equation_residual(kernel, f, mu, z)[1]
 
 
 def test_recover_extremal_example():

@@ -201,10 +201,10 @@ def test_kernel_coefficient_gate_at_its_threshold():
 
 
 def test_kernel_mass_gate_at_its_threshold():
-    # f = 3 e_0 and mass w: |w - 9| against sqrt(9) (1 + |w|) meets it at w = 1.5, and |9 - w| <= 9 passes
-    # the equation; below 1.5 the step is 2**-48, as one ulp of w is lost in 9 - w
+    # f = 3 e_0 and mass w: |w - 9| against sqrt(9) |w| meets it at w = 2.25, and |9 - w| <= 9 (9 + w)
+    # passes the equation; one ulp of w below 2.25, 9 - w rounds back to 6.75 while 3 w drops by 2**-49
     kernel = KernelCoefficients.bergman(4)
-    for w, kind in ((1.5, EXTREMAL), (1.5 - 2.0**-48, NOT_EXTREMAL)):
+    for w, kind in ((2.25, EXTREMAL), (2.25 - 2.0**-51, NOT_EXTREMAL)):
         verdict = kernel_recover(kernel, {(0,): 3.0}, measure((0.0, w)), z_grid=((0j,),), residual_tol=9.0)
         assert verdict.kind == kind
         assert verdict.reason in (None, "mass_modulus_mismatch")
