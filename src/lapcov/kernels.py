@@ -101,8 +101,10 @@ def truncation_tail_bound(kernel: KernelCoefficients, z_norm: float, w_norm: flo
     """Geometric majorant for the dropped tail of the truncated kernel.
 
     Valid when q = z_norm * w_norm < 1 and the coefficient magnitudes beyond
-    the truncation stay below max|a| times the polynomial profile (k+1)^2,
-    which covers the diagonal disc kernel with room to spare.  Returns inf
+    the truncation N stay below max|a| times the polynomial profile (k+1)^2,
+    which covers the diagonal disc kernel with room to spare.  The series
+    sum_{k>N} max|a| (k+1)^2 q^k is summed in closed form, with M = N + 2:
+    max|a| q^(N+1) [M^2/(1-q) + 2Mq/(1-q)^2 + q(1+q)/(1-q)^3].  Returns inf
     for q >= 1.
     """
     q = float(z_norm) * float(w_norm)
@@ -111,15 +113,8 @@ def truncation_tail_bound(kernel: KernelCoefficients, z_norm: float, w_norm: flo
     if not kernel.coefficients:
         return 0.0
     peak = max(abs(a) for _, _, a in kernel.coefficients)
-    bound = 0.0
-    k = kernel.truncation + 1
-    while True:
-        term = peak * (k + 1) ** 2 * q**k
-        bound += term
-        if term < 1e-30 or k > kernel.truncation + 10_000:
-            break
-        k += 1
-    return bound
+    m = kernel.truncation + 2
+    return peak * q ** (m - 1) * (m * m / (1 - q) + 2 * m * q / (1 - q) ** 2 + q * (1 + q) / (1 - q) ** 3)
 
 
 def default_z_grid(dim: int = 1, radius: float = DEFAULT_BALL_RADIUS) -> tuple:

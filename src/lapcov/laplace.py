@@ -282,22 +282,19 @@ def covariance_residual(mu: AtomicMeasure, symbol, s, t) -> complex:
     return mass * quad - left * right
 
 
-def degenerate_check(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Tolerances = None) -> str:
-    """Classify a measure of (numerically) zero total mass.
+def degenerate_check(left: np.ndarray, right: np.ndarray, scale: float, tol: Tolerances) -> str:
+    """Classify a measure of (numerically) zero total mass from its two side sums.
 
-    Reports whether the analytic side L[mu,F](s,e) vanishes for every grid s,
-    or the conjugate side L[mu,conj F](e,s) does, or neither.  When both
-    vanish the analytic case is reported: the conjugate side is computed
-    only when the analytic one does not vanish.
+    ``left`` is L[mu,F](s,e) and ``right`` L[mu,conj F](e,s) over the grid,
+    formed from the normalized weights and F, and ``scale`` is
+    sum_k |w_k| * max_{k,s} |F(z_k) rho_{z_k}(s)| (``decide_covariance``
+    forms all three).  Reports whether the analytic side vanishes for every
+    grid s, or the conjugate side does, or neither; when both vanish the
+    analytic case is reported.
     """
-    tol = tol or Tolerances()
-    weights, _ = normalized(mu.weight_array)
-    fv, _ = normalized(symbol_values(symbol, mu.points))
-    P = character_matrix(mu.semigroup, mu.points, grid.exponents)
-    scale = float(np.abs(weights).sum()) * float(np.max(np.abs(fv)[:, None] * np.abs(P), initial=0.0))
-    if negligible(P.T @ charges(weights, fv), scale, tol.residual).all():
+    if negligible(left, scale, tol.residual).all():
         return MASS_ZERO_ANALYTIC
-    if negligible(P.conj().T @ charges(weights, fv, MODE_CONJ_F), scale, tol.residual).all():
+    if negligible(right, scale, tol.residual).all():
         return MASS_ZERO_CONJUGATE
     return MASS_ZERO_NEITHER
 
@@ -436,25 +433,24 @@ def decide_covariance(
         raise ValueError("grid and measure use different semigroups")
 
     fv, b = normalized(symbol_values(symbol, mu.points))
+    weights, a = normalized(mu.weight_array)
     abs_f = np.abs(fv)
     flag = bool(negligible(abs_f, float(abs_f.max()), tol.residual).any())
-
-    if mass_vanishes(mu, tol):
-        case = degenerate_check(mu, symbol, grid, tol)
-        return CovarianceVerdict(
-            kind=DEGENERATE, degenerate_case=case, symbol_vanishes_on_atom=flag
-        )
-
-    weights, a = normalized(mu.weight_array)
     P = character_matrix(sg, mu.points, grid.exponents)
     # finite charges and characters can still overflow in their products
     with np.errstate(over="ignore", invalid="ignore"):
         left = P.T @ charges(weights, fv)
         right = P.conj().T @ charges(weights, fv, MODE_CONJ_F)
+        fp_max = float(np.max(abs_f[:, None] * np.abs(P), initial=0.0))
+
+    if mass_vanishes(mu, tol):
+        case = degenerate_check(left, right, float(np.abs(weights).sum()) * fp_max, tol)
+        return CovarianceVerdict(kind=DEGENERATE, degenerate_case=case, symbol_vanishes_on_atom=flag)
+
+    with np.errstate(over="ignore", invalid="ignore"):
         quad = P.T @ (charges(weights, fv, MODE_ABS_F_SQ)[:, None] * P.conj())
         residual = complex(sum(weights.tolist())) * quad - np.outer(left, right)
         abs_residual = np.abs(residual)
-        fp_max = float(np.max(abs_f[:, None] * np.abs(P), initial=0.0))
         weight_square = float(np.sum(np.abs(weights) ** 2))
     max_raw = float(abs_residual.max())
     try:

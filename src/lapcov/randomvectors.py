@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ExpectationYZero
 from .laplace import (
-    NOT_POINT_MASS,
+    DEGENERATE,
     POINT_MASS,
     CovarianceVerdict,
     Tolerances,
@@ -145,7 +145,9 @@ def decide_constant_vector(
 
     Probes all moment pairs with components up to ``max_order``.  Raises
     ExpectationYZero when |E[Y]| falls below the mass tolerance, mirroring the
-    nonzero-expectation hypothesis.
+    nonzero-expectation hypothesis, and when the covariance engine calls the
+    induced measure degenerate: the outcome-order sum E[Y] and the merged
+    atoms' mass can round apart.
     """
     tol = tol or Tolerances()
     e_y, y_scale = _y_moments(rv)
@@ -156,12 +158,12 @@ def decide_constant_vector(
     verdict = decide_covariance(mu, None, grid, tol)
     if verdict.kind == POINT_MASS:
         return VectorVerdict(kind=CONSTANT, point=verdict.point, covariance=verdict)
-    if verdict.kind == NOT_POINT_MASS:
-        return VectorVerdict(
-            kind=NOT_CONSTANT,
-            witness=verdict.witness,
-            residual=verdict.witness_residual,
-            covariance=verdict,
-        )
-    # unreachable: the mass check above is the degenerate gate for F == 1
-    raise AssertionError(f"unexpected covariance verdict {verdict.kind}")
+    if verdict.kind == DEGENERATE:
+        # with F == 1 either degenerate case means E[Y] = mu(Gamma) is numerically zero
+        raise ExpectationYZero("E[Y] is numerically zero")
+    return VectorVerdict(
+        kind=NOT_CONSTANT,
+        witness=verdict.witness,
+        residual=verdict.witness_residual,
+        covariance=verdict,
+    )

@@ -286,7 +286,9 @@ def semicharacter_defect(f: PairFunction, points) -> float:
     """How far f is from being a semicharacter on the probed pairs.
 
     Maximum of |f(e,e) - 1| and, over ordered pairs of probe points,
-    |f((s,t)(s',t')*) - f(s,t) conj(f(s',t'))|.
+    |f((s,t)(s',t')*) - f(s,t) conj(f(s',t'))|.  A compared term that is
+    not finite raises NumericOverflow: a NaN would otherwise drop out of
+    the maximum.
     """
     sg = f.semigroup
     e = identity(sg)
@@ -295,8 +297,11 @@ def semicharacter_defect(f: PairFunction, points) -> float:
     for (s, t), (s2, t2) in itertools.product(points, repeat=2):
         pairs += [(combine(sg, s, t2), combine(sg, t, s2)), (s, t), (s2, t2)]
     values = f.read(pairs)
-    defect = abs(values[0] - 1.0)
-    for i in range(1, len(values), 3):
-        lhs, first, second = values[i : i + 3]
-        defect = max(defect, abs(lhs - first * second.conjugate()))
-    return float(defect)
+    gaps = [values[0] - 1.0] + [values[i] - values[i + 1] * values[i + 2].conjugate() for i in range(1, len(values), 3)]
+    gaps = np.array(gaps)
+    # np.hypot rounds as abs does, and a modulus past the float range reads inf instead of raising
+    with np.errstate(over="ignore"):
+        terms = np.hypot(gaps.real, gaps.imag)
+    if not np.isfinite(terms).all():
+        raise NumericOverflow("the semicharacter defect overflows the float range")
+    return float(terms.max())

@@ -6,8 +6,9 @@ radius 1/2: the atom z_k moves to rho_{z_k}(s) / (2 (1 + sup-norm)) with weight
 are single Dirac masses, which is checked two ways: a second-singular-value
 test on the induced Toeplitz matrix, and atom recovery from the moment-matrix
 pencil, each reading ranks from one SVD of its matrix.  Recovered atoms map
-back to character values via ``character_value_from_atom``, the independent
-cross-check of the transform route.
+back to character values, the independent cross-check of the transform
+route: ``prony`` multiplies by the disc measure's own ``DiscMeasure.scale``,
+and ``character_value_from_atom`` recomputes that factor from mu.
 
 A grid is handled as stacks: ``disc_measures`` reads one character matrix and
 one vector of symbol values for all elements, ``moment_matrices`` builds one

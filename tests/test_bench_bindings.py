@@ -7,6 +7,7 @@ counted call returns, would fail only the benchmark; these tests fail it here
 first.
 """
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -83,3 +84,23 @@ def test_golden_invocations_reach_every_traced_layer(layers):
         assert code == expected_code
         called |= set(tracer.stats)
     assert {name for name, *_ in layers.PATCHES} - called == UNCALLED_LAYERS
+
+
+BINDING_ONLY = "noqa: F401  (a {} binding that perfbench/layers.py traces)"
+
+
+def test_binding_only_imports_are_binding_sites(layers):
+    # an import kept only for the tracer (cli's laplace_transform, multiplicativity_defect and resolve_point,
+    # shifts' character_matrix) must go once its layer is bound elsewhere, and stays unread by its module
+    sites = {site for _, layer_sites, *_ in layers.PATCHES for site in layer_sites}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        module, source = f"lapcov.{path.stem}", path.read_text(encoding="utf-8")
+        names = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)]
+        read = {node.id for node in names if isinstance(node.ctx, ast.Load)}
+        for line in source.splitlines():
+            code, _, comment = line.partition("#")
+            if "noqa: F401" in comment:
+                assert comment.strip() == BINDING_ONLY.format(module), line
+                name = code.strip().rstrip(",")
+                assert (module, name) in sites, f"{module}.{name} is kept for a layer that no longer traces it"
+                assert name not in read, f"{module} reads {name} itself, so its import is more than a binding site"

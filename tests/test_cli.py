@@ -230,6 +230,18 @@ def test_the_zero_measure_is_a_mass_zero_case(tmp_path):
     assert (code, report["verdict"], report["reason"]) == (2, "degenerate", "measure_mass_zero")
 
 
+def test_a_random_vector_whose_measure_loses_its_mass_has_a_zero_expectation(tmp_path):
+    # E[Y] sums in outcome order and keeps the 2**20; the induced measure's mass sums in point order
+    # (0.1 first) and loses it against the 2**74 weights, so the covariance engine calls it degenerate
+    outcomes = [(0.25, 0.5, 2.0**76), (0.25, 0.9, -(2.0**76)), (0.5, 0.1, 2.0**21)]
+    scenario = {"random_vector": {"outcomes": [{"p": p, "x": [[x, 0]], "y": [y, 0]} for p, x, y in outcomes], "max_order": 2}}
+    path = tmp_path / "cancelling.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = run_cli(["random-vector", str(path), "--tol-mass", "1e-20"])
+    assert (code, json.loads(out)["error"]["code"]) == (1, "expectation_y_zero")
+    assert "Traceback" not in err
+
+
 def test_tiny_weights_are_judged_against_their_own_scale(tmp_path):
     # sum |w|^2 underflows to 0 at weights 1e-163: a point mass there is still certified, and a
     # pair is refuted at (4, 4) with a normalized residual that is not 0
@@ -1227,6 +1239,12 @@ def overflow_measure(d, big, **extra):
     return {"semigroup": {"kind": "nat_add", "d": d}, "measure": {"atoms": atoms}, **extra}
 
 
+def cancelling_measure(big, remainder):
+    """Weights big and -big at 0.1 and 0.2, and what is left over, ``remainder``, at 0.3."""
+    atoms = [{"point": [[z, 0.0]], "weight": [w, 0.0]} for z, w in ((0.1, big), (0.2, -big), (0.3, remainder))]
+    return {"semigroup": {"kind": "nat_add", "d": 1}, "measure": {"atoms": atoms}}
+
+
 OVERFLOW_SCENARIOS = {
     # a complex power overflows
     "power": overflow_measure(1, 1e200),
@@ -1258,6 +1276,10 @@ OVERFLOW_SCENARIOS = {
     },
     # each charge F w = 1e308 is finite, their sum, the transform value at (e, e), is not
     "pair_table": overflow_measure(1, 0.25, symbol={"kind": "poly", "terms": [{"m": [0], "c": [1e308, 0]}]}),
+    # f(e, e) is the remainder alone (the pair cancels exactly), and f / f(e, e) overflows in the
+    # semicharacter defect
+    "tiny_mass": cancelling_measure(1.0, 1e-300),
+    "tiny_mass_of_huge_weights": cancelling_measure(1e20, 1e-290),
     # a kernel coefficient whose square overflows
     "kernel_coefficient": {
         "semigroup": {"kind": "nat_add", "d": 1},
@@ -1273,6 +1295,7 @@ MEASURE_COMMANDS = ["covariance", "recover", "transform", "toeplitz", "prony", "
 OVERFLOW_CASES = [(name, command) for name in ("power", "product", "symbol") for command in MEASURE_COMMANDS]
 OVERFLOW_CASES += [("symbol_squared", command) for command in ("covariance", "toeplitz", "prony")]
 OVERFLOW_CASES += [("charge_times_character", "prony"), ("pair_table", "pd"), ("pair_table", "transform")]
+OVERFLOW_CASES += [("tiny_mass", "pd"), ("tiny_mass_of_huge_weights", "pd")]
 OVERFLOW_CASES += [("random_vector", "random-vector"), ("kernel", "kernel"), ("kernel_coefficient", "kernel")]
 
 

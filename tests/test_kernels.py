@@ -154,3 +154,16 @@ def test_truncation_tail_bound():
     assert 0 < tail <= bound
     assert bound < 1e-20
     assert truncation_tail_bound(kernel, 2.0, 0.6) == float("inf")
+
+
+@pytest.mark.parametrize("q", [0.06, 0.25, 0.9, 0.999])
+@pytest.mark.parametrize("scale", [1.0, 1e-40, 1e40])
+def test_truncation_tail_bound_majorizes_the_series(scale, q):
+    from lapcov import truncation_tail_bound
+
+    # the Bergman profile a_{m,m} = m + 1 times scale; the factor allows for rounding in the closed form
+    n = 24
+    kernel = KernelCoefficients.from_terms(1, 1, n, {((m,), (m,)): scale * (m + 1) for m in range(n + 1)})
+    peak = scale * (n + 1)
+    series = math.fsum(peak * (k + 1) ** 2 * q**k for k in range(n + 1, n + 20_001))
+    assert truncation_tail_bound(kernel, q, 1.0) >= (1 - 1e-14) * series

@@ -132,7 +132,7 @@ def test_residual_hermitian_symmetry_for_nonnegative_measures(rng):
 def test_degenerate_neither_side_vanishes():
     mu = measure((1, 1), (-1, -1))
     grid = default_grid(SG1)
-    assert degenerate_check(mu, None, grid) == MASS_ZERO_NEITHER
+    assert decide_covariance(mu, None, grid).degenerate_case == MASS_ZERO_NEITHER
     # oracle at s=1: 1*1 + (-1)*(-1) = 2 != 0
     assert slow_laplace(SG1, mu.atoms, [1, 1], (1,), (0,)) == 2
 
@@ -143,7 +143,7 @@ def test_degenerate_symbol_vanishing_on_support():
     mu = measure((0, 1), (0.5, -1))
     f = Symbol.polynomial({(1,): -0.5, (2,): 1})
     grid = default_grid(SG1)
-    assert degenerate_check(mu, f, grid) == MASS_ZERO_ANALYTIC
+    assert decide_covariance(mu, f, grid).degenerate_case == MASS_ZERO_ANALYTIC
 
 
 def test_degenerate_affine_symbol():
@@ -152,7 +152,7 @@ def test_degenerate_affine_symbol():
     # oracle at s=0 (atoms sorted, -1 first): (1-1)*(-1) + (1+1)*1 = 2 != 0
     f_sorted = [f.at(p) for p in mu.points]
     assert slow_laplace(SG1, mu.atoms, f_sorted, (0,), (0,)) == 2
-    assert degenerate_check(mu, f, default_grid(SG1)) == MASS_ZERO_NEITHER
+    assert decide_covariance(mu, f, default_grid(SG1)).degenerate_case == MASS_ZERO_NEITHER
 
 
 # ----------------------------------------------------------------- recover
@@ -477,8 +477,8 @@ def test_mass_and_rank_tolerances_must_be_below_one(value):
         # decide_covariance on the grid, then recover_point_mass on the closure
         (((0.5, 2.0),), POINT_MASS, 2, 2),
         (((0.5, 1.0), (0.3, 1.0)), NOT_POINT_MASS, 1, 1),
-        # decide_covariance reads F for the vanishing flag, degenerate_check builds its own matrix
-        (((0.5, 1.0), (0.3, -1.0)), DEGENERATE, 2, 1),
+        # degenerate_check classifies the side sums decide_covariance formed
+        (((0.5, 1.0), (0.3, -1.0)), DEGENERATE, 1, 1),
     ],
 )
 def test_decide_covariance_evaluates_the_symbol_once_per_engine_function(
@@ -501,3 +501,19 @@ def test_decide_covariance_evaluates_the_symbol_once_per_engine_function(
     verdict = decide_covariance(measure(*atoms), symbol, default_grid(SG1))
     assert verdict.kind == kind
     assert counts == {"symbol_values": symbol_calls, "character_matrix": matrix_calls}
+
+
+def test_degenerate_check_classifies_the_sums_it_is_given(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("degenerate_check evaluates nothing of its own")
+
+    for name in ("symbol_values", "normalized", "character_matrix"):
+        monkeypatch.setattr(laplace, name, forbidden)
+    zero, side = np.zeros(3, dtype=complex), np.array([0, 0.5, 0.25j])
+    tol = Tolerances(residual=0.5)
+    # |side| peaks at 0.5, negligible against tol.residual * scale from scale 1 on
+    assert degenerate_check(side, side, 1.0, tol) == MASS_ZERO_ANALYTIC
+    assert degenerate_check(side, zero, 0.5, tol) == laplace.MASS_ZERO_CONJUGATE
+    assert degenerate_check(side, side, 0.5, tol) == MASS_ZERO_NEITHER
+    # against a zero scale only an exact 0 vanishes
+    assert degenerate_check(zero, side, 0.0, tol) == MASS_ZERO_ANALYTIC

@@ -20,7 +20,6 @@ from lapcov import (
     decide_constant_vector,
     decide_covariance,
     default_grid,
-    degenerate_check,
     kernel_recover,
     recover_point_mass,
 )
@@ -133,10 +132,10 @@ def test_degenerate_sides_at_their_threshold():
     # atoms 1 and 0.5 of weight +-1: |L(s, e)| = 1 - 2**-s peaks at 15/16 for s = 4, against the scale 2 * 1
     mu = measure((1.0, 1.0), (0.5, -1.0))
     grid = default_grid(SG1)
-    assert degenerate_check(mu, None, grid, Tolerances(residual=15 / 32)) == MASS_ZERO_ANALYTIC
-    assert degenerate_check(mu, None, grid, Tolerances(residual=below(15 / 32))) == MASS_ZERO_NEITHER
+    for residual, case in ((15 / 32, MASS_ZERO_ANALYTIC), (below(15 / 32), MASS_ZERO_NEITHER)):
+        assert decide_covariance(mu, None, grid, Tolerances(residual=residual)).degenerate_case == case
     # the zero measure: every value is an exact 0 against a zero scale
-    assert degenerate_check(measure((0.5, 0.0)), None, grid, Tolerances()) == MASS_ZERO_ANALYTIC
+    assert decide_covariance(measure((0.5, 0.0)), None, grid, Tolerances()).degenerate_case == MASS_ZERO_ANALYTIC
 
 
 def test_expectation_gate_at_its_threshold():

@@ -8,6 +8,10 @@ Invariant 5, scale invariance: the covariance identity is homogeneous in the
 weights and in F, so scaling them by exact powers of two leaves every verdict,
 witness, ``max_residual`` and zeta as it was, with c scaled exactly.
 
+Cancelling weights: +-B at two points and a small remainder at a third, with
+the mass tolerance down to 1e-20, run through the measure commands and
+random-vector and end in a report or a JSON error as well.
+
 Each example's scenario is written to stderr before it runs, and a watchdog
 ends the run with a traceback of every thread when one example takes longer
 than ``WATCHDOG_S``: a hang inside LAPACK cannot be interrupted by a signal or
@@ -21,7 +25,7 @@ import math
 import os
 import sys
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lapcov.scenario import MISSING, REQUIRED, SECTIONS, Array, Kinds, Section, nonnegative_int, positive_int
@@ -244,3 +248,58 @@ def test_power_of_two_scales_leave_verdicts_alone(tmp_path_factory, stderr_fd, d
             assert scaled_report == (report if code == 1 else rescaled(report, j, m if "symbol" in scenario else 0))
     finally:
         faulthandler.cancel_dump_traceback_later()
+
+
+# the commands cancelling weights run through, and those of them that take --tol-mass
+CANCELLING_COMMANDS = ("covariance", "recover", "prony", "pd", "random-vector")
+TOL_MASS_COMMANDS = ("covariance", "recover", "prony", "random-vector")
+
+
+def cancelling_scenario(command: str, points: list, big: float, remainder: float, remainder_first: bool) -> dict:
+    """Weights big and -big at two of ``points`` and ``remainder`` at the first or the last of them in point order.
+
+    For random-vector the outcomes come in the order +big, -big, remainder, with p = 1/4, 1/4, 1/2, so the
+    weights p * y are the same: E[Y] sums in outcome order, the induced measure in point order.
+    """
+    points = sorted(points)
+    at = points[1:] + points[:1] if remainder_first else points
+    weights = (big, -big, remainder)
+    if command == "random-vector":
+        outcomes = [{"p": p, "x": [[z, 0.0]], "y": [w / p, 0.0]} for p, z, w in zip((0.25, 0.25, 0.5), at, weights)]
+        return {"random_vector": {"outcomes": outcomes, "max_order": 2}}
+    atoms = [{"point": [[z, 0.0]], "weight": [w, 0.0]} for z, w in zip(at, weights)]
+    return {"semigroup": {"kind": "nat_add", "d": 1}, "measure": {"atoms": atoms}}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(CANCELLING_COMMANDS),
+    points=st.lists(st.floats(0.05, 0.95), min_size=3, max_size=3, unique=True),
+    big=st.floats(1.0, 2.0**80),
+    remainder=st.floats(1e-300, 2.0**40),
+    remainder_first=st.booleans(),
+    tol_mass=st.none() | st.floats(1e-20, 1e-10),
+)
+# E[Y] keeps the 2**20 that the induced measure's mass, summed from the remainder on, loses
+@example(command="random-vector", points=[0.1, 0.5, 0.9], big=2.0**74, remainder=2.0**20, remainder_first=True, tol_mass=1e-20)
+# f(e, e) is the remainder alone, and the semicharacter defect divides by it
+@example(command="pd", points=[0.1, 0.2, 0.3], big=1.0, remainder=1e-300, remainder_first=False, tol_mass=None)
+@example(command="pd", points=[0.1, 0.2, 0.3], big=1e20, remainder=1e-290, remainder_first=False, tol_mass=None)
+def test_cancelling_weights_end_in_a_report_or_a_json_error(
+    tmp_path_factory, stderr_fd, command, points, big, remainder, remainder_first, tol_mass
+):
+    scenario = cancelling_scenario(command, points, big, remainder, remainder_first)
+    path = tmp_path_factory.getbasetemp() / "cancelling.json"
+    path.write_text(json.dumps(scenario))
+    flags = ["--tol-mass", repr(tol_mass)] if tol_mass is not None and command in TOL_MASS_COMMANDS else []
+    sys.stderr.write(f"{command} {' '.join(flags)} {json.dumps(scenario)}\n")
+    faulthandler.dump_traceback_later(WATCHDOG_S, exit=True, file=stderr_fd)
+    try:
+        code, out, err = run_cli([command, str(path)] + flags)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert code in (0, 1, 2)
+    report = json.loads(out)
+    if code == 1:
+        assert report["error"]["code"] != "internal_error", report
+    assert "Traceback" not in err
