@@ -10,6 +10,7 @@ against the kernel column.
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import NumericOverflow
@@ -105,16 +106,30 @@ def truncation_tail_bound(kernel: KernelCoefficients, z_norm: float, w_norm: flo
     which covers the diagonal disc kernel with room to spare.  The series
     sum_{k>N} max|a| (k+1)^2 q^k is summed in closed form, with M = N + 2:
     max|a| q^(N+1) [M^2/(1-q) + 2Mq/(1-q)^2 + q(1+q)/(1-q)^3].  Returns inf
-    for q >= 1.
+    for q >= 1.  Where q^(N+1) or its product with max|a| leaves the normal
+    float range, or the bracket overflows, the bound is formed from base-2
+    logarithms and rounded up, so it reads 0 only when the true bound is
+    below the float range; a truncation N need not convert to a float.
     """
     q = float(z_norm) * float(w_norm)
     if q >= 1.0:
         return math.inf
-    if not kernel.coefficients:
-        return 0.0
-    peak = max(abs(a) for _, _, a in kernel.coefficients)
+    peak = max((abs(a) for _, _, a in kernel.coefficients), default=0.0)
     m = kernel.truncation + 2
-    return peak * q ** (m - 1) * (m * m / (1 - q) + 2 * m * q / (1 - q) ** 2 + q * (1 + q) / (1 - q) ** 3)
+    if peak == 0.0 or q == 0.0 or m.bit_length() > 511:
+        # the tail of a zero max|a| or q is 0; past 2**511, q <= 1 - 2**-53 puts q^(M-1) below
+        # exp(-2**457), and the bracket is below 3 M^2 / (1-q)^3 <= 3 M^2 2**159: the product underflows
+        return 0.0
+    power = q ** (m - 1)
+    bracket = m * m / (1 - q) + 2 * m * q / (1 - q) ** 2 + q * (1 + q) / (1 - q) ** 3
+    if min(power, peak * power) >= sys.float_info.min and bracket < math.inf:
+        return peak * power * bracket
+    # the bracket is M^2/(1-q) (1 + r), with r = 2q/(M(1-q)) + q(1+q)/(M(1-q))^2 finite
+    r = 2 * q / (m * (1 - q)) + q * (1 + q) / (m * (1 - q)) ** 2
+    exponent = math.log2(peak) + (m - 1) * math.log2(q) + 2 * math.log2(m) - math.log2(1 - q) + math.log2(1 + r)
+    # where 2**exponent is in range, every term is below ~3,300 in size and good to ~2**-50 of it,
+    # so the sum is off by less than 2**-36 and the factor 1 + 2**-30 rounds the bound up
+    return 2.0**exponent * (1 + 2.0**-30) if exponent < 1024 else math.inf
 
 
 def default_z_grid(dim: int = 1, radius: float = DEFAULT_BALL_RADIUS) -> tuple:

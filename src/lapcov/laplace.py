@@ -64,6 +64,10 @@ F_MU_ZERO = "f_mu_integral_zero"
 # absolute consistency threshold when matching a half-line character exponent
 _HALF_LINE_POINT_TOL = 1e-6
 
+# bytes per array in a grid x grid pass that runs in blocks of rows: below glibc's default mmap
+# threshold (128 KB), so every block reuses heap memory instead of mapping and faulting in fresh pages
+_BLOCK_BYTES = 1 << 16
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -331,14 +335,50 @@ def multiplicativity_defect(values: np.ndarray, grid: EvaluationGrid) -> float:
     ``values`` is gamma as a complex array indexed like ``grid.pairs_closure``
     (a ``CharacterTable``'s ``array``).  Computed in real arithmetic in the
     order Python's complex operations use, so the result matches a scalar
-    loop bit for bit.
+    loop bit for bit.  The gap at (s, t) equals the gap at (t, s) bit for bit
+    (s*t = t*s, and real products and sums commute), so only the pairs with t
+    at or after s are read, in blocks of rows whose arrays stay within
+    ``_BLOCK_BYTES``.
     """
     re, im = values.real, values.imag
     at = grid.products[0]
-    product_re, product_im = complex_product(re[at][:, None], im[at][:, None], re[at], im[at])
-    gaps = np.hypot(re[grid.products] - product_re, im[grid.products] - product_im)
-    # fmax skips NaN gaps, as max() over a running value does
-    return float(np.fmax.reduce(gaps, axis=None, initial=0.0))
+    br, bi = re[at], im[at]
+    rows = max(1, _BLOCK_BYTES // br.nbytes)
+    # an overflowing product or square is inf, and inf - inf is NaN, as in Python's complex arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        return max(_largest_gap(re, im, grid.products, br, bi, i, i + rows) for i in range(0, len(at), rows))
+
+
+def _largest_gap(re, im, products, br, bi, start: int, stop: int) -> float:
+    """max |gamma(st) - gamma(s) gamma(t)| over grid rows s in ``start:stop`` and columns t from ``start`` on.
+
+    gamma is ``re + i im`` over the closure, indexed by ``products``; its
+    values on the elements are ``br + i bi``.  The gaps are formed in the
+    arrays their gathers made; the largest is located by its squared modulus,
+    and ``np.hypot`` reads only the gaps whose squares come within 2**-40 of it.
+    """
+    ar, ai = br[start:stop, None], bi[start:stop, None]
+    br, bi = br[start:], bi[start:]
+    dx, dy = re[products[start:stop, start:]], im[products[start:stop, start:]]
+    # the gaps re[st] - (ar br - ai bi) and im[st] - (ar bi + ai br), formed in place
+    term, other = np.multiply(ar, br), np.multiply(ai, bi)
+    term -= other
+    dx -= term
+    np.multiply(ar, bi, out=term)
+    np.multiply(ai, br, out=other)
+    term += other
+    dy -= term
+    squares = np.multiply(dx, dx, out=term)
+    squares += np.multiply(dy, dy, out=other)
+    top = float(squares.max())
+    if math.isfinite(top) and top >= 2.0**-960:
+        # hypot is within a few ulps of the modulus and dx^2 + dy^2 within a few of its square (with
+        # 2**-1074 absolute), so a gap whose hypot can be the largest has its square within 2**-40 of top
+        near = squares >= top * (1 - 2.0**-40)
+        return float(np.hypot(dx[near], dy[near]).max())
+    # a NaN or overflowing square, or squares that may have underflowed: hypot reads every gap,
+    # and fmax skips NaN gaps, as max() over a running value does
+    return float(np.fmax.reduce(np.hypot(dx, dy), axis=None, initial=0.0))
 
 
 def factorization_residual(f, s, t) -> complex:
@@ -437,10 +477,11 @@ def decide_covariance(
     abs_f = np.abs(fv)
     flag = bool(negligible(abs_f, float(abs_f.max()), tol.residual).any())
     P = character_matrix(sg, mu.points, grid.exponents)
+    P_conj = P.conj()
     # finite charges and characters can still overflow in their products
     with np.errstate(over="ignore", invalid="ignore"):
         left = P.T @ charges(weights, fv)
-        right = P.conj().T @ charges(weights, fv, MODE_CONJ_F)
+        right = P_conj.T @ charges(weights, fv, MODE_CONJ_F)
         fp_max = float(np.max(abs_f[:, None] * np.abs(P), initial=0.0))
 
     if mass_vanishes(mu, tol):
@@ -448,8 +489,15 @@ def decide_covariance(
         return CovarianceVerdict(kind=DEGENERATE, degenerate_case=case, symbol_vanishes_on_atom=flag)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        quad = P.T @ (charges(weights, fv, MODE_ABS_F_SQ)[:, None] * P.conj())
-        residual = complex(sum(weights.tolist())) * quad - np.outer(left, right)
+        residual = P.T @ (charges(weights, fv, MODE_ABS_F_SQ)[:, None] * P_conj)
+        # mass * quad - left right^T in quad's buffer; np.multiply keeps the scalar the first operand,
+        # as ``mass * quad`` has it (``quad *= mass`` rounds some products otherwise)
+        np.multiply(complex(sum(weights.tolist())), residual, out=residual)
+        # a block of rows at a time, so no grid x grid temporary is made: each row of the outer
+        # product runs the same multiply loop over the same row, whatever the block
+        rows = max(1, _BLOCK_BYTES // residual[0].nbytes)
+        for i in range(0, len(left), rows):
+            residual[i : i + rows] -= np.outer(left[i : i + rows], right)
         abs_residual = np.abs(residual)
         weight_square = float(np.sum(np.abs(weights) ** 2))
     max_raw = float(abs_residual.max())

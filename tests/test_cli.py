@@ -274,6 +274,46 @@ def test_pd_holds_no_table_over_the_closure_pairs():
     assert code == 0 and peak < 1_000_000, f"pd peaked at {peak} bytes"
 
 
+def test_covariance_forms_its_grid_pair_arrays_in_place():
+    # the order-12 grid has 169 elements, so a complex array over its 28,561 pairs takes 457 KB: the
+    # residual is formed in the buffer of the quadratic term, with no outer-product temporary, and the
+    # defect's gaps in blocks of rows
+    argv = build_argv("point_mass_natadd2.json", ["covariance", "--grid-order", "12"])
+    code, out, _ = run_cli(argv)  # warm every cache first
+    tracemalloc.start()
+    try:
+        assert run_cli(argv)[:2] == (code, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 1_800_000, f"covariance peaked at {peak} bytes"
+
+
+def test_a_huge_kernel_truncation_reads_a_zero_tail_bound(tmp_path):
+    # (N + 2)**2 no longer converts to a float past N ~ 1.3e154; the tail bound is far below the float range
+    kernel = {"kind": "list", "truncation": 10**200, "coefficients": [{"m": [0], "n": [0], "a": [1, 0]}],
+              "f": [{"m": [0], "b": [1, 0]}]}
+    scenario = {"semigroup": {"kind": "nat_add", "d": 1},
+                "measure": {"atoms": [{"point": [[0.1, 0]], "weight": [1, 0]}]}, "kernel": kernel}
+    path = tmp_path / "huge_truncation.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = run_cli(["kernel", str(path)])
+    report = json.loads(out)
+    assert (code, report["verdict"], report["truncation_tail_bound"]) == (0, "extremal", 0)
+    assert "Traceback" not in err
+
+
+def test_an_overflowing_defect_square_reads_the_defect_by_hypot(tmp_path):
+    # gamma(s) = (5e7)**s up to s = 40: the largest gap is near 2e292, so its square overflows and
+    # every gap goes through hypot; the defect is the one printed before the squares were taken
+    scenario = {"semigroup": {"kind": "nat_add", "d": 1}, "measure": {"atoms": [{"point": [[5e7, 0]], "weight": [1, 0]}]}}
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = run_cli(["recover", str(path), "--grid-order", "20"])
+    assert code == 0 and '"multiplicativity_defect": 1.9958403095347198e+292,' in out
+    assert err == "recover: multiplicativity defect 1.9958403095347198e+292\n"
+
+
 def test_pd_accepts_explicit_pair_function_and_operators(tmp_path):
     # the published pair-function encoding round-trips through the pd command
     scn = {

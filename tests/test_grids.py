@@ -33,7 +33,7 @@ from lapcov import (
     symbol_values,
     transform_block,
 )
-from lapcov import semigroups
+from lapcov import laplace, semigroups
 from lapcov.errors import GridTooLarge
 from lapcov.laplace import read_point_mass
 from lapcov.semigroups import element_exponents, validate_element
@@ -305,19 +305,60 @@ def test_half_line_closure_sums_stay_finite():
 # ------------------------------------------------ multiplicativity defect
 
 
+def defect_tables(rng, grid):
+    """Closure-indexed gamma tables that reach every way ``multiplicativity_defect`` reads its maximum."""
+    size = len(grid.pairs_closure)
+
+    def normal(scale):
+        return scale * (rng.normal(size=size) + 1j * rng.normal(size=size))
+
+    # gaps near the scale below 1 and near its square above: 1e77 and 1e150 make squares that overflow,
+    # 1e-170 and 1e-310 (subnormal parts) squares that underflow, 2**-479 and 2**-481 straddle 2**-960
+    tables = [normal(scale) for scale in (1e-3, 1.0, 1e3, 1e77, 1e150, 1e-170, 1e-310, 2.0**-479, 2.0**-481)]
+    # one gap of size 1 among underflowing squares, and gaps near 1e154 among ordinary ones
+    for tiny, big in ((1e-170, 1.0), (1.0, 1e154)):
+        values = normal(tiny)
+        values[rng.integers(size)] = big * (1 + 1j)
+        tables.append(values)
+    for special in (complex("nan+1j"), complex("inf"), complex("-inf"), complex("inf-infj"), complex("1+infj")):
+        values = normal(1.0)
+        values[rng.integers(size)] = special
+        tables.append(values)
+    tables.append(normal(1e200))  # products overflow to inf, and inf - inf is NaN
+    tables.append(np.zeros(size, dtype=complex))
+    # small Gaussian integers: every product is exact, so equal gaps tie exactly, (3, 4) with (5, 0) too
+    tables.append(rng.integers(-3, 4, size) + 1j * rng.integers(-3, 4, size))
+    ties = np.ones(size, dtype=complex)
+    ties[-3:] = [4 + 4j, 6, 1 - 5j]
+    tables.append(ties)
+    # two gaps whose squares order otherwise than their hypots: near 0.5, within the 2**-40 window of the
+    # largest square, and near 7e-161, where the squares are subnormal and 2**-40 apart
+    for a, b in (
+        ((0.31834344874267695, 0.3855612125754074), (0.3367908996327307, 0.36955634201644516)),
+        ((5.013787548401903e-161, 5.003134699616456e-161), (5.011957781451444e-161, 5.004969325633079e-161)),
+    ):
+        values = np.zeros(size, dtype=complex)
+        values[grid.products[0][1:3]] = complex(*a), complex(*b)  # gamma(e) = 0: the gaps at (e, s) are a and b
+        tables.append(values)
+    return tables
+
+
+def float_bits(x: float) -> str:
+    return float(x).hex()
+
+
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
-def test_defect_bit_equal_to_scalar_loop(grid, rng):
-    closure = grid.pairs_closure
-    for scale in (1e-3, 1.0, 1e3):
-        values = scale * (rng.normal(size=len(closure)) + 1j * rng.normal(size=len(closure)))
-        assert multiplicativity_defect(values, grid) == reference_defect(values, grid)
-    values[-1] = complex("nan+1j")
-    assert multiplicativity_defect(values, grid) == reference_defect(values, grid)
+def test_defect_bit_equal_to_scalar_loop(grid, rng, monkeypatch):
+    tables = defect_tables(rng, grid)
     # a true character table: the defect is rounding only
     z = random_character_point(rng, grid.semigroup)
     mu = AtomicMeasure(grid.semigroup, ((z, 1.0),))
-    values = np.array([laplace_transform(mu, None, el, identity(grid.semigroup)) for el in closure])
-    assert multiplicativity_defect(values, grid) == reference_defect(values, grid)
+    tables.append(np.array([laplace_transform(mu, None, el, identity(grid.semigroup)) for el in grid.pairs_closure]))
+    # blocks of one row, of uneven row counts, and of the whole grid
+    for rows in (1, 7, 64, len(grid.elements)):
+        monkeypatch.setattr(laplace, "_BLOCK_BYTES", rows * 8 * len(grid.elements))
+        for values in tables:
+            assert float_bits(multiplicativity_defect(values, grid)) == float_bits(reference_defect(values, grid))
 
 
 @pytest.mark.parametrize("semigroup", [NAT_ADD2, NAT_MULT2, HALF_LINE], ids=["natadd", "natmult", "halfline"])

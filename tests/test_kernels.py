@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -161,9 +162,53 @@ def test_truncation_tail_bound():
 def test_truncation_tail_bound_majorizes_the_series(scale, q):
     from lapcov import truncation_tail_bound
 
-    # the Bergman profile a_{m,m} = m + 1 times scale; the factor allows for rounding in the closed form
-    n = 24
-    kernel = KernelCoefficients.from_terms(1, 1, n, {((m,), (m,)): scale * (m + 1) for m in range(n + 1)})
-    peak = scale * (n + 1)
-    series = math.fsum(peak * (k + 1) ** 2 * q**k for k in range(n + 1, n + 20_001))
-    assert truncation_tail_bound(kernel, q, 1.0) >= (1 - 1e-14) * series
+    # the Bergman profile a_{m,m} = m + 1 times scale up to 24, declared up to N;
+    # the factor allows for rounding in the closed form
+    for n in (24, 10**20, 10**200):
+        kernel = KernelCoefficients.from_terms(1, 1, n, {((m,), (m,)): scale * (m + 1) for m in range(25)})
+        peak = scale * 25
+        # (k + 1) twice, not squared: past 1e154 the square no longer converts to a float
+        series = math.fsum(peak * q**k * (k + 1) * (k + 1) for k in range(n + 1, n + 20_001))
+        assert truncation_tail_bound(kernel, q, 1.0) >= (1 - 1e-14) * series
+
+
+def exact_closed_form(peak, q, truncation):
+    """The closed form of ``truncation_tail_bound`` in exact rational arithmetic."""
+    q, m = Fraction(q), truncation + 2
+    return Fraction(peak) * q ** (m - 1) * (m * m / (1 - q) + 2 * m * q / (1 - q) ** 2 + q * (1 + q) / (1 - q) ** 3)
+
+
+@pytest.mark.parametrize(
+    "peak,q,truncation",
+    [
+        (1e300, 0.25, 600),  # q^(N+1) underflows to 0 while the bound is near 1e-56
+        (1.0, 0.25, 538),  # the bound is subnormal
+        (1.0, 0.5, 1070),
+        (1.0, 0.5, 1100),  # the bound is below the float range
+        (1e-300, 0.999, 300),  # max|a| q^(N+1) is subnormal, the bound is not
+        (1.0, 0.06, 24),
+        (1e40, 0.999, 10**4),
+    ],
+)
+def test_truncation_tail_bound_rounds_the_closed_form_up(peak, q, truncation):
+    from lapcov import truncation_tail_bound
+
+    kernel = KernelCoefficients.from_terms(1, 1, truncation, {((0,), (0,)): peak})
+    bound, exact = truncation_tail_bound(kernel, q, 1.0), exact_closed_form(peak, q, truncation)
+    if exact < Fraction(1, 2**1075):
+        assert bound == 0.0
+    else:
+        # a few ulps below the exact value at most (the plain float expression), 2**-29 above it,
+        # and in the subnormal range within half a subnormal step more
+        tiny = Fraction(1, 2**1075)
+        assert exact * (1 - Fraction(1, 2**50)) - tiny <= bound <= exact * (1 + Fraction(1, 2**29)) + tiny
+
+
+@pytest.mark.parametrize("truncation", [2**509, 2**511, 10**200], ids=["2^509", "2^511", "1e200"])
+@pytest.mark.parametrize("q", [0.25, 0.999999, 1 - 2**-53])
+def test_truncation_tail_bound_of_a_huge_truncation_is_zero(q, truncation):
+    from lapcov import truncation_tail_bound
+
+    # q^(N+1) is far below the float range, however large the bracket
+    kernel = KernelCoefficients.from_terms(1, 1, truncation, {((0,), (0,)): 1e300})
+    assert truncation_tail_bound(kernel, q, 1.0) == 0.0

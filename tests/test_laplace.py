@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,9 @@ from lapcov import (
     total_variation,
 )
 import lapcov.laplace as laplace
+from lapcov.measures import MODE_ABS_F_SQ, MODE_CONJ_F, charges, normalized, symbol_values
+from lapcov.randomvectors import DiscreteRandomVector, as_measure, decide_constant_vector
+from lapcov.semigroups import character_matrix
 from lapcov.errors import FMuIntegralZero, MassZero
 from lapcov.laplace import (
     DEGENERATE,
@@ -33,6 +37,7 @@ from lapcov.laplace import (
     MASS_ZERO_NEITHER,
     NOT_POINT_MASS,
     POINT_MASS,
+    mass_vanishes,
     read_point_mass,
 )
 
@@ -305,6 +310,101 @@ def test_residual_matches_the_pairwise_form(rng, sg, order):
         assert verdict.max_residual == pytest.approx(peak / scale, rel=1e-12)
         i, j = (grid.elements.index(el) for el in verdict.witness)
         assert abs(verdict.witness_residual - residual[i, j]) <= 1e-12 * peak
+
+
+def out_of_place_residual(mu, symbol, grid):
+    """(max_residual, witness, witness residual) of ``decide_covariance``'s residual, one new array per step.
+
+    R = mass * quad - outer(left, right) is formed out of place, from the normalized weights and F,
+    and read as the engine reads it; the engine forms it in one buffer and must print the same bits.
+    """
+    fv, b = normalized(symbol_values(symbol, mu.points))
+    weights, a = normalized(mu.weight_array)
+    P = character_matrix(mu.semigroup, mu.points, grid.exponents)
+    left = P.T @ charges(weights, fv)
+    right = P.conj().T @ charges(weights, fv, MODE_CONJ_F)
+    fp_max = float(np.max(np.abs(fv)[:, None] * np.abs(P), initial=0.0))
+    quad = P.T @ (charges(weights, fv, MODE_ABS_F_SQ)[:, None] * P.conj())
+    residual = complex(sum(weights.tolist())) * quad - np.outer(left, right)
+    abs_residual = np.abs(residual)
+    i, j = divmod(int(np.argmax(abs_residual)), len(grid.elements))
+    witness, back = complex(residual[i, j]), -2 * (a + b)
+    return (
+        float(abs_residual.max()) / (float(np.sum(np.abs(weights) ** 2)) * fp_max**2),
+        (grid.elements[i], grid.elements[j]),
+        complex(math.ldexp(witness.real, back), math.ldexp(witness.imag, back)),
+    )
+
+
+def assert_residual_fields_match(verdict, mu, symbol, grid):
+    max_residual, witness, witness_residual = out_of_place_residual(mu, symbol, grid)
+    assert verdict.max_residual.hex() == max_residual.hex()
+    if verdict.kind == NOT_POINT_MASS:
+        assert verdict.witness == witness
+        got, want = verdict.witness_residual, witness_residual
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+    else:
+        assert verdict.kind == POINT_MASS and verdict.witness is None
+
+
+RESIDUAL_GRIDS = [
+    default_grid(Semigroup.nat_add(2), order=6),
+    default_grid(Semigroup.nat_mult(3), order=2),
+    default_grid(Semigroup.half_line(), order=24),
+]
+
+
+def row_blocks(monkeypatch, grid):
+    """Set the residual's blocks to one row, to 7 rows and to the whole grid in turn, yielding after each."""
+    n = len(grid.elements)
+    for rows in (1, 7, n):
+        monkeypatch.setattr(laplace, "_BLOCK_BYTES", rows * 16 * n)
+        yield rows
+
+
+@pytest.mark.parametrize("grid", RESIDUAL_GRIDS, ids=["natadd2", "natmult3", "halfline"])
+def test_residual_fields_equal_the_out_of_place_residual(rng, grid, monkeypatch):
+    sg = grid.semigroup
+    for trial in range(24):
+        count = int(rng.integers(1, 6))
+        points = [random_character_point(rng, sg) for _ in range(count)]
+        weights = [complex(w) * rng.uniform(0.1, 10.0) for w in (random_phase(rng) for _ in range(count))]
+        if trial % 4 == 1 and count > 1:
+            weights[-1] = -sum(weights[:-1])  # zero mass, up to rounding
+        elif trial % 4 == 2 and count > 1:
+            weights[-1] = -sum(weights[:-1]) * (1 - 1e-6)  # a small mass above the gate
+        mu = AtomicMeasure(sg, tuple(zip(points, weights)))
+        symbol = random_polynomial_symbol(rng, sg.point_dim) if trial % 3 else None
+        for _ in row_blocks(monkeypatch, grid):
+            verdict = decide_covariance(mu, symbol, grid)
+            if verdict.kind == DEGENERATE:
+                # the mass gate comes before the residual, which then keeps its defaults
+                assert (verdict.max_residual, verdict.witness, verdict.witness_residual) == (0.0, None, None)
+                assert mass_vanishes(mu, Tolerances()) or verdict.degenerate_case == F_MU_ZERO
+            else:
+                assert_residual_fields_match(verdict, mu, symbol, grid)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_random_vector_residual_fields_equal_the_out_of_place_residual(rng, dim, monkeypatch):
+    for trial in range(16):
+        count = int(rng.integers(1, 7))
+        ps = rng.uniform(0.1, 1.0, count)
+        ps /= ps.sum()
+        xs = [random_character_point(rng, Semigroup.nat_add(dim)) for _ in range(int(rng.integers(1, 4)))]
+        outcomes = tuple(
+            (float(p), xs[int(rng.integers(len(xs)))], complex(rng.normal(1.0, 1.0), rng.normal()))
+            for p in ps
+        )
+        try:
+            rv = DiscreteRandomVector(outcomes)
+        except ValueError:  # the normalized probabilities must still sum to 1
+            continue
+        mu = as_measure(rv)
+        grid = default_grid(mu.semigroup, order=2)
+        for _ in row_blocks(monkeypatch, grid):
+            verdict = decide_constant_vector(rv, max_order=2).covariance
+            assert_residual_fields_match(verdict, mu, None, grid)
 
 
 def test_decide_mass_on_symbol_zero_set():
