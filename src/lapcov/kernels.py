@@ -24,7 +24,7 @@ INCONCLUSIVE = "inconclusive"
 DEGENERATE = "degenerate"
 
 DEFAULT_TRUNCATION = 24
-DEFAULT_BALL_RADIUS = 0.3
+BALL_RADIUS = 0.3
 
 
 @dataclass(frozen=True)
@@ -132,14 +132,14 @@ def truncation_tail_bound(kernel: KernelCoefficients, z_norm: float, w_norm: flo
     return 2.0**exponent * (1 + 2.0**-30) if exponent < 1024 else math.inf
 
 
-def default_z_grid(dim: int = 1, radius: float = DEFAULT_BALL_RADIUS) -> tuple:
-    """Deterministic probe points filling the ball |z| <= radius.
+def default_z_grid(dim: int = 1) -> tuple:
+    """Deterministic probe points filling the ball |z| <= BALL_RADIUS.
 
     One dimension: the origin plus three circles of eight points.  Higher
     dimensions reuse the pattern along each axis and the main diagonal.
     """
     circle = [cmath.exp(2j * math.pi * k / 8) for k in range(8)]
-    pattern = [0j] + [radius * (r / 3.0) * u for r in (1, 2, 3) for u in circle]
+    pattern = [0j] + [BALL_RADIUS * (r / 3.0) * u for r in (1, 2, 3) for u in circle]
     if dim == 1:
         return tuple((z,) for z in pattern)
     points = []

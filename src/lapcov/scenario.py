@@ -25,7 +25,7 @@ from .kernels import DEFAULT_TRUNCATION, KernelCoefficients, default_z_grid
 from .laplace import EvaluationGrid, Tolerances, default_grid
 from .measures import AtomicMeasure, Columns, Symbol
 from .randomvectors import DiscreteRandomVector
-from .semigroups import HALF_LINE, NAT_ADD, NAT_MULT, Semigroup, validate_element
+from .semigroups import HALF_LINE, NAT_ADD, NAT_MULT, Semigroup, _check_entries, validate_element
 from .shifts import PairFunction
 from .toeplitz import DEFAULT_MATRIX_ORDER
 
@@ -435,15 +435,35 @@ def _lookup(pairs, key: str, noun: str) -> dict:
     return table
 
 
+def _lengths(items, length: int, noun: str, where: str):
+    """Fail at the first of ``items`` whose length is not ``length``; item i is at path ``where.format(i)``."""
+    for i, item in enumerate(items):
+        if len(item) != length:
+            raise Invalid(f"expected a {noun} of length {length}", where.format(i))
+
+
 def _kernel(fields: dict, semigroup=None) -> dict:
-    """The kernel section with its coefficients built (listed only under "list"), ``f`` as a dict and z points."""
-    terms, truncation = fields.get("coefficients"), fields["truncation"]
+    """The kernel section with its coefficients built (listed only under "list"), ``f`` as a dict and z points.
+
+    Every ``f`` index and z point has the kernel's z length, and the kernel's
+    w length is the semigroup's point length, when there is a semigroup.
+    """
+    terms, truncation, z_points = fields.get("coefficients"), fields["truncation"], fields.get("z_points")
     if terms is None:
+        if semigroup is not None and semigroup.point_dim != 1:
+            raise Invalid(f"the bergman kernel needs points of length 1; the semigroup's have length {semigroup.point_dim}")
+        # kernel_eval sums every term at every probe point: refuse a truncation too long to sum before building it
+        probes = len(z_points or default_z_grid())
+        _check_entries((truncation + 1) * probes, f"a bergman kernel of {truncation + 1} terms at {probes} points")
         coefficients = KernelCoefficients.bergman(truncation)
     else:
+        if semigroup is not None:
+            _lengths([n for _, n, _ in terms], semigroup.point_dim, "multi-index", ".coefficients[{}].n")
         terms_by_index = _series(((m, n), a) for m, n, a in terms)
         coefficients = KernelCoefficients.from_terms(len(terms[0][0]), len(terms[0][1]), truncation, terms_by_index)
-    z_points = fields.get("z_points") or default_z_grid(coefficients.z_dim)
+    _lengths([m for m, _ in fields["f"]], coefficients.z_dim, "multi-index", ".f[{}].m")
+    z_points = z_points or default_z_grid(coefficients.z_dim)
+    _lengths(z_points, coefficients.z_dim, "point", ".z_points[{}]")
     return dict(fields, coefficients=coefficients, f=_series(fields["f"]), z_points=z_points)
 
 

@@ -27,6 +27,8 @@ from .semigroups import (
 )
 
 ADMISSIBLE_PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
+# a Gram matrix is positive semidefinite when its least eigenvalue is >= -PD_TOL times its trace
+PD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -256,7 +258,7 @@ class DefinitenessResult:
     asymmetry: float        # || G - G* ||_F of the raw pair-function Gram matrix
 
 
-def positive_definite_check(f: PairFunction, points, rel_tol: float = 1e-10) -> DefinitenessResult:
+def positive_definite_check(f: PairFunction, points) -> DefinitenessResult:
     """Least eigenvalue of the Gram matrix G[j,k] = f((s_j, t_j) (s_k, t_k)*).
 
     ``points`` is a list of pairs (s, t); with the swap involution the probed
@@ -279,7 +281,7 @@ def positive_definite_check(f: PairFunction, points, rel_tol: float = 1e-10) -> 
     min_eig = float(np.linalg.eigvalsh(hermitian).min())
     if not math.isfinite(min_eig):
         raise NumericOverflow("the Gram matrix's least eigenvalue overflows the float range")
-    return DefinitenessResult(min_eig, min_eig >= -rel_tol * trace, asymmetry)
+    return DefinitenessResult(min_eig, min_eig >= -PD_TOL * trace, asymmetry)
 
 
 def semicharacter_defect(f: PairFunction, points) -> float:

@@ -235,14 +235,14 @@ class PronyResult(NamedTuple):
 class Pencil(NamedTuple):
     """One moment table's entry of ``prony_pencils``: everything ``prony_recover`` reads but the table.
 
-    A rank-0 table has empty positions and weights and misfit 0.  When
+    A rank-0 table has empty positions and weights and residual 0.  When
     ``error`` is set, ``prony_recover`` raises it and reads nothing else.
     """
 
     rank: int               # numerical rank of the unshifted block
     positions: np.ndarray   # pencil eigenvalues, in LAPACK's order
     weights: np.ndarray     # least-squares weights against the full table, in the order of positions
-    misfit: float           # Frobenius norm of the reconstruction misfit
+    residual: float         # Frobenius norm of the reconstruction misfit over the table's (0 for a zero table)
     error: Exception        # what prony_recover raises for this table, or None
 
 
@@ -262,9 +262,15 @@ def _lstsq_weights(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return _LSTSQ(design, rhs[..., None], rcond, signature="DDd->Ddid")[0][..., 0]
 
 
-def _dots(columns: np.ndarray) -> np.ndarray:
-    """x . x for each (m, 1) column x of a stack, by the dot that ``np.linalg.norm`` takes on one vector."""
-    return (columns.transpose(0, 2, 1) @ columns)[:, 0, 0]
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a complex (n, m) stack, bit for bit.
+
+    That is sqrt(x . x + y . y) for the real part x and imaginary part y,
+    each dot taken as a stacked (1, m) @ (m, 1) matmul, which gives the bits
+    of the dot ``np.linalg.norm`` takes on one vector.
+    """
+    x, y = rows.real[..., None], rows.imag[..., None]
+    return np.sqrt((x.transpose(0, 2, 1) @ x)[:, 0, 0] + (y.transpose(0, 2, 1) @ y)[:, 0, 0])
 
 
 def prony_pencils(tables: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> list:
@@ -277,14 +283,15 @@ def prony_pencils(tables: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> list
     sigma, and tables of equal rank share one matmul and one ``eigvals``.
     They also share one Vandermonde stack, one design stack and one call of
     the stacked least-squares gufunc behind ``np.linalg.lstsq``; one batched
-    matmul gives their misfits and two stacked dots their norms.  Per table
-    only the ``Pencil`` is built.  Each pencil is byte-equal to solving its
-    table alone.  A rank group's design stack too large to hold raises
-    GridTooLarge before it is built.  Nothing else is raised: a pencil that
-    is singular beyond tolerance or has non-finite eigenvalues
-    (RankDeficientPencil), whose restricted pencil or design overflows
-    (NumericOverflow; neither reaches LAPACK), or whose least-squares solve
-    does not converge (LinAlgError) carries the exception in ``error``.
+    matmul gives their misfits, and stacked dots the misfits' and the tables'
+    norms, hence the residuals.  Per table only the ``Pencil`` is built.
+    Each pencil is byte-equal to solving its table alone.  A rank group's
+    design stack too large to hold raises GridTooLarge before it is built.
+    Nothing else is raised: a pencil that is singular beyond tolerance or has
+    non-finite eigenvalues (RankDeficientPencil), whose restricted pencil or
+    design overflows (NumericOverflow; neither reaches LAPACK), whose
+    least-squares solve does not converge (LinAlgError), or whose table or
+    misfit norm overflows (NumericOverflow) carries the exception in ``error``.
     ``tables`` must be finite, since LAPACK's SVD may never end on a NaN:
     ``moment_matrices`` checks the stacks it builds, and ``prony_recover`` a
     table it is handed without a pencil.
@@ -343,64 +350,47 @@ def prony_pencils(tables: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> list
                     weights[j] = _lstsq_weights(design[j], rhs[j])
                 except np.linalg.LinAlgError as exc:
                     errors[j] = exc
-        # np.linalg.norm of each row, bit for bit: sqrt of the two BLAS dots; finite moments can overflow in them
-        misfit = (design @ weights[..., None]) - rhs[..., None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            misfits = np.sqrt(_dots(misfit.real) + _dots(misfit.imag)).tolist()
+        # finite moments can overflow in the squares of the norms
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            misfits, norms = _norms((design @ weights[..., None])[..., 0] - rhs), _norms(rhs)
+            residuals = np.where(norms > 0, misfits / norms, 0.0).tolist()
+        for j in np.flatnonzero(~(np.isfinite(misfits) & np.isfinite(norms))).tolist():
+            errors[j] = errors[j] or NumericOverflow("a moment table's norm overflows the float range")
         for j, i in enumerate(index):
-            pencils[i] = Pencil(rank, positions[j], weights[j], misfits[j], errors[j])
+            pencils[i] = Pencil(rank, positions[j], weights[j], residuals[j], errors[j])
     return pencils
 
 
-def prony_recover(nu, k_max: int = None, rel_tol: float = DEFAULT_RANK_TOL, pencil: Pencil = None) -> PronyResult:
-    """Recover atoms of a disc measure from its moment matrix by a matrix pencil.
+def prony_recover(table, rel_tol: float = DEFAULT_RANK_TOL, pencil: Pencil = None) -> PronyResult:
+    """Recover the atoms of a disc measure from its moment table by a matrix pencil.
 
-    Accepts a DiscMeasure (moments are then computed exactly) or a complex
-    moment matrix with at least one more row than columns, laid out as
-    M[j, k] = sum_i m_i a_i^j conj(a_i)^k.  The estimated rank r is the
+    ``table`` is a complex moment table with at least one more row than
+    columns, laid out as M[j, k] = sum_i m_i a_i^j conj(a_i)^k, such as
+    ``moment_matrix(nu, k, rows=k + 1)``.  The estimated rank r is the
     numerical rank of the unshifted block; positions are the eigenvalues of
     the row-shifted pencil restricted to the dominant r-dimensional singular
     subspace (Hua & Sarkar's matrix pencil), and weights follow by least
     squares against the full moment table.  ``pencil`` is the table's entry
-    from ``prony_pencils``, which holds the positions, weights and misfit;
+    from ``prony_pencils``, which holds the positions, weights and residual;
     when it is omitted, ``prony_pencils`` is called on the table alone with
-    ``rel_tol``.  What is left here, once per element, is the table's norm,
-    the residual and the sort of the atoms (~7 us per element).
+    ``rel_tol``.  What is left here is the sort of the atoms.
 
     Raises RankDeficientPencil when the restricted pencil is singular beyond
     tolerance (possible for user-supplied moment tables of inconsistent rank),
     NumericOverflow when the weights' design or a norm overflows, and numpy's
     LinAlgError when the least-squares solve does not converge.
     """
-    if isinstance(nu, DiscMeasure):
-        if k_max is None:
-            k_max = max(len(nu.atoms) + 2, 4)
-        table = moment_matrix(nu, k_max, rows=k_max + 1)
-    else:
-        table = np.asarray(nu, dtype=complex)
-        if table.ndim != 2 or table.shape[0] < table.shape[1] + 1 or table.shape[1] < 1:
-            raise ValueError("moment table must have shape (n+1, n) or larger")
-        if k_max is not None and k_max + 1 <= table.shape[0] - 1 and k_max <= table.shape[1]:
-            table = table[: k_max + 1, :k_max]
-        if pencil is None and not np.isfinite(table).all():
-            raise ValueError("moment table entries must be finite")
-
+    table = np.asarray(table, dtype=complex)
+    if table.ndim != 2 or table.shape[0] < table.shape[1] + 1 or table.shape[1] < 1:
+        raise ValueError("moment table must have shape (n+1, n) or larger")
     if pencil is None:
+        if not np.isfinite(table).all():
+            raise ValueError("moment table entries must be finite")
         pencil = prony_pencils(table[None], rel_tol)[0]
     if pencil.error is not None:
         raise pencil.error
-    if pencil.rank == 0:
-        return PronyResult((), 0.0, 0)
-
-    # finite moments can overflow in the squares of their norms
-    with np.errstate(over="ignore", invalid="ignore"):
-        table_norm = float(np.linalg.norm(table))
-    if not (math.isfinite(table_norm) and math.isfinite(pencil.misfit)):
-        raise NumericOverflow("a moment table's norm overflows the float range")
-    residual = pencil.misfit / table_norm if table_norm > 0 else 0.0
-
     atoms = sorted(zip(pencil.positions.tolist(), pencil.weights.tolist()), key=lambda am: (am[0].real, am[0].imag))
-    return PronyResult(tuple(atoms), residual, pencil.rank)
+    return PronyResult(tuple(atoms), pencil.residual, pencil.rank)
 
 
 def character_value_from_atom(mu: AtomicMeasure, s, position: complex) -> complex:

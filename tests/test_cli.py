@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -862,6 +863,45 @@ def test_bergman_kernel_rejects_coefficients(tmp_path):
     scn = load_scenario_file("kernel_extremal.json")
     scn["kernel"]["coefficients"] = [{"m": [0], "n": [0], "a": 5.0}]
     assert_scenario_invalid(["kernel", write_scenario(tmp_path, scn, "")], "kernel.coefficients")
+
+
+def two_variable_atom(scn):
+    scn["semigroup"]["d"] = 2
+    scn["measure"]["atoms"][0]["point"] = [[0.1, 0.0], [0.7, 0.0]]
+
+
+# case: (edit of kernel_extremal.json, the message): a coordinate too many or too few is refused, never dropped
+KERNEL_LENGTH_CASES = {
+    "z_point": (lambda s: s["kernel"].update(z_points=[[[0.1, 0], [5.0, 0]]]),
+                "kernel.z_points[0]: expected a point of length 1"),
+    # an empty index is not the constant term
+    "f_index_empty": (lambda s: s["kernel"]["f"][1].update(m=[]), "kernel.f[1].m: expected a multi-index of length 1"),
+    "f_index_long": (lambda s: s["kernel"]["f"][0].update(m=[0, 3]), "kernel.f[0].m: expected a multi-index of length 1"),
+    "bergman_semigroup": (two_variable_atom,
+                          "kernel: the bergman kernel needs points of length 1; the semigroup's have length 2"),
+    "list_semigroup": (lambda s: (two_variable_atom(s), s["kernel"].update(
+        kind="list", coefficients=[{"m": [0], "n": [0, 0], "a": 1.0}, {"m": [1], "n": [1], "a": 2.0}])),
+        "kernel.coefficients[1].n: expected a multi-index of length 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_LENGTH_CASES))
+def test_kernel_indices_and_points_must_fit_the_kernel_and_semigroup(tmp_path, case):
+    edit, message = KERNEL_LENGTH_CASES[case]
+    code, out, err = run_cli(["kernel", scenario_file(tmp_path, "kernel_extremal.json", edit)])
+    assert (code, json.loads(out)["error"]) == (1, {"code": "scenario_invalid", "message": message})
+    assert err == f"error: {message}\n"
+
+
+def test_a_bergman_truncation_too_long_to_sum_is_refused_at_once(tmp_path):
+    # kernel_eval sums N + 1 terms at each of the 25 default probe points: 10**9 would run for hours
+    path = scenario_file(tmp_path, "kernel_extremal.json", lambda s: s["kernel"].update(truncation=10**9))
+    start = time.perf_counter()
+    code, out, _ = run_cli(["kernel", path])
+    assert time.perf_counter() - start < 1.0
+    error = json.loads(out)["error"]
+    assert (code, error["code"]) == (1, "grid_too_large")
+    assert error["message"].startswith("a bergman kernel of 1000000001 terms at 25 points has 25000000025 entries")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -617,3 +618,101 @@ def test_degenerate_check_classifies_the_sums_it_is_given(monkeypatch):
     assert degenerate_check(side, side, 0.5, tol) == MASS_ZERO_NEITHER
     # against a zero scale only an exact 0 vanishes
     assert degenerate_check(zero, side, 0.0, tol) == MASS_ZERO_ANALYTIC
+
+
+# ------------------------------------------------ the theorem on F's zero set
+
+ZERO_SET_SEMIGROUPS = (
+    Semigroup.nat_add(1), Semigroup.nat_add(2), Semigroup.nat_mult(1), Semigroup.nat_mult(2), Semigroup.half_line()
+)
+
+
+def _zero_set_coordinate(rng, sg) -> complex:
+    if sg.family == "half_line":
+        return complex(rng.uniform(0.0, 1.5), rng.uniform(-1.5, 1.5))
+    return 0.9 * math.sqrt(rng.uniform()) * random_phase(rng)
+
+
+def _zero_set_case(rng, sg, on_zeros: int, off: int, cancel: bool):
+    """(mu, F, weights off the zero set): ``on_zeros`` atoms on chosen roots of a poly F, ``off`` atoms where |F| is not small.
+
+    F is a polynomial in the first coordinate with one root more than atoms
+    on its zero set.  Without atoms off the zero set, F is z_1 - r and every
+    atom has first coordinate r, so F is exactly 0 at each.  With ``cancel``
+    the weights on the zero set sum to 0.
+    """
+    roots = [_zero_set_coordinate(rng, sg) for _ in range(on_zeros + 1)]
+    lead = rng.uniform(0.5, 2.0) * random_phase(rng)
+    coefficients = lead * np.poly(roots)[::-1]
+    if off == 0:
+        roots, lead, coefficients = [roots[0]] * on_zeros, 1.0, [-roots[0], 1.0]
+    symbol = Symbol.polynomial({(j,) + (0,) * (sg.point_dim - 1): c for j, c in enumerate(coefficients)})
+
+    def point(first):
+        return (first,) + tuple(_zero_set_coordinate(rng, sg) for _ in range(sg.point_dim - 1))
+
+    on_points, off_points = [point(r) for r in roots[:on_zeros]], []
+    while len(off_points) < off:
+        p = point(_zero_set_coordinate(rng, sg))
+        if abs(symbol.at(p)) >= 0.2 * abs(lead):
+            off_points.append(p)
+    on_weights = [rng.uniform(0.3, 2.0) * random_phase(rng) for _ in range(on_zeros)]
+    if cancel:
+        on_weights[-1] = -sum(on_weights[:-1])
+    off_weights = [rng.uniform(0.3, 2.0) * random_phase(rng) for _ in range(off)]
+    mu = AtomicMeasure(sg, tuple(zip(on_points + off_points, on_weights + off_weights)))
+    return mu, symbol, off_weights
+
+
+def _assert_zero_set_verdict(mu, symbol, grid, off_weights):
+    """decide_covariance against the condition: every w_k F(z_k) = 0, or one atom j off F's zero set with w_j = mu(Gamma)."""
+    verdict = decide_covariance(mu, symbol, grid)
+    mass = total_mass(mu)
+    if not off_weights:
+        assert (verdict.kind, verdict.degenerate_case) == (DEGENERATE, F_MU_ZERO)
+    elif len(off_weights) == 1 and abs(mass - off_weights[0]) <= 1e-12 * sum(map(abs, mu.weights)):
+        assert verdict.kind == POINT_MASS and verdict.symbol_vanishes_on_atom
+        assert abs(verdict.mass - off_weights[0]) <= 1e-8 * abs(off_weights[0])
+    else:
+        assert verdict.kind == NOT_POINT_MASS
+    return verdict
+
+
+def test_the_verdict_follows_the_zero_set_condition(rng):
+    # atoms on chosen roots of F in all three families, with complex weights: off-zeta mass on the zero set
+    # that cancels is certified, mass that does not (or a second atom off the zero set) is refuted
+    seen = Counter()
+    for trial in range(200):
+        sg = ZERO_SET_SEMIGROUPS[trial % len(ZERO_SET_SEMIGROUPS)]
+        grid = default_grid(sg)
+        off = trial // len(ZERO_SET_SEMIGROUPS) % 3
+        cancel = off == 1 and trial // (3 * len(ZERO_SET_SEMIGROUPS)) % 2 == 1
+        # at most 4 atoms and no more than grid elements; every atom shares one root when none is off the zero set
+        cap = 1 if off == 0 and sg.point_dim == 1 else min(len(grid.elements), 4) - off
+        on_zeros = int(rng.integers(2 if cancel else 1, cap + 1)) if cap >= (2 if cancel else 1) else 0
+        if not on_zeros:
+            continue
+        mu, symbol, off_weights = _zero_set_case(rng, sg, on_zeros, off, cancel)
+        # only grids on which P of the merged atoms has rank k: R = 0 then holds exactly when C = 0
+        sigma = np.linalg.svd(character_matrix(sg, mu.points, grid.exponents), compute_uv=False)
+        if len(mu.weights) != on_zeros + off or sigma[-1] < 1e-3 * sigma[0]:
+            continue
+        verdict = _assert_zero_set_verdict(mu, symbol, grid, off_weights)
+        seen[sg.family, verdict.kind] += 1
+    for family in ("nat_add", "nat_mult", "half_line"):
+        assert all(seen[family, kind] >= 3 for kind in (POINT_MASS, NOT_POINT_MASS, DEGENERATE)), seen
+
+
+@pytest.mark.parametrize(
+    "atoms,roots,kind",
+    [(((0.3, 1), (0.4, -1), (0.5, 1)), (0.3, 0.4), POINT_MASS), (((0.3, 1), (0.5, 1)), (0.3,), NOT_POINT_MASS)],
+    ids=["cancels", "does_not_cancel"],
+)
+def test_atoms_on_the_zero_set_of_f_reproductions(atoms, roots, kind):
+    # three atoms are certified: off-zeta mass on the zero set of F that cancels leaves the identity intact
+    symbol = Symbol.polynomial({(j,): c for j, c in enumerate(np.poly(roots)[::-1])})
+    verdict = _assert_zero_set_verdict(measure(*atoms), symbol, default_grid(SG1), [1])
+    if kind == POINT_MASS:
+        assert verdict.mass == 1 and abs(verdict.point[0] - 0.5) < 1e-12 and verdict.max_residual < 1e-14
+    else:
+        assert verdict.kind == kind and abs(verdict.witness_residual - 0.04) < 1e-12

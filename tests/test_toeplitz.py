@@ -343,7 +343,7 @@ def test_rank_one_check_reads_the_profile():
 
 
 def test_prony_single_atom():
-    result = prony_recover(DiscMeasure(((0.3, 1.0),)), k_max=4)
+    result = prony_recover(moment_matrix(DiscMeasure(((0.3, 1.0),)), 4, rows=5))
     assert result.rank == 1
     (a, m), = result.atoms
     assert abs(a - 0.3) < 1e-12
@@ -352,7 +352,7 @@ def test_prony_single_atom():
 
 def test_prony_two_atoms_with_weights():
     nu = DiscMeasure(((0.25, 2.0), (-0.25, 3.0)))
-    result = prony_recover(nu, k_max=5)
+    result = prony_recover(moment_matrix(nu, 5, rows=6))
     assert result.rank == 2
     assert result.residual < 1e-10
     recovered = dict(result.atoms)
@@ -388,7 +388,7 @@ def test_prony_rank_is_the_numerical_rank_of_the_unshifted_block(rng):
 
 
 def test_prony_zero_measure():
-    result = prony_recover(DiscMeasure(((0.1, 0.0),)), k_max=3)
+    result = prony_recover(moment_matrix(DiscMeasure(((0.1, 0.0),)), 3, rows=4))
     assert result.rank == 0
     assert result.atoms == ()
 
@@ -402,7 +402,7 @@ def test_prony_roundtrip_identity(rng):
             if all(abs(a - b) >= 0.1 for b, _ in atoms):
                 atoms.append((a, rng.uniform(0.1, 2.0) * random_phase(rng)))
         nu = DiscMeasure(tuple(atoms))
-        result = prony_recover(nu, k_max=count + 2)
+        result = prony_recover(moment_matrix(nu, count + 2, rows=count + 3))
         assert result.rank == count
         for (a, m), (b, w) in zip(result.atoms, nu.atoms):
             assert abs(a - b) < 1e-8
@@ -418,7 +418,7 @@ def test_prony_route_matches_transform_route(rng):
         _, table = recover_point_mass(mu, f, grid)
         for s in grid.elements:
             nu = disc_measure(mu, f, s)
-            result = prony_recover(nu)
+            result = prony_recover(moment_matrix(nu, 4, rows=5))
             assert result.rank == 1
             gamma2 = character_value_from_atom(mu, s, result.atoms[0][0])
             assert abs(gamma2 - table[s]) < 1e-8
@@ -524,11 +524,31 @@ def test_prony_pencil_weights_and_misfits_are_bit_equal_to_one_table_at_a_time(r
             continue
         assert pencil.error is None
         if pencil.rank == 0:
-            assert pencil.weights.size == 0 and pencil.misfit == 0.0
+            assert pencil.weights.size == 0 and pencil.residual == 0.0
             continue
         weights, misfit = reference_prony_weights(table, pencil.positions)
         assert _bits(pencil.weights) == _bits(weights)
-        assert pencil.misfit == misfit and type(pencil.misfit) is float
+        assert pencil.residual == misfit / np.linalg.norm(table) and type(pencil.residual) is float
+
+
+def test_a_table_norm_that_overflows_is_raised_by_its_own_element():
+    # entries near 1e160 are finite, and so are the pencil and its weights, but their squares are not
+    good = moment_matrix(DiscMeasure(((0.3, 1.0), (-0.2j, 0.5))), 4, rows=5)
+    huge = good * 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pencils = prony_pencils(np.array([good, huge, good * 2.0]))
+    assert [pencil.rank for pencil in pencils] == [2, 2, 2]
+    assert str(pencils[1].error) == "a moment table's norm overflows the float range"
+    assert isinstance(pencils[1].error, NumericOverflow)
+    with pytest.raises(NumericOverflow, match="a moment table's norm overflows"):
+        prony_recover(huge, pencil=pencils[1])
+    with pytest.raises(NumericOverflow, match="a moment table's norm overflows"):
+        prony_recover(huge)
+    for table, pencil in ((good, pencils[0]), (good * 2.0, pencils[2])):
+        want = reference_prony_recover(table)
+        assert pencil.error is None and pencil.residual == want.residual
+        assert _same_recovery(prony_recover(table, pencil=pencil), want)
 
 
 def test_a_failed_least_squares_solve_is_raised_by_its_own_element(capfd):
@@ -597,7 +617,7 @@ def test_a_moment_stack_that_overflows_raises_before_lapack():
     with pytest.raises(NumericOverflow, match="a moment matrix overflows"):
         moment_matrices((nu,), 4)
     with pytest.raises(NumericOverflow, match="a moment matrix overflows"):
-        prony_recover(nu)
+        moment_matrices((nu,), 4, rows=5)
     # finite moments whose Toeplitz entries are not: T[0, 1] = sqrt(2) / pi * M[1, 0]
     moments = np.zeros((2, 2), dtype=complex)
     moments[1, 0] = 1.7e308 * math.pi
