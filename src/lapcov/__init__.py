@@ -96,7 +96,6 @@ from .shifts import (
 from .toeplitz import (
     DiscMeasure,
     LueckingResult,
-    Pencil,
     PronyResult,
     character_value_from_atom,
     disc_measure,

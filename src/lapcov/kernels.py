@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import NumericOverflow
-from .laplace import POINT_MASS, EvaluationGrid, Tolerances, decide_covariance, default_grid, mass_vanishes
+from .laplace import POINT_MASS, EvaluationGrid, Tolerances, decide_covariance, mass_vanishes
 from .measures import AtomicMeasure, negligible, total_mass
 from .semigroups import monomial
 
@@ -207,7 +207,7 @@ def kernel_recover(
     if not negligible(max_residual, scale, residual_tol):
         return KernelVerdict(kind=NOT_EXTREMAL, max_residual=max_residual, witness_z=witness)
 
-    verdict = decide_covariance(mu, None, grid if grid is not None else default_grid(mu.semigroup), tol)
+    verdict = decide_covariance(mu, None, grid, tol)
     if verdict.kind != POINT_MASS:
         return KernelVerdict(
             kind=NOT_EXTREMAL, max_residual=max_residual, reason="moment_route_not_point_mass"

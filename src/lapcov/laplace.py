@@ -17,7 +17,6 @@ import cmath
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import ClassVar
 
 import numpy as np
 
@@ -115,9 +114,10 @@ class EvaluationGrid:
     reads them; the closure is built in exponent space, without factoring.
     The constructor takes ``(semigroup, elements, order)``, checks each
     element with ``element_exponents`` and sorts out the closure with
-    ``closure_table``; ``default_grid`` hands over its box instead, whose
-    closure ``box_closure`` writes down in closed form.  The other four
-    fields are derived, and equality ignores them.
+    ``closure_table``; ``default_grid`` hands ``__post_init__`` the top of
+    its box {0..top}^d instead, whose closure ``box_closure`` writes down in
+    closed form.  The other four fields are derived, and equality ignores
+    them.
     """
 
     semigroup: Semigroup
@@ -127,15 +127,13 @@ class EvaluationGrid:
     products: np.ndarray = field(default=None, init=False, compare=False, repr=False)
     exponents: np.ndarray = field(default=None, init=False, compare=False, repr=False)
     closure_exponents: np.ndarray = field(default=None, init=False, compare=False, repr=False)
-    # the top coordinate of a default grid's box {0..top}^d, set by _from_box
-    _box_top: ClassVar[int] = None
 
-    def __post_init__(self):
+    def __post_init__(self, top: int = None):
         sg = self.semigroup
-        if self._box_top is None:
+        if top is None:
             rows, closure, products = closure_table(sg, element_exponents(sg, (identity(sg), *self.elements)))
         else:
-            rows, closure, products = box_closure(sg, self._box_top)
+            rows, closure, products = box_closure(sg, top)
         for array in (rows, closure, products):
             array.setflags(write=False)
         object.__setattr__(self, "elements", _as_elements(sg, rows))
@@ -144,14 +142,11 @@ class EvaluationGrid:
         object.__setattr__(self, "exponents", rows)
         object.__setattr__(self, "closure_exponents", closure)
 
-    @classmethod
-    def _from_box(cls, semigroup: Semigroup, top: int, order: int) -> "EvaluationGrid":
-        """The grid of the exponent box {0..top}^d, without validating an element."""
-        grid = object.__new__(cls)
-        for name, value in (("semigroup", semigroup), ("order", order), ("_box_top", top)):
-            object.__setattr__(grid, name, value)
-        grid.__post_init__()
-        return grid
+
+def _check_grid(grid: EvaluationGrid, mu: AtomicMeasure):
+    """Refuse a grid of another semigroup than mu's: its exponent rows mean other elements."""
+    if grid.semigroup != mu.semigroup:
+        raise ValueError("grid and measure use different semigroups")
 
 
 def _as_elements(semigroup: Semigroup, rows: np.ndarray) -> tuple:
@@ -178,7 +173,12 @@ def default_grid(semigroup: Semigroup, order: int = None) -> EvaluationGrid:
         order = 2 if semigroup.family == NAT_MULT else 8
     top = max(order, 0)
     _check_pairs((top + 1) ** semigroup.dim, "a grid")
-    return EvaluationGrid._from_box(semigroup, top, order)
+    # through __post_init__ as every grid is, but without elements to validate
+    grid = object.__new__(EvaluationGrid)
+    object.__setattr__(grid, "semigroup", semigroup)
+    object.__setattr__(grid, "order", order)
+    grid.__post_init__(top)
+    return grid
 
 
 class CharacterTable(Mapping):
@@ -310,9 +310,11 @@ def recover_point_mass(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Tol
     table[s] = L[mu,F](s,e) / L[mu,F](e,e) for every s in the grid closure,
     as a ``CharacterTable`` over one closure-indexed array.  The ratios are
     formed from the normalized weights and F (``measures.normalized``).
-    Raises FMuIntegralZero when the denominator is below tolerance, and
-    NumericOverflow when a ratio is not finite.
+    Raises ValueError on a grid of another semigroup, FMuIntegralZero when
+    the denominator is below tolerance, and NumericOverflow when a ratio is
+    not finite.
     """
+    _check_grid(grid, mu)
     tol = tol or Tolerances()
     wf = charges(normalized(mu.weight_array)[0], normalized(symbol_values(symbol, mu.points))[0])
     numerators = character_matrix(mu.semigroup, mu.points, grid.closure_exponents).T @ wf
@@ -469,8 +471,7 @@ def decide_covariance(
     sg = mu.semigroup
     grid = grid or default_grid(sg)
     tol = tol or Tolerances()
-    if grid.semigroup != sg:
-        raise ValueError("grid and measure use different semigroups")
+    _check_grid(grid, mu)
 
     fv, b = normalized(symbol_values(symbol, mu.points))
     weights, a = normalized(mu.weight_array)

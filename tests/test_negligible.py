@@ -185,7 +185,7 @@ def test_pencil_rank_and_singular_count_at_their_thresholds():
     # ranked 2 at 1e-14, the block is singular where sigma_2 is negligible at 1e-13
     with pytest.raises(RankDeficientPencil):
         prony_recover(table(1e-13), rel_tol=1e-14)
-    assert prony_pencils(table(above(1e-13))[None], 1e-14)[0].error is None
+    assert prony_pencils(table(above(1e-13))[None], 1e-14)[0].rank == 2
     assert prony_pencils(np.zeros((1, 3, 2), dtype=complex))[0].rank == 0
 
 

@@ -8,6 +8,7 @@ import pytest
 from lapcov import (
     AtomicMeasure,
     DiscMeasure,
+    PronyResult,
     Semigroup,
     Symbol,
     character_value_from_atom,
@@ -443,13 +444,14 @@ def _same_recovery(got, want) -> bool:
 
 
 def _assert_batched_pencils_match_one_table_at_a_time(tables, rel_tol=DEFAULT_RANK_TOL):
-    pencils = prony_pencils(tables, rel_tol)
-    assert len(pencils) == len(tables)
-    for table, pencil in zip(tables, pencils):
+    entries = prony_pencils(tables, rel_tol)
+    assert len(entries) == len(tables)
+    for table, entry in zip(tables, entries):
+        assert isinstance(entry, (PronyResult, Exception))
         want = _recover_or_error(lambda: reference_prony_recover(table, rel_tol))
-        assert _same_recovery(_recover_or_error(lambda: prony_recover(table, pencil=pencil)), want)
+        assert _same_recovery(_recover_or_error(lambda: prony_recover(table, pencil=entry)), want)
         assert _same_recovery(_recover_or_error(lambda: prony_recover(table, rel_tol=rel_tol)), want)
-    return pencils
+    return entries
 
 
 @pytest.mark.parametrize("k_max", [1, 2, 4, 6])
@@ -460,8 +462,8 @@ def test_prony_pencils_of_mixed_ranks_match_one_table_at_a_time(rng, k_max):
         atoms = tuple((0.45 * random_unit_disc(rng), rng.uniform(0.1, 2.0) * random_phase(rng)) for _ in range(count))
         tables.append(moment_matrix(DiscMeasure(atoms or ((0.1, 0.0),)), k_max, rows=k_max + 1))
     tables += [rng.normal(size=(k_max + 1, k_max)) + 1j * rng.normal(size=(k_max + 1, k_max)) for _ in range(3)]
-    pencils = _assert_batched_pencils_match_one_table_at_a_time(np.array(tables))
-    ranks = [pencil.rank for pencil in pencils]
+    entries = _assert_batched_pencils_match_one_table_at_a_time(np.array(tables))
+    ranks = [entry.rank for entry in entries]
     assert ranks[:2] == [0, 0]
     assert set(ranks) == set(range(min(k_max, 4) + 1)) | {k_max}
 
@@ -479,9 +481,10 @@ def test_prony_pencil_errors_match_one_table_at_a_time():
     # a rank tolerance this small keeps noise directions in the pencil of some elements
     scenario = load_scenario(os.path.join(SCENARIOS, "two_atoms_natadd1.json"))
     nus = disc_measures(scenario.measure, scenario.symbol, scenario.grid.exponents)
-    pencils = _assert_batched_pencils_match_one_table_at_a_time(moment_matrices(nus, 6, rows=7), 1e-300)
-    errors = [i for i, pencil in enumerate(pencils) if pencil.error is not None]
-    assert errors and errors != list(range(len(pencils)))
+    entries = _assert_batched_pencils_match_one_table_at_a_time(moment_matrices(nus, 6, rows=7), 1e-300)
+    errors = [i for i, entry in enumerate(entries) if isinstance(entry, Exception)]
+    assert errors and errors != list(range(len(entries)))
+    assert all(isinstance(entries[i], RankDeficientPencil) for i in errors)
 
 
 def _bits(values) -> bytes:
@@ -513,22 +516,46 @@ def test_prony_pencil_weights_and_misfits_are_bit_equal_to_one_table_at_a_time(r
         return values
 
     monkeypatch.setattr(np.linalg, "eigvals", one_not_finite)
-    pencils = prony_pencils(tables, rel_tol)
+    entries = prony_pencils(tables, rel_tol)
     monkeypatch.undo()
 
-    assert [pencil.rank for pencil in pencils] == [0, 1, 2, 2, 4, 1, 2, 4, 2, 1]
-    assert str(pencils[singular].error) == "restricted moment pencil is numerically singular"
-    assert str(pencils[not_finite].error) == "pencil eigenvalues are not finite"
-    for i, (table, pencil) in enumerate(zip(tables, pencils)):
-        if i in (singular, not_finite):
-            continue
-        assert pencil.error is None
-        if pencil.rank == 0:
-            assert pencil.weights.size == 0 and pencil.residual == 0.0
-            continue
-        weights, misfit = reference_prony_weights(table, pencil.positions)
-        assert _bits(pencil.weights) == _bits(weights)
-        assert pencil.residual == misfit / np.linalg.norm(table) and type(pencil.residual) is float
+    assert isinstance(entries[singular], RankDeficientPencil) and isinstance(entries[not_finite], RankDeficientPencil)
+    assert str(entries[singular]) == "restricted moment pencil is numerically singular"
+    assert str(entries[not_finite]) == "pencil eigenvalues are not finite"
+    solved = [entry for i, entry in enumerate(entries) if i not in (singular, not_finite)]
+    assert [entry.rank for entry in solved] == [0, 1, 2, 4, 2, 4, 2, 1]
+    assert solved[0] == ((), 0.0, 0)
+    for table, entry in zip(np.delete(tables, (singular, not_finite), axis=0), solved):
+        want = reference_prony_recover(table, rel_tol)
+        assert entry.rank == want.rank and _bits(entry.atoms) == _bits(want.atoms)
+        assert np.float64(entry.residual).tobytes() == np.float64(want.residual).tobytes()
+        assert type(entry.residual) is float
+
+
+def test_prony_pencils_sort_tied_real_parts_and_signed_zeros_as_sorted_does(rng, monkeypatch):
+    # eigenvalues stood in by positions that share real parts, with -0.0 and 0.0 among them and one exact
+    # (re, im) tie; each table's own solve sorts them with sorted(..., key=(re, im)), which is stable
+    chosen = np.array(
+        [
+            [0.2 + 0.1j, complex(-0.0, 0.3), 0.2 - 0.1j, complex(0.0, 0.3), complex(0.0, -0.2)],
+            [complex(0.0, 0.3), -0.1 + 0.0j, complex(-0.0, 0.3), 0.2 + 0.1j, complex(-0.0, -0.2)],
+        ]
+    )
+    tables = rng.normal(size=(2, 6, 5)) + 1j * rng.normal(size=(2, 6, 5))
+    current = None
+
+    def stand_in(restricted):
+        return (chosen if restricted.ndim == 3 else chosen[current]).copy()
+
+    monkeypatch.setattr(np.linalg, "eigvals", stand_in)
+    entries = prony_pencils(tables)
+    for current, (table, entry) in enumerate(zip(tables, entries)):
+        weights, _ = reference_prony_weights(table, chosen[current])
+        want = sorted(zip(chosen[current].tolist(), weights.tolist()), key=lambda am: (am[0].real, am[0].imag))
+        assert entry.rank == 5 and _bits(entry.atoms) == _bits(want)
+        assert _same_recovery(entry, reference_prony_recover(table))
+    signs = [[math.copysign(1.0, a.real) for a, _ in entry.atoms[:3]] for entry in entries]
+    assert signs == [[1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]]
 
 
 def test_a_table_norm_that_overflows_is_raised_by_its_own_element():
@@ -537,18 +564,18 @@ def test_a_table_norm_that_overflows_is_raised_by_its_own_element():
     huge = good * 1e160
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pencils = prony_pencils(np.array([good, huge, good * 2.0]))
-    assert [pencil.rank for pencil in pencils] == [2, 2, 2]
-    assert str(pencils[1].error) == "a moment table's norm overflows the float range"
-    assert isinstance(pencils[1].error, NumericOverflow)
+        entries = prony_pencils(np.array([good, huge, good * 2.0]))
+    assert numerical_rank(huge[:-1]) == 2 and [entries[0].rank, entries[2].rank] == [2, 2]
+    assert str(entries[1]) == "a moment table's norm overflows the float range"
+    assert isinstance(entries[1], NumericOverflow)
     with pytest.raises(NumericOverflow, match="a moment table's norm overflows"):
-        prony_recover(huge, pencil=pencils[1])
+        prony_recover(huge, pencil=entries[1])
     with pytest.raises(NumericOverflow, match="a moment table's norm overflows"):
         prony_recover(huge)
-    for table, pencil in ((good, pencils[0]), (good * 2.0, pencils[2])):
+    for table, entry in ((good, entries[0]), (good * 2.0, entries[2])):
         want = reference_prony_recover(table)
-        assert pencil.error is None and pencil.residual == want.residual
-        assert _same_recovery(prony_recover(table, pencil=pencil), want)
+        assert _same_recovery(entry, want)
+        assert prony_recover(table, pencil=entry) is entry
 
 
 def test_a_failed_least_squares_solve_is_raised_by_its_own_element(capfd):
@@ -559,14 +586,16 @@ def test_a_failed_least_squares_solve_is_raised_by_its_own_element(capfd):
     singular = np.array([[1.0, 0.0], [1.0, 1e-14], [0.0, 0.0]], dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pencils = prony_pencils(np.array([good, failing, good * 2.0, singular]), 1e-15)
-        assert [pencil.rank for pencil in pencils] == [2, 2, 2, 2]
-        assert _same_recovery(prony_recover(good, pencil=pencils[0]), reference_prony_recover(good, 1e-15))
-        assert _same_recovery(prony_recover(good * 2.0, pencil=pencils[2]), reference_prony_recover(good * 2.0, 1e-15))
+        entries = prony_pencils(np.array([good, failing, good * 2.0, singular]), 1e-15)
+        assert [numerical_rank(table[:-1], 1e-15) for table in (good, failing, good * 2.0, singular)] == [2, 2, 2, 2]
+        assert [entries[0].rank, entries[2].rank] == [2, 2]
+        assert isinstance(entries[1], NumericOverflow) and isinstance(entries[3], RankDeficientPencil)
+        assert _same_recovery(prony_recover(good, pencil=entries[0]), reference_prony_recover(good, 1e-15))
+        assert _same_recovery(prony_recover(good * 2.0, pencil=entries[2]), reference_prony_recover(good * 2.0, 1e-15))
         with pytest.raises(NumericOverflow, match="a Prony design overflows the float range"):
-            prony_recover(failing, pencil=pencils[1])
+            prony_recover(failing, pencil=entries[1])
         with pytest.raises(RankDeficientPencil):
-            prony_recover(singular, pencil=pencils[3])
+            prony_recover(singular, pencil=entries[3])
         with pytest.raises(NumericOverflow):
             prony_recover(failing)
     assert capfd.readouterr().out == ""
@@ -586,13 +615,14 @@ def test_a_non_converging_solve_is_raised_by_its_own_element(monkeypatch):
         return solve(design, rhs, *args, **kwargs)
 
     monkeypatch.setattr(toeplitz, "_LSTSQ", stand_in)
-    pencils = prony_pencils(np.array([good, failing, good * 2.0]), 1e-15)
+    entries = prony_pencils(np.array([good, failing, good * 2.0]), 1e-15)
     assert calls == [3, 2, 2, 2], "one stacked solve, then one solve per table"
-    assert [pencil.rank for pencil in pencils] == [2, 2, 2]
-    assert _same_recovery(prony_recover(good, pencil=pencils[0]), reference_prony_recover(good, 1e-15))
-    assert _same_recovery(prony_recover(good * 2.0, pencil=pencils[2]), reference_prony_recover(good * 2.0, 1e-15))
+    assert numerical_rank(failing[:-1], 1e-15) == 2 and [entries[0].rank, entries[2].rank] == [2, 2]
+    assert isinstance(entries[1], np.linalg.LinAlgError)
+    assert _same_recovery(prony_recover(good, pencil=entries[0]), reference_prony_recover(good, 1e-15))
+    assert _same_recovery(prony_recover(good * 2.0, pencil=entries[2]), reference_prony_recover(good * 2.0, 1e-15))
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge in Linear Least Squares"):
-        prony_recover(failing, pencil=pencils[1])
+        prony_recover(failing, pencil=entries[1])
 
 
 def test_the_stacked_least_squares_gufunc_is_np_linalg_lstsq(rng):
@@ -629,8 +659,8 @@ def test_a_restricted_pencil_that_overflows_never_reaches_eigvals():
     # the unshifted block's one singular direction is row 3, whose shift is the huge row 4
     table = np.zeros((5, 4), dtype=complex)
     table[3], table[4] = 1.0, 1.7e308
-    (pencil,) = prony_pencils(table[None])
-    assert pencil.rank == 1 and isinstance(pencil.error, NumericOverflow)
+    (entry,) = prony_pencils(table[None])
+    assert numerical_rank(table[:-1]) == 1 and isinstance(entry, NumericOverflow)
     with pytest.raises(NumericOverflow, match="a restricted pencil overflows"):
         prony_recover(table)
 
