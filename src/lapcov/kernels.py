@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import NumericOverflow
-from .laplace import POINT_MASS, EvaluationGrid, Tolerances, decide_covariance, mass_vanishes
+from .laplace import POINT_MASS, EvaluationGrid, Tolerances, _check_grid, decide_covariance, mass_vanishes
 from .measures import AtomicMeasure, negligible, total_mass
 from .semigroups import monomial
 
@@ -187,8 +187,11 @@ def kernel_recover(
     and c must match |lambda|^2 relative to |c|.  No gate depends on an
     overall scale of mu or f.
     ``inconclusive`` is returned instead of guessing when the kernel column
-    vanishes on every index needed for the comparison.
+    vanishes on every index needed for the comparison.  A ``grid`` of another
+    semigroup than mu's raises ValueError before any gate.
     """
+    if grid is not None:
+        _check_grid(grid, mu)
     tol = tol or Tolerances()
     f_coefficients = {tuple(int(i) for i in m): complex(b) for m, b in f_coefficients.items()}
     if mass_vanishes(mu, tol):

@@ -17,6 +17,7 @@ import cmath
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .semigroups import (
     element_exponents,
     element_labels,
     identity,
+    points_fit,
 )
 
 POINT_MASS = "point_mass"
@@ -117,7 +119,8 @@ class EvaluationGrid:
     ``closure_table``; ``default_grid`` hands ``__post_init__`` the top of
     its box {0..top}^d instead, whose closure ``box_closure`` writes down in
     closed form.  The other four fields are derived, and equality ignores
-    them.
+    them.  ``closure_index`` maps each closure element to its position in
+    ``pairs_closure``; it is built on first use and kept.
     """
 
     semigroup: Semigroup
@@ -141,6 +144,11 @@ class EvaluationGrid:
         object.__setattr__(self, "products", products)
         object.__setattr__(self, "exponents", rows)
         object.__setattr__(self, "closure_exponents", closure)
+
+    @cached_property
+    def closure_index(self) -> dict:
+        """{element: position in ``pairs_closure``}, the one element index over the closure."""
+        return {el: i for i, el in enumerate(self.pairs_closure)}
 
 
 def _check_grid(grid: EvaluationGrid, mu: AtomicMeasure):
@@ -184,20 +192,17 @@ def default_grid(semigroup: Semigroup, order: int = None) -> EvaluationGrid:
 class CharacterTable(Mapping):
     """Read-only {element: complex} view of ``array``, a complex array indexed like ``grid.pairs_closure``.
 
-    The engine reads ``array`` by closure index; a lookup by element builds
-    the element index on first use.  ``keys()``, ``values()`` and
-    ``items()`` are the Mapping's, in closure order.
+    The engine reads ``array`` by closure index; a lookup by element reads
+    ``grid.closure_index``.  ``keys()``, ``values()`` and ``items()`` are the
+    Mapping's, in closure order.
     """
 
     def __init__(self, grid: EvaluationGrid, array: np.ndarray):
         self.grid = grid
         self.array = array
-        self._index = None
 
     def __getitem__(self, element) -> complex:
-        if self._index is None:
-            self._index = {el: i for i, el in enumerate(self.grid.pairs_closure)}
-        return complex(self.array[self._index[element]])
+        return complex(self.array[self.grid.closure_index[element]])
 
     def __len__(self) -> int:
         return len(self.array)
@@ -396,7 +401,9 @@ def resolve_point(grid: EvaluationGrid, values: np.ndarray):
     the retained primes: both are the closure's unit exponent rows.
     half_line inverts one exponential and checks the chosen logarithm branch
     for consistency across the whole grid; returns ``(None, False)`` when no
-    branch is consistent.  The family is ``grid.semigroup``'s.
+    branch is consistent, or when the branches' common real part puts zeta
+    off the half-plane that ``points_fit`` allows an atom.  The family is
+    ``grid.semigroup``'s.
     """
     semigroup = grid.semigroup
     if semigroup.family != HALF_LINE:
@@ -415,12 +422,12 @@ def resolve_point(grid: EvaluationGrid, values: np.ndarray):
     if abs(base) < 1e-300:
         return None, False
     principal = -cmath.log(base) / s0
+    if not points_fit(semigroup, np.array([[principal]])):  # every branch has the principal real part
+        return None, False
     # equally spaced grids cannot distinguish branches differing by 2*pi*k/s0,
     # so candidates are tried nearest-to-principal first
     for k in sorted(range(-8, 9), key=abs):
         z = principal + (2 * math.pi * k / s0) * 1j
-        if z.real < -1e-9:
-            continue
         if all(abs(g - cmath.exp(-s * z)) < _HALF_LINE_POINT_TOL for s, g in zip(grid.elements, gamma)):
             return (z,), True
     return None, False
@@ -429,12 +436,14 @@ def resolve_point(grid: EvaluationGrid, values: np.ndarray):
 def read_point_mass(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Tolerances = None) -> CovarianceVerdict:
     """The point mass c * delta_gamma read off mu's transform ratios, as a ``point_mass`` verdict.
 
-    Applies the mu(Gamma) != 0 gate (MassZero), recovers c and the character
+    Refuses a grid of another semigroup (ValueError) before any gate,
+    applies the mu(Gamma) != 0 gate (MassZero), recovers c and the character
     table (FMuIntegralZero when the integral of F vanishes), resolves zeta
     and measures the table's multiplicativity defect.  The residual fields
     keep their defaults: this reads the point mass, it does not decide
     that mu is one.
     """
+    _check_grid(grid, mu)
     tol = tol or Tolerances()
     if mass_vanishes(mu, tol):
         raise MassZero("total mass is numerically zero; nothing to recover")

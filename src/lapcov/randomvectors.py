@@ -23,7 +23,7 @@ from .laplace import (
     decide_covariance,
     default_grid,
 )
-from .measures import AtomicMeasure, Columns, negligible
+from .measures import AtomicMeasure, Columns
 from .semigroups import Semigroup, complex_product, monomial
 
 CONSTANT = "constant"
@@ -117,12 +117,6 @@ def _weights(rv: DiscreteRandomVector) -> np.ndarray:
     return weights
 
 
-def _y_moments(rv: DiscreteRandomVector) -> tuple:
-    """E[Y] and E|Y|, summed outcome by outcome (np.abs of a complex rounds otherwise than abs, np.hypot does not)."""
-    ps, _, ys = rv.outcomes.columns
-    return _running_sum(_weights(rv)), _running_sum(ps * np.hypot(ys.real, ys.imag))
-
-
 def as_measure(rv: DiscreteRandomVector) -> AtomicMeasure:
     """The induced atomic measure: atom p*y at each X-value (equal X merged)."""
     sg = Semigroup.nat_add(rv.dim)
@@ -143,16 +137,12 @@ def decide_constant_vector(
 ) -> VectorVerdict:
     """Decide whether X is constant almost surely (given E[Y] != 0).
 
-    Probes all moment pairs with components up to ``max_order``.  Raises
-    ExpectationYZero when |E[Y]| falls below the mass tolerance, mirroring the
-    nonzero-expectation hypothesis, and when the covariance engine calls the
-    induced measure degenerate: the outcome-order sum E[Y] and the merged
-    atoms' mass can round apart.
+    Probes all moment pairs with components up to ``max_order``.  E[Y] is
+    the total mass of the induced measure, so the nonzero-expectation
+    hypothesis is the engine's mass gate on the merged atoms: ExpectationYZero
+    is raised when the covariance engine calls that measure degenerate.
     """
     tol = tol or Tolerances()
-    e_y, y_scale = _y_moments(rv)
-    if negligible(e_y, y_scale, tol.mass):
-        raise ExpectationYZero("E[Y] is numerically zero")
     mu = as_measure(rv)
     grid = default_grid(mu.semigroup, order=max_order)
     verdict = decide_covariance(mu, None, grid, tol)

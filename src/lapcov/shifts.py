@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import MissingGridValue, NumericOverflow
 from .laplace import EvaluationGrid, _check_grid, charge_block
-from .measures import AtomicMeasure, Symbol, charges, symbol_values
+from .measures import AtomicMeasure, Symbol, charges, negligible, symbol_values
 from .semigroups import (
     Semigroup,
     _check_pairs,
@@ -27,7 +27,7 @@ from .semigroups import (
 )
 
 ADMISSIBLE_PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
-# a Gram matrix is positive semidefinite when its least eigenvalue is >= -PD_TOL times its trace
+# a Gram matrix is positive semidefinite when its least eigenvalue is >= 0 or negligible against its trace at PD_TOL
 PD_TOL = 1e-10
 
 
@@ -107,11 +107,10 @@ class TransformPairs(Mapping):
     def __init__(self, grid: EvaluationGrid, semigroup: Semigroup, points, wf: np.ndarray):
         self._grid = grid
         self._atoms = (semigroup, points, wf)
-        self._index = {el: i for i, el in enumerate(grid.pairs_closure)}
 
     def read(self, keys) -> list:
         """The values at the list of pairs ``keys``, in order, as Python complex."""
-        index = self._index
+        index = self._grid.closure_index
         block_at = {}  # closure index -> row and column of the block
 
         def position(element) -> int:
@@ -131,12 +130,12 @@ class TransformPairs(Mapping):
     def __contains__(self, key) -> bool:
         try:
             s, t = key
-            return s in self._index and t in self._index
+            return s in self._grid.closure_index and t in self._grid.closure_index
         except (TypeError, ValueError):
             return False
 
     def __len__(self) -> int:
-        return len(self._index) ** 2
+        return len(self._grid.pairs_closure) ** 2
 
     def __iter__(self):
         return itertools.product(self._grid.pairs_closure, repeat=2)
@@ -283,7 +282,7 @@ def positive_definite_check(f: PairFunction, points) -> DefinitenessResult:
     min_eig = float(np.linalg.eigvalsh(hermitian).min())
     if not math.isfinite(min_eig):
         raise NumericOverflow("the Gram matrix's least eigenvalue overflows the float range")
-    return DefinitenessResult(min_eig, min_eig >= -PD_TOL * trace, asymmetry)
+    return DefinitenessResult(min_eig, negligible(min(min_eig, 0.0), trace, PD_TOL), asymmetry)
 
 
 def semicharacter_defect(f: PairFunction, points) -> float:

@@ -90,19 +90,16 @@ def slow_moment_table(disc_atoms, rows: int, cols: int) -> np.ndarray:
 
 
 def slow_vector_sums(outcomes) -> tuple:
-    """(sum of p, E[Y], E|Y|, [p * y]) of (p, x, y) outcomes, one outcome at a time from 0 as a Python loop adds.
+    """(sum of p, [p * y]) of (p, x, y) outcomes, one outcome at a time, the sum from 0 as a Python loop adds.
 
     ``complex(p) * y`` is the product Python 3.11 forms for ``p * y``: the
     float becomes the complex (p, 0.0) first.
     """
-    total, e_y, y_scale, weights = 0.0, 0j, 0.0, []
+    total, weights = 0.0, []
     for p, _, y in outcomes:
-        weight = complex(p) * complex(y)
         total += p
-        e_y += weight
-        y_scale += p * abs(complex(y))
-        weights.append(weight)
-    return total, e_y, y_scale, weights
+        weights.append(complex(p) * complex(y))
+    return total, weights
 
 
 # ------------------------------------------------------ report emitter

@@ -882,6 +882,9 @@ KERNEL_LENGTH_CASES = {
     "list_semigroup": (lambda s: (two_variable_atom(s), s["kernel"].update(
         kind="list", coefficients=[{"m": [0], "n": [0, 0], "a": 1.0}, {"m": [1], "n": [1], "a": 2.0}])),
         "kernel.coefficients[1].n: expected a multi-index of length 2"),
+    # the kernel's w variables are the coordinates of a nat_add point
+    "nat_mult_semigroup": (lambda s: s.update(semigroup={"kind": "nat_mult", "primes": 1}),
+                           "the kernel command needs a nat_add measure"),
 }
 
 
@@ -1313,6 +1316,44 @@ def test_repeated_kernel_series_indices_add_up(tmp_path, series, coefficient):
     assert run_cli(["kernel", write_scenario(tmp_path, scn, "")]) == whole
 
 
+# case: (nat_add d=1 atoms (point, weight), the kernel section, the verdict and its reason)
+KERNEL_VERDICT_CASES = {
+    # K(z, w) = 1 + (z_1 + z_2) w and f its column at zeta = 0.1, probed on default_z_grid(2)
+    "two_z_coordinates": ([(0.1, 1.0)], {
+        "kind": "list", "truncation": 1,
+        "coefficients": [{"m": m, "n": [sum(m)], "a": [1.0, 0.0]} for m in ([0, 0], [1, 0], [0, 1])],
+        "f": [{"m": m, "b": [b, 0.0]} for m, b in (([0, 0], 1.0), ([1, 0], 0.1), ([0, 1], 0.1))],
+    }, ("extremal", None)),
+    # residual_tol 9 lets any positive measure pass the equation; the moment route refutes two atoms
+    "two_atoms": ([(0.2, 1.0), (-0.1, 1.0)], {"kind": "bergman", "f": [{"m": [0], "b": [1.0, 0.0]}], "residual_tol": 9.0},
+                  ("not_extremal", "moment_route_not_point_mass")),
+    # K(z, w) = z w at zeta = 0: both sides of the equation are 0, and so is every column coefficient
+    "column_vanishes": ([(0.0, 1.0)], {"kind": "list", "truncation": 1, "coefficients": [{"m": [1], "n": [1], "a": [1.0, 0.0]}],
+                                       "f": [{"m": [0], "b": [0.0, 0.0]}]}, ("inconclusive", "kernel_column_vanishes")),
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_VERDICT_CASES))
+def test_kernel_verdicts_and_their_reasons(tmp_path, case):
+    atoms, kernel, expected = KERNEL_VERDICT_CASES[case]
+    scenario = {"semigroup": {"kind": "nat_add", "d": 1},
+                "measure": {"atoms": [{"point": [[p, 0.0]], "weight": [w, 0.0]} for p, w in atoms]}, "kernel": kernel}
+    code, out, _ = run_cli(["kernel", write_scenario(tmp_path, scenario, "")])
+    report = json.loads(out)
+    assert (code, report["verdict"], report["reason"]) == (0, *expected)
+
+
+def test_pd_reads_a_given_generator_pair(tmp_path):
+    scenario = {"semigroup": {"kind": "nat_add", "d": 1},
+                "measure": {"atoms": [{"point": [[0.5, 0.0]], "weight": [1.0, 0.0]}]},
+                "pd": {"generator": {"a": [1], "b": [2]}}}
+    code, out, _ = run_cli(["pd", write_scenario(tmp_path, scenario, "")])
+    report = json.loads(out)
+    assert (code, report["bv_generator_pair"], report["is_positive_definite"]) == (0, {"a": [1], "b": [2]}, True)
+    # a unit point mass: the four generators of a pair sum to the identity, and each has a nonnegative value
+    assert report["bv_norm"] == 1
+
+
 def overflow_measure(d, big, **extra):
     points = [[[big, 0.0]] * d, [[0.5, 0.0]] * d]
     atoms = [{"point": point, "weight": [1.0, 0.0]} for point in points]
@@ -1354,6 +1395,8 @@ OVERFLOW_SCENARIOS = {
         "measure": {"atoms": [{"point": [[20.0, 0.0]], "weight": [1e-20, 0.0]}, {"point": [[0.5, 0.0]], "weight": [1e-20, 0.0]}]},
         "symbol": {"kind": "poly", "terms": [{"m": [0], "c": [1e150, 0]}]},
     },
+    # max |rho_z(s)| = 1e160 at z = 1e20, s = 8: the residual and the square in its scale leave the float range
+    "character_scale": overflow_measure(1, 1e20, grid={"order": 8}),
     # each charge F w = 1e308 is finite, their sum, the transform value at (e, e), is not
     "pair_table": overflow_measure(1, 0.25, symbol={"kind": "poly", "terms": [{"m": [0], "c": [1e308, 0]}]}),
     # f(e, e) is the remainder alone (the pair cancels exactly), and f / f(e, e) overflows in the
@@ -1377,6 +1420,7 @@ OVERFLOW_CASES += [("symbol_squared", command) for command in ("covariance", "to
 OVERFLOW_CASES += [("charge_times_character", "prony"), ("pair_table", "pd"), ("pair_table", "transform")]
 OVERFLOW_CASES += [("tiny_mass", "pd"), ("tiny_mass_of_huge_weights", "pd")]
 OVERFLOW_CASES += [("random_vector", "random-vector"), ("kernel", "kernel"), ("kernel_coefficient", "kernel")]
+OVERFLOW_CASES += [("character_scale", "covariance")]
 
 
 @pytest.mark.parametrize("name,command", OVERFLOW_CASES)

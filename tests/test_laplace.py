@@ -27,6 +27,7 @@ from lapcov import (
     total_variation,
 )
 import lapcov.laplace as laplace
+from lapcov.kernels import KernelCoefficients, kernel_recover
 from lapcov.measures import MODE_ABS_F_SQ, MODE_CONJ_F, charges, normalized, symbol_values
 from lapcov.randomvectors import DiscreteRandomVector, as_measure, decide_constant_vector
 from lapcov.semigroups import character_matrix
@@ -198,6 +199,8 @@ GRID_READERS = {
     "recover_point_mass": lambda mu, grid: recover_point_mass(mu, None, grid),
     "read_point_mass": lambda mu, grid: read_point_mass(mu, None, grid),
     "pair_function_from_measure": lambda mu, grid: pair_function_from_measure(mu, grid),
+    # f = 5 fails the kernel equation, so only a grid checked first is refused
+    "kernel_recover": lambda mu, grid: kernel_recover(KernelCoefficients.bergman(), {(0,): 5}, mu, grid=grid),
 }
 
 
@@ -207,8 +210,10 @@ def test_a_grid_of_another_semigroup_is_refused(reader, other):
     # nat_mult(1)'s exponent rows are those of nat_add(1), and nat_add(2)'s hold an extra coordinate
     mu = measure((0.5, 1))
     reader(mu, default_grid(SG1))
-    with pytest.raises(ValueError, match="grid and measure use different semigroups"):
-        reader(mu, default_grid(other))
+    # the grid is checked before any gate: a zero-mass measure is refused for its grid, not its mass
+    for mu in (mu, measure((0.5, 1), (0.25, -1))):
+        with pytest.raises(ValueError, match="grid and measure use different semigroups"):
+            reader(mu, default_grid(other))
 
 
 # ------------------------------------------------ multiplicativity defect

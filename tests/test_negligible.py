@@ -5,7 +5,9 @@ sits at tol * scale: there it is negligible, a step past it is not.  Against a
 zero scale only an exact 0 is negligible.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from lapcov.laplace import (
     POINT_MASS,
     mass_vanishes,
 )
+import lapcov.measures
 from lapcov.measures import negligible
 from lapcov.toeplitz import _ranks, numerical_rank, prony_pencils, prony_recover
 
@@ -207,3 +210,44 @@ def test_kernel_mass_gate_at_its_threshold():
         verdict = kernel_recover(kernel, {(0,): 3.0}, measure((0.0, w)), z_grid=((0j,),), residual_tol=9.0)
         assert verdict.kind == kind
         assert verdict.reason in (None, "mass_modulus_mismatch")
+
+
+# the rule itself, and the merge's tie-break, which finds the rows within MERGE_TOL that need the scalar distance
+RULE_OWNERS = {("measures", "negligible"), ("measures", "_within_tol")}
+
+
+def tolerance_products(tree: ast.AST):
+    """(function, line) of each comparison in ``tree`` one of whose operands is a product involving a tolerance name."""
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+    def is_tolerance_product(operand):
+        while isinstance(operand, ast.UnaryOp):
+            operand = operand.operand
+        return (isinstance(operand, ast.BinOp) and isinstance(operand.op, ast.Mult)
+                and any("tol" in name.lower() for name in names(operand)))
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Compare) and any(map(is_tolerance_product, [node.left, *node.comparators])):
+            yield function, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    yield from visit(tree, None)
+
+
+def test_only_the_rule_compares_against_a_tolerance_product():
+    # a gate that spells |value| <= tol * scale itself is a second owner of the rule: it calls negligible instead
+    found = []
+    for path in sorted(Path(lapcov.measures.__file__).parent.glob("*.py")):
+        for function, line in tolerance_products(ast.parse(path.read_text(encoding="utf-8"))):
+            if (path.stem, function) not in RULE_OWNERS:
+                found.append(f"{path.name}:{line} in {function}")
+    assert not found, found

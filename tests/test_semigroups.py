@@ -40,6 +40,19 @@ from helpers import random_character_point, slow_char
 ALL_KINDS = [Semigroup.nat_add(2), Semigroup.nat_mult(3), Semigroup.half_line()]
 
 
+@pytest.mark.parametrize(
+    "family,dim,message",
+    [
+        ("nat_max", 1, "unknown semigroup family 'nat_max'"),
+        ("nat_add", 0, "semigroup dimension must be >= 1"),
+        ("half_line", 2, "half_line has no dimension parameter"),
+    ],
+)
+def test_the_semigroup_constructor_refuses_bad_parameters(family, dim, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Semigroup(family, dim)
+
+
 def test_identity_examples():
     assert identity(Semigroup.nat_add(2)) == (0, 0)
     assert identity(Semigroup.nat_mult(3)) == 1
