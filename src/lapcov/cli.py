@@ -8,6 +8,7 @@ object with a machine-readable code).
 
 import argparse
 import functools
+import math
 import sys
 from collections import namedtuple
 
@@ -68,8 +69,17 @@ def _grid_fields(grid) -> dict:
     }
 
 
-def _character_table_json(grid, table) -> Table:
-    return Table(("s", "value"), (element_labels(grid.semigroup, grid.closure_exponents), table.array))
+def _point_mass_fields(verdict, **between) -> dict:
+    """c, zeta and zeta_resolved, then ``between``, then multiplicativity_defect and gamma of a point_mass verdict."""
+    grid = verdict.character.grid
+    return {
+        "c": encode_complex(verdict.mass),
+        "zeta": point_to_json(verdict.point) if verdict.point_resolved else None,
+        "zeta_resolved": verdict.point_resolved,
+        **between,
+        "multiplicativity_defect": verdict.character_defect,
+        "gamma": Table(("s", "value"), (element_labels(grid.semigroup, grid.closure_exponents), verdict.character.array)),
+    }
 
 
 def _cmd_transform(scenario, args):
@@ -92,12 +102,7 @@ def _cmd_covariance(scenario, args):
     report = {"command": "covariance", "verdict": verdict.kind}
     exit_code = 0
     if verdict.kind == POINT_MASS:
-        report["c"] = encode_complex(verdict.mass)
-        report["zeta"] = point_to_json(verdict.point) if verdict.point_resolved else None
-        report["zeta_resolved"] = verdict.point_resolved
-        report["max_residual"] = verdict.max_residual
-        report["multiplicativity_defect"] = verdict.character_defect
-        report["gamma"] = _character_table_json(scenario.grid, verdict.character)
+        report.update(_point_mass_fields(verdict, max_residual=verdict.max_residual))
         report["certification"] = "relative_to_grid"
         summary = f"point_mass (normalized max residual {format_float(verdict.max_residual)})"
     elif verdict.kind == NOT_POINT_MASS:
@@ -120,15 +125,7 @@ def _cmd_covariance(scenario, args):
 def _cmd_recover(scenario, args):
     mu = _require(scenario, "measure")
     verdict = read_point_mass(mu, scenario.symbol, scenario.grid, scenario.tolerances)
-    report = {
-        "command": "recover",
-        "c": encode_complex(verdict.mass),
-        "zeta": point_to_json(verdict.point) if verdict.point_resolved else None,
-        "zeta_resolved": verdict.point_resolved,
-        "multiplicativity_defect": verdict.character_defect,
-        "gamma": _character_table_json(scenario.grid, verdict.character),
-    }
-    report.update(_grid_fields(scenario.grid))
+    report = {"command": "recover", **_point_mass_fields(verdict), **_grid_fields(scenario.grid)}
     return report, 0, f"recover: multiplicativity defect {format_float(verdict.character_defect)}"
 
 
@@ -290,8 +287,9 @@ def _cmd_kernel(scenario, args):
     verdict = kernel_recover(
         kernel, section["f"], mu, z_grid, section["residual_tol"], tol=scenario.tolerances, grid=scenario.grid
     )
-    z_norm = max((sum(abs(v) ** 2 for v in z) ** 0.5 for z in z_grid), default=0.0)
-    w_norm = max((sum(abs(v) ** 2 for v in p) ** 0.5 for p in mu.points), default=0.0)
+    # hypot reads a coordinate past 1e154 without squaring it, so a huge point gives a large norm, never OverflowError
+    z_norm = max((math.hypot(*map(abs, z)) for z in z_grid), default=0.0)
+    w_norm = max((math.hypot(*map(abs, p)) for p in mu.points), default=0.0)
     tail = truncation_tail_bound(kernel, z_norm, w_norm) if z_norm * w_norm <= 0.25 else None
     report = {
         "command": "kernel",

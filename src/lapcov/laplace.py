@@ -223,8 +223,9 @@ class CovarianceVerdict:
     quadratic residual scale.  Point-mass verdicts are certified only
     relative to the probe grid; non-point-mass verdicts carry an explicit
     witness pair.  ``read_point_mass`` builds the point-mass fields (the
-    ``recover`` command prints them); ``decide_covariance`` adds the residual
-    and the symbol flag.
+    ``recover`` command prints them); ``decide_covariance`` builds the same
+    fields from the charges it formed and adds the residual and the symbol
+    flag.
     """
 
     kind: str
@@ -320,8 +321,12 @@ def recover_point_mass(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Tol
     not finite.
     """
     _check_grid(grid, mu)
-    tol = tol or Tolerances()
     wf = charges(normalized(mu.weight_array)[0], normalized(symbol_values(symbol, mu.points))[0])
+    return total_mass(mu), _closure_ratios(mu, grid, wf, tol or Tolerances())
+
+
+def _closure_ratios(mu: AtomicMeasure, grid: EvaluationGrid, wf: np.ndarray, tol: Tolerances) -> CharacterTable:
+    """``recover_point_mass``'s table from ``wf``, the charges of mu's normalized weights and F."""
     numerators = character_matrix(mu.semigroup, mu.points, grid.closure_exponents).T @ wf
     denominator = complex(numerators[0])  # the identity sorts first in the closure
     if negligible(denominator, float(np.sum(np.abs(wf))), tol.mass):
@@ -333,7 +338,7 @@ def recover_point_mass(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Tol
     if not np.isfinite(values).all():
         raise NumericOverflow("a transform ratio overflows the float range")
     values.setflags(write=False)
-    return total_mass(mu), CharacterTable(grid, values)
+    return CharacterTable(grid, values)
 
 
 def multiplicativity_defect(values: np.ndarray, grid: EvaluationGrid) -> float:
@@ -447,15 +452,19 @@ def read_point_mass(mu: AtomicMeasure, symbol, grid: EvaluationGrid, tol: Tolera
     tol = tol or Tolerances()
     if mass_vanishes(mu, tol):
         raise MassZero("total mass is numerically zero; nothing to recover")
-    mass, table = recover_point_mass(mu, symbol, grid, tol)
-    point, resolved = resolve_point(grid, table.array)
+    return _point_mass_verdict(*recover_point_mass(mu, symbol, grid, tol))
+
+
+def _point_mass_verdict(mass: complex, table: CharacterTable) -> CovarianceVerdict:
+    """The ``point_mass`` verdict of c = ``mass`` and gamma = ``table``: zeta resolved, the defect measured."""
+    point, resolved = resolve_point(table.grid, table.array)
     return CovarianceVerdict(
         kind=POINT_MASS,
         mass=mass,
         character=table,
         point=point,
         point_resolved=resolved,
-        character_defect=multiplicativity_defect(table.array, grid),
+        character_defect=multiplicativity_defect(table.array, table.grid),
     )
 
 
@@ -488,9 +497,10 @@ def decide_covariance(
     flag = bool(negligible(abs_f, float(abs_f.max()), tol.residual).any())
     P = character_matrix(sg, mu.points, grid.exponents)
     P_conj = P.conj()
+    wf = charges(weights, fv)
     # finite charges and characters can still overflow in their products
     with np.errstate(over="ignore", invalid="ignore"):
-        left = P.T @ charges(weights, fv)
+        left = P.T @ wf
         right = P_conj.T @ charges(weights, fv, MODE_CONJ_F)
         fp_max = float(np.max(abs_f[:, None] * np.abs(P), initial=0.0))
 
@@ -520,8 +530,9 @@ def decide_covariance(
     max_normalized = max_raw / scale if scale > 0 else 0.0
 
     if negligible(max_raw, scale, tol.residual):
+        # read_point_mass's verdict, read from the charges formed above
         try:
-            verdict = read_point_mass(mu, symbol, grid, tol)
+            verdict = _point_mass_verdict(total_mass(mu), _closure_ratios(mu, grid, wf, tol))
         except FMuIntegralZero:
             verdict = CovarianceVerdict(kind=DEGENERATE, degenerate_case=F_MU_ZERO)
         return replace(verdict, max_residual=max_normalized, symbol_vanishes_on_atom=flag)

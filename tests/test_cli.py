@@ -16,6 +16,7 @@ import lapcov.cli as cli
 import lapcov.laplace as laplace
 import lapcov.measures as measures
 import lapcov.semigroups as semigroups
+import lapcov.shifts as shifts
 import lapcov.toeplitz as toeplitz
 from lapcov.cli import main
 from lapcov.errors import (
@@ -229,6 +230,25 @@ def test_the_zero_measure_is_a_mass_zero_case(tmp_path):
     code, out, _ = run_cli(["kernel", zero_kernel])
     report = json.loads(out)
     assert (code, report["verdict"], report["reason"]) == (2, "degenerate", "measure_mass_zero")
+
+
+@pytest.mark.parametrize(
+    "point,z_points",
+    [((1e200, 0), None), ((0.1, 0), [[[1e200, 0]]])],
+    ids=["huge_atom", "huge_probe"],
+)
+def test_a_zero_mass_kernel_with_a_huge_coordinate_is_degenerate(tmp_path, point, z_points):
+    # the norms behind the tail bound square no coordinate, so 1e200 is a large norm and no OverflowError
+    def edit(scn):
+        scn["measure"]["atoms"] = [{"point": [point], "weight": [w, 0]} for w in (1, -1)]
+        if z_points is not None:
+            scn["kernel"]["z_points"] = z_points
+
+    code, out, err = run_cli(["kernel", scenario_file(tmp_path, "kernel_extremal.json", edit)])
+    report = json.loads(out)
+    assert (code, report["verdict"], report["reason"]) == (2, "degenerate", "measure_mass_zero")
+    assert report["truncation_tail_bound"] is None
+    assert "Traceback" not in err
 
 
 def test_a_random_vector_whose_measure_loses_its_mass_has_a_zero_expectation(tmp_path):
@@ -1010,6 +1030,17 @@ def test_toeplitz_route_builds_one_character_matrix_per_command(monkeypatch):
         code, out, _ = run_cli(build_argv("two_atoms_natadd1.json", tail))
         assert code == 0 and len(json.loads(out)["per_element"]) == 4
         assert calls == expected, tail[0]
+
+
+@pytest.mark.parametrize("name,scenario,tail,expected_code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_each_golden_command_evaluates_the_symbol_once(monkeypatch, name, scenario, tail, expected_code):
+    # every symbol_values binding site counts; prony evaluates F once per independent route
+    calls = []
+    for module in (laplace, toeplitz, shifts):
+        original = module.symbol_values
+        monkeypatch.setattr(module, "symbol_values", lambda *args, original=original: calls.append(args) or original(*args))
+    assert run_cli(build_argv(scenario, tail))[0] == expected_code
+    assert len(calls) == (2 if tail[0] == "prony" else 1)
 
 
 def test_transform_builds_one_character_matrix(monkeypatch):

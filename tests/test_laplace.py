@@ -482,24 +482,43 @@ def test_read_point_mass_gates():
         read_point_mass(measure((0.5, 2)), Symbol.constant(0), grid)
 
 
+NAT_ADD2, NAT_MULT2, HALF_LINE = Semigroup.nat_add(2), Semigroup.nat_mult(2), Semigroup.half_line()
+
+
+# (semigroup, point, weight, scale): the weight and F are both multiplied by the scale
 @pytest.mark.parametrize(
-    "sg,atom",
+    "sg,point,weight,scale",
     [
-        (Semigroup.nat_add(2), ((0.3, -0.1j), 2)),
-        (Semigroup.nat_mult(2), ((0.5 + 0.1j, 0.25), 1.5 - 0.5j)),
-        (Semigroup.half_line(), ((0.8 + 1.1j,), 2)),
+        (NAT_ADD2, (0.3, -0.1j), 2, 1),
+        (NAT_MULT2, (0.5 + 0.1j, 0.25), 1.5 - 0.5j, 1),
+        (HALF_LINE, (0.8 + 1.1j,), 2, 1),
+        (NAT_ADD2, (0.3, -0.1j), -1 + 2j, 1),
+        (HALF_LINE, (0.8 + 1.1j,), -0.5j, 1),
+        (NAT_ADD2, (0.3, -0.1j), -1 + 2j, 2.0**600),
+        (NAT_MULT2, (0.5 + 0.1j, 0.25), 1.5 - 0.5j, 2.0**600),
+        (HALF_LINE, (0.8 + 1.1j,), -0.5j, 2.0**600),
+        (NAT_ADD2, (0.3, -0.1j), -1 + 2j, 2.0**-600),
+        (NAT_MULT2, (0.5 + 0.1j, 0.25), 1.5 - 0.5j, 2.0**-600),
+        (HALF_LINE, (0.8 + 1.1j,), -0.5j, 2.0**-600),
     ],
-    ids=["natadd", "natmult", "halfline"],
+    ids=[
+        "natadd", "natmult", "halfline", "natadd-complex", "halfline-complex",
+        "natadd-2**600", "natmult-2**600", "halfline-2**600", "natadd-2**-600", "natmult-2**-600", "halfline-2**-600",
+    ],
 )
-def test_read_point_mass_is_the_point_mass_verdict(sg, atom):
-    mu = AtomicMeasure(sg, (atom,))
-    f = Symbol.polynomial({(0,) * sg.point_dim: 1, (1,) + (0,) * (sg.point_dim - 1): 0.5})
+def test_read_point_mass_is_the_point_mass_verdict(sg, point, weight, scale):
+    # decide_covariance reads the point mass from its own charges; it must match the public read bit for bit
+    mu = AtomicMeasure(sg, ((point, weight * scale),))
+    f = Symbol.polynomial({(0,) * sg.point_dim: scale, (1,) + (0,) * (sg.point_dim - 1): 0.5 * scale})
     grid = default_grid(sg)
     verdict = decide_covariance(mu, f, grid)
     read = read_point_mass(mu, f, grid)
     assert (read.kind, read.max_residual, read.symbol_vanishes_on_atom) == (POINT_MASS, 0.0, False)
     assert read.point_resolved
-    assert replace(read, max_residual=verdict.max_residual) == verdict
+    # a CharacterTable compares as a Mapping, and == on complex calls -0.0 and 0.0 equal: compare bytes and reprs
+    assert verdict.character.grid is read.character.grid
+    assert verdict.character.array.tobytes() == read.character.array.tobytes()
+    assert repr(replace(read, max_residual=verdict.max_residual, character=None)) == repr(replace(verdict, character=None))
 
 
 def test_verdict_equivalence_with_total_variation(rng):
@@ -597,19 +616,18 @@ def test_mass_and_rank_tolerances_must_be_below_one(value):
 
 
 @pytest.mark.parametrize(
-    "atoms,kind,symbol_calls,matrix_calls",
+    "atoms,kind,matrix_calls",
     [
-        # decide_covariance on the grid, then recover_point_mass on the closure
-        (((0.5, 2.0),), POINT_MASS, 2, 2),
-        (((0.5, 1.0), (0.3, 1.0)), NOT_POINT_MASS, 1, 1),
+        # P on the grid, then the closure ratios from the same charges
+        (((0.5, 2.0),), POINT_MASS, 2),
+        (((0.5, 1.0), (0.3, 1.0)), NOT_POINT_MASS, 1),
         # degenerate_check classifies the side sums decide_covariance formed
-        (((0.5, 1.0), (0.3, -1.0)), DEGENERATE, 1, 1),
+        (((0.5, 1.0), (0.3, -1.0)), DEGENERATE, 1),
     ],
 )
-def test_decide_covariance_evaluates_the_symbol_once_per_engine_function(
-    monkeypatch, atoms, kind, symbol_calls, matrix_calls
-):
-    counts = {"symbol_values": 0, "character_matrix": 0}
+def test_decide_covariance_evaluates_the_symbol_once_per_engine_function(monkeypatch, atoms, kind, matrix_calls):
+    # one F, one weight and one F normalization, one grid check and one mass gate, whatever the verdict
+    counts = dict.fromkeys(("symbol_values", "character_matrix", "normalized", "_check_grid", "mass_vanishes"), 0)
 
     def counted(name):
         original = getattr(laplace, name)
@@ -625,7 +643,9 @@ def test_decide_covariance_evaluates_the_symbol_once_per_engine_function(
     symbol = Symbol.polynomial({(0,): 1.0, (1,): 0.5})
     verdict = decide_covariance(measure(*atoms), symbol, default_grid(SG1))
     assert verdict.kind == kind
-    assert counts == {"symbol_values": symbol_calls, "character_matrix": matrix_calls}
+    assert counts == {
+        "symbol_values": 1, "character_matrix": matrix_calls, "normalized": 2, "_check_grid": 1, "mass_vanishes": 1
+    }
 
 
 def test_degenerate_check_classifies_the_sums_it_is_given(monkeypatch):
